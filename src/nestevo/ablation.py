@@ -23,9 +23,9 @@ from .evaluator import (
 )
 from .genome import BackboneGenome, SearchSpaceSpec, sample_backbone, sampled_positions, validate_backbone
 from .ioe import IoeConfig, IoeSolution, run_ioe
-from .metrics import Front, hypervolume, ratio_of_dominance
+from .metrics import Front, ratio_of_dominance
 from .moea import Direction, ObjectiveVector
-from .ooe import SUMMARY_REFERENCE
+from .ooe import ioe_front_hypervolume
 
 COMPONENT_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
 
@@ -83,16 +83,6 @@ def resolve_backbone(cfg: RunConfig) -> BackboneGenome:
     return sample_backbone(cfg.space, rng)
 
 
-def _arm_hypervolume(solutions: Sequence[IoeSolution]) -> float:
-    points = [
-        ObjectiveVector((s.score.mean_correct, s.score.mean_energy_ratio),
-                        SUMMARY_REFERENCE.directions)
-        for s in solutions
-        if s.score.mean_energy_ratio <= 1.0
-    ]
-    return hypervolume(Front(points, SUMMARY_REFERENCE))
-
-
 def run_ablation(cfg: RunConfig, backend: HardwareBackend,
                  gammas: Sequence[float]) -> AblationReport:
     if not gammas:
@@ -120,7 +110,7 @@ def run_ablation(cfg: RunConfig, backend: HardwareBackend,
         arms.append(AblationArm(
             gamma=gamma,
             solutions=result.solutions,
-            hypervolume=_arm_hypervolume(result.solutions),
+            hypervolume=ioe_front_hypervolume(result.solutions, 0.0),
             spread=exit_fraction_spread(result.solutions, profile, space),
         ))
 

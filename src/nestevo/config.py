@@ -238,8 +238,15 @@ def _dataclass_dict(obj: Any) -> Any:
 
 
 def config_digest(config: RunConfig) -> str:
-    """sha256 over everything that affects results (output paths excluded)."""
+    """sha256 over everything that affects results (output paths excluded),
+    including the bytes of the lookup table for the table backend."""
     doc = _dataclass_dict(config)
     doc.pop("output_dir", None)
+    if config.backend == "table":
+        try:
+            with open(config.table_csv or "", "rb") as fh:
+                doc["table_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"lookup table not found: {config.table_csv}") from exc
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

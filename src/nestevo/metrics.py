@@ -12,7 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .moea import ObjectiveVector, dominates, nondominated_mask
+from .moea import (
+    ObjectiveVector,
+    _dominated_by,
+    _normalized_matrix,
+    nondominated_mask,
+)
 
 
 class Front:
@@ -166,11 +171,12 @@ def ratio_of_dominance(a: Front, b: Front) -> float:
     if a.points and b.points:
         if a.points[0].directions != b.points[0].directions:
             raise ValueError("fronts have mismatched objective shapes")
-    if not a.points:
+    if not a.points or not b.points:
         return 0.0
-    count = sum(
-        1 for p in a.points if any(dominates(p, q) for q in b.points)
-    )
+    # p dominates q exactly when -q dominates -p.
+    neg_a = -_normalized_matrix(a.points)
+    neg_b = -_normalized_matrix(b.points)
+    count = int(_dominated_by(neg_a, neg_b).sum())
     return count / len(a.points)
 
 

@@ -108,21 +108,37 @@ def fast_nondominated_sort(pop: Sequence[ObjectiveVector]) -> list[list[int]]:
     return fronts
 
 
-def nondominated_mask(pop: Sequence[ObjectiveVector]) -> list[bool]:
-    """Per-member flag: True iff no other member dominates it.
+# Bound on the elements of one boolean comparison block in `_dominated_by`.
+_BLOCK_ELEMENTS = 4_000_000
 
-    Processed in column blocks so archives tens of thousands strong stay
-    within a bounded comparison-tensor footprint."""
-    mat = _normalized_matrix(pop)
-    n, m = mat.shape
-    dominated = np.zeros(n, dtype=bool)
-    block = max(1, 30_000_000 // max(1, n * m))
-    for start in range(0, n, block):
-        sub = mat[start:start + block]
-        ge = (mat[:, None, :] >= sub[None, :, :]).all(axis=-1)
-        gt = (mat[:, None, :] > sub[None, :, :]).any(axis=-1)
+
+def _dominated_by(cands: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of `cands`: True iff some row of `rows` dominates it.
+
+    Both are normalized matrices (every coordinate maximized).  Candidates
+    are processed in blocks so the (rows x block) comparison matrices stay
+    within a bounded footprint."""
+    dominated = np.zeros(len(cands), dtype=bool)
+    if len(cands) == 0 or len(rows) == 0:
+        return dominated
+    block = max(1, _BLOCK_ELEMENTS // len(rows))
+    for start in range(0, len(cands), block):
+        sub = cands[start:start + block]
+        ge = np.ones((len(rows), len(sub)), dtype=bool)
+        gt = np.zeros((len(rows), len(sub)), dtype=bool)
+        for k in range(cands.shape[1]):
+            r = rows[:, k, None]
+            c = sub[None, :, k]
+            ge &= r >= c
+            gt |= r > c
         dominated[start:start + block] = (ge & gt).any(axis=0)
-    return [bool(not d) for d in dominated]
+    return dominated
+
+
+def nondominated_mask(pop: Sequence[ObjectiveVector]) -> list[bool]:
+    """Per-member flag: True iff no other member dominates it."""
+    mat = _normalized_matrix(pop)
+    return [bool(not d) for d in _dominated_by(mat, mat)]
 
 
 def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
@@ -239,12 +255,14 @@ class ParetoArchive:
     Entries are kept in insertion order (deterministic across runs).  A new
     entry is dropped if an existing entry dominates it or carries the same key;
     otherwise it displaces every entry it dominates.  Entries with equal
-    vectors but distinct keys are all retained.
+    vectors but distinct keys are all retained.  The normalized objective
+    matrix of the entries is kept alongside them, row for row.
     """
 
     def __init__(self) -> None:
         self._entries: list[ArchiveEntry] = []
         self._keys: set[Any] = set()
+        self._mat: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -257,30 +275,28 @@ class ParetoArchive:
         return [e.vector for e in self._entries]
 
     def add(self, key: Any, payload: Any, vector: ObjectiveVector) -> bool:
+        """Merge one candidate; True iff it entered the archive."""
         if key in self._keys:
             return False
-        for e in self._entries:
-            if dominates(e.vector, vector):
-                return False
-        kept = [e for e in self._entries if not dominates(vector, e.vector)]
-        removed = {e.key for e in self._entries} - {e.key for e in kept}
-        self._keys -= removed
-        self._entries = kept
-        self._entries.append(ArchiveEntry(key, payload, vector))
-        self._keys.add(key)
-        return True
-
-    def add_many(self, items: Sequence[tuple[Any, Any, ObjectiveVector]]) -> int:
-        added = 0
-        for key, payload, vector in items:
-            if self.add(key, payload, vector):
-                added += 1
-        return added
+        self.merge_batch([(key, payload, vector)])
+        return key in self._keys
 
     def merge_batch(self, items: Sequence[tuple[Any, Any, ObjectiveVector]]) -> None:
-        """Bulk-merge new candidates, then prune the union to its
-        non-dominated subset in one vectorized pass.  Equivalent to repeated
-        add(); existing entries win key collisions."""
+        """Bulk-merge new candidates.
+
+        Keys are deduplicated first: an item is dropped if its key is live in
+        the archive or appeared earlier in the batch, and the first occurrence
+        wins even if it is later dominated.  The union of the existing entries
+        and the surviving items is then cut to its non-dominated subset:
+        existing entries first, then fresh ones, each in order.
+
+        This is not repeated add() when a key repeats within the batch: for
+        [("x", (0, 0)), ("y", (1, 1)), ("x", (2, 2))] (both maximized) the
+        batch keeps [y], while sequential add() keeps [x (2, 2)].
+
+        The entries are mutually non-dominated, so only two checks are made:
+        existing rows against the fresh rows, and fresh rows against the
+        union."""
         fresh: list[ArchiveEntry] = []
         seen = set(self._keys)
         for key, payload, vector in items:
@@ -290,10 +306,19 @@ class ParetoArchive:
             fresh.append(ArchiveEntry(key, payload, vector))
         if not fresh:
             return
-        combined = self._entries + fresh
-        mask = nondominated_mask([e.vector for e in combined])
-        self._entries = [e for e, keep in zip(combined, mask) if keep]
+        rows = _normalized_matrix([e.vector for e in fresh])
+        if self._mat is None:
+            union = rows
+            keep_old = np.zeros(0, dtype=bool)
+        else:
+            if self._entries[0].vector.directions != fresh[0].vector.directions:
+                raise ValueError("batch vectors do not match the archive's shape")
+            union = np.concatenate([self._mat, rows])
+            keep_old = ~_dominated_by(self._mat, rows)
+        keep = np.concatenate([keep_old, ~_dominated_by(rows, union)])
+        self._entries = [e for e, k in zip(self._entries + fresh, keep) if k]
         self._keys = {e.key for e in self._entries}
+        self._mat = union[keep]
 
     def is_mutually_nondominated(self) -> bool:
         vs = self.vectors()

@@ -221,7 +221,9 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
     solutions, per-generation records, and exact evaluation counters."""
     rng = random.Random(config.seed)
     counters = EvalCounters()
-    archive = ParetoArchive()
+    archive = ParetoArchive()  # keys: visit numbers; payloads: solution rows
+    n_visits = 0
+    entries: tuple[ArchiveEntry, ...] = ()
     snapshots: list[GenerationRecord] = []
     population = _initial_backbones(space, config.population, rng)
 
@@ -256,21 +258,33 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             [(b, r.solutions) for b, r in zip(forwarded, ioe_results)],
             forwarded_statics, config.ioe.gamma,
         )
-        items = []
+        # One archive entry per backbone visit: its rows are the visit's
+        # solutions whose keys are not live yet (the existing row wins), and
+        # all of them share the visit's combined vector.
+        live = {row.key for row in entries}
+        visits = []
         for i, (b, st, result) in enumerate(zip(forwarded, forwarded_statics,
                                                 ioe_results)):
             vector = ranked.vectors[i]
+            rows = []
             for sol in result.solutions:
                 fs = FinalSolution(b, sol.exits, sol.dvfs, st, sol.score)
-                items.append((fs.key(), fs, vector))
-        archive.merge_batch(items)
+                key = fs.key()
+                if key not in live:
+                    live.add(key)
+                    rows.append(ArchiveEntry(key, fs, vector))
+            if rows:
+                visits.append((n_visits, tuple(rows), vector))
+                n_visits += 1
+        archive.merge_batch(visits)
+        entries = tuple(row for e in archive.entries for row in e.payload)
 
         snapshots.append(GenerationRecord(
-            gen, len(archive), counters.static_evals, counters.dynamic_evals,
+            gen, len(entries), counters.static_evals, counters.dynamic_evals,
             counters.forwarded_backbones,
         ))
         if on_generation is not None:
-            on_generation(gen, archive.entries, counters)
+            on_generation(gen, entries, counters)
 
         if gen < config.generations:
             k2 = min(config.population, len(ranked))
@@ -279,4 +293,4 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             population = _breed_backbones(pool, forwarded, config.population,
                                           space, variation, rng)
 
-    return OoeResult(archive.entries, tuple(snapshots), counters)
+    return OoeResult(entries, tuple(snapshots), counters)

@@ -91,6 +91,57 @@ class TestConfigLoading:
         assert config_digest(cfg_a) == config_digest(cfg_c)
 
 
+TOY_TABLE = (
+    "device,bucket_log10_flops,f_compute_ghz,f_emc_ghz,latency_ms,energy_mj\n"
+    + "".join(f"toy-dev,{lb}.0,{f_c},,{10.0 ** (lb - 6) / f_c},"
+              f"{2.0 * 10.0 ** (lb - 6) * f_c}\n"
+              for f_c in (0.5, 1.0) for lb in range(3, 11))
+)
+
+
+def write_table_config(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(TOY_TABLE, encoding="utf-8")
+    cfg = write_toy_config(tmp_path, evaluator={"backend": "table",
+                                                "table_csv": str(table)})
+    return cfg, table
+
+
+def edit_one_byte(path):
+    data = bytearray(path.read_bytes())
+    i = data.rindex(b"1")
+    data[i:i + 1] = b"2"
+    path.write_bytes(bytes(data))
+
+
+class TestTableDigest:
+    def test_table_bytes_change_digest(self, tmp_path):
+        cfg_path, table = write_table_config(tmp_path)
+        before = config_digest(load_config(str(cfg_path)))
+        assert config_digest(load_config(str(cfg_path))) == before
+        edit_one_byte(table)
+        assert config_digest(load_config(str(cfg_path))) != before
+
+    def test_missing_table_rejected(self, tmp_path):
+        cfg_path, table = write_table_config(tmp_path)
+        cfg = load_config(str(cfg_path))
+        table.unlink()
+        with pytest.raises(ConfigError, match="lookup table"):
+            config_digest(cfg)
+
+    def test_search_refuses_edited_table(self, tmp_path, runner):
+        cfg_path, table = write_table_config(tmp_path)
+        args = ["search", "--config", str(cfg_path), "--threads", "1"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        edit_one_byte(table)
+        res = runner.invoke(main, args)
+        assert res.exit_code != 0
+        assert "different config" in res.output
+        res = runner.invoke(main, args + ["--force"])
+        assert res.exit_code == 0, res.output
+
+
 class TestSearchCommand:
     def test_outputs_and_determinism(self, tmp_path, runner):
         cfg = write_toy_config(tmp_path)

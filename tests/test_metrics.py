@@ -187,12 +187,31 @@ class TestRatioOfDominance:
             ) / len(a.points)
             assert ratio_of_dominance(a, b) == pytest.approx(expected, abs=1e-15)
 
+    def test_matches_pairwise_oracle_with_duplicates(self):
+        # Integer grid points, mixed directions: repeated input points
+        # (which Front collapses), points shared by both fronts, and empty
+        # fronts are all common.
+        rng = random.Random(8)
+        dirs = (MAX, MIN, MAX)
+        for _ in range(300):
+            pts = [tuple(rng.randint(0, 3) for _ in range(3))
+                   for _ in range(rng.randint(1, 25))]
+            a = Front([vec(*p, directions=dirs)
+                       for p in rng.choices(pts, k=rng.randint(0, 20))])
+            b = Front([vec(*p, directions=dirs)
+                       for p in rng.choices(pts, k=rng.randint(0, 20))])
+            expected = (sum(1 for p in a.points
+                            if any(dominates(p, q) for q in b.points))
+                        / len(a.points)) if a.points else 0.0
+            assert ratio_of_dominance(a, b) == expected
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             ratio_of_dominance(Front([vec(1, 1)]), Front([vec(1, 1, 1)]))
 
     def test_empty_front_zero(self):
         assert ratio_of_dominance(Front([]), Front([vec(1, 1)])) == 0.0
+        assert ratio_of_dominance(Front([vec(1, 1)]), Front([])) == 0.0
 
 
 class TestMerge:
