@@ -98,7 +98,8 @@ def _sorted_entries(entries: Sequence[ArchiveEntry]) -> list[ArchiveEntry]:
     return sorted(entries, key=lambda e: e.key)
 
 
-def build_archive_doc(result: OoeResult, digest: str, seed: int) -> dict:
+def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
+    """The archive document without its "final" rows."""
     return {
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
@@ -118,9 +119,13 @@ def build_archive_doc(result: OoeResult, digest: str, seed: int) -> dict:
             }
             for rec in result.snapshots
         ],
-        "final": [solution_to_dict(e.payload, e.vector)
-                  for e in _sorted_entries(result.entries)],
     }
+
+
+def build_archive_doc(result: OoeResult, digest: str, seed: int) -> dict:
+    return dict(archive_header(result, digest, seed),
+                final=[solution_to_dict(e.payload, e.vector)
+                       for e in _sorted_entries(result.entries)])
 
 
 def archive_doc_result(doc: dict) -> OoeResult:
@@ -140,8 +145,48 @@ def archive_doc_result(doc: dict) -> OoeResult:
     return OoeResult(tuple(entries), snapshots, counters)
 
 
-def save_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+class RowEncoder:
+    """JSON text of a run's archive rows, each row encoded once.
+
+    Checkpoints and archive.json list the same rows again and again; the
+    pure-Python encoder that indented output needs is slow, so each row's
+    text is kept for as long as the same entry object stays in the archive
+    (an evicted key that comes back is a new entry and is encoded anew)."""
+
+    def __init__(self) -> None:
+        self._texts: dict[int, tuple[ArchiveEntry, str]] = {}
+
+    def final_json(self, entries: Sequence[ArchiveEntry]) -> str:
+        """The sorted "final" list as json.dumps(doc, indent=2) writes it
+        one level below the document root."""
+        texts = {}
+        for e in entries:
+            cached = self._texts.get(id(e))
+            if cached is None or cached[0] is not e:
+                text = json.dumps(solution_to_dict(e.payload, e.vector),
+                                  indent=2, sort_keys=True)
+                cached = (e, text.replace("\n", "\n    "))
+            texts[id(e)] = cached
+        self._texts = texts
+        if not entries:
+            return "[]"
+        rows = [texts[id(e)][1] for e in _sorted_entries(entries)]
+        return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
+# Stands in for the "final" list while the rest of a document is encoded.
+_FINAL_MARK = "\x00final\x00"
+
+
+def save_json(path: str, doc: dict, final_json: str | None = None) -> None:
+    """Write json.dumps(doc, indent=2, sort_keys=True).  With `final_json`
+    (from RowEncoder.final_json) that text is the document's "final" list."""
+    if final_json is None:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        text = json.dumps(dict(doc, final=_FINAL_MARK), indent=2, sort_keys=True
+                          ).replace(json.dumps(_FINAL_MARK), final_json, 1)
+    atomic_write_text(path, text + "\n")
 
 
 def load_json(path: str) -> dict:

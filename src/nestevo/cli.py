@@ -54,21 +54,22 @@ def run_search(cfg: RunConfig, threads: int = 1,
                 f"(digest {existing}); rerun with --force to overwrite"
             )
     backend = build_backend(cfg)
+    rows = ar.RowEncoder()
 
     def checkpoint(gen: int, entries, counters) -> None:
         doc = {
             "schema_version": ar.SCHEMA_VERSION,
             "config_digest": digest,
             "generation": gen,
-            "final": [ar.solution_to_dict(e.payload, e.vector)
-                      for e in sorted(entries, key=lambda e: e.key)],
         }
-        ar.save_json(os.path.join(out_dir, f"checkpoint_gen_{gen:03d}.json"), doc)
+        ar.save_json(os.path.join(out_dir, f"checkpoint_gen_{gen:03d}.json"),
+                     doc, rows.final_json(entries))
 
     result = run_ooe(cfg.space, cfg.device_spec(), backend, cfg.hw,
                      cfg.surrogate, cfg.ooe, cfg.variation,
                      on_generation=checkpoint, threads=threads)
-    ar.save_json(archive_path, ar.build_archive_doc(result, digest, cfg.seed))
+    ar.save_json(archive_path, ar.archive_header(result, digest, cfg.seed),
+                 rows.final_json(result.entries))
     front_path = os.path.join(out_dir, "front.csv")
     ar.write_front_csv(front_path, result.entries)
     return archive_path, front_path

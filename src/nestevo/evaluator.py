@@ -16,7 +16,9 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
+
+import numpy as np
 
 from .genome import (
     BackboneGenome,
@@ -285,6 +287,35 @@ class HardwareBackend(Protocol):
     def latency_energy(self, w: Workload, device: DeviceSpec,
                        f: DvfsGenome) -> tuple[float, float]: ...
 
+    def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
+                             rows: np.ndarray, device: DeviceSpec,
+                             settings: Sequence[DvfsGenome]
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """Latency and energy of each workload (flops[i], bytes_[i]) at the
+        frequency setting settings[rows[i]]; element i equals
+        latency_energy(Workload(flops[i], bytes_[i]), device,
+        settings[rows[i]]) exactly.  The workloads are already validated."""
+        ...
+
+
+_T = TypeVar("_T")
+
+
+def _per_setting(settings: Sequence[DvfsGenome],
+                 constants: Callable[[DvfsGenome], _T]) -> tuple[list[_T], np.ndarray]:
+    """constants(f) of each distinct setting, and the index of each
+    setting's value in that list."""
+    index: dict[tuple, int] = {}
+    values: list[_T] = []
+    which = []
+    for f in settings:
+        key = f.key()
+        if key not in index:
+            index[key] = len(values)
+            values.append(constants(f))
+        which.append(index[key])
+    return values, np.array(which, dtype=int)
+
 
 class SyntheticHardwareModel:
     """Closed-form backend; the default."""
@@ -296,9 +327,31 @@ class SyntheticHardwareModel:
                        f: DvfsGenome) -> tuple[float, float]:
         return hw_latency_energy(w, device, f, self.params)
 
+    def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
+                             rows: np.ndarray, device: DeviceSpec,
+                             settings: Sequence[DvfsGenome]
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        # hw_latency_energy's per-setting factors in Python floats, then the
+        # same operations elementwise.
+        params = self.params
+
+        def constants(f: DvfsGenome) -> tuple[float, float, float]:
+            f_c, f_m = resolved_frequencies(device, f)
+            return (params.kappa_compute * f_c, params.kappa_memory * f_m,
+                    params.p0 + params.p1 * f_c**3 + params.p2 * f_m)
+
+        values, which = _per_setting(settings, constants)
+        c = np.array(values)[which[rows]]
+        latency = flops / c[:, 0] + bytes_ / c[:, 1]
+        return latency, c[:, 2] * latency / 1e3
+
 
 TABLE_CSV_COLUMNS = ("device", "bucket_log10_flops", "f_compute_ghz",
                      "f_emc_ghz", "latency_ms", "energy_mj")
+
+
+def _table_key(device: str, f_c: float, f_m: float | None) -> tuple:
+    return (device, round(f_c, 9), round(f_m, 9) if f_m is not None else None)
 
 
 class HardwareTable:
@@ -307,48 +360,65 @@ class HardwareTable:
     Frequencies are discrete and never interpolated; flops queries between two
     buckets interpolate log-linearly (so a query midway in log-flops returns
     the geometric mean of the bucket values), and queries outside the bucket
-    range clamp to the nearest bucket.
+    range clamp to the nearest bucket.  Built from rows of (device, f_c, f_m
+    or None, bucket log10 flops, latency, energy).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Iterable[tuple] = ()) -> None:
         # (device, f_c, f_m or None) -> sorted list of (log10_flops, lat, energy)
         self._rows: dict[tuple, list[tuple[float, float, float]]] = {}
+        for device, f_c, f_m, bucket, latency, energy in rows:
+            self._rows.setdefault(_table_key(device, f_c, f_m), []).append(
+                (bucket, latency, energy))
+        for bucket_rows in self._rows.values():
+            bucket_rows.sort()
+        self._xs = {key: [r[0] for r in bucket_rows]
+                    for key, bucket_rows in self._rows.items()}
+        # The same rows padded into matrices with one row per key, for
+        # lookup_batch: buckets past a key's count read +inf.  math.log
+        # raises on values <= 0, and only when interpolating, so those read
+        # NaN here and lookup_batch raises when it would use them.
+        self._index = {key: k for k, key in enumerate(self._rows)}
+        width = max(map(len, self._rows.values()), default=0)
+        self._counts = np.array([len(r) for r in self._rows.values()], dtype=int)
+        self._bucket_xs = np.full((len(self._rows), width), math.inf)
+        self._values = np.zeros((len(self._rows), width, 2))
+        self._logs = np.zeros((len(self._rows), width, 2))
+        for k, bucket_rows in enumerate(self._rows.values()):
+            n = len(bucket_rows)
+            self._bucket_xs[k, :n] = [r[0] for r in bucket_rows]
+            self._values[k, :n] = [r[1:] for r in bucket_rows]
+            self._logs[k, :n] = [[math.log(v) if v > 0 else math.nan
+                                  for v in r[1:]] for r in bucket_rows]
 
     @classmethod
     def from_csv(cls, path: str) -> "HardwareTable":
-        table = cls()
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             missing = set(TABLE_CSV_COLUMNS) - set(reader.fieldnames or ())
             if missing:
                 raise ValueError(f"lookup table missing columns: {sorted(missing)}")
+            rows = []
             for row in reader:
                 f_m = row["f_emc_ghz"].strip()
-                key = (row["device"], round(float(row["f_compute_ghz"]), 9),
-                       round(float(f_m), 9) if f_m else None)
-                table._rows.setdefault(key, []).append(
-                    (float(row["bucket_log10_flops"]), float(row["latency_ms"]),
-                     float(row["energy_mj"]))
-                )
-        for rows in table._rows.values():
-            rows.sort()
-        return table
+                rows.append((row["device"], float(row["f_compute_ghz"]),
+                             float(f_m) if f_m else None,
+                             float(row["bucket_log10_flops"]),
+                             float(row["latency_ms"]), float(row["energy_mj"])))
+        return cls(rows)
 
-    def add_row(self, device: str, f_c: float, f_m: float | None,
-                bucket_log10_flops: float, latency_ms: float,
-                energy_mj: float) -> None:
-        key = (device, round(f_c, 9), round(f_m, 9) if f_m is not None else None)
-        self._rows.setdefault(key, []).append((bucket_log10_flops, latency_ms, energy_mj))
-        self._rows[key].sort()
+    def _key(self, device: str, f_c: float, f_m: float | None) -> tuple:
+        key = _table_key(device, f_c, f_m)
+        if not self._rows.get(key):
+            raise KeyError(f"no table rows for device={device!r} f_c={f_c} f_m={f_m}")
+        return key
 
     def lookup(self, device: str, f_c: float, f_m: float | None,
                flops: float) -> tuple[float, float]:
-        key = (device, round(f_c, 9), round(f_m, 9) if f_m is not None else None)
-        rows = self._rows.get(key)
-        if not rows:
-            raise KeyError(f"no table rows for device={device!r} f_c={f_c} f_m={f_m}")
+        key = self._key(device, f_c, f_m)
+        rows = self._rows[key]
         q = math.log10(flops)
-        xs = [r[0] for r in rows]
+        xs = self._xs[key]
         i = bisect_left(xs, q)
         if i < len(rows) and xs[i] == q:
             return rows[i][1], rows[i][2]
@@ -362,10 +432,34 @@ class HardwareTable:
         energy = math.exp((1 - t) * math.log(e0) + t * math.log(e1))
         return lat, energy
 
+    def lookup_batch(self, queries: Sequence[tuple[str, float, float | None]],
+                     which: np.ndarray,
+                     flops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lookup(*queries[which[i]], flops[i]) for every i, as arrays.
 
-def table_model_lookup(table: HardwareTable, device: str, f_c: float,
-                       f_m: float | None, flops: float) -> tuple[float, float]:
-    return table.lookup(device, f_c, f_m, flops)
+        The bisection is a count of the buckets below each query; log10 and
+        exp are the math module's, so every element equals lookup's."""
+        keys = np.array([self._index[self._key(*q)] for q in queries],
+                        dtype=int)[which]
+        counts = self._counts[keys]
+        xs = self._bucket_xs[keys]
+        q = np.array([math.log10(v) for v in flops.tolist()])
+        i = (xs < q[:, None]).sum(axis=1)
+        nearest = np.minimum(i, counts - 1)
+        hit = (i < counts) & (xs[np.arange(len(q)), nearest] == q)
+        out = self._values[keys, np.where(hit | (i > 0), nearest, 0)]
+        inner = np.flatnonzero(~hit & (i > 0) & (i < counts))
+        if len(inner):
+            k, hi = keys[inner], i[inner]
+            lo = hi - 1
+            if (self._values[k, lo] <= 0).any() or (self._values[k, hi] <= 0).any():
+                raise ValueError("math domain error")
+            x0 = self._bucket_xs[k, lo]
+            t = ((q[inner] - x0) / (self._bucket_xs[k, hi] - x0))[:, None]
+            mixed = (1 - t) * self._logs[k, lo] + t * self._logs[k, hi]
+            out[inner] = np.array([math.exp(v) for v in mixed.ravel().tolist()]
+                                  ).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
 
 
 class TableHardwareModel:
@@ -381,6 +475,17 @@ class TableHardwareModel:
         f_c, f_m = resolved_frequencies(device, f)
         return self.table.lookup(device.name, f_c,
                                  f_m if device.has_emc else None, w.flops)
+
+    def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
+                             rows: np.ndarray, device: DeviceSpec,
+                             settings: Sequence[DvfsGenome]
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        def query(f: DvfsGenome) -> tuple[str, float, float | None]:
+            f_c, f_m = resolved_frequencies(device, f)
+            return device.name, f_c, f_m if device.has_emc else None
+
+        queries, which = _per_setting(settings, query)
+        return self.table.lookup_batch(queries, which[rows], flops)
 
 
 def default_dvfs(device: DeviceSpec) -> DvfsGenome:

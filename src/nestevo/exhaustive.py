@@ -24,8 +24,13 @@ from .genome import (
     enumerate_dvfs,
     enumerate_exit_genomes,
 )
-from .ioe import IoeSolution, _DynamicEvaluator, ioe_objectives
-from .moea import ArchiveEntry, nondominated_mask
+from .ioe import IoeSolution, _DynamicEvaluator, ioe_objective_matrix
+from .moea import (
+    ArchiveEntry,
+    ObjectiveVector,
+    nondominated_mask,
+    nondominated_rows,
+)
 from .ooe import FinalSolution, combined_objectives, ioe_front_hypervolume
 
 
@@ -62,12 +67,14 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
                                gamma)
         candidates = [(x, f) for x in enumerate_exit_genomes(b, space)
                       for f in dvfs_all]
-        scores = [ev.evaluate(x, f) for x, f in candidates]
-        vectors = [ioe_objectives(s, objective_mode, gamma) for s in scores]
-        mask = nondominated_mask(vectors)
-        inner = [IoeSolution(x, f, s, v)
-                 for (x, f), s, v, keep in zip(candidates, scores, vectors, mask)
-                 if keep]
+        scores = ev.evaluate_batch(candidates)
+        values, directions = ioe_objective_matrix(scores, objective_mode, gamma)
+        keep = nondominated_rows(values, directions)
+        inner = [
+            IoeSolution(*candidates[i], scores.score(i),
+                        ObjectiveVector(tuple(values[i].tolist()), directions))
+            for i in keep.nonzero()[0].tolist()
+        ]
         hv = ioe_front_hypervolume(inner, gamma)
         per_backbone.append((b, static, inner, combined_objectives(static, hv)))
 

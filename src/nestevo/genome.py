@@ -119,6 +119,9 @@ class BackboneGenome:
         return tuple(flat)
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class ExitGenome:
     """Indicator bits over a backbone's admissible exit layers.
@@ -130,7 +133,8 @@ class ExitGenome:
     indicators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.indicators):
+        bits = self.indicators
+        if bits.count(0) + bits.count(1) != len(bits):
             raise ValueError("indicators must be 0/1")
 
     @property
@@ -138,7 +142,7 @@ class ExitGenome:
         return sum(self.indicators)
 
     def key(self) -> str:
-        return "".join(str(b) for b in self.indicators)
+        return bytes(self.indicators).translate(_BIT_CHARS).decode()
 
 
 @dataclass(frozen=True)
@@ -341,9 +345,11 @@ def crossover_exit(parent_a: ExitGenome, parent_b: ExitGenome,
     if len(parent_a.indicators) != len(parent_b.indicators):
         raise ValueError("exit genomes have different lengths")
     p = params.crossover_prob
+    draw = rng.random
     bits_a, bits_b = [], []
     for ba, bb in zip(parent_a.indicators, parent_b.indicators):
-        ba, bb = _swap(ba, bb, p, rng)
+        if draw() < p:
+            ba, bb = bb, ba
         bits_a.append(ba)
         bits_b.append(bb)
     return (ExitGenome(_repair_exit(bits_a, rng)),

@@ -14,13 +14,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .evaluator import (
     ExitProfile,
     HardwareBackend,
     HardwareModelParams,
     StaticScore,
     SurrogateParams,
-    Workload,
     eval_static,
     exit_profile,
     layer_workloads,
@@ -42,18 +43,19 @@ from .genome import (
     n_inner_candidates,
     sample_dvfs,
     sample_exit_genome,
-    sampled_positions,
 )
 from .moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    rank_population,
+    RankedPopulation,
+    rank_rows,
     survivor_select,
     tournament_select,
 )
 
 OBJECTIVE_MODES = ("vector", "scalar")
+VECTOR_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
 
 
 @dataclass(frozen=True)
@@ -119,52 +121,125 @@ def exit_score(correct_fraction: float, energy_ratio: float,
     return correct_fraction * energy_ratio * latency_ratio * dissim_value**gamma
 
 
+Candidate = tuple[ExitGenome, DvfsGenome]
+
+# Candidates evaluated per block: bounds the temporaries of an exhaustive
+# enumeration, which evaluates every candidate of a backbone in one call.
+_BLOCK_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class DynamicScores:
+    """The DynamicScore of each candidate of a batch, as columns: `means`
+    holds mean_exit_score, mean_correct, mean_energy_ratio,
+    mean_latency_ratio and mean_dissimilarity, one row per candidate."""
+
+    means: np.ndarray
+    n_exits: np.ndarray
+
+    def score(self, i: int) -> DynamicScore:
+        return DynamicScore(*self.means[i].tolist(), int(self.n_exits[i]))
+
+
 class _DynamicEvaluator:
-    """Per-backbone context caching prefix workloads for fast candidate
-    evaluation; every evaluation is a pure function of the candidate."""
+    """Per-backbone context that evaluates candidates as a batch.
+
+    A batch is a P x L indicator matrix (one column per admissible exit
+    position) plus one frequency setting per row.  Every value comes from
+    the per-exit definition's operations in the same order: running sums
+    are masked cumulative sums along the layer axis (never pairwise sums),
+    the best earlier fraction is a running maximum, and powers are taken
+    with Python's pow, so each score equals that of a per-candidate loop
+    bit for bit."""
 
     def __init__(self, b: BackboneGenome, space: SearchSpaceSpec,
                  device: DeviceSpec, backend: HardwareBackend,
                  hw: HardwareModelParams, profile: ExitProfile,
                  static: StaticScore, gamma: float) -> None:
         flops, byts = layer_workloads(b, space)
-        self.cum_flops = [0.0]
-        self.cum_bytes = [0.0]
+        cum_flops = [0.0]
+        cum_bytes = [0.0]
         for f, m in zip(flops, byts):
-            self.cum_flops.append(self.cum_flops[-1] + f)
-            self.cum_bytes.append(self.cum_bytes[-1] + m)
-        self.layer_flops = flops
-        self.space = space
+            cum_flops.append(cum_flops[-1] + f)
+            cum_bytes.append(cum_bytes[-1] + m)
+        first = space.exit_min_position
+        positions = range(first, first + indicator_length(b, space))
+        if len(profile.correct_fractions) < len(positions):
+            raise ValueError("exit profile does not cover the backbone's exits")
+        self.n_cols = len(positions)
+        self.prefix_flops = np.array([cum_flops[p] for p in positions])
+        self.prefix_bytes = np.array([cum_bytes[p] for p in positions])
+        self.exit_overhead = np.array(
+            [hw.exit_overhead_fraction * flops[p - 1] for p in positions])
+        self.fractions = np.array(profile.correct_fractions[:self.n_cols],
+                                  dtype=float)
+        # Dissimilarities are 1 - (0 or a fraction): their powers are
+        # tabulated once, for the values a valid dissimilarity can take.
+        self.best_values = np.unique(np.append(self.fractions, 0.0))
+        self.best_powers = np.array([
+            (1.0 - v)**gamma if gamma >= 0 and 0.0 <= 1.0 - v <= 1.0 else math.nan
+            for v in self.best_values.tolist()])
         self.device = device
         self.backend = backend
-        self.overhead = hw.exit_overhead_fraction
-        self.profile = profile
         self.static = static
         self.gamma = gamma
-        self.min_pos = space.exit_min_position
 
-    def evaluate(self, x: ExitGenome, f: DvfsGenome) -> DynamicScore:
-        positions = sampled_positions(x, self.space)
-        overhead_flops = 0.0
-        best_prev = 0.0
-        sum_score = sum_n = sum_er = sum_lr = sum_d = 0.0
-        for pos in positions:
-            overhead_flops += self.overhead * self.layer_flops[pos - 1]
-            w = Workload(self.cum_flops[pos] + overhead_flops, self.cum_bytes[pos])
-            latency, energy = self.backend.latency_energy(w, self.device, f)
-            er = energy / self.static.energy_mj
-            lr = latency / self.static.latency_ms
-            n = self.profile.correct_fractions[pos - self.min_pos]
-            d = 1.0 - best_prev
-            best_prev = max(best_prev, n)
-            sum_score += exit_score(n, er, lr, d, self.gamma)
-            sum_n += n
-            sum_er += er
-            sum_lr += lr
-            sum_d += d
-        k = len(positions)
-        return DynamicScore(sum_score / k, sum_n / k, sum_er / k,
-                            sum_lr / k, sum_d / k, k)
+    def evaluate_batch(self, candidates: Sequence[Candidate]) -> DynamicScores:
+        blocks = [self._evaluate_block(candidates[i:i + _BLOCK_ROWS])
+                  for i in range(0, len(candidates), _BLOCK_ROWS)]
+        return DynamicScores(np.concatenate([b.means for b in blocks]),
+                             np.concatenate([b.n_exits for b in blocks]))
+
+    def _evaluate_block(self, candidates: Sequence[Candidate]) -> DynamicScores:
+        bits = [x.indicators for x, _ in candidates]
+        if set(map(len, bits)) != {self.n_cols}:
+            raise ValueError("exit genome is not conditioned on this backbone")
+        sel = np.frombuffer(b"".join(map(bytes, bits)), dtype=np.uint8
+                            ).reshape(len(bits), self.n_cols).astype(bool)
+        k = sel.sum(axis=1)
+        if not k.all():
+            raise ZeroDivisionError("exit genome samples no exit")
+
+        # Workload of each sampled prefix: every sampled exit adds its
+        # overhead to its own prefix and to all later ones.
+        overhead = np.cumsum(np.where(sel, self.exit_overhead, 0.0), axis=1)
+        flops = (self.prefix_flops + overhead)[sel]
+        bytes_ = np.broadcast_to(self.prefix_bytes, sel.shape)[sel]
+        finite = np.isfinite(flops) & np.isfinite(bytes_)
+        bad = ~finite | (flops < 0) | (bytes_ < 0)
+        if bad.any():
+            raise ValueError("workload must be finite" if not finite[bad.argmax()]
+                             else "workload must be nonnegative")
+        latency, energy = self.backend.latency_energy_batch(
+            flops, bytes_, np.nonzero(sel)[0], self.device,
+            [f for _, f in candidates])
+
+        # Best fraction among the sampled exits strictly before each one,
+        # from 0; fmax skips a NaN as max() does.
+        earlier = np.zeros(sel.shape)
+        earlier[:, 1:] = np.where(sel[:, :-1], self.fractions[:-1], 0.0)
+        best = np.fmax.accumulate(earlier, axis=1)[sel]
+        n = np.broadcast_to(self.fractions, sel.shape)[sel]
+        er = energy / self.static.energy_mj
+        lr = latency / self.static.latency_ms
+        d = 1.0 - best
+        # exit_score's checks, first failing exit first.
+        bad_ratio = (er <= 0) | (lr <= 0)
+        bad = bad_ratio | ~((d >= 0.0) & (d <= 1.0))
+        if self.gamma < 0 and not bad[0]:
+            raise ValueError("gamma must be nonnegative")
+        if bad.any():
+            raise ValueError("ratios must be positive" if bad_ratio[bad.argmax()]
+                             else "dissimilarity must lie in [0, 1]")
+        powers = self.best_powers[np.searchsorted(self.best_values, best)]
+
+        # The per-exit terms on the matrix, 0 where no exit is sampled,
+        # summed left to right.
+        terms = np.zeros((5,) + sel.shape)
+        for row, term in zip(terms, (n * er * lr * powers, n, er, lr, d)):
+            row[sel] = term
+        sums = np.cumsum(terms, axis=2)[:, :, -1]
+        return DynamicScores((sums / k).T, k)
 
 
 def dynamic_fitness(b: BackboneGenome, x: ExitGenome, f: DvfsGenome,
@@ -175,10 +250,8 @@ def dynamic_fitness(b: BackboneGenome, x: ExitGenome, f: DvfsGenome,
     """Evaluate one candidate: prefix latency/energy (including the overheads
     of every sampled exit at or before each position) at the candidate's
     frequencies, normalized by the backbone's static score at defaults."""
-    if len(x.indicators) != indicator_length(b, space):
-        raise ValueError("exit genome is not conditioned on this backbone")
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static, gamma)
-    return ev.evaluate(x, f)
+    return ev.evaluate_batch([(x, f)]).score(0)
 
 
 def ioe_objectives(score: DynamicScore, mode: str, gamma: float) -> ObjectiveVector:
@@ -191,9 +264,29 @@ def ioe_objectives(score: DynamicScore, mode: str, gamma: float) -> ObjectiveVec
         effective = score.mean_correct * score.mean_dissimilarity**gamma
         return ObjectiveVector(
             (effective, score.mean_energy_ratio, score.mean_latency_ratio),
-            (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE),
+            VECTOR_DIRECTIONS,
         )
     raise ValueError(f"unknown objective mode {mode!r}")
+
+
+def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
+                         ) -> tuple[np.ndarray, tuple[Direction, ...]]:
+    """ioe_objectives of every row of a batch, as a matrix plus the column
+    directions; a non-finite value raises as ObjectiveVector does."""
+    if mode == "scalar":
+        values = scores.means[:, [0]]
+        directions: tuple[Direction, ...] = (Direction.MAXIMIZE,)
+    elif mode == "vector":
+        values = scores.means[:, [1, 2, 3]]
+        values[:, 0] *= [d**gamma for d in scores.means[:, 4].tolist()]
+        directions = VECTOR_DIRECTIONS
+    else:
+        raise ValueError(f"unknown objective mode {mode!r}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"objective value {values[~finite][0].item()!r} "
+                         "is not finite")
+    return values, directions
 
 
 @dataclass(frozen=True)
@@ -211,9 +304,6 @@ class IoeSolution:
 class IoeResult:
     solutions: tuple[IoeSolution, ...]
     n_dynamic_evals: int
-
-
-Candidate = tuple[ExitGenome, DvfsGenome]
 
 
 def _initial_candidates(b: BackboneGenome, space: SearchSpaceSpec,
@@ -285,23 +375,24 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         if gen > 0:
             candidates = _breed(pool, candidates_prev, config.population,
                                 device, variation, rng)
-        scores = [ev.evaluate(x, f) for x, f in candidates]
+        scores = ev.evaluate_batch(candidates)
         n_evals += len(candidates)
-        vectors = [ioe_objectives(s, config.objective_mode, config.gamma)
-                   for s in scores]
-        ranked = rank_population(range(len(candidates)), vectors)
-        front0 = [i for i in range(len(candidates)) if ranked.ranks[i] == 0]
-        archive.merge_batch([
-            (
-                (candidates[i][0].key(),) + candidates[i][1].key(),
-                IoeSolution(candidates[i][0], candidates[i][1], scores[i], vectors[i]),
-                vectors[i],
-            )
-            for i in front0
-        ])
+        values, directions = ioe_objective_matrix(
+            scores, config.objective_mode, config.gamma)
+        ranks, crowding = rank_rows(values, directions)
+        # Objects only for the rank-0 rows, the ones the archive sees.
+        items = []
+        for i in np.flatnonzero(ranks == 0).tolist():
+            x, f = candidates[i]
+            vector = ObjectiveVector(tuple(values[i].tolist()), directions)
+            items.append(((x.key(),) + f.key(),
+                          IoeSolution(x, f, scores.score(i), vector), vector))
+        archive.merge_batch(items)
         if on_generation is not None:
             on_generation(gen, archive)
         keep = max(1, math.ceil(config.keep_fraction * len(candidates)))
+        ranked = RankedPopulation(tuple(range(len(candidates))),
+                                  tuple(ranks.tolist()), tuple(crowding.tolist()))
         pool = ranked.subset(survivor_select(ranked, keep))
         candidates_prev = candidates
     return IoeResult(tuple(e.payload for e in archive.entries), n_evals)

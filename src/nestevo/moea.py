@@ -81,30 +81,94 @@ def _normalized_matrix(pop: Sequence[ObjectiveVector]) -> np.ndarray:
     return np.asarray([v.normalized() for v in pop], dtype=float)
 
 
+def _dominance(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """dom[i, j]: rows[i] dominates cands[j] (both normalized, every
+    coordinate maximized)."""
+    ge = np.ones((len(rows), len(cands)), dtype=bool)
+    gt = np.zeros((len(rows), len(cands)), dtype=bool)
+    for k in range(rows.shape[1]):
+        r = rows[:, k, None]
+        c = cands[None, :, k]
+        ge &= r >= c
+        gt |= r > c
+    return ge & gt
+
+
+def _normalize(values: np.ndarray, directions: Sequence[Direction]) -> np.ndarray:
+    """A raw objective matrix with every column flipped to maximization."""
+    maximize = np.array([d is Direction.MAXIMIZE for d in directions])
+    return np.where(maximize, values, -values)
+
+
+def _front_ranks(mat: np.ndarray) -> np.ndarray:
+    """Non-domination rank of each row of a normalized matrix: rank 0 is the
+    non-dominated set, each later rank the non-dominated set of the
+    remainder (Deb's domination-count peeling, one front per step)."""
+    dom = _dominance(mat, mat)
+    remaining = dom.sum(axis=0)
+    ranks = np.full(len(mat), -1)
+    unassigned = np.ones(len(mat), dtype=bool)
+    rank = 0
+    while unassigned.any():
+        current = unassigned & (remaining == 0)
+        ranks[current] = rank
+        unassigned &= ~current
+        remaining = remaining - dom[current].sum(axis=0)
+        rank += 1
+    return ranks
+
+
+def _crowding_by_front(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """NSGA-II crowding distance of every row within its front, on the raw
+    (not normalized) values.
+
+    Per objective, each front is sorted stably by value (ties keep row
+    order); its two ends get +inf and each interior row adds the gap between
+    its neighbours over the front's span, unless the row is already +inf or
+    the span is 0.  Fronts of one or two rows are all ends."""
+    n, m = values.shape
+    dist = np.zeros(n)
+    for k in range(m):
+        order = np.lexsort((values[:, k], ranks))
+        v = values[order, k]
+        r = ranks[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = r[1:] != r[:-1]
+        last = np.ones(n, dtype=bool)
+        last[:-1] = first[1:]
+        dist[order[first | last]] = math.inf
+        span = (v[last] - v[first])[np.cumsum(first) - 1]
+        inner = np.flatnonzero(~(first | last) & (span != 0))
+        rows = order[inner]
+        cur = dist[rows]
+        gap = (v[inner + 1] - v[inner - 1]) / span[inner]
+        dist[rows] = np.where(cur == math.inf, cur, cur + gap)
+    return dist
+
+
+def rank_rows(values: np.ndarray,
+              directions: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
+    """(non-domination rank, crowding distance) of each row of a raw
+    objective matrix whose columns carry `directions`."""
+    if len(values) == 0:
+        raise ValueError("population is empty")
+    ranks = _front_ranks(_normalize(values, directions))
+    return ranks, _crowding_by_front(values, ranks)
+
+
+def _values_matrix(pop: Sequence[ObjectiveVector]) -> np.ndarray:
+    _normalized_matrix(pop)  # shape validation only
+    return np.asarray([v.values for v in pop], dtype=float)
+
+
 def fast_nondominated_sort(pop: Sequence[ObjectiveVector]) -> list[list[int]]:
     """Partition indices into fronts: front 0 is the non-dominated set, each
-    later front the non-dominated set of the remainder (Deb's procedure).
-
-    The pairwise dominance matrix is vectorized; the peeling itself is the
-    standard domination-count bookkeeping, so results are independent of
-    evaluation order.
-    """
-    mat = _normalized_matrix(pop)
-    ge = (mat[:, None, :] >= mat[None, :, :]).all(axis=-1)
-    gt = (mat[:, None, :] > mat[None, :, :]).any(axis=-1)
-    dom = ge & gt  # dom[i, j]: i dominates j
-
-    n_dominators = dom.sum(axis=0)
-    fronts: list[list[int]] = []
-    remaining = n_dominators.copy()
-    assigned = np.zeros(len(pop), dtype=bool)
-    while not assigned.all():
-        current = [i for i in range(len(pop)) if not assigned[i] and remaining[i] == 0]
-        for i in current:
-            assigned[i] = True
-        for i in current:
-            remaining -= dom[i]
-        fronts.append(current)
+    later front the non-dominated set of the remainder (Deb's procedure),
+    each front in ascending index order."""
+    ranks = _front_ranks(_normalized_matrix(pop)).tolist()
+    fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for i, r in enumerate(ranks):
+        fronts[r].append(i)
     return fronts
 
 
@@ -123,15 +187,8 @@ def _dominated_by(cands: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return dominated
     block = max(1, _BLOCK_ELEMENTS // len(rows))
     for start in range(0, len(cands), block):
-        sub = cands[start:start + block]
-        ge = np.ones((len(rows), len(sub)), dtype=bool)
-        gt = np.zeros((len(rows), len(sub)), dtype=bool)
-        for k in range(cands.shape[1]):
-            r = rows[:, k, None]
-            c = sub[None, :, k]
-            ge &= r >= c
-            gt |= r > c
-        dominated[start:start + block] = (ge & gt).any(axis=0)
+        dominated[start:start + block] = _dominance(
+            rows, cands[start:start + block]).any(axis=0)
     return dominated
 
 
@@ -139,6 +196,13 @@ def nondominated_mask(pop: Sequence[ObjectiveVector]) -> list[bool]:
     """Per-member flag: True iff no other member dominates it."""
     mat = _normalized_matrix(pop)
     return [bool(not d) for d in _dominated_by(mat, mat)]
+
+
+def nondominated_rows(values: np.ndarray,
+                      directions: Sequence[Direction]) -> np.ndarray:
+    """Per row of a raw objective matrix: True iff no other row dominates it."""
+    mat = _normalize(values, directions)
+    return ~_dominated_by(mat, mat)
 
 
 def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
@@ -154,34 +218,22 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
         return []
     if n <= 2:
         return [math.inf] * n
-    _normalized_matrix(front)  # shape validation only
-    dist = [0.0] * n
-    m = len(front[0])
-    for k in range(m):
-        order = sorted(range(n), key=lambda i: (front[i].values[k], i))
-        lo, hi = front[order[0]].values[k], front[order[-1]].values[k]
-        dist[order[0]] = math.inf
-        dist[order[-1]] = math.inf
-        span = hi - lo
-        if span == 0:
-            continue
-        for j in range(1, n - 1):
-            i = order[j]
-            if dist[i] != math.inf:
-                prev_v = front[order[j - 1]].values[k]
-                next_v = front[order[j + 1]].values[k]
-                dist[i] += (next_v - prev_v) / span
-    return dist
+    values = _values_matrix(front)
+    return _crowding_by_front(values, np.zeros(n, dtype=int)).tolist()
 
 
 @dataclass(frozen=True)
 class RankedPopulation:
-    """Population annotated with non-domination rank and crowding distance."""
+    """Population annotated with non-domination rank and crowding distance.
+
+    `vectors` holds the ranked objective vectors when the population was
+    ranked from them; it is empty for a population ranked as a matrix and
+    for a subset."""
 
     ids: tuple[int, ...]
-    vectors: tuple[ObjectiveVector, ...]
     ranks: tuple[int, ...]
     crowding: tuple[float, ...]
+    vectors: tuple[ObjectiveVector, ...] = ()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -192,7 +244,6 @@ class RankedPopulation:
         sel = [i for i, cid in enumerate(self.ids) if cid in keep]
         return RankedPopulation(
             ids=tuple(self.ids[i] for i in sel),
-            vectors=tuple(self.vectors[i] for i in sel),
             ranks=tuple(self.ranks[i] for i in sel),
             crowding=tuple(self.crowding[i] for i in sel),
         )
@@ -204,16 +255,9 @@ def rank_population(
     """Sort into fronts and crowd each front."""
     if len(ids) != len(vectors):
         raise ValueError("ids and vectors differ in length")
-    fronts = fast_nondominated_sort(vectors)
-    ranks = [0] * len(ids)
-    crowd = [0.0] * len(ids)
-    for r, front in enumerate(fronts):
-        for i in front:
-            ranks[i] = r
-        dists = crowding_distance([vectors[i] for i in front])
-        for i, d in zip(front, dists):
-            crowd[i] = d
-    return RankedPopulation(tuple(ids), tuple(vectors), tuple(ranks), tuple(crowd))
+    ranks, crowd = rank_rows(_values_matrix(vectors), vectors[0].directions)
+    return RankedPopulation(tuple(ids), tuple(ranks.tolist()),
+                            tuple(crowd.tolist()), tuple(vectors))
 
 
 def _selection_key(ranked: RankedPopulation, i: int) -> tuple[int, float, int]:
@@ -319,9 +363,3 @@ class ParetoArchive:
         self._entries = [e for e, k in zip(self._entries + fresh, keep) if k]
         self._keys = {e.key for e in self._entries}
         self._mat = union[keep]
-
-    def is_mutually_nondominated(self) -> bool:
-        vs = self.vectors()
-        return not any(
-            dominates(a, b) for i, a in enumerate(vs) for j, b in enumerate(vs) if i != j
-        )

@@ -1,0 +1,128 @@
+"""Slow reference implementations that the fast paths are checked against.
+
+Each is the per-object code the package ran before the corresponding path
+became whole-array numpy; a fast path must equal its oracle exactly (==),
+not within a tolerance, because the arithmetic is kept in the same order.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from nestevo.evaluator import Workload, layer_workloads
+from nestevo.genome import sampled_positions
+from nestevo.ioe import DynamicScore, exit_score
+from nestevo.moea import ObjectiveVector, ParetoArchive, dominates
+
+
+def is_mutually_nondominated(archive: ParetoArchive) -> bool:
+    vs = archive.vectors()
+    return not any(
+        dominates(a, b) for i, a in enumerate(vs) for j, b in enumerate(vs) if i != j
+    )
+
+
+class ScalarDynamicEvaluator:
+    """Per-candidate dynamic evaluation: one backend call per sampled exit,
+    running sums in Python floats."""
+
+    def __init__(self, b, space, device, backend, hw, profile, static,
+                 gamma) -> None:
+        flops, byts = layer_workloads(b, space)
+        self.cum_flops = [0.0]
+        self.cum_bytes = [0.0]
+        for f, m in zip(flops, byts):
+            self.cum_flops.append(self.cum_flops[-1] + f)
+            self.cum_bytes.append(self.cum_bytes[-1] + m)
+        self.layer_flops = flops
+        self.space = space
+        self.device = device
+        self.backend = backend
+        self.overhead = hw.exit_overhead_fraction
+        self.profile = profile
+        self.static = static
+        self.gamma = gamma
+        self.min_pos = space.exit_min_position
+
+    def evaluate(self, x, f) -> DynamicScore:
+        positions = sampled_positions(x, self.space)
+        overhead_flops = 0.0
+        best_prev = 0.0
+        sum_score = sum_n = sum_er = sum_lr = sum_d = 0.0
+        for pos in positions:
+            overhead_flops += self.overhead * self.layer_flops[pos - 1]
+            w = Workload(self.cum_flops[pos] + overhead_flops, self.cum_bytes[pos])
+            latency, energy = self.backend.latency_energy(w, self.device, f)
+            er = energy / self.static.energy_mj
+            lr = latency / self.static.latency_ms
+            n = self.profile.correct_fractions[pos - self.min_pos]
+            d = 1.0 - best_prev
+            best_prev = max(best_prev, n)
+            sum_score += exit_score(n, er, lr, d, self.gamma)
+            sum_n += n
+            sum_er += er
+            sum_lr += lr
+            sum_d += d
+        k = len(positions)
+        return DynamicScore(sum_score / k, sum_n / k, sum_er / k,
+                            sum_lr / k, sum_d / k, k)
+
+
+def object_fronts(pop: Sequence[ObjectiveVector]) -> list[list[int]]:
+    """Deb's fronts, each in ascending index order."""
+    mat = np.asarray([v.normalized() for v in pop], dtype=float)
+    ge = (mat[:, None, :] >= mat[None, :, :]).all(axis=-1)
+    gt = (mat[:, None, :] > mat[None, :, :]).any(axis=-1)
+    dom = ge & gt
+    remaining = dom.sum(axis=0)
+    assigned = np.zeros(len(pop), dtype=bool)
+    fronts: list[list[int]] = []
+    while not assigned.all():
+        current = [i for i in range(len(pop)) if not assigned[i] and remaining[i] == 0]
+        for i in current:
+            assigned[i] = True
+        for i in current:
+            remaining -= dom[i]
+        fronts.append(current)
+    return fronts
+
+
+def object_crowding(front: Sequence[ObjectiveVector]) -> list[float]:
+    """NSGA-II crowding distance of one front, member by member."""
+    n = len(front)
+    if n == 0:
+        return []
+    if n <= 2:
+        return [math.inf] * n
+    dist = [0.0] * n
+    for k in range(len(front[0])):
+        order = sorted(range(n), key=lambda i: (front[i].values[k], i))
+        lo, hi = front[order[0]].values[k], front[order[-1]].values[k]
+        dist[order[0]] = math.inf
+        dist[order[-1]] = math.inf
+        span = hi - lo
+        if span == 0:
+            continue
+        for j in range(1, n - 1):
+            i = order[j]
+            if dist[i] != math.inf:
+                prev_v = front[order[j - 1]].values[k]
+                next_v = front[order[j + 1]].values[k]
+                dist[i] += (next_v - prev_v) / span
+    return dist
+
+
+def object_rank(pop: Sequence[ObjectiveVector]) -> tuple[list[int], list[float]]:
+    """(rank, crowding distance) per member: fronts peeled with per-member
+    domination counts, crowding sorted with Python's sort per front and
+    objective."""
+    ranks = [0] * len(pop)
+    crowd = [0.0] * len(pop)
+    for r, front in enumerate(object_fronts(pop)):
+        for i, d in zip(front, object_crowding([pop[i] for i in front])):
+            ranks[i] = r
+            crowd[i] = d
+    return ranks, crowd

@@ -21,7 +21,6 @@ from nestevo.evaluator import (
     hybrid_loss_batch,
     layer_workloads,
     reference_flops,
-    table_model_lookup,
     workload_of,
 )
 from nestevo.genome import (
@@ -288,32 +287,28 @@ class TestEvalStatic:
 
 class TestHardwareTable:
     def test_exact_hit_verbatim(self):
-        table = HardwareTable()
-        table.add_row("dev", 1.0, None, 3.0, 12.5, 80.0)
+        table = HardwareTable([("dev", 1.0, None, 3.0, 12.5, 80.0)])
         assert table.lookup("dev", 1.0, None, 10.0**3) == (12.5, 80.0)
 
     def test_midway_log_flops_geometric_mean(self):
-        table = HardwareTable()
-        table.add_row("dev", 1.0, None, 2.0, 10.0, 5.0)
-        table.add_row("dev", 1.0, None, 4.0, 40.0, 45.0)
+        table = HardwareTable([("dev", 1.0, None, 2.0, 10.0, 5.0),
+                               ("dev", 1.0, None, 4.0, 40.0, 45.0)])
         lat, energy = table.lookup("dev", 1.0, None, 10.0**3)
         assert lat == pytest.approx(math.sqrt(10.0 * 40.0), rel=1e-12)
         assert energy == pytest.approx(math.sqrt(5.0 * 45.0), rel=1e-12)
 
     def test_extrapolation_clamps(self):
-        table = HardwareTable()
-        table.add_row("dev", 1.0, None, 2.0, 10.0, 5.0)
-        table.add_row("dev", 1.0, None, 4.0, 40.0, 45.0)
+        table = HardwareTable([("dev", 1.0, None, 2.0, 10.0, 5.0),
+                               ("dev", 1.0, None, 4.0, 40.0, 45.0)])
         assert table.lookup("dev", 1.0, None, 10.0) == (10.0, 5.0)
         assert table.lookup("dev", 1.0, None, 10.0**9) == (40.0, 45.0)
 
     def test_absent_frequency_errors(self):
-        table = HardwareTable()
-        table.add_row("dev", 1.0, None, 2.0, 10.0, 5.0)
+        table = HardwareTable([("dev", 1.0, None, 2.0, 10.0, 5.0)])
         with pytest.raises(KeyError):
             table.lookup("dev", 2.0, None, 100.0)
         with pytest.raises(KeyError):
-            table_model_lookup(table, "other", 1.0, None, 100.0)
+            table.lookup("other", 1.0, None, 100.0)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -340,7 +335,7 @@ class TestHardwareTable:
         hw = HardwareModelParams()
         device = full_space.device("agx-volta-gpu")
         synthetic = SyntheticHardwareModel(hw)
-        table = HardwareTable()
+        rows = []
         buckets = [5.0, 6.0, 7.0, 8.0, 9.0]
         for c_idx, f_c in enumerate(device.compute_freq_ghz):
             for e_idx, f_m in enumerate(device.emc_freq_ghz):
@@ -348,8 +343,8 @@ class TestHardwareTable:
                     w = Workload(10.0**lb, 0.0)
                     lat, energy = synthetic.latency_energy(
                         w, device, DvfsGenome(device.name, c_idx, e_idx))
-                    table.add_row(device.name, f_c, f_m, lb, lat, energy)
-        backend = TableHardwareModel(table)
+                    rows.append((device.name, f_c, f_m, lb, lat, energy))
+        backend = TableHardwareModel(HardwareTable(rows))
         f = DvfsGenome(device.name, 3, 2)
         w = Workload(10.0**7, 0.0)
         assert backend.latency_energy(w, device, f) == pytest.approx(

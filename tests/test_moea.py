@@ -17,6 +17,8 @@ from nestevo.moea import (
     tournament_select,
 )
 
+from oracles import is_mutually_nondominated
+
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE
 
@@ -309,7 +311,7 @@ class TestParetoArchive:
         batched.merge_batch(items[:97])
         batched.merge_batch(items[97:])
         assert {e.key for e in batched.entries} == {e.key for e in sequential.entries}
-        assert batched.is_mutually_nondominated()
+        assert is_mutually_nondominated(batched)
 
     def test_nondominated_mask_matches_oracle(self):
         rng = random.Random(41)
