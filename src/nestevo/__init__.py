@@ -30,7 +30,7 @@ from .genome import (
     sample_backbone,
     sample_exit_genome,
 )
-from .ioe import DynamicScore, IoeConfig, dissimilarity, dynamic_fitness, exit_score, ioe_objectives, run_ioe
+from .ioe import DynamicScore, IoeConfig, dynamic_fitness, ioe_objectives, run_ioe
 from .metrics import Front, hypervolume, hypervolume_mc, merge_nondominated, ratio_of_dominance
 from .moea import (
     Direction,

@@ -39,8 +39,7 @@ def _load(config_path: str, seed: int | None, out: str | None) -> RunConfig:
         raise click.ClickException(f"invalid config: {exc}") from exc
 
 
-def run_search(cfg: RunConfig, threads: int = 1,
-               force: bool = False) -> tuple[str, str]:
+def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     """Execute the search and write archive.json / front.csv plus one
     checkpoint per completed generation.  Returns the two output paths."""
     digest = config_digest(cfg)
@@ -67,7 +66,7 @@ def run_search(cfg: RunConfig, threads: int = 1,
 
     result = run_ooe(cfg.space, cfg.device_spec(), backend, cfg.hw,
                      cfg.surrogate, cfg.ooe, cfg.variation,
-                     on_generation=checkpoint, threads=threads)
+                     on_generation=checkpoint)
     ar.save_json(archive_path, ar.archive_header(result, digest, cfg.seed),
                  rows.final_json(result.entries))
     front_path = os.path.join(out_dir, "front.csv")
@@ -93,18 +92,14 @@ _out_opt = click.option("--out", type=click.Path(), default=None,
 @_config_opt
 @_seed_opt
 @_out_opt
-@click.option("--threads", type=int, default=0,
-              help="Inner-engine worker threads; 0 = auto.")
 @click.option("--force", is_flag=True,
               help="Overwrite an archive produced by a different config.")
-def search(config_path: str, seed: int | None, out: str | None, threads: int,
+def search(config_path: str, seed: int | None, out: str | None,
            force: bool) -> None:
     """Run the nested search and persist the final archive."""
     cfg = _load(config_path, seed, out)
-    if threads == 0:
-        threads = os.cpu_count() or 1
     try:
-        archive_path, front_path = run_search(cfg, threads=threads, force=force)
+        archive_path, front_path = run_search(cfg, force=force)
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"archive: {archive_path}")

@@ -21,9 +21,6 @@ from .evaluator import (
     HardwareBackend,
     HardwareModelParams,
     StaticScore,
-    SurrogateParams,
-    eval_static,
-    exit_profile,
     layer_workloads,
 )
 from .genome import (
@@ -49,9 +46,10 @@ from .moea import (
     ObjectiveVector,
     ParetoArchive,
     RankedPopulation,
+    breed,
+    initial_population,
     rank_rows,
     survivor_select,
-    tournament_select,
 )
 
 OBJECTIVE_MODES = ("vector", "scalar")
@@ -93,32 +91,6 @@ class IoeConfig:
             raise ValueError("keep_fraction must lie in (0, 1]")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"objective_mode must be one of {OBJECTIVE_MODES}")
-
-
-def dissimilarity(profile: ExitProfile, positions: Sequence[int], i: int) -> float:
-    """1 minus the best correct fraction among the sampled exits strictly
-    before index i; the first sampled exit gets 1.0 (empty max is 0)."""
-    if any(b <= a for a, b in zip(positions, positions[1:])):
-        raise ValueError("sampled positions must be strictly ascending")
-    if not 0 <= i < len(positions):
-        raise ValueError("exit index out of range")
-    best = 0.0
-    for p in positions[:i]:
-        best = max(best, profile.fraction_at(p))
-    return 1.0 - best
-
-
-def exit_score(correct_fraction: float, energy_ratio: float,
-               latency_ratio: float, dissim_value: float, gamma: float) -> float:
-    """Literal per-exit score: fraction * energy ratio * latency ratio *
-    dissimilarity^gamma (gamma 0 neutralizes the last term)."""
-    if energy_ratio <= 0 or latency_ratio <= 0:
-        raise ValueError("ratios must be positive")
-    if not 0.0 <= dissim_value <= 1.0:
-        raise ValueError("dissimilarity must lie in [0, 1]")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return correct_fraction * energy_ratio * latency_ratio * dissim_value**gamma
 
 
 Candidate = tuple[ExitGenome, DvfsGenome]
@@ -223,7 +195,7 @@ class _DynamicEvaluator:
         er = energy / self.static.energy_mj
         lr = latency / self.static.latency_ms
         d = 1.0 - best
-        # exit_score's checks, first failing exit first.
+        # The per-exit score's checks, first failing exit first.
         bad_ratio = (er <= 0) | (lr <= 0)
         bad = bad_ratio | ~((d >= 0.0) & (d <= 1.0))
         if self.gamma < 0 and not bad[0]:
@@ -306,75 +278,43 @@ class IoeResult:
     n_dynamic_evals: int
 
 
-def _initial_candidates(b: BackboneGenome, space: SearchSpaceSpec,
-                        device: DeviceSpec, population: int,
-                        rng: random.Random) -> list[Candidate]:
-    out: list[Candidate] = []
-    if n_inner_candidates(b, space, device) <= population:
-        # Whole subspace fits in one population: seed it exhaustively.
-        for x in enumerate_exit_genomes(b, space):
-            for f in enumerate_dvfs(device):
-                out.append((x, f))
-    else:
-        seen: set[tuple] = set()
-        attempts = 0
-        while len(out) < population and attempts < 64 * population:
-            attempts += 1
-            cand = (sample_exit_genome(b, space, rng), sample_dvfs(device, rng))
-            key = (cand[0].key(),) + cand[1].key()
-            if key not in seen:
-                seen.add(key)
-                out.append(cand)
-    while len(out) < population:
-        out.append((sample_exit_genome(b, space, rng), sample_dvfs(device, rng)))
-    return out[:population]
-
-
-def _breed(pool, candidates: list[Candidate], population: int, device: DeviceSpec,
-           params: VariationParams, rng: random.Random) -> list[Candidate]:
-    children: list[Candidate] = []
-    while len(children) < population:
-        pa = candidates[tournament_select(pool, params, rng)]
-        pb = candidates[tournament_select(pool, params, rng)]
-        xa, xb = crossover_exit(pa[0], pb[0], params, rng)
-        fa, fb = crossover_dvfs(pa[1], pb[1], params, rng)
-        children.append((mutate_exit(xa, params, rng),
-                         mutate_dvfs(fa, device, params, rng)))
-        if len(children) < population:
-            children.append((mutate_exit(xb, params, rng),
-                             mutate_dvfs(fb, device, params, rng)))
-    return children
-
-
 def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
             backend: HardwareBackend, hw: HardwareModelParams,
             config: IoeConfig, variation: VariationParams, rng: random.Random,
-            profile: ExitProfile | None = None,
-            static: StaticScore | None = None,
-            surrogate: SurrogateParams | None = None,
-            seed: int = 0,
+            profile: ExitProfile, static: StaticScore,
             on_generation: Callable[[int, ParetoArchive], None] | None = None,
             ) -> IoeResult:
-    """NSGA-II loop over (exits, frequencies) for one backbone.
+    """NSGA-II loop over (exits, frequencies) for one backbone, whose exit
+    profile and static score the caller supplies.
 
     The archive accumulates the rank-0 set across every generation and is
-    pruned to a mutually non-dominated set after each one.  `profile` and
-    `static` may be supplied by the caller (the outer engine already has
-    them); otherwise they are derived here from `surrogate` and `seed`.
+    pruned to a mutually non-dominated set after each one.
     """
-    if profile is None or static is None:
-        sur = surrogate or SurrogateParams()
-        profile = exit_profile(b, space, sur, seed)
-        static = eval_static(b, space, device, backend, sur, seed)
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)
+
+    def crossover(pa: Candidate, pb: Candidate,
+                  r: random.Random) -> tuple[Candidate, Candidate]:
+        xa, xb = crossover_exit(pa[0], pb[0], variation, r)
+        fa, fb = crossover_dvfs(pa[1], pb[1], variation, r)
+        return (xa, fa), (xb, fb)
+
+    def mutate(c: Candidate, r: random.Random) -> Candidate:
+        return (mutate_exit(c[0], variation, r),
+                mutate_dvfs(c[1], device, variation, r))
+
     archive = ParetoArchive()
     n_evals = 0
-    candidates = _initial_candidates(b, space, device, config.population, rng)
+    candidates = initial_population(
+        config.population, n_inner_candidates(b, space, device),
+        lambda: [(x, f) for x in enumerate_exit_genomes(b, space)
+                 for f in enumerate_dvfs(device)],
+        lambda r: (sample_exit_genome(b, space, r), sample_dvfs(device, r)),
+        lambda c: (c[0].key(),) + c[1].key(), rng)
     for gen in range(config.generations):
         if gen > 0:
-            candidates = _breed(pool, candidates_prev, config.population,
-                                device, variation, rng)
+            candidates = breed(pool, candidates_prev, config.population,
+                               crossover, mutate, variation, rng)
         scores = ev.evaluate_batch(candidates)
         n_evals += len(candidates)
         values, directions = ioe_objective_matrix(

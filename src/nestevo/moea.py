@@ -1,9 +1,10 @@
 """Generic NSGA-II machinery over objective vectors with per-coordinate directions.
 
 Pareto dominance, fast non-dominated sorting, crowding distance, survivor and
-tournament selection, and an elitist non-dominated archive.  Everything here is
-pure and deterministic: the same inputs (and RNG stream) always produce the
-same outputs, so search runs are reproducible bit for bit.
+tournament selection, the initial sampler and breeder that both engines call,
+and an elitist non-dominated archive.  Everything here is pure and
+deterministic: the same inputs (and RNG stream) always produce the same
+outputs, so search runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .genome import VariationParams
+
+T = TypeVar("T")
 
 
 class Direction(enum.Enum):
@@ -286,6 +289,54 @@ def tournament_select(
     return ranked.ids[best]
 
 
+def initial_population(population: int, space_size: int,
+                       enumerate_all: Callable[[], Iterable[T]],
+                       sample: Callable[[random.Random], T],
+                       key: Callable[[T], Hashable],
+                       rng: random.Random) -> list[T]:
+    """First generation of `population` genomes.
+
+    A space of at most `population` genomes is seeded exhaustively, in
+    enumeration order.  A larger one gets distinct samples, at most 64
+    attempts per slot.  Any slot still empty takes a plain (possibly
+    repeated) sample."""
+    out: list[T] = []
+    if space_size <= population:
+        out.extend(enumerate_all())
+    else:
+        seen: set[Hashable] = set()
+        attempts = 0
+        while len(out) < population and attempts < 64 * population:
+            attempts += 1
+            member = sample(rng)
+            k = key(member)
+            if k not in seen:
+                seen.add(k)
+                out.append(member)
+    while len(out) < population:
+        out.append(sample(rng))
+    return out[:population]
+
+
+def breed(pool: RankedPopulation, members: Sequence[T], population: int,
+          crossover: Callable[[T, T, random.Random], tuple[T, T]],
+          mutate: Callable[[T, random.Random], T],
+          params: VariationParams, rng: random.Random) -> list[T]:
+    """`population` children: two tournaments on `pool` (whose ids index
+    `members`) pick the parents, `crossover` makes two children and each is
+    mutated in turn.  When `population` is odd the last pair's second child
+    is dropped unmutated."""
+    children: list[T] = []
+    while len(children) < population:
+        pa = members[tournament_select(pool, params, rng)]
+        pb = members[tournament_select(pool, params, rng)]
+        ca, cb = crossover(pa, pb, rng)
+        children.append(mutate(ca, rng))
+        if len(children) < population:
+            children.append(mutate(cb, rng))
+    return children
+
+
 @dataclass(frozen=True)
 class ArchiveEntry:
     key: Any
@@ -318,13 +369,6 @@ class ParetoArchive:
     def vectors(self) -> list[ObjectiveVector]:
         return [e.vector for e in self._entries]
 
-    def add(self, key: Any, payload: Any, vector: ObjectiveVector) -> bool:
-        """Merge one candidate; True iff it entered the archive."""
-        if key in self._keys:
-            return False
-        self.merge_batch([(key, payload, vector)])
-        return key in self._keys
-
     def merge_batch(self, items: Sequence[tuple[Any, Any, ObjectiveVector]]) -> None:
         """Bulk-merge new candidates.
 
@@ -334,9 +378,10 @@ class ParetoArchive:
         and the surviving items is then cut to its non-dominated subset:
         existing entries first, then fresh ones, each in order.
 
-        This is not repeated add() when a key repeats within the batch: for
-        [("x", (0, 0)), ("y", (1, 1)), ("x", (2, 2))] (both maximized) the
-        batch keeps [y], while sequential add() keeps [x (2, 2)].
+        This is not a sequence of one-item merges when a key repeats within
+        the batch: for [("x", (0, 0)), ("y", (1, 1)), ("x", (2, 2))] (both
+        maximized) the batch keeps [y], while one-item merges keep
+        [x (2, 2)].
 
         The entries are mutually non-dominated, so only two checks are made:
         existing rows against the fresh rows, and fresh rows against the

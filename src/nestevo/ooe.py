@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .evaluator import (
-    ExitProfile,
     HardwareBackend,
     HardwareModelParams,
     StaticScore,
@@ -39,7 +37,7 @@ from .genome import (
     mutate_backbone,
     sample_backbone,
 )
-from .ioe import DynamicScore, IoeConfig, IoeResult, IoeSolution, run_ioe
+from .ioe import DynamicScore, IoeConfig, IoeSolution, run_ioe
 from .metrics import Front, hypervolume
 from .moea import (
     ArchiveEntry,
@@ -47,9 +45,10 @@ from .moea import (
     ObjectiveVector,
     ParetoArchive,
     RankedPopulation,
+    breed,
+    initial_population,
     rank_population,
     survivor_select,
-    tournament_select,
 )
 
 
@@ -175,48 +174,13 @@ def combined_rank(
     return rank_population(range(len(candidates)), vectors)
 
 
-def _initial_backbones(space: SearchSpaceSpec, population: int,
-                       rng: random.Random) -> list[BackboneGenome]:
-    out: list[BackboneGenome] = []
-    if space.n_backbones() <= population:
-        out.extend(enumerate_backbones(space))
-    else:
-        seen: set[tuple] = set()
-        attempts = 0
-        while len(out) < population and attempts < 64 * population:
-            attempts += 1
-            b = sample_backbone(space, rng)
-            if b.key() not in seen:
-                seen.add(b.key())
-                out.append(b)
-    while len(out) < population:
-        out.append(sample_backbone(space, rng))
-    return out[:population]
-
-
-def _breed_backbones(pool: RankedPopulation, members: Sequence[BackboneGenome],
-                     population: int, space: SearchSpaceSpec,
-                     params: VariationParams,
-                     rng: random.Random) -> list[BackboneGenome]:
-    children: list[BackboneGenome] = []
-    while len(children) < population:
-        pa = members[tournament_select(pool, params, rng)]
-        pb = members[tournament_select(pool, params, rng)]
-        ca, cb = crossover_backbone(pa, pb, space, params, rng)
-        children.append(mutate_backbone(ca, space, params, rng))
-        if len(children) < population:
-            children.append(mutate_backbone(cb, space, params, rng))
-    return children
-
-
 GenerationCallback = Callable[[int, tuple[ArchiveEntry, ...], EvalCounters], None]
 
 
 def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend,
             hw: HardwareModelParams, surrogate: SurrogateParams,
             config: OoeConfig, variation: VariationParams,
-            on_generation: GenerationCallback | None = None,
-            threads: int = 1) -> OoeResult:
+            on_generation: GenerationCallback | None = None) -> OoeResult:
     """Run the nested search and return the elitist archive of final
     solutions, per-generation records, and exact evaluation counters."""
     rng = random.Random(config.seed)
@@ -225,7 +189,11 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
     n_visits = 0
     entries: tuple[ArchiveEntry, ...] = ()
     snapshots: list[GenerationRecord] = []
-    population = _initial_backbones(space, config.population, rng)
+    population = initial_population(
+        config.population, space.n_backbones(),
+        lambda: enumerate_backbones(space),
+        lambda r: sample_backbone(space, r),
+        BackboneGenome.key, rng)
 
     for gen in range(1, config.generations + 1):
         statics = [eval_static(b, space, device, backend, surrogate, config.seed)
@@ -239,19 +207,11 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         profiles = [exit_profile(b, space, surrogate, config.seed)
                     for b in forwarded]
         ioe_seeds = [rng.getrandbits(63) for _ in forwarded]
-
-        def _one_ioe(args: tuple[BackboneGenome, StaticScore, ExitProfile, int]
-                     ) -> IoeResult:
-            b, st, prof, seed = args
-            return run_ioe(b, space, device, backend, hw, config.ioe, variation,
-                           random.Random(seed), profile=prof, static=st)
-
-        jobs = list(zip(forwarded, forwarded_statics, profiles, ioe_seeds))
-        if threads > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-                ioe_results = list(pool_exec.map(_one_ioe, jobs))
-        else:
-            ioe_results = [_one_ioe(job) for job in jobs]
+        ioe_results = [
+            run_ioe(b, space, device, backend, hw, config.ioe, variation,
+                    random.Random(seed), profile=prof, static=st)
+            for b, st, prof, seed in zip(forwarded, forwarded_statics,
+                                         profiles, ioe_seeds)]
         counters.dynamic_evals += sum(r.n_dynamic_evals for r in ioe_results)
 
         ranked = combined_rank(
@@ -290,7 +250,10 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             k2 = min(config.population, len(ranked))
             second_ids = survivor_select(ranked, k2)
             pool = ranked.subset(second_ids)
-            population = _breed_backbones(pool, forwarded, config.population,
-                                          space, variation, rng)
+            population = breed(
+                pool, forwarded, config.population,
+                lambda a, b, r: crossover_backbone(a, b, space, variation, r),
+                lambda c, r: mutate_backbone(c, space, variation, r),
+                variation, rng)
 
     return OoeResult(entries, tuple(snapshots), counters)

@@ -3,6 +3,8 @@
 Each is the per-object code the package ran before the corresponding path
 became whole-array numpy; a fast path must equal its oracle exactly (==),
 not within a tolerance, because the arithmetic is kept in the same order.
+The per-exit primitives and the one-item archive merge are definitions
+only the tests use.
 """
 
 from __future__ import annotations
@@ -12,10 +14,44 @@ from typing import Sequence
 
 import numpy as np
 
-from nestevo.evaluator import Workload, layer_workloads
+from nestevo.evaluator import ExitProfile, Workload, layer_workloads
 from nestevo.genome import sampled_positions
-from nestevo.ioe import DynamicScore, exit_score
+from nestevo.ioe import DynamicScore
 from nestevo.moea import ObjectiveVector, ParetoArchive, dominates
+
+
+def add(archive: ParetoArchive, key, payload, vector: ObjectiveVector) -> bool:
+    """Merge one candidate; True iff it entered the archive."""
+    if any(e.key == key for e in archive.entries):
+        return False
+    archive.merge_batch([(key, payload, vector)])
+    return any(e.key == key for e in archive.entries)
+
+
+def dissimilarity(profile: ExitProfile, positions: Sequence[int], i: int) -> float:
+    """1 minus the best correct fraction among the sampled exits strictly
+    before index i; the first sampled exit gets 1.0 (empty max is 0)."""
+    if any(b <= a for a, b in zip(positions, positions[1:])):
+        raise ValueError("sampled positions must be strictly ascending")
+    if not 0 <= i < len(positions):
+        raise ValueError("exit index out of range")
+    best = 0.0
+    for p in positions[:i]:
+        best = max(best, profile.fraction_at(p))
+    return 1.0 - best
+
+
+def exit_score(correct_fraction: float, energy_ratio: float,
+               latency_ratio: float, dissim_value: float, gamma: float) -> float:
+    """Literal per-exit score: fraction * energy ratio * latency ratio *
+    dissimilarity^gamma (gamma 0 neutralizes the last term)."""
+    if energy_ratio <= 0 or latency_ratio <= 0:
+        raise ValueError("ratios must be positive")
+    if not 0.0 <= dissim_value <= 1.0:
+        raise ValueError("dissimilarity must lie in [0, 1]")
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    return correct_fraction * energy_ratio * latency_ratio * dissim_value**gamma
 
 
 def is_mutually_nondominated(archive: ParetoArchive) -> bool:

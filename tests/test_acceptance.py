@@ -38,10 +38,12 @@ from nestevo.genome import (
     sample_dvfs,
     sample_exit_genome,
 )
-from nestevo.ioe import IoeConfig, dissimilarity, dynamic_fitness, exit_score
+from nestevo.ioe import IoeConfig, dynamic_fitness
 from nestevo.metrics import Front, hypervolume, merge_nondominated, ratio_of_dominance
 from nestevo.moea import Direction, ObjectiveVector, dominates, fast_nondominated_sort
 from nestevo.ooe import OoeConfig, run_ooe
+
+from oracles import dissimilarity, exit_score
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE

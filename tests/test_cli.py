@@ -131,7 +131,7 @@ class TestTableDigest:
 
     def test_search_refuses_edited_table(self, tmp_path, runner):
         cfg_path, table = write_table_config(tmp_path)
-        args = ["search", "--config", str(cfg_path), "--threads", "1"]
+        args = ["search", "--config", str(cfg_path)]
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
         edit_one_byte(table)
@@ -146,12 +146,12 @@ class TestSearchCommand:
     def test_outputs_and_determinism(self, tmp_path, runner):
         cfg = write_toy_config(tmp_path)
         out = tmp_path / "out"
-        res = runner.invoke(main, ["search", "--config", str(cfg), "--threads", "1"])
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 0, res.output
         archive_1 = (out / "archive.json").read_bytes()
         front_1 = (out / "front.csv").read_bytes()
 
-        res = runner.invoke(main, ["search", "--config", str(cfg), "--threads", "1"])
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 0, res.output
         assert (out / "archive.json").read_bytes() == archive_1
         assert (out / "front.csv").read_bytes() == front_1

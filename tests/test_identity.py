@@ -102,7 +102,7 @@ def write_table(path: Path, device_name: str) -> None:
 
 def test_toy_digests(tmp_path):
     cfg = load_config(str(CONFIGS / "toy.yaml"), out_override=str(tmp_path))
-    run_search(cfg, threads=1)
+    run_search(cfg)
     assert digests(tmp_path) == PINNED["toy"]
 
 
@@ -116,7 +116,7 @@ def test_small_default_digests(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ooe, "combined_rank", recording_rank)
     cfg = parse_config(SMALL_DEFAULT_DOC, out_override=str(tmp_path))
-    run_search(cfg, threads=1)
+    run_search(cfg)
     assert digests(tmp_path) == PINNED["small-default"]
 
     # The run must keep exercising both paths the gate protects: a backbone
@@ -127,16 +127,10 @@ def test_small_default_digests(tmp_path, monkeypatch):
     assert len(final) > len(distinct)
 
 
-def test_small_default_digests_with_threads(tmp_path):
-    cfg = parse_config(SMALL_DEFAULT_DOC, out_override=str(tmp_path))
-    run_search(cfg, threads=2)
-    assert digests(tmp_path) == PINNED["small-default"]
-
-
 def test_scalar_objective_digests(tmp_path):
     cfg = parse_config(SCALAR_DOC, out_override=str(tmp_path))
     assert cfg.ooe.ioe.objective_mode == "scalar"
-    run_search(cfg, threads=1)
+    run_search(cfg)
     assert digests(tmp_path) == PINNED["scalar"]
 
 

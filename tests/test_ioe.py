@@ -23,16 +23,14 @@ from nestevo.genome import (
 )
 from nestevo.ioe import (
     IoeConfig,
-    dissimilarity,
     dynamic_fitness,
-    exit_score,
     ioe_objectives,
     run_ioe,
 )
 from nestevo.metrics import Front, hypervolume
 from nestevo.moea import Direction, ObjectiveVector, dominates
 
-from oracles import is_mutually_nondominated
+from oracles import dissimilarity, exit_score, is_mutually_nondominated
 
 QUAD_DEVICE = DeviceSpec("quad", (0.5, 1.0, 1.5, 2.0), (), default_compute_idx=3)
 
@@ -312,17 +310,6 @@ class TestRunIoe:
                 random.Random(2), profile=profile, static=static,
                 on_generation=on_gen)
         assert all(a <= b + 1e-12 for a, b in zip(volumes, volumes[1:]))
-
-    def test_internal_profile_derivation_matches_explicit(self, toy_space):
-        b, device, hw, backend, static, profile = self._setup(toy_space)
-        config = IoeConfig(generations=2, population=6, budget=12)
-        sur = SurrogateParams()
-        r1 = run_ioe(b, toy_space, device, backend, hw, config,
-                     VariationParams(), random.Random(3),
-                     profile=profile, static=static)
-        r2 = run_ioe(b, toy_space, device, backend, hw, config,
-                     VariationParams(), random.Random(3), surrogate=sur, seed=0)
-        assert [s.key() for s in r1.solutions] == [s.key() for s in r2.solutions]
 
     def test_budget_invariant_enforced(self):
         with pytest.raises(ValueError):

@@ -8,16 +8,19 @@ from nestevo.moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
+    RankedPopulation,
+    breed,
     crowding_distance,
     dominates,
     fast_nondominated_sort,
+    initial_population,
     nondominated_mask,
     rank_population,
     survivor_select,
     tournament_select,
 )
 
-from oracles import is_mutually_nondominated
+from oracles import add, is_mutually_nondominated
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE
@@ -247,6 +250,90 @@ class TestTournament:
             assert abs(counts[i] / n - p) <= 5 * sigma
 
 
+class TestInitialPopulation:
+    def test_space_that_fits_is_enumerated_then_sampled(self):
+        rng = random.Random(5)
+        out = initial_population(5, 3, lambda: ["c", "a", "b"],
+                                 lambda r: r.randrange(100), str, rng)
+        ref = random.Random(5)
+        assert out == ["c", "a", "b", ref.randrange(100), ref.randrange(100)]
+        assert rng.getstate() == ref.getstate()
+
+    def test_exact_fit_draws_nothing(self):
+        rng = random.Random(5)
+        out = initial_population(3, 3, lambda: iter("xyz"),
+                                 lambda r: r.randrange(100), str, rng)
+        assert out == ["x", "y", "z"]
+        assert rng.getstate() == random.Random(5).getstate()
+
+    def test_samples_are_distinct_by_key(self):
+        def enumerate_all():
+            raise AssertionError("a space larger than the population "
+                                 "must not be enumerated")
+
+        rng = random.Random(9)
+        out = initial_population(6, 50, enumerate_all,
+                                 lambda r: r.randrange(50), lambda m: m % 7, rng)
+        ref = random.Random(9)
+        expected = []
+        while len(expected) < 6:
+            m = ref.randrange(50)
+            if m % 7 not in {e % 7 for e in expected}:
+                expected.append(m)
+        assert out == expected
+        assert len({m % 7 for m in out}) == 6
+        assert rng.getstate() == ref.getstate()
+
+    def test_attempt_cap_fills_with_duplicates(self):
+        # Only 3 distinct genomes can be drawn: after 64 attempts per slot
+        # the two empty slots take plain, repeated samples.
+        rng = random.Random(2)
+        out = initial_population(5, 10, lambda: [], lambda r: r.randrange(3),
+                                 lambda m: m, rng)
+        ref = random.Random(2)
+        capped = [ref.randrange(3) for _ in range(64 * 5)]
+        expected = list(dict.fromkeys(capped)) + [ref.randrange(3),
+                                                  ref.randrange(3)]
+        assert out == expected
+        assert sorted(set(out)) == [0, 1, 2] and len(out) == 5
+        assert rng.getstate() == ref.getstate()
+
+
+class TestBreed:
+    def test_odd_population_draw_sequence(self):
+        members = ["A", "B", "C", "D"]
+        # Pool over members 0, 2 and 3: the ids index `members`.
+        pool = RankedPopulation((0, 2, 3), (1, 0, 0), (0.0, math.inf, 1.0))
+        params = VariationParams(tournament_size=2)
+        mutated = []
+
+        def crossover(a, b, r):
+            cut = r.randrange(10)
+            return f"{a}{b}{cut}", f"{b}{a}{cut}"
+
+        def mutate(c, r):
+            mutated.append(c)
+            return f"{c}'{r.randrange(10)}"
+
+        rng = random.Random(17)
+        children = breed(pool, members, 5, crossover, mutate, params, rng)
+
+        ref = random.Random(17)
+        expected = []
+        for last in (False, False, True):
+            pa = members[tournament_select(pool, params, ref)]
+            pb = members[tournament_select(pool, params, ref)]
+            cut = ref.randrange(10)
+            expected.append(f"{pa}{pb}{cut}'{ref.randrange(10)}")
+            if not last:
+                expected.append(f"{pb}{pa}{cut}'{ref.randrange(10)}")
+        assert children == expected
+        assert rng.getstate() == ref.getstate()
+        # The last pair's second child is dropped before mutation.
+        assert len(mutated) == 5
+        assert mutated == [c.rsplit("'", 1)[0] for c in children]
+
+
 class TestRankPopulation:
     def test_rank_invariants(self):
         rng = random.Random(21)
@@ -282,22 +369,22 @@ class TestRankPopulation:
 class TestParetoArchive:
     def test_keeps_nondominated_only(self):
         a = ParetoArchive()
-        a.add("x", "x", vec(1, 1))
-        a.add("y", "y", vec(0, 0))  # dominated, rejected
+        add(a, "x", "x", vec(1, 1))
+        add(a, "y", "y", vec(0, 0))  # dominated, rejected
         assert len(a) == 1
-        a.add("z", "z", vec(2, 2))  # displaces x
+        add(a, "z", "z", vec(2, 2))  # displaces x
         assert [e.key for e in a.entries] == ["z"]
 
     def test_equal_vectors_both_kept(self):
         a = ParetoArchive()
-        a.add("x", "x", vec(1, 1))
-        a.add("y", "y", vec(1, 1))
+        add(a, "x", "x", vec(1, 1))
+        add(a, "y", "y", vec(1, 1))
         assert len(a) == 2
 
     def test_key_collision_ignored(self):
         a = ParetoArchive()
-        a.add("x", "x", vec(1, 1))
-        assert not a.add("x", "x", vec(5, 5))
+        add(a, "x", "x", vec(1, 1))
+        assert not add(a, "x", "x", vec(5, 5))
         assert len(a) == 1
 
     def test_merge_batch_equals_sequential_adds(self):
@@ -306,7 +393,7 @@ class TestParetoArchive:
                  for i in range(200)]
         sequential = ParetoArchive()
         for key, payload, v in items:
-            sequential.add(key, payload, v)
+            add(sequential, key, payload, v)
         batched = ParetoArchive()
         batched.merge_batch(items[:97])
         batched.merge_batch(items[97:])

@@ -230,17 +230,6 @@ class TestRunOoe:
 
         assert run() == run()
 
-    def test_threads_do_not_change_results(self, toy_space):
-        device = toy_space.device("toy-dev")
-        backend = SyntheticHardwareModel(HW)
-        config = exhaustive_config(seed=31)
-        r1 = run_ooe(toy_space, device, backend, HW, SUR, config,
-                     VariationParams(), threads=1)
-        r2 = run_ooe(toy_space, device, backend, HW, SUR, config,
-                     VariationParams(), threads=4)
-        assert [(e.key, e.vector.values) for e in r1.entries] == \
-               [(e.key, e.vector.values) for e in r2.entries]
-
     def test_exit_genomes_conditioned_on_their_backbones(self, toy_space):
         device = toy_space.device("toy-dev")
         backend = SyntheticHardwareModel(HW)
