@@ -16,15 +16,10 @@ from .evaluator import StaticScore
 from .genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
 from .ioe import DynamicScore
 from .moea import ArchiveEntry, ObjectiveVector
-from .ooe import COMBINED_DIRECTIONS, FinalSolution, GenerationRecord, OoeResult
+from .ooe import (COMBINED_DIRECTIONS, EvalCounters, FinalSolution,
+                  GenerationRecord, OoeResult)
 
 SCHEMA_VERSION = 1
-
-FRONT_CSV_COLUMNS = (
-    "resolution_idx", "blocks", "exit_bits", "device", "compute_idx", "emc_idx",
-    "acc", "latency_ms", "energy_mj", "mean_correct", "energy_ratio",
-    "latency_ratio", "mean_dissimilarity", "n_exits", "mean_exit_score",
-)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -46,52 +41,67 @@ def _blocks_from_str(s: str) -> tuple[BlockGenes, ...]:
                  for part in s.split("|"))
 
 
+# The solution schema, one entry per field in front.csv column order: the
+# CSV column, the field's section of an archive.json row (None: the row's
+# top level) and its name there, and the parser of the CSV text.  The CSV
+# writer turns None into an empty cell and floats into their repr.
+_FIELDS = (
+    ("resolution_idx", "backbone", "resolution_idx", int),
+    ("blocks", "backbone", "blocks", str),
+    ("exit_bits", None, "exit_bits", str),
+    ("device", "dvfs", "device", str),
+    ("compute_idx", "dvfs", "compute_idx", int),
+    ("emc_idx", "dvfs", "emc_idx", lambda s: None if s == "" else int(s)),
+    ("acc", "static", "acc", float),
+    ("latency_ms", "static", "latency_ms", float),
+    ("energy_mj", "static", "energy_mj", float),
+    ("mean_correct", "dynamic", "mean_correct", float),
+    ("energy_ratio", "dynamic", "mean_energy_ratio", float),
+    ("latency_ratio", "dynamic", "mean_latency_ratio", float),
+    ("mean_dissimilarity", "dynamic", "mean_dissimilarity", float),
+    ("n_exits", "dynamic", "n_exits", int),
+    ("mean_exit_score", "dynamic", "mean_exit_score", float),
+)
+
+FRONT_CSV_COLUMNS = tuple(f[0] for f in _FIELDS)
+
+
+def _values(sol: FinalSolution) -> tuple:
+    """The solution's fields in _FIELDS order."""
+    b, dvfs, st, dy = sol.backbone, sol.dvfs, sol.static_score, sol.dynamic_score
+    return (b.resolution_idx, _blocks_str(b), sol.exits.key(),
+            dvfs.device, dvfs.compute_idx, dvfs.emc_idx,
+            st.accuracy, st.latency_ms, st.energy_mj,
+            dy.mean_correct, dy.mean_energy_ratio, dy.mean_latency_ratio,
+            dy.mean_dissimilarity, dy.n_exits, dy.mean_exit_score)
+
+
+def _solution(values: Sequence) -> FinalSolution:
+    """Inverse of _values."""
+    (resolution, blocks, bits, device, compute, emc, acc, latency, energy,
+     correct, energy_ratio, latency_ratio, dissimilarity, n_exits,
+     exit_score) = values
+    return FinalSolution(
+        BackboneGenome(resolution, _blocks_from_str(blocks)),
+        ExitGenome(tuple(int(c) for c in bits)),
+        DvfsGenome(device, compute, emc),
+        StaticScore(acc, latency, energy),
+        DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
+                     dissimilarity, n_exits),
+    )
+
+
 def solution_to_dict(sol: FinalSolution, vector: ObjectiveVector) -> dict:
-    return {
-        "backbone": {
-            "resolution_idx": sol.backbone.resolution_idx,
-            "blocks": _blocks_str(sol.backbone),
-        },
-        "exit_bits": sol.exits.key(),
-        "dvfs": {
-            "device": sol.dvfs.device,
-            "compute_idx": sol.dvfs.compute_idx,
-            "emc_idx": sol.dvfs.emc_idx,
-        },
-        "static": {
-            "acc": sol.static_score.accuracy,
-            "latency_ms": sol.static_score.latency_ms,
-            "energy_mj": sol.static_score.energy_mj,
-        },
-        "dynamic": {
-            "mean_exit_score": sol.dynamic_score.mean_exit_score,
-            "mean_correct": sol.dynamic_score.mean_correct,
-            "mean_energy_ratio": sol.dynamic_score.mean_energy_ratio,
-            "mean_latency_ratio": sol.dynamic_score.mean_latency_ratio,
-            "mean_dissimilarity": sol.dynamic_score.mean_dissimilarity,
-            "n_exits": sol.dynamic_score.n_exits,
-        },
-        "objectives": list(vector.values),
-    }
+    doc: dict = {"objectives": list(vector.values)}
+    for (_, section, name, _), value in zip(_FIELDS, _values(sol)):
+        (doc if section is None else doc.setdefault(section, {}))[name] = value
+    return doc
 
 
 def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
-    backbone = BackboneGenome(doc["backbone"]["resolution_idx"],
-                              _blocks_from_str(doc["backbone"]["blocks"]))
-    exits = ExitGenome(tuple(int(c) for c in doc["exit_bits"]))
-    dvfs = DvfsGenome(doc["dvfs"]["device"], doc["dvfs"]["compute_idx"],
-                      doc["dvfs"]["emc_idx"])
-    st = doc["static"]
-    dy = doc["dynamic"]
-    sol = FinalSolution(
-        backbone, exits, dvfs,
-        StaticScore(st["acc"], st["latency_ms"], st["energy_mj"]),
-        DynamicScore(dy["mean_exit_score"], dy["mean_correct"],
-                     dy["mean_energy_ratio"], dy["mean_latency_ratio"],
-                     dy["mean_dissimilarity"], dy["n_exits"]),
-    )
-    vector = ObjectiveVector(tuple(doc["objectives"]), COMBINED_DIRECTIONS)
-    return sol, vector
+    sol = _solution([(doc if section is None else doc[section])[name]
+                     for _, section, name, _ in _FIELDS])
+    return sol, ObjectiveVector(tuple(doc["objectives"]), COMBINED_DIRECTIONS)
 
 
 def _sorted_entries(entries: Sequence[ArchiveEntry]) -> list[ArchiveEntry]:
@@ -122,16 +132,8 @@ def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
     }
 
 
-def build_archive_doc(result: OoeResult, digest: str, seed: int) -> dict:
-    return dict(archive_header(result, digest, seed),
-                final=[solution_to_dict(e.payload, e.vector)
-                       for e in _sorted_entries(result.entries)])
-
-
 def archive_doc_result(doc: dict) -> OoeResult:
     """Rebuild an OoeResult from a loaded archive document."""
-    from .ooe import EvalCounters  # avoid a hard dependency at import time
-
     entries = []
     for sol_doc in doc["final"]:
         sol, vector = solution_from_dict(sol_doc)
@@ -195,23 +197,7 @@ def load_json(path: str) -> dict:
 
 
 def front_row(sol: FinalSolution) -> dict:
-    return {
-        "resolution_idx": sol.backbone.resolution_idx,
-        "blocks": _blocks_str(sol.backbone),
-        "exit_bits": sol.exits.key(),
-        "device": sol.dvfs.device,
-        "compute_idx": sol.dvfs.compute_idx,
-        "emc_idx": "" if sol.dvfs.emc_idx is None else sol.dvfs.emc_idx,
-        "acc": repr(sol.static_score.accuracy),
-        "latency_ms": repr(sol.static_score.latency_ms),
-        "energy_mj": repr(sol.static_score.energy_mj),
-        "mean_correct": repr(sol.dynamic_score.mean_correct),
-        "energy_ratio": repr(sol.dynamic_score.mean_energy_ratio),
-        "latency_ratio": repr(sol.dynamic_score.mean_latency_ratio),
-        "mean_dissimilarity": repr(sol.dynamic_score.mean_dissimilarity),
-        "n_exits": sol.dynamic_score.n_exits,
-        "mean_exit_score": repr(sol.dynamic_score.mean_exit_score),
-    }
+    return dict(zip(FRONT_CSV_COLUMNS, _values(sol)))
 
 
 def write_front_csv(path: str, entries: Sequence[ArchiveEntry]) -> None:
@@ -233,17 +219,4 @@ def read_front_csv(path: str) -> list[dict]:
 
 
 def front_solution_from_row(row: dict) -> FinalSolution:
-    backbone = BackboneGenome(int(row["resolution_idx"]),
-                              _blocks_from_str(row["blocks"]))
-    exits = ExitGenome(tuple(int(c) for c in row["exit_bits"]))
-    emc = row["emc_idx"]
-    dvfs = DvfsGenome(row["device"], int(row["compute_idx"]),
-                      None if emc == "" else int(emc))
-    return FinalSolution(
-        backbone, exits, dvfs,
-        StaticScore(float(row["acc"]), float(row["latency_ms"]),
-                    float(row["energy_mj"])),
-        DynamicScore(float(row["mean_exit_score"]), float(row["mean_correct"]),
-                     float(row["energy_ratio"]), float(row["latency_ratio"]),
-                     float(row["mean_dissimilarity"]), int(row["n_exits"])),
-    )
+    return _solution([parse(row[column]) for column, _, _, parse in _FIELDS])

@@ -178,12 +178,12 @@ def metrics(front_a: str, front_b: str, objectives: tuple[str, ...],
     """Hypervolume and ratio-of-dominance comparison of two front CSVs."""
     objs = _parse_objectives(objectives)
     ref = None
-    if reference is not None:
-        values = tuple(float(v) for v in reference.split(","))
-        if len(values) != len(objs):
-            raise click.ClickException("reference length must match objectives")
-        ref = ObjectiveVector(values, tuple(d for _, d in objs))
     try:
+        if reference is not None:
+            values = tuple(float(v) for v in reference.split(","))
+            if len(values) != len(objs):
+                raise click.ClickException("reference length must match objectives")
+            ref = ObjectiveVector(values, tuple(d for _, d in objs))
         a = load_front_csv(front_a, objs, ref)
         b = load_front_csv(front_b, objs, ref)
         report = compare_fronts(a, b, mc_samples, mc_seed)
@@ -218,7 +218,7 @@ def ablate_dissim(config_path: str, seed: int | None, out: str | None,
     try:
         gamma_values = [float(g) for g in gammas.split(",") if g.strip() != ""]
         report = run_ablation(cfg, build_backend(cfg), gamma_values)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     doc = {
         "backbone": {

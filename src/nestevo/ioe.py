@@ -85,7 +85,7 @@ class IoeConfig:
                 f"generations*population = {self.generations * self.population} "
                 f"exceeds the inner budget {self.budget}"
             )
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
         if not 0 < self.keep_fraction <= 1:
             raise ValueError("keep_fraction must lie in (0, 1]")

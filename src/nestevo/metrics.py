@@ -78,7 +78,8 @@ def _require_reference(front: Front) -> tuple[list[tuple[float, ...]], tuple[flo
 
 def _hv2d(points: list[tuple[float, float]], ref: tuple[float, float]) -> float:
     """Sweep over x descending, summing rectangle slabs against the reference.
-    Assumes a mutually non-dominated input."""
+    Dominated and repeated points never raise the running y, so they add
+    nothing."""
     if not points:
         return 0.0
     hv = 0.0
@@ -104,18 +105,9 @@ def _hv3d(points: list[tuple[float, float, float]],
         z_top = p[2]
         z_bottom = pts[i + 1][2] if i + 1 < len(pts) else ref[2]
         if z_top > z_bottom:
-            area = _hv2d(_filter_2d(active), (ref[0], ref[1]))
+            area = _hv2d(active, (ref[0], ref[1]))
             hv += area * (z_top - z_bottom)
     return hv
-
-
-def _filter_2d(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    kept = []
-    for p in points:
-        if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in points):
-            kept.append(p)
-    # Duplicates survive the check above; collapse them.
-    return list(dict.fromkeys(kept))
 
 
 def hypervolume(front: Front) -> float:

@@ -1,7 +1,8 @@
 """Slow reference implementations that the fast paths are checked against.
 
-Each is the per-object code the package ran before the corresponding path
-became whole-array numpy; a fast path must equal its oracle exactly (==),
+Each is the code the package ran before the corresponding path became
+whole-array numpy (or, for 3-D hypervolume, stopped filtering each slice
+before its 2-D sweep); a fast path must equal its oracle exactly (==),
 not within a tolerance, because the arithmetic is kept in the same order.
 The per-exit primitives and the one-item archive merge are definitions
 only the tests use.
@@ -52,6 +53,45 @@ def exit_score(correct_fraction: float, energy_ratio: float,
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     return correct_fraction * energy_ratio * latency_ratio * dissim_value**gamma
+
+
+def _hv2d(points: list[tuple[float, float]], ref: tuple[float, float]) -> float:
+    """2-D sweep over x descending; assumes a mutually non-dominated input."""
+    hv = 0.0
+    prev_y = ref[1]
+    for x, y in sorted(points, reverse=True):
+        if y > prev_y:
+            hv += (x - ref[0]) * (y - prev_y)
+            prev_y = y
+    return hv
+
+
+def _filter_2d(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    kept = []
+    for p in points:
+        if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in points):
+            kept.append(p)
+    # Duplicates survive the check above; collapse them.
+    return list(dict.fromkeys(kept))
+
+
+def hv3d(points: list[tuple[float, float, float]],
+         ref: tuple[float, float, float]) -> float:
+    """3-D hypervolume by z slices, each slice's active set reduced to its
+    non-dominated, distinct points before the 2-D sweep."""
+    if not points:
+        return 0.0
+    pts = sorted(points, key=lambda p: p[2], reverse=True)
+    hv = 0.0
+    active: list[tuple[float, float]] = []
+    for i, p in enumerate(pts):
+        active.append((p[0], p[1]))
+        z_top = p[2]
+        z_bottom = pts[i + 1][2] if i + 1 < len(pts) else ref[2]
+        if z_top > z_bottom:
+            area = _hv2d(_filter_2d(active), (ref[0], ref[1]))
+            hv += area * (z_top - z_bottom)
+    return hv
 
 
 def is_mutually_nondominated(archive: ParetoArchive) -> bool:

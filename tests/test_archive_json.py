@@ -2,6 +2,7 @@
 whole document: the bytes must be the same."""
 
 import json
+from dataclasses import replace
 
 from nestevo import archive as ar
 from nestevo.evaluator import StaticScore
@@ -63,3 +64,47 @@ def test_archive_document_matches_json_dumps(tmp_path):
         expected_text(doc, entries)
     assert saved_text(tmp_path, doc, None) == \
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def with_scores(e, mean_dissimilarity, mean_exit_score):
+    sol = e.payload
+    sol = replace(sol, dynamic_score=replace(
+        sol.dynamic_score, mean_dissimilarity=mean_dissimilarity,
+        mean_exit_score=mean_exit_score))
+    return ArchiveEntry(e.key, sol, e.vector)
+
+
+# Rows the toy run never writes: an integer emc_idx next to a null one, a
+# non-ASCII device name, and floats whose repr is not a short decimal.
+ODD_ROWS = [
+    entry((1, 0, 1), 2, None, 0.125),
+    entry((0, 1, 1), 0, 3, 1e-7, device="dév"),
+    with_scores(entry((1, 1, 1), 1, 0, 5e-324), 1e-7, 5e-324),
+    with_scores(entry((1, 1, 0), 4, 12, 0.1 + 0.2, device="Jetson ÅGX"),
+                0.1 + 0.2, 1e-7),
+]
+
+
+def test_json_rows_round_trip(tmp_path):
+    doc = {"schema_version": 1, "config_digest": "f" * 64, "seed": 11}
+    first = saved_text(tmp_path, doc, ar.RowEncoder().final_json(ODD_ROWS))
+    decoded = [ar.solution_from_dict(row) for row in json.loads(first)["final"]]
+    assert [sol for sol, _ in decoded] == \
+        [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
+    again = [ArchiveEntry(sol.key(), sol, vector) for sol, vector in decoded]
+    assert saved_text(tmp_path, doc, ar.RowEncoder().final_json(again)) == first
+
+
+def test_csv_rows_round_trip(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    ar.write_front_csv(str(first), ODD_ROWS)
+    text = first.read_text(encoding="utf-8")
+    assert "5e-324" in text and "1e-07" in text and "dév" in text
+    rows = ar.read_front_csv(str(first))
+    assert [row["emc_idx"] for row in rows] == ["3", "", "12", "0"]
+    sols = [ar.front_solution_from_row(row) for row in rows]
+    assert sols == [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
+    ar.write_front_csv(str(second),
+                       [ArchiveEntry(sol.key(), sol, None) for sol in sols])
+    assert second.read_bytes() == first.read_bytes()
+

@@ -82,6 +82,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_nan_gamma_rejected(self, tmp_path):
+        path = write_toy_config(tmp_path, ioe={"gamma": float("nan")})
+        assert "gamma: .nan" in path.read_text(encoding="utf-8")
+        with pytest.raises(ConfigError, match="gamma must be nonnegative"):
+            load_config(str(path))
+
     def test_digest_changes_with_seed_only(self, tmp_path):
         p1 = write_toy_config(tmp_path)
         cfg_a = load_config(str(p1))
@@ -225,8 +231,11 @@ class TestSearchCommand:
         assert res.exit_code == 0, res.output
         doc = ar.load_json(str(out / "archive.json"))
         result = ar.archive_doc_result(doc)
-        rebuilt = ar.build_archive_doc(result, doc["config_digest"], doc["seed"])
-        assert rebuilt == doc
+        ar.save_json(str(out / "archive2.json"),
+                     ar.archive_header(result, doc["config_digest"], doc["seed"]),
+                     ar.RowEncoder().final_json(result.entries))
+        assert (out / "archive2.json").read_bytes() == \
+            (out / "archive.json").read_bytes()
 
     def test_front_csv_round_trip(self, tmp_path, runner):
         cfg = write_toy_config(tmp_path)
@@ -366,6 +375,15 @@ class TestMetricsCommand:
                                    "--objective", "acc:upward"])
         assert res.exit_code != 0
 
+    def test_malformed_reference(self, tmp_path, runner):
+        path = tmp_path / "f.csv"
+        path.write_text(",".join(ar.FRONT_CSV_COLUMNS) + "\n", encoding="utf-8")
+        res = runner.invoke(main, ["metrics", str(path), str(path),
+                                   "--reference", "0,abc"])
+        assert res.exit_code != 0
+        assert "Error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+
 
 class TestAblateCommand:
     def test_single_arm_no_comparisons(self, tmp_path, runner):
@@ -389,6 +407,16 @@ class TestAblateCommand:
         for arm in doc["arms"]:
             assert arm["archive_size"] >= 1
             assert arm["exit_fraction_spread"] >= 0.0
+
+    @pytest.mark.parametrize("gammas", ["0,x", "-1", "nan"])
+    def test_malformed_gammas(self, tmp_path, runner, gammas):
+        cfg = write_toy_config(tmp_path)
+        res = runner.invoke(main, ["ablate-dissim", "--config", str(cfg),
+                                   "--gammas", gammas])
+        assert res.exit_code != 0
+        assert "Error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "out" / "ablation.json").exists()
 
     def test_requires_ablate_section(self, tmp_path, runner):
         cfg = write_toy_config(tmp_path, ablate=None)

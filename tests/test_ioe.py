@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -318,3 +319,8 @@ class TestRunIoe:
             IoeConfig(gamma=-0.5)
         with pytest.raises(ValueError):
             IoeConfig(objective_mode="other")
+
+    def test_nan_gamma_rejected(self):
+        # NaN fails `gamma < 0` as well as `gamma >= 0`.
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            IoeConfig(gamma=math.nan)

@@ -3,9 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestevo.metrics import (
     Front,
+    _hv3d,
     compare_fronts,
     hypervolume,
     hypervolume_mc,
@@ -13,6 +16,7 @@ from nestevo.metrics import (
     ratio_of_dominance,
 )
 from nestevo.moea import Direction, ObjectiveVector, dominates
+from oracles import hv3d
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE
@@ -142,6 +146,33 @@ class TestHypervolume3D:
         # All points share z: volume is the 2-D volume times the z extent.
         f = front_of([(0.8, 0.2, 0.5), (0.2, 0.8, 0.5)], (0.0, 0.0, 0.0))
         assert hypervolume(f) == pytest.approx(0.28 * 0.5, abs=1e-12)
+
+
+# Coordinates on a coarse grid (ties and repeats are common) or anywhere in
+# [0, 1]; every point is repeated once more in part of the draws.
+_coord = st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0, 1))
+_points_3d = st.tuples(st.lists(st.tuples(_coord, _coord, _coord), max_size=25),
+                       st.booleans()).map(lambda t: t[0] + t[0][::2] if t[1] else t[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points_3d)
+def test_hv3d_unfiltered_slices_equal_filtered_oracle(points):
+    # Dominated, tied and repeated points in every slice.
+    assert _hv3d(points, (0.0, 0.0, 0.0)) == hv3d(points, (0.0, 0.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points_3d, st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_hypervolume_3d_equals_filtered_oracle_mixed_directions(points, flips):
+    # A minimized coordinate stores 1 - v against reference 1, so its
+    # normalized value v - 1 still dominates the normalized reference -1.
+    directions = tuple(MIN if f else MAX for f in flips)
+    stored = [tuple(1 - v if f else v for v, f in zip(p, flips)) for p in points]
+    ref = vec(*(1.0 if f else 0.0 for f in flips), directions=directions)
+    front = Front([vec(*p, directions=directions) for p in stored], ref)
+    expected = hv3d([p.normalized() for p in front.points], ref.normalized())
+    assert hypervolume(front) == expected
 
 
 class TestHypervolumeHighDim:
