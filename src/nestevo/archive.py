@@ -10,6 +10,9 @@ import csv
 import io
 import json
 import os
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Sequence
 
 from .evaluator import StaticScore
@@ -66,14 +69,23 @@ _FIELDS = (
 FRONT_CSV_COLUMNS = tuple(f[0] for f in _FIELDS)
 
 
+# The parts of a FinalSolution that its fields are read from, in _FIELDS
+# order, each with its fields' values.  A part fills one key of an
+# archive.json row: a section, or the top-level exit_bits.
+_PARTS = (
+    ("backbone", lambda b: (b.resolution_idx, _blocks_str(b))),
+    ("exits", lambda x: (x.key(),)),
+    ("dvfs", attrgetter("device", "compute_idx", "emc_idx")),
+    ("static_score", attrgetter("accuracy", "latency_ms", "energy_mj")),
+    ("dynamic_score", attrgetter("mean_correct", "mean_energy_ratio",
+                                 "mean_latency_ratio", "mean_dissimilarity",
+                                 "n_exits", "mean_exit_score")),
+)
+
+
 def _values(sol: FinalSolution) -> tuple:
     """The solution's fields in _FIELDS order."""
-    b, dvfs, st, dy = sol.backbone, sol.dvfs, sol.static_score, sol.dynamic_score
-    return (b.resolution_idx, _blocks_str(b), sol.exits.key(),
-            dvfs.device, dvfs.compute_idx, dvfs.emc_idx,
-            st.accuracy, st.latency_ms, st.energy_mj,
-            dy.mean_correct, dy.mean_energy_ratio, dy.mean_latency_ratio,
-            dy.mean_dissimilarity, dy.n_exits, dy.mean_exit_score)
+    return sum((values(getattr(sol, attr)) for attr, values in _PARTS), ())
 
 
 def _solution(values: Sequence) -> FinalSolution:
@@ -89,13 +101,6 @@ def _solution(values: Sequence) -> FinalSolution:
         DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
                      dissimilarity, n_exits),
     )
-
-
-def solution_to_dict(sol: FinalSolution, vector: ObjectiveVector) -> dict:
-    doc: dict = {"objectives": list(vector.values)}
-    for (_, section, name, _), value in zip(_FIELDS, _values(sol)):
-        (doc if section is None else doc.setdefault(section, {}))[name] = value
-    return doc
 
 
 def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
@@ -147,13 +152,100 @@ def archive_doc_result(doc: dict) -> OoeResult:
     return OoeResult(tuple(entries), snapshots, counters)
 
 
-class RowEncoder:
-    """JSON text of a run's archive rows, each row encoded once.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Checkpoints and archive.json list the same rows again and again; the
-    pure-Python encoder that indented output needs is slow, so each row's
-    text is kept for as long as the same entry object stays in the archive
-    (an evicted key that comes back is a new entry and is encoded anew)."""
+
+def _json_value(v) -> str:
+    """A scalar as json.dumps spells it (bools before ints, as it checks)."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _NON_FINITE.get(text, text)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} "
+                    "is not JSON serializable")
+
+
+# A row sits one level below "final": its keys are indented by 6 spaces and
+# the items of its sections by 8.
+_ROW_INDENT = "\n      "
+_ITEM_INDENT = "\n        "
+
+
+def _json_block(open_: str, items: list[str], close: str) -> str:
+    """A section of a row, one item per line as json.dumps indents it."""
+    if not items:
+        return open_ + close
+    return (open_ + _ITEM_INDENT + ("," + _ITEM_INDENT).join(items)
+            + _ROW_INDENT + close)
+
+
+def _objectives_json(vector: ObjectiveVector) -> str:
+    return _json_block("[", [_json_value(v) for v in vector.values], "]")
+
+
+def _key(name: str) -> str:
+    return encode_basestring_ascii(name).replace("%", "%%") + ": "
+
+
+def _compile_row() -> tuple[str, tuple]:
+    """The %-template of an archive.json row as json.dumps(row, indent=2,
+    sort_keys=True) writes it one level below "final", with one slot per row
+    key, and per slot in key order the getter of the object the slot is read
+    from (an attribute of the row's ArchiveEntry) and its renderer."""
+    slots = {"objectives": (attrgetter("vector"), _objectives_json)}
+    groups = groupby(_FIELDS, key=lambda f: f[1] or f[2])
+    for (attr, values), (key, fields) in zip(_PARTS, groups, strict=True):
+        fields = list(fields)
+        names = [name for _, _, name, _ in fields]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        template = "%s" if fields[0][1] is None else _json_block(
+            "{", [_key(names[i]) + "%s" for i in order], "}")
+
+        def render(part, template=template, order=order, values=values):
+            spelled = [_json_value(v) for v in values(part)]
+            return template % tuple([spelled[i] for i in order])
+        slots[key] = (attrgetter("payload." + attr), render)
+    keys = sorted(slots)
+    row = "{" + _ROW_INDENT + ("," + _ROW_INDENT).join(
+        _key(k) + "%s" for k in keys) + "\n    }"
+    return row, tuple(slots[k] for k in keys)
+
+
+_ROW, _ROW_SLOTS = _compile_row()
+
+
+def _row_json(e: ArchiveEntry, last: list) -> str:
+    """One row's text.  A slot's text is a function of the one object it is
+    read from, so it is reused while that object recurs from row to row:
+    rows sorted by key come in backbone order, and all rows of a backbone
+    visit share its backbone, static score and objective vector.  `last`
+    holds, per slot, the object it was last read from and that text."""
+    filled = []
+    for k, (part_of, render) in enumerate(_ROW_SLOTS):
+        part = part_of(e)
+        cached = last[k]
+        if cached is None or cached[0] is not part:
+            cached = last[k] = (part, render(part))
+        filled.append(cached[1])
+    return _ROW % tuple(filled)
+
+
+class RowEncoder:
+    """JSON text of a run's archive rows, each row rendered once.
+
+    Checkpoints and archive.json list the same rows again and again, so each
+    row's text is kept for as long as the same entry object stays in the
+    archive (an evicted key that comes back is a new entry and is rendered
+    anew)."""
 
     def __init__(self) -> None:
         self._texts: dict[int, tuple[ArchiveEntry, str]] = {}
@@ -162,17 +254,17 @@ class RowEncoder:
         """The sorted "final" list as json.dumps(doc, indent=2) writes it
         one level below the document root."""
         texts = {}
-        for e in entries:
+        rows = []
+        last: list = [None] * len(_ROW_SLOTS)
+        for e in _sorted_entries(entries):
             cached = self._texts.get(id(e))
             if cached is None or cached[0] is not e:
-                text = json.dumps(solution_to_dict(e.payload, e.vector),
-                                  indent=2, sort_keys=True)
-                cached = (e, text.replace("\n", "\n    "))
+                cached = (e, _row_json(e, last))
             texts[id(e)] = cached
+            rows.append(cached[1])
         self._texts = texts
-        if not entries:
+        if not rows:
             return "[]"
-        rows = [texts[id(e)][1] for e in _sorted_entries(entries)]
         return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
@@ -196,16 +288,11 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def front_row(sol: FinalSolution) -> dict:
-    return dict(zip(FRONT_CSV_COLUMNS, _values(sol)))
-
-
 def write_front_csv(path: str, entries: Sequence[ArchiveEntry]) -> None:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=FRONT_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for e in _sorted_entries(entries):
-        writer.writerow(front_row(e.payload))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FRONT_CSV_COLUMNS)
+    writer.writerows(_values(e.payload) for e in _sorted_entries(entries))
     atomic_write_text(path, buf.getvalue())
 
 

@@ -198,7 +198,7 @@ class _DynamicEvaluator:
         # The per-exit score's checks, first failing exit first.
         bad_ratio = (er <= 0) | (lr <= 0)
         bad = bad_ratio | ~((d >= 0.0) & (d <= 1.0))
-        if self.gamma < 0 and not bad[0]:
+        if not self.gamma >= 0 and not bad[0]:
             raise ValueError("gamma must be nonnegative")
         if bad.any():
             raise ValueError("ratios must be positive" if bad_ratio[bad.argmax()]

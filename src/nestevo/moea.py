@@ -128,7 +128,9 @@ def _crowding_by_front(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     Per objective, each front is sorted stably by value (ties keep row
     order); its two ends get +inf and each interior row adds the gap between
     its neighbours over the front's span, unless the row is already +inf or
-    the span is 0.  Fronts of one or two rows are all ends."""
+    the span is 0 or not finite: an objective whose span overflows adds
+    nothing, as a constant one does, instead of inf/inf = NaN.  Fronts of
+    one or two rows are all ends."""
     n, m = values.shape
     dist = np.zeros(n)
     for k in range(m):
@@ -141,7 +143,8 @@ def _crowding_by_front(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         last[:-1] = first[1:]
         dist[order[first | last]] = math.inf
         span = (v[last] - v[first])[np.cumsum(first) - 1]
-        inner = np.flatnonzero(~(first | last) & (span != 0))
+        inner = np.flatnonzero(~(first | last) & (span != 0)
+                               & np.isfinite(span))
         rows = order[inner]
         cur = dist[rows]
         gap = (v[inner + 1] - v[inner - 1]) / span[inner]
@@ -212,9 +215,9 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
     """NSGA-II diversity score for one front.
 
     Boundary members get +inf per objective; interior members accumulate the
-    normalized cuboid side length.  A degenerate objective (max == min)
-    contributes nothing.  Callers are expected to pass a mutually
-    non-dominating front; this is not enforced.
+    normalized cuboid side length.  A degenerate objective (max == min) or
+    one whose span overflows to inf contributes nothing.  Callers are
+    expected to pass a mutually non-dominating front; this is not enforced.
     """
     n = len(front)
     if n == 0:

@@ -2,7 +2,8 @@
 
 Each is the code the package ran before the corresponding path became
 whole-array numpy (or, for 3-D hypervolume, stopped filtering each slice
-before its 2-D sweep); a fast path must equal its oracle exactly (==),
+before its 2-D sweep, or, for the output files, rendered rows from a
+template); a fast path must equal its oracle exactly (==, or byte for byte),
 not within a tolerance, because the arithmetic is kept in the same order.
 The per-exit primitives and the one-item archive merge are definitions
 only the tests use.
@@ -10,11 +11,15 @@ only the tests use.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from typing import Sequence
 
 import numpy as np
 
+from nestevo.archive import FRONT_CSV_COLUMNS, _FIELDS, _blocks_str
 from nestevo.evaluator import ExitProfile, Workload, layer_workloads
 from nestevo.genome import sampled_positions
 from nestevo.ioe import DynamicScore
@@ -50,7 +55,7 @@ def exit_score(correct_fraction: float, energy_ratio: float,
         raise ValueError("ratios must be positive")
     if not 0.0 <= dissim_value <= 1.0:
         raise ValueError("dissimilarity must lie in [0, 1]")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
     return correct_fraction * energy_ratio * latency_ratio * dissim_value**gamma
 
@@ -167,7 +172,8 @@ def object_fronts(pop: Sequence[ObjectiveVector]) -> list[list[int]]:
 
 
 def object_crowding(front: Sequence[ObjectiveVector]) -> list[float]:
-    """NSGA-II crowding distance of one front, member by member."""
+    """NSGA-II crowding distance of one front, member by member; an
+    objective whose span is 0 or overflows to inf adds nothing."""
     n = len(front)
     if n == 0:
         return []
@@ -180,7 +186,7 @@ def object_crowding(front: Sequence[ObjectiveVector]) -> list[float]:
         dist[order[0]] = math.inf
         dist[order[-1]] = math.inf
         span = hi - lo
-        if span == 0:
+        if span == 0 or not math.isfinite(span):
             continue
         for j in range(1, n - 1):
             i = order[j]
@@ -202,3 +208,40 @@ def object_rank(pop: Sequence[ObjectiveVector]) -> tuple[list[int], list[float]]
             ranks[i] = r
             crowd[i] = d
     return ranks, crowd
+
+
+def solution_values(sol) -> tuple:
+    """A FinalSolution's fields in front.csv column order."""
+    b, dvfs, st, dy = sol.backbone, sol.dvfs, sol.static_score, sol.dynamic_score
+    return (b.resolution_idx, _blocks_str(b), sol.exits.key(),
+            dvfs.device, dvfs.compute_idx, dvfs.emc_idx,
+            st.accuracy, st.latency_ms, st.energy_mj,
+            dy.mean_correct, dy.mean_energy_ratio, dy.mean_latency_ratio,
+            dy.mean_dissimilarity, dy.n_exits, dy.mean_exit_score)
+
+
+def solution_to_dict(sol, vector: ObjectiveVector) -> dict:
+    """One archive.json row as a dict."""
+    doc: dict = {"objectives": list(vector.values)}
+    for (_, section, name, _), value in zip(_FIELDS, solution_values(sol)):
+        (doc if section is None else doc.setdefault(section, {}))[name] = value
+    return doc
+
+
+def archive_text(doc: dict, entries) -> str:
+    """The text of an archive document (or checkpoint) whose "final" list
+    holds `entries` sorted by key: one json.dumps of the whole document."""
+    full = dict(doc, final=[solution_to_dict(e.payload, e.vector)
+                            for e in sorted(entries, key=lambda e: e.key)])
+    return json.dumps(full, indent=2, sort_keys=True) + "\n"
+
+
+def front_csv_text(entries) -> str:
+    """The text of front.csv for `entries`, one dict per row through
+    csv.DictWriter."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=FRONT_CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for e in sorted(entries, key=lambda e: e.key):
+        writer.writerow(dict(zip(FRONT_CSV_COLUMNS, solution_values(e.payload))))
+    return buf.getvalue()

@@ -82,10 +82,8 @@ def populations(draw):
 
 
 def same(a, b):
-    """== elementwise, except that NaN matches NaN: a span that overflows
-    gives NaN crowding on both paths."""
-    return len(a) == len(b) and all(x == y or (x != x and y != y)
-                                    for x, y in zip(a, b))
+    """== elementwise; NaN matches nothing, so a NaN crowding fails."""
+    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
 def pop_of(rows, directions):
@@ -101,6 +99,8 @@ def pop_of(rows, directions):
                 (MAX, MIN, MAX)))
 @example(pop_of([(10, 0, 0), (0, 0, 1e308), (5, 1, -1e308)],  # gap inf/inf at
                 (MAX, MAX, MAX)))                               # a +inf member
+@example(pop_of([(-1e308, 1e308), (0, 0), (1e308, -1e308)],   # span inf at
+                (MAX, MAX)))                                    # an interior one
 def test_matrix_ranking_equals_object_path(pop):
     ranks, crowd = object_rank(pop)
     ranked = rank_population(list(range(len(pop))), pop)
@@ -320,6 +320,22 @@ def test_bad_workload_raises_on_both_paths(width, overhead, message):
                            profile, static, 1.0, candidates):
         with pytest.raises(ValueError, match=message):
             path()
+
+
+@pytest.mark.parametrize("gamma", [-1.0, math.nan])
+def test_bad_gamma_raises_on_every_path(gamma):
+    b = sample_backbone(SPACE, random.Random(1))
+    profile = exit_profile(b, SPACE, SurrogateParams(), 1)
+    static = eval_static(b, SPACE, PLAIN, SYNTHETIC, SurrogateParams(), 1)
+    x = sample_exit_genome(b, SPACE, random.Random(2))
+    f = DvfsGenome("plain", 1)
+    for path in both_paths(b, SPACE, PLAIN, SYNTHETIC, HW, profile, static,
+                           gamma, [(x, f)]):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            path()
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        dynamic_fitness(b, x, f, profile, static, SPACE, PLAIN, SYNTHETIC, HW,
+                        gamma)
 
 
 class InfiniteAtSetting:

@@ -273,13 +273,20 @@ class TestRunIoe:
         config = IoeConfig(generations=4, population=8, budget=32)
 
         def run(seed):
+            """The archive's keys after each generation, then the result."""
+            history = []
             result = run_ioe(b, toy_space, device, backend, hw, config,
                              VariationParams(), random.Random(seed),
-                             profile=profile, static=static)
-            return [(s.key(), s.objectives.values) for s in result.solutions]
+                             profile=profile, static=static,
+                             on_generation=lambda gen, archive: history.append(
+                                 sorted(e.key for e in archive.entries)))
+            return history, [(s.key(), s.objectives.values)
+                             for s in result.solutions]
 
         assert run(42) == run(42)
-        assert run(42) != run(43) or True  # different seeds may legitimately agree
+        # 8 distinct samples of the 12 candidates: the seed decides which,
+        # and so the first generation's archive.
+        assert run(42)[0][0] != run(43)[0][0]
 
     def test_archive_nondominated_every_generation(self, toy_space):
         b, device, hw, backend, static, profile = self._setup(toy_space)

@@ -165,6 +165,12 @@ class TestCrowding:
         dist = crowding_distance(front)
         assert dist[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_span_contributes_zero(self):
+        # Objective 0 spans 1e308 - (-1e308) = inf, so its gap over the span
+        # would be inf/inf; like a zero span it adds nothing.
+        front = [vec(-1e308, 0), vec(0, 1), vec(1e308, 2)]
+        assert crowding_distance(front) == [math.inf, 1.0, math.inf]
+
 
 class TestSurvivorSelect:
     def _ranked(self, pop):
