@@ -31,16 +31,15 @@ from .genome import (
     sample_exit_genome,
 )
 from .ioe import DynamicScore, IoeConfig, dynamic_fitness, ioe_objectives, run_ioe
-from .metrics import Front, hypervolume, hypervolume_mc, merge_nondominated, ratio_of_dominance
+from .metrics import Front, hypervolume, hypervolume_mc, ratio_of_dominance
 from .moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
     RankedPopulation,
-    crowding_distance,
     dominates,
-    fast_nondominated_sort,
-    rank_population,
+    nondominated_rows,
+    rank_rows,
     survivor_select,
     tournament_select,
 )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .evaluator import (
     HardwareBackend,
     HardwareModelParams,
@@ -25,13 +27,13 @@ from .genome import (
     enumerate_exit_genomes,
 )
 from .ioe import IoeSolution, _DynamicEvaluator, ioe_objective_matrix
-from .moea import (
-    ArchiveEntry,
-    ObjectiveVector,
-    nondominated_mask,
-    nondominated_rows,
+from .moea import ArchiveEntry, ObjectiveVector, nondominated_rows
+from .ooe import (
+    COMBINED_DIRECTIONS,
+    FinalSolution,
+    combined_objectives,
+    ioe_front_hypervolume,
 )
-from .ooe import FinalSolution, combined_objectives, ioe_front_hypervolume
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,10 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
         hv = ioe_front_hypervolume(inner, gamma)
         per_backbone.append((b, static, inner, combined_objectives(static, hv)))
 
-    outer_mask = nondominated_mask([v for _, _, _, v in per_backbone])
+    outer_mask = nondominated_rows(
+        np.array([v.values for _, _, _, v in per_backbone]), COMBINED_DIRECTIONS)
     entries: list[ArchiveEntry] = []
-    for (b, static, inner, vector), keep in zip(per_backbone, outer_mask):
+    for (b, static, inner, vector), keep in zip(per_backbone, outer_mask.tolist()):
         if not keep:
             continue
         for sol in inner:

@@ -32,6 +32,12 @@ class DeviceSpec:
     default_emc_idx: int | None = None
 
     def __post_init__(self) -> None:
+        # A name is one front.csv field, and the CSV writer leaves a bare \r
+        # unquoted: no line break may appear in it.
+        if (not isinstance(self.name, str) or not self.name
+                or "\r" in self.name or "\n" in self.name):
+            raise ValueError(f"device name {self.name!r} must be a non-empty "
+                             "string without line breaks")
         for label, levels in (("compute", self.compute_freq_ghz), ("emc", self.emc_freq_ghz)):
             if any(f <= 0 for f in levels):
                 raise ValueError(f"{self.name}: {label} frequencies must be positive")

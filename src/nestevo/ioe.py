@@ -52,8 +52,12 @@ from .moea import (
     survivor_select,
 )
 
-OBJECTIVE_MODES = ("vector", "scalar")
-VECTOR_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
+# Column directions of the inner objectives, per objective mode.
+OBJECTIVE_DIRECTIONS = {
+    "vector": (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE),
+    "scalar": (Direction.MAXIMIZE,),
+}
+OBJECTIVE_MODES = tuple(OBJECTIVE_DIRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,11 @@ class IoeConfig:
 
 
 Candidate = tuple[ExitGenome, DvfsGenome]
+
+
+def _candidate_key(c: Candidate) -> tuple:
+    return (c[0].key(),) + c[1].key()
+
 
 # Candidates evaluated per block: bounds the temporaries of an exhaustive
 # enumeration, which evaluates every candidate of a backbone in one call.
@@ -231,14 +240,13 @@ def ioe_objectives(score: DynamicScore, mode: str, gamma: float) -> ObjectiveVec
     minimize the energy and latency ratios.  Scalar mode: the single averaged
     exit score, maximized."""
     if mode == "scalar":
-        return ObjectiveVector((score.mean_exit_score,), (Direction.MAXIMIZE,))
-    if mode == "vector":
+        values: tuple[float, ...] = (score.mean_exit_score,)
+    elif mode == "vector":
         effective = score.mean_correct * score.mean_dissimilarity**gamma
-        return ObjectiveVector(
-            (effective, score.mean_energy_ratio, score.mean_latency_ratio),
-            VECTOR_DIRECTIONS,
-        )
-    raise ValueError(f"unknown objective mode {mode!r}")
+        values = (effective, score.mean_energy_ratio, score.mean_latency_ratio)
+    else:
+        raise ValueError(f"unknown objective mode {mode!r}")
+    return ObjectiveVector(values, OBJECTIVE_DIRECTIONS[mode])
 
 
 def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
@@ -247,18 +255,16 @@ def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
     directions; a non-finite value raises as ObjectiveVector does."""
     if mode == "scalar":
         values = scores.means[:, [0]]
-        directions: tuple[Direction, ...] = (Direction.MAXIMIZE,)
     elif mode == "vector":
         values = scores.means[:, [1, 2, 3]]
         values[:, 0] *= [d**gamma for d in scores.means[:, 4].tolist()]
-        directions = VECTOR_DIRECTIONS
     else:
         raise ValueError(f"unknown objective mode {mode!r}")
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"objective value {values[~finite][0].item()!r} "
                          "is not finite")
-    return values, directions
+    return values, OBJECTIVE_DIRECTIONS[mode]
 
 
 @dataclass(frozen=True)
@@ -269,7 +275,7 @@ class IoeSolution:
     objectives: ObjectiveVector
 
     def key(self) -> tuple:
-        return (self.exits.key(),) + self.dvfs.key()
+        return _candidate_key((self.exits, self.dvfs))
 
 
 @dataclass
@@ -288,7 +294,9 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     profile and static score the caller supplies.
 
     The archive accumulates the rank-0 set across every generation and is
-    pruned to a mutually non-dominated set after each one.
+    pruned to a mutually non-dominated set after each one.  Its payloads are
+    (candidate, its generation's scores, its row in them) until the end,
+    when the final rows become IoeSolutions.
     """
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)
@@ -303,14 +311,14 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         return (mutate_exit(c[0], variation, r),
                 mutate_dvfs(c[1], device, variation, r))
 
-    archive = ParetoArchive()
+    archive = ParetoArchive(OBJECTIVE_DIRECTIONS[config.objective_mode])
     n_evals = 0
     candidates = initial_population(
         config.population, n_inner_candidates(b, space, device),
         lambda: [(x, f) for x in enumerate_exit_genomes(b, space)
                  for f in enumerate_dvfs(device)],
         lambda r: (sample_exit_genome(b, space, r), sample_dvfs(device, r)),
-        lambda c: (c[0].key(),) + c[1].key(), rng)
+        _candidate_key, rng)
     for gen in range(config.generations):
         if gen > 0:
             candidates = breed(pool, candidates_prev, config.population,
@@ -320,14 +328,10 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         values, directions = ioe_objective_matrix(
             scores, config.objective_mode, config.gamma)
         ranks, crowding = rank_rows(values, directions)
-        # Objects only for the rank-0 rows, the ones the archive sees.
-        items = []
-        for i in np.flatnonzero(ranks == 0).tolist():
-            x, f = candidates[i]
-            vector = ObjectiveVector(tuple(values[i].tolist()), directions)
-            items.append(((x.key(),) + f.key(),
-                          IoeSolution(x, f, scores.score(i), vector), vector))
-        archive.merge_batch(items)
+        front = np.flatnonzero(ranks == 0).tolist()
+        archive.merge_batch([_candidate_key(candidates[i]) for i in front],
+                            [(candidates[i], scores, i) for i in front],
+                            values[front])
         if on_generation is not None:
             on_generation(gen, archive)
         keep = max(1, math.ceil(config.keep_fraction * len(candidates)))
@@ -335,4 +339,8 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
                                   tuple(ranks.tolist()), tuple(crowding.tolist()))
         pool = ranked.subset(survivor_select(ranked, keep))
         candidates_prev = candidates
-    return IoeResult(tuple(e.payload for e in archive.entries), n_evals)
+    solutions = []
+    for e in archive.entries:
+        (x, f), gen_scores, i = e.payload
+        solutions.append(IoeSolution(x, f, gen_scores.score(i), e.vector))
+    return IoeResult(tuple(solutions), n_evals)

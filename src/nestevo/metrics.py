@@ -1,5 +1,5 @@
 """Front-quality metrics: exact 2-D/3-D hypervolume, a Monte Carlo estimator
-for higher dimensions, ratio of dominance, and non-dominated merging.
+for higher dimensions, and ratio of dominance.
 
 Reference points are always explicit inputs; inferring them from data would
 make hypervolumes incomparable across runs.
@@ -12,12 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moea import (
-    ObjectiveVector,
-    _dominated_by,
-    _normalized_matrix,
-    nondominated_mask,
-)
+from .moea import ObjectiveVector, _dominated_by, nondominated_rows
 
 
 class Front:
@@ -42,8 +37,9 @@ class Front:
         kept: list[ObjectiveVector] = []
         seen: set[tuple[float, ...]] = set()
         if points:
-            mask = nondominated_mask(points)
-            for p, keep in zip(points, mask):
+            mask = nondominated_rows(np.array([p.values for p in points]),
+                                     directions)
+            for p, keep in zip(points, mask.tolist()):
                 if keep and p.values not in seen:
                     seen.add(p.values)
                     kept.append(p)
@@ -166,17 +162,10 @@ def ratio_of_dominance(a: Front, b: Front) -> float:
     if not a.points or not b.points:
         return 0.0
     # p dominates q exactly when -q dominates -p.
-    neg_a = -_normalized_matrix(a.points)
-    neg_b = -_normalized_matrix(b.points)
+    neg_a = -np.array([p.normalized() for p in a.points])
+    neg_b = -np.array([p.normalized() for p in b.points])
     count = int(_dominated_by(neg_a, neg_b).sum())
     return count / len(a.points)
-
-
-def merge_nondominated(a: Sequence[ObjectiveVector], b: Sequence[ObjectiveVector],
-                       reference: ObjectiveVector | None = None) -> Front:
-    """Union of two point sets filtered to its non-dominated subset, with
-    duplicates collapsed."""
-    return Front(list(a) + list(b), reference)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Generic NSGA-II machinery over objective vectors with per-coordinate directions.
+"""Generic NSGA-II machinery over raw objective matrices whose columns carry
+per-coordinate directions.
 
 Pareto dominance, fast non-dominated sorting, crowding distance, survivor and
 tournament selection, the initial sampler and breeder that both engines call,
-and an elitist non-dominated archive.  Everything here is pure and
-deterministic: the same inputs (and RNG stream) always produce the same
-outputs, so search runs are reproducible bit for bit.
+and an elitist non-dominated archive that holds objective matrices.
+Everything here is pure and deterministic: the same inputs (and RNG stream)
+always produce the same outputs, so search runs are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -74,16 +76,6 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return better
 
 
-def _normalized_matrix(pop: Sequence[ObjectiveVector]) -> np.ndarray:
-    if not pop:
-        raise ValueError("population is empty")
-    directions = pop[0].directions
-    for v in pop:
-        if v.directions != directions or len(v) != len(directions):
-            raise ValueError("population contains heterogeneous objective vectors")
-    return np.asarray([v.normalized() for v in pop], dtype=float)
-
-
 def _dominance(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """dom[i, j]: rows[i] dominates cands[j] (both normalized, every
     coordinate maximized)."""
@@ -142,7 +134,8 @@ def _crowding_by_front(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         last = np.ones(n, dtype=bool)
         last[:-1] = first[1:]
         dist[order[first | last]] = math.inf
-        span = (v[last] - v[first])[np.cumsum(first) - 1]
+        with np.errstate(over="ignore"):  # an overflowing span adds nothing
+            span = (v[last] - v[first])[np.cumsum(first) - 1]
         inner = np.flatnonzero(~(first | last) & (span != 0)
                                & np.isfinite(span))
         rows = order[inner]
@@ -160,22 +153,6 @@ def rank_rows(values: np.ndarray,
         raise ValueError("population is empty")
     ranks = _front_ranks(_normalize(values, directions))
     return ranks, _crowding_by_front(values, ranks)
-
-
-def _values_matrix(pop: Sequence[ObjectiveVector]) -> np.ndarray:
-    _normalized_matrix(pop)  # shape validation only
-    return np.asarray([v.values for v in pop], dtype=float)
-
-
-def fast_nondominated_sort(pop: Sequence[ObjectiveVector]) -> list[list[int]]:
-    """Partition indices into fronts: front 0 is the non-dominated set, each
-    later front the non-dominated set of the remainder (Deb's procedure),
-    each front in ascending index order."""
-    ranks = _front_ranks(_normalized_matrix(pop)).tolist()
-    fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-    for i, r in enumerate(ranks):
-        fronts[r].append(i)
-    return fronts
 
 
 # Bound on the elements of one boolean comparison block in `_dominated_by`.
@@ -198,12 +175,6 @@ def _dominated_by(cands: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dominated
 
 
-def nondominated_mask(pop: Sequence[ObjectiveVector]) -> list[bool]:
-    """Per-member flag: True iff no other member dominates it."""
-    mat = _normalized_matrix(pop)
-    return [bool(not d) for d in _dominated_by(mat, mat)]
-
-
 def nondominated_rows(values: np.ndarray,
                       directions: Sequence[Direction]) -> np.ndarray:
     """Per row of a raw objective matrix: True iff no other row dominates it."""
@@ -211,35 +182,17 @@ def nondominated_rows(values: np.ndarray,
     return ~_dominated_by(mat, mat)
 
 
-def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
-    """NSGA-II diversity score for one front.
-
-    Boundary members get +inf per objective; interior members accumulate the
-    normalized cuboid side length.  A degenerate objective (max == min) or
-    one whose span overflows to inf contributes nothing.  Callers are
-    expected to pass a mutually non-dominating front; this is not enforced.
-    """
-    n = len(front)
-    if n == 0:
-        return []
-    if n <= 2:
-        return [math.inf] * n
-    values = _values_matrix(front)
-    return _crowding_by_front(values, np.zeros(n, dtype=int)).tolist()
-
-
 @dataclass(frozen=True)
 class RankedPopulation:
     """Population annotated with non-domination rank and crowding distance.
 
-    `vectors` holds the ranked objective vectors when the population was
-    ranked from them; it is empty for a population ranked as a matrix and
-    for a subset."""
+    `values` holds the ranked raw objective matrix when the ranking caller
+    keeps it; it is None otherwise and for a subset."""
 
     ids: tuple[int, ...]
     ranks: tuple[int, ...]
     crowding: tuple[float, ...]
-    vectors: tuple[ObjectiveVector, ...] = ()
+    values: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -253,17 +206,6 @@ class RankedPopulation:
             ranks=tuple(self.ranks[i] for i in sel),
             crowding=tuple(self.crowding[i] for i in sel),
         )
-
-
-def rank_population(
-    ids: Sequence[int], vectors: Sequence[ObjectiveVector]
-) -> RankedPopulation:
-    """Sort into fronts and crowd each front."""
-    if len(ids) != len(vectors):
-        raise ValueError("ids and vectors differ in length")
-    ranks, crowd = rank_rows(_values_matrix(vectors), vectors[0].directions)
-    return RankedPopulation(tuple(ids), tuple(ranks.tolist()),
-                            tuple(crowd.tolist()), tuple(vectors))
 
 
 def _selection_key(ranked: RankedPopulation, i: int) -> tuple[int, float, int]:
@@ -350,30 +292,36 @@ class ArchiveEntry:
 class ParetoArchive:
     """Elitist accumulation of mutually non-dominated candidates.
 
-    Entries are kept in insertion order (deterministic across runs).  A new
-    entry is dropped if an existing entry dominates it or carries the same key;
-    otherwise it displaces every entry it dominates.  Entries with equal
-    vectors but distinct keys are all retained.  The normalized objective
-    matrix of the entries is kept alongside them, row for row.
+    Entries are kept in insertion order (deterministic across runs) as
+    parallel `keys` and `payloads` lists and a raw objective matrix `values`
+    whose columns carry `directions`, with its normalized copy alongside, row
+    for row.  A new entry is dropped if an existing entry dominates it or
+    carries the same key; otherwise it displaces every entry it dominates.
+    Entries with equal vectors but distinct keys are all retained.
     """
 
-    def __init__(self) -> None:
-        self._entries: list[ArchiveEntry] = []
-        self._keys: set[Any] = set()
-        self._mat: np.ndarray | None = None
+    def __init__(self, directions: Sequence[Direction]) -> None:
+        self.directions = tuple(directions)
+        self.keys: list[Any] = []
+        self.payloads: list[Any] = []
+        self.values = np.zeros((0, len(self.directions)))
+        self._mat = self.values
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.keys)
 
     @property
     def entries(self) -> tuple[ArchiveEntry, ...]:
-        return tuple(self._entries)
+        """The entries as objects, built on each call."""
+        return tuple(
+            ArchiveEntry(key, payload, ObjectiveVector(tuple(row), self.directions))
+            for key, payload, row in zip(self.keys, self.payloads,
+                                         self.values.tolist()))
 
-    def vectors(self) -> list[ObjectiveVector]:
-        return [e.vector for e in self._entries]
-
-    def merge_batch(self, items: Sequence[tuple[Any, Any, ObjectiveVector]]) -> None:
-        """Bulk-merge new candidates.
+    def merge_batch(self, keys: Sequence[Any], payloads: Sequence[Any],
+                    values: np.ndarray) -> None:
+        """Bulk-merge new candidates: row i of the raw matrix `values` is the
+        objective vector of `keys[i]` and `payloads[i]`.
 
         Keys are deduplicated first: an item is dropped if its key is live in
         the archive or appeared earlier in the batch, and the first occurrence
@@ -388,26 +336,36 @@ class ParetoArchive:
 
         The entries are mutually non-dominated, so only two checks are made:
         existing rows against the fresh rows, and fresh rows against the
-        union."""
-        fresh: list[ArchiveEntry] = []
-        seen = set(self._keys)
-        for key, payload, vector in items:
-            if key in seen:
-                continue
-            seen.add(key)
-            fresh.append(ArchiveEntry(key, payload, vector))
+        union.  A matrix of the wrong shape or with a non-finite value
+        raises ValueError."""
+        values = np.asarray(values, dtype=float)
+        if (values.shape != (len(keys), len(self.directions))
+                or len(payloads) != len(keys)):
+            raise ValueError(
+                f"batch of {len(keys)} keys, {len(payloads)} payloads and a "
+                f"{values.shape} matrix does not fit {len(self.directions)} "
+                "objectives")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"objective value {values[~finite][0].item()!r} "
+                             "is not finite")
+        seen = set(self.keys)
+        fresh = []
+        for i, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
         if not fresh:
             return
-        rows = _normalized_matrix([e.vector for e in fresh])
-        if self._mat is None:
-            union = rows
-            keep_old = np.zeros(0, dtype=bool)
-        else:
-            if self._entries[0].vector.directions != fresh[0].vector.directions:
-                raise ValueError("batch vectors do not match the archive's shape")
-            union = np.concatenate([self._mat, rows])
-            keep_old = ~_dominated_by(self._mat, rows)
-        keep = np.concatenate([keep_old, ~_dominated_by(rows, union)])
-        self._entries = [e for e, k in zip(self._entries + fresh, keep) if k]
-        self._keys = {e.key for e in self._entries}
+        raw = values[fresh]
+        rows = _normalize(raw, self.directions)
+        union = np.concatenate([self._mat, rows])
+        keep = np.concatenate([~_dominated_by(self._mat, rows),
+                               ~_dominated_by(rows, union)])
+        kept = np.flatnonzero(keep).tolist()
+        all_keys = self.keys + [keys[i] for i in fresh]
+        all_payloads = self.payloads + [payloads[i] for i in fresh]
+        self.keys = [all_keys[i] for i in kept]
+        self.payloads = [all_payloads[i] for i in kept]
+        self.values = np.concatenate([self.values, raw])[keep]
         self._mat = union[keep]

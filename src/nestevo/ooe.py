@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .evaluator import (
     HardwareBackend,
     HardwareModelParams,
@@ -47,7 +49,7 @@ from .moea import (
     RankedPopulation,
     breed,
     initial_population,
-    rank_population,
+    rank_rows,
     survivor_select,
 )
 
@@ -131,8 +133,10 @@ def static_rank_and_prune(
     rank, then crowding."""
     if not statics:
         raise ValueError("population is empty")
-    vectors = [static_objectives(s) for s in statics]
-    ranked = rank_population(range(len(statics)), vectors)
+    values = np.array([static_objectives(s).values for s in statics])
+    ranks, crowding = rank_rows(values, STATIC_DIRECTIONS)
+    ranked = RankedPopulation(tuple(range(len(statics))), tuple(ranks.tolist()),
+                              tuple(crowding.tolist()))
     k = max(1, math.ceil(prune_fraction * len(statics)))
     return survivor_select(ranked, k)
 
@@ -164,14 +168,15 @@ def combined_rank(
     gamma: float,
 ) -> RankedPopulation:
     """Rank backbones on the 4-objective vector (accuracy, latency, energy,
-    inner-front hypervolume)."""
+    inner-front hypervolume); the result keeps their objective matrix."""
     if len(candidates) != len(statics):
         raise ValueError("candidates and static scores differ in length")
-    vectors = []
-    for (b, solutions), st in zip(candidates, statics):
-        hv = ioe_front_hypervolume(solutions, gamma)
-        vectors.append(combined_objectives(st, hv))
-    return rank_population(range(len(candidates)), vectors)
+    values = np.array([
+        combined_objectives(st, ioe_front_hypervolume(solutions, gamma)).values
+        for (_, solutions), st in zip(candidates, statics)])
+    ranks, crowding = rank_rows(values, COMBINED_DIRECTIONS)
+    return RankedPopulation(tuple(range(len(candidates))), tuple(ranks.tolist()),
+                            tuple(crowding.tolist()), values)
 
 
 GenerationCallback = Callable[[int, tuple[ArchiveEntry, ...], EvalCounters], None]
@@ -185,7 +190,8 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
     solutions, per-generation records, and exact evaluation counters."""
     rng = random.Random(config.seed)
     counters = EvalCounters()
-    archive = ParetoArchive()  # keys: visit numbers; payloads: solution rows
+    # Keys: visit numbers; payloads: solution rows.
+    archive = ParetoArchive(COMBINED_DIRECTIONS)
     n_visits = 0
     entries: tuple[ArchiveEntry, ...] = ()
     snapshots: list[GenerationRecord] = []
@@ -222,10 +228,12 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         # solutions whose keys are not live yet (the existing row wins), and
         # all of them share the visit's combined vector.
         live = {row.key for row in entries}
-        visits = []
+        visited: list[int] = []  # forwarded indices of this generation's visits
+        visit_rows = []
         for i, (b, st, result) in enumerate(zip(forwarded, forwarded_statics,
                                                 ioe_results)):
-            vector = ranked.vectors[i]
+            vector = ObjectiveVector(tuple(ranked.values[i].tolist()),
+                                     COMBINED_DIRECTIONS)
             rows = []
             for sol in result.solutions:
                 fs = FinalSolution(b, sol.exits, sol.dvfs, st, sol.score)
@@ -234,10 +242,12 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                     live.add(key)
                     rows.append(ArchiveEntry(key, fs, vector))
             if rows:
-                visits.append((n_visits, tuple(rows), vector))
-                n_visits += 1
-        archive.merge_batch(visits)
-        entries = tuple(row for e in archive.entries for row in e.payload)
+                visited.append(i)
+                visit_rows.append(tuple(rows))
+        archive.merge_batch(range(n_visits, n_visits + len(visited)), visit_rows,
+                            ranked.values[visited])
+        n_visits += len(visited)
+        entries = tuple(row for rows in archive.payloads for row in rows)
 
         snapshots.append(GenerationRecord(
             gen, len(entries), counters.static_evals, counters.dynamic_evals,

@@ -6,7 +6,10 @@ before its 2-D sweep, or, for the output files, rendered rows from a
 template); a fast path must equal its oracle exactly (==, or byte for byte),
 not within a tolerance, because the arithmetic is kept in the same order.
 The per-exit primitives and the one-item archive merge are definitions
-only the tests use.
+only the tests use.  The regrouping helpers at the end give the package's
+matrix ranking API (rank_rows, nondominated_rows, ParetoArchive.merge_batch)
+the lists of ObjectiveVectors the tests are written in; they convert and
+regroup, and rank nothing themselves.
 """
 
 from __future__ import annotations
@@ -23,14 +26,23 @@ from nestevo.archive import FRONT_CSV_COLUMNS, _FIELDS, _blocks_str
 from nestevo.evaluator import ExitProfile, Workload, layer_workloads
 from nestevo.genome import sampled_positions
 from nestevo.ioe import DynamicScore
-from nestevo.moea import ObjectiveVector, ParetoArchive, dominates
+from nestevo.metrics import Front
+from nestevo.moea import (
+    ObjectiveVector,
+    ParetoArchive,
+    RankedPopulation,
+    _crowding_by_front,
+    dominates,
+    nondominated_rows,
+    rank_rows,
+)
 
 
 def add(archive: ParetoArchive, key, payload, vector: ObjectiveVector) -> bool:
     """Merge one candidate; True iff it entered the archive."""
     if any(e.key == key for e in archive.entries):
         return False
-    archive.merge_batch([(key, payload, vector)])
+    merge(archive, [(key, payload, vector)])
     return any(e.key == key for e in archive.entries)
 
 
@@ -100,7 +112,7 @@ def hv3d(points: list[tuple[float, float, float]],
 
 
 def is_mutually_nondominated(archive: ParetoArchive) -> bool:
-    vs = archive.vectors()
+    vs = [e.vector for e in archive.entries]
     return not any(
         dominates(a, b) for i, a in enumerate(vs) for j, b in enumerate(vs) if i != j
     )
@@ -245,3 +257,56 @@ def front_csv_text(entries) -> str:
     for e in sorted(entries, key=lambda e: e.key):
         writer.writerow(dict(zip(FRONT_CSV_COLUMNS, solution_values(e.payload))))
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Regrouping helpers
+
+
+def _columns(pop: Sequence[ObjectiveVector]):
+    """The raw objective matrix of a population and its column directions."""
+    return (np.array([v.values for v in pop], dtype=float),
+            pop[0].directions if pop else ())
+
+
+def merge(archive: ParetoArchive, items) -> None:
+    """ParetoArchive.merge_batch over (key, payload, ObjectiveVector) items."""
+    width = len(items[0][2]) if items else len(archive.directions)
+    archive.merge_batch([key for key, _, _ in items],
+                        [payload for _, payload, _ in items],
+                        np.array([v.values for _, _, v in items],
+                                 dtype=float).reshape(len(items), width))
+
+
+def fast_nondominated_sort(pop: Sequence[ObjectiveVector]) -> list[list[int]]:
+    """rank_rows' ranks as fronts of indices, each in ascending order."""
+    ranks = rank_rows(*_columns(pop))[0].tolist()
+    fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for i, r in enumerate(ranks):
+        fronts[r].append(i)
+    return fronts
+
+
+def rank_population(ids, vectors: Sequence[ObjectiveVector]) -> RankedPopulation:
+    """rank_rows' ranks and crowding under the given ids."""
+    ranks, crowding = rank_rows(*_columns(vectors))
+    return RankedPopulation(tuple(ids), tuple(ranks.tolist()),
+                            tuple(crowding.tolist()))
+
+
+def nondominated_mask(pop: Sequence[ObjectiveVector]) -> list[bool]:
+    """nondominated_rows as a list."""
+    return nondominated_rows(*_columns(pop)).tolist()
+
+
+def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
+    """The crowding distances of the package's ranking, every member taken
+    as one front whether or not it is mutually non-dominated."""
+    values, _ = _columns(front)
+    return _crowding_by_front(values, np.zeros(len(front), dtype=int)).tolist()
+
+
+def merge_nondominated(a: Sequence[ObjectiveVector], b: Sequence[ObjectiveVector],
+                       reference: ObjectiveVector | None = None) -> Front:
+    """The Front of the union of two point sets."""
+    return Front(list(a) + list(b), reference)

@@ -39,11 +39,16 @@ from nestevo.genome import (
     sample_exit_genome,
 )
 from nestevo.ioe import IoeConfig, dynamic_fitness
-from nestevo.metrics import Front, hypervolume, merge_nondominated, ratio_of_dominance
-from nestevo.moea import Direction, ObjectiveVector, dominates, fast_nondominated_sort
+from nestevo.metrics import Front, hypervolume, ratio_of_dominance
+from nestevo.moea import Direction, ObjectiveVector, dominates
 from nestevo.ooe import OoeConfig, run_ooe
 
-from oracles import dissimilarity, exit_score
+from oracles import (
+    dissimilarity,
+    exit_score,
+    fast_nondominated_sort,
+    merge_nondominated,
+)
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE

@@ -70,6 +70,20 @@ def test_archive_document_matches_json_dumps(tmp_path):
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_row_text_cached_under_a_reused_id_is_not_reused(tmp_path):
+    # An evicted entry's id can be taken by a later entry.  Put the evicted
+    # entry's (entry, text) pair under the new entry's id, as that reuse
+    # would leave it: the new entry must still be rendered from itself.
+    doc = {"schema_version": 1, "config_digest": "cd" * 32, "generation": 1}
+    stale = entry((1, 0, 1), 2, None, 0.125)
+    fresh = entry((0, 1, 1), 0, 3, 0.5)
+    rows = ar.RowEncoder()
+    rows.final_json([stale])
+    rows._texts = {id(fresh): rows._texts[id(stale)]}
+    assert saved_text(tmp_path, doc, rows.final_json([fresh])) == \
+        archive_text(doc, [fresh])
+
+
 def with_scores(e, mean_dissimilarity, mean_exit_score):
     sol = e.payload
     sol = replace(sol, dynamic_score=replace(

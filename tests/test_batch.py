@@ -40,19 +40,16 @@ from nestevo.ioe import (
     ioe_objective_matrix,
     ioe_objectives,
 )
-from nestevo.moea import (
-    Direction,
-    ObjectiveVector,
-    crowding_distance,
-    fast_nondominated_sort,
-    rank_population,
-)
+from nestevo.moea import Direction, ObjectiveVector
 
 from oracles import (
     ScalarDynamicEvaluator,
+    crowding_distance,
+    fast_nondominated_sort,
     object_crowding,
     object_fronts,
     object_rank,
+    rank_population,
 )
 
 MAX = Direction.MAXIMIZE

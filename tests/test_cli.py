@@ -82,6 +82,16 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("name", ["toy\rdev", "toy\ndev", "", 5])
+    def test_bad_device_name_rejected(self, tmp_path, name):
+        device = {"name": name, "compute_freq_ghz": [0.5, 1.0],
+                  "default_compute_idx": 1}
+        path = write_toy_config(tmp_path, device=name,
+                                space={"devices": [device]})
+        assert yaml.safe_load(path.read_text(encoding="utf-8"))["device"] == name
+        with pytest.raises(ConfigError, match="device name"):
+            load_config(str(path))
+
     def test_nan_gamma_rejected(self, tmp_path):
         path = write_toy_config(tmp_path, ioe={"gamma": float("nan")})
         assert "gamma: .nan" in path.read_text(encoding="utf-8")

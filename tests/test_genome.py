@@ -50,6 +50,18 @@ class TestSpaceValidation:
         with pytest.raises(ValueError):
             DeviceSpec("bad", (0.5, 1.0), default_compute_idx=5)
 
+    @pytest.mark.parametrize("name", ["", "a\rb", "a\nb", "a\r\nb", "ab\r",
+                                      5, None, b"ab"])
+    def test_device_name_validation(self, name):
+        # front.csv leaves a bare \r unquoted, so a name holding one would
+        # split its row in two when read back.
+        with pytest.raises(ValueError, match="device name"):
+            DeviceSpec(name, (0.5, 1.0))
+
+    def test_device_name_may_hold_quotes_commas_and_non_ascii(self):
+        name = 'Jetson "ÅGX", rev\t2'
+        assert DeviceSpec(name, (0.5, 1.0)).name == name
+
     def test_n_backbones(self, toy_space):
         assert toy_space.n_backbones() == 8
 

@@ -12,11 +12,10 @@ from nestevo.metrics import (
     compare_fronts,
     hypervolume,
     hypervolume_mc,
-    merge_nondominated,
     ratio_of_dominance,
 )
 from nestevo.moea import Direction, ObjectiveVector, dominates
-from oracles import hv3d
+from oracles import hv3d, merge_nondominated
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE

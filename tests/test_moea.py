@@ -10,17 +10,21 @@ from nestevo.moea import (
     ParetoArchive,
     RankedPopulation,
     breed,
-    crowding_distance,
     dominates,
-    fast_nondominated_sort,
     initial_population,
-    nondominated_mask,
-    rank_population,
     survivor_select,
     tournament_select,
 )
 
-from oracles import add, is_mutually_nondominated
+from oracles import (
+    add,
+    crowding_distance,
+    fast_nondominated_sort,
+    is_mutually_nondominated,
+    merge,
+    nondominated_mask,
+    rank_population,
+)
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE
@@ -374,7 +378,7 @@ class TestRankPopulation:
 
 class TestParetoArchive:
     def test_keeps_nondominated_only(self):
-        a = ParetoArchive()
+        a = ParetoArchive((MAX, MAX))
         add(a, "x", "x", vec(1, 1))
         add(a, "y", "y", vec(0, 0))  # dominated, rejected
         assert len(a) == 1
@@ -382,13 +386,13 @@ class TestParetoArchive:
         assert [e.key for e in a.entries] == ["z"]
 
     def test_equal_vectors_both_kept(self):
-        a = ParetoArchive()
+        a = ParetoArchive((MAX, MAX))
         add(a, "x", "x", vec(1, 1))
         add(a, "y", "y", vec(1, 1))
         assert len(a) == 2
 
     def test_key_collision_ignored(self):
-        a = ParetoArchive()
+        a = ParetoArchive((MAX, MAX))
         add(a, "x", "x", vec(1, 1))
         assert not add(a, "x", "x", vec(5, 5))
         assert len(a) == 1
@@ -397,12 +401,12 @@ class TestParetoArchive:
         rng = random.Random(31)
         items = [(i, i, vec(*(rng.randint(0, 5) for _ in range(3))))
                  for i in range(200)]
-        sequential = ParetoArchive()
+        sequential = ParetoArchive((MAX,) * 3)
         for key, payload, v in items:
             add(sequential, key, payload, v)
-        batched = ParetoArchive()
-        batched.merge_batch(items[:97])
-        batched.merge_batch(items[97:])
+        batched = ParetoArchive((MAX,) * 3)
+        merge(batched, items[:97])
+        merge(batched, items[97:])
         assert {e.key for e in batched.entries} == {e.key for e in sequential.entries}
         assert is_mutually_nondominated(batched)
 
