@@ -36,8 +36,8 @@ from .moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    RankedPopulation,
     dominates,
+    mating_pool,
     nondominated_rows,
     rank_rows,
     survivor_select,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import click
 
@@ -39,20 +40,44 @@ def _load(config_path: str, seed: int | None, out: str | None) -> RunConfig:
         raise click.ClickException(f"invalid config: {exc}") from exc
 
 
+_CHECKPOINT = re.compile(r"checkpoint_gen_(\d+)\.json")
+
+
+def _checkpoints(out_dir: str) -> list[str]:
+    """Paths of the checkpoints in `out_dir`, oldest generation first."""
+    if not os.path.isdir(out_dir):
+        return []
+    found = sorted((int(m.group(1)), name) for name in os.listdir(out_dir)
+                   if (m := _CHECKPOINT.fullmatch(name)))
+    return [os.path.join(out_dir, name) for _, name in found]
+
+
 def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     """Execute the search and write archive.json / front.csv plus one
-    checkpoint per completed generation.  Returns the two output paths."""
+    checkpoint per completed generation.  Returns the two output paths.
+
+    The output directory must not hold another config's run: its
+    archive.json, or without one its newest checkpoint, must carry this
+    config's digest.  With `force` the earlier outputs are removed instead."""
     digest = config_digest(cfg)
     out_dir = cfg.output_dir
     archive_path = os.path.join(out_dir, "archive.json")
-    if os.path.exists(archive_path) and not force:
-        existing = ar.load_json(archive_path).get("config_digest")
+    front_path = os.path.join(out_dir, "front.csv")
+    checkpoints = _checkpoints(out_dir)
+    prior = archive_path if os.path.exists(archive_path) else (
+        checkpoints[-1] if checkpoints else None)
+    if prior is not None and not force:
+        existing = ar.load_json(prior).get("config_digest")
         if existing != digest:
             raise click.ClickException(
-                f"{archive_path} was produced by a different config "
+                f"{prior} was produced by a different config "
                 f"(digest {existing}); rerun with --force to overwrite"
             )
     backend = build_backend(cfg)
+    if force:
+        for path in [archive_path, front_path] + checkpoints:
+            if os.path.exists(path):
+                os.remove(path)
     rows = ar.RowEncoder()
 
     def checkpoint(gen: int, entries, counters) -> None:
@@ -69,7 +94,6 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
                      on_generation=checkpoint)
     ar.save_json(archive_path, ar.archive_header(result, digest, cfg.seed),
                  rows.final_json(result.entries))
-    front_path = os.path.join(out_dir, "front.csv")
     ar.write_front_csv(front_path, result.entries)
     return archive_path, front_path
 
@@ -93,7 +117,9 @@ _out_opt = click.option("--out", type=click.Path(), default=None,
 @_seed_opt
 @_out_opt
 @click.option("--force", is_flag=True,
-              help="Overwrite an archive produced by a different config.")
+              help="Remove the outputs of an earlier run (archive.json, "
+                   "front.csv, checkpoints) first, even one of a different "
+                   "config.")
 def search(config_path: str, seed: int | None, out: str | None,
            force: bool) -> None:
     """Run the nested search and persist the final archive."""

@@ -27,7 +27,7 @@ from .genome import (
     enumerate_exit_genomes,
 )
 from .ioe import IoeSolution, _DynamicEvaluator, ioe_objective_matrix
-from .moea import ArchiveEntry, ObjectiveVector, nondominated_rows
+from .moea import ArchiveEntry, nondominated_rows
 from .ooe import (
     COMBINED_DIRECTIONS,
     FinalSolution,
@@ -72,11 +72,8 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
         scores = ev.evaluate_batch(candidates)
         values, directions = ioe_objective_matrix(scores, objective_mode, gamma)
         keep = nondominated_rows(values, directions)
-        inner = [
-            IoeSolution(*candidates[i], scores.score(i),
-                        ObjectiveVector(tuple(values[i].tolist()), directions))
-            for i in keep.nonzero()[0].tolist()
-        ]
+        inner = [IoeSolution(*candidates[i], scores.score(i))
+                 for i in keep.nonzero()[0].tolist()]
         hv = ioe_front_hypervolume(inner, gamma)
         per_backbone.append((b, static, inner, combined_objectives(static, hv)))
 

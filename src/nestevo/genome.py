@@ -16,6 +16,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 
+def require_counts(obj: object, *names: str) -> None:
+    """Raise ValueError unless each named field of `obj` is an int; a bool
+    is not a count."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """Discrete frequency tables of one device.
@@ -171,6 +180,7 @@ class VariationParams:
     tournament_size: int = 2
 
     def __post_init__(self) -> None:
+        require_counts(self, "tournament_size")
         for p in (self.mutation_prob_per_gene, self.crossover_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")

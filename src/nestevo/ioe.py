@@ -38,6 +38,7 @@ from .genome import (
     mutate_dvfs,
     mutate_exit,
     n_inner_candidates,
+    require_counts,
     sample_dvfs,
     sample_exit_genome,
 )
@@ -45,11 +46,10 @@ from .moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    RankedPopulation,
     breed,
     initial_population,
+    mating_pool,
     rank_rows,
-    survivor_select,
 )
 
 # Column directions of the inner objectives, per objective mode.
@@ -82,6 +82,7 @@ class IoeConfig:
     budget: int = 3500
 
     def __post_init__(self) -> None:
+        require_counts(self, "generations", "population", "budget")
         if self.generations < 1 or self.population < 1:
             raise ValueError("generations and population must be >= 1")
         if self.generations * self.population > self.budget:
@@ -272,7 +273,6 @@ class IoeSolution:
     exits: ExitGenome
     dvfs: DvfsGenome
     score: DynamicScore
-    objectives: ObjectiveVector
 
     def key(self) -> tuple:
         return _candidate_key((self.exits, self.dvfs))
@@ -321,7 +321,7 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         _candidate_key, rng)
     for gen in range(config.generations):
         if gen > 0:
-            candidates = breed(pool, candidates_prev, config.population,
+            candidates = breed(parents, places, config.population,
                                crossover, mutate, variation, rng)
         scores = ev.evaluate_batch(candidates)
         n_evals += len(candidates)
@@ -335,12 +335,8 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         if on_generation is not None:
             on_generation(gen, archive)
         keep = max(1, math.ceil(config.keep_fraction * len(candidates)))
-        ranked = RankedPopulation(tuple(range(len(candidates))),
-                                  tuple(ranks.tolist()), tuple(crowding.tolist()))
-        pool = ranked.subset(survivor_select(ranked, keep))
-        candidates_prev = candidates
-    solutions = []
-    for e in archive.entries:
-        (x, f), gen_scores, i = e.payload
-        solutions.append(IoeSolution(x, f, gen_scores.score(i), e.vector))
-    return IoeResult(tuple(solutions), n_evals)
+        pool, places = mating_pool(ranks, crowding, keep)
+        parents = [candidates[i] for i in pool]
+    solutions = tuple(IoeSolution(x, f, gen_scores.score(i))
+                      for (x, f), gen_scores, i in archive.payloads)
+    return IoeResult(solutions, n_evals)

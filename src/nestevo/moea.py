@@ -182,56 +182,33 @@ def nondominated_rows(values: np.ndarray,
     return ~_dominated_by(mat, mat)
 
 
-@dataclass(frozen=True)
-class RankedPopulation:
-    """Population annotated with non-domination rank and crowding distance.
-
-    `values` holds the ranked raw objective matrix when the ranking caller
-    keeps it; it is None otherwise and for a subset."""
-
-    ids: tuple[int, ...]
-    ranks: tuple[int, ...]
-    crowding: tuple[float, ...]
-    values: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def subset(self, keep_ids: Sequence[int]) -> "RankedPopulation":
-        """Restriction to `keep_ids`, preserving the original ranks/crowding."""
-        keep = set(keep_ids)
-        sel = [i for i, cid in enumerate(self.ids) if cid in keep]
-        return RankedPopulation(
-            ids=tuple(self.ids[i] for i in sel),
-            ranks=tuple(self.ranks[i] for i in sel),
-            crowding=tuple(self.crowding[i] for i in sel),
-        )
+def survivor_select(ranks: np.ndarray, crowding: np.ndarray, k: int) -> list[int]:
+    """The `k` best rows, best first: whole fronts in rank order, the last
+    one split by descending crowding distance; residual ties go to the lower
+    row index."""
+    if k > len(ranks):
+        raise ValueError(f"cannot select {k} from population of {len(ranks)}")
+    return np.lexsort((-crowding, ranks))[:k].tolist()
 
 
-def _selection_key(ranked: RankedPopulation, i: int) -> tuple[int, float, int]:
-    # Lower is better: rank ascending, crowding descending, id ascending.
-    return (ranked.ranks[i], -ranked.crowding[i], ranked.ids[i])
+def mating_pool(ranks: np.ndarray, crowding: np.ndarray,
+                k: int) -> tuple[list[int], list[int]]:
+    """The rows survivor_select keeps, in row order, and each one's place
+    among them (0 is the best)."""
+    best = survivor_select(ranks, crowding, k)
+    pool = sorted(best)
+    place = {row: i for i, row in enumerate(best)}
+    return pool, [place[row] for row in pool]
 
 
-def survivor_select(ranked: RankedPopulation, k: int) -> list[int]:
-    """Take whole fronts in rank order, splitting the last one by descending
-    crowding distance; residual ties fall back to the lowest candidate id."""
-    if k > len(ranked):
-        raise ValueError(f"cannot select {k} from population of {len(ranked)}")
-    order = sorted(range(len(ranked)), key=lambda i: _selection_key(ranked, i))
-    return [ranked.ids[i] for i in order[:k]]
-
-
-def tournament_select(
-    ranked: RankedPopulation, params: VariationParams, rng: random.Random
-) -> int:
-    """Draw `tournament_size` members uniformly (with replacement); the winner
-    is the lexicographic best by (rank asc, crowding desc, id asc)."""
-    if len(ranked) == 0:
+def tournament_select(places: Sequence[int], params: VariationParams,
+                      rng: random.Random) -> int:
+    """Draw `tournament_size` slots of a mating pool uniformly (with
+    replacement); the winner is the slot with the lowest place."""
+    if len(places) == 0:
         raise ValueError("cannot run a tournament on an empty population")
-    draws = [rng.randrange(len(ranked)) for _ in range(params.tournament_size)]
-    best = min(draws, key=lambda i: _selection_key(ranked, i))
-    return ranked.ids[best]
+    draws = [rng.randrange(len(places)) for _ in range(params.tournament_size)]
+    return min(draws, key=places.__getitem__)
 
 
 def initial_population(population: int, space_size: int,
@@ -263,18 +240,18 @@ def initial_population(population: int, space_size: int,
     return out[:population]
 
 
-def breed(pool: RankedPopulation, members: Sequence[T], population: int,
+def breed(members: Sequence[T], places: Sequence[int], population: int,
           crossover: Callable[[T, T, random.Random], tuple[T, T]],
           mutate: Callable[[T, random.Random], T],
           params: VariationParams, rng: random.Random) -> list[T]:
-    """`population` children: two tournaments on `pool` (whose ids index
-    `members`) pick the parents, `crossover` makes two children and each is
-    mutated in turn.  When `population` is odd the last pair's second child
-    is dropped unmutated."""
+    """`population` children: two tournaments on the mating pool `members`
+    (whose places come from mating_pool) pick the parents, `crossover` makes
+    two children and each is mutated in turn.  When `population` is odd the
+    last pair's second child is dropped unmutated."""
     children: list[T] = []
     while len(children) < population:
-        pa = members[tournament_select(pool, params, rng)]
-        pb = members[tournament_select(pool, params, rng)]
+        pa = members[tournament_select(places, params, rng)]
+        pb = members[tournament_select(places, params, rng)]
         ca, cb = crossover(pa, pb, rng)
         children.append(mutate(ca, rng))
         if len(children) < population:

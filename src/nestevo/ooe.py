@@ -37,6 +37,7 @@ from .genome import (
     crossover_backbone,
     enumerate_backbones,
     mutate_backbone,
+    require_counts,
     sample_backbone,
 )
 from .ioe import DynamicScore, IoeConfig, IoeSolution, run_ioe
@@ -46,9 +47,9 @@ from .moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    RankedPopulation,
     breed,
     initial_population,
+    mating_pool,
     rank_rows,
     survivor_select,
 )
@@ -64,6 +65,7 @@ class OoeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_counts(self, "generations", "population", "budget")
         if self.generations < 1 or self.population < 1:
             raise ValueError("generations and population must be >= 1")
         if self.generations * self.population > self.budget:
@@ -135,10 +137,8 @@ def static_rank_and_prune(
         raise ValueError("population is empty")
     values = np.array([static_objectives(s).values for s in statics])
     ranks, crowding = rank_rows(values, STATIC_DIRECTIONS)
-    ranked = RankedPopulation(tuple(range(len(statics))), tuple(ranks.tolist()),
-                              tuple(crowding.tolist()))
     k = max(1, math.ceil(prune_fraction * len(statics)))
-    return survivor_select(ranked, k)
+    return survivor_select(ranks, crowding, k)
 
 
 def ioe_front_hypervolume(solutions: Sequence[IoeSolution], gamma: float) -> float:
@@ -166,17 +166,16 @@ def combined_rank(
     candidates: Sequence[tuple[BackboneGenome, Sequence[IoeSolution]]],
     statics: Sequence[StaticScore],
     gamma: float,
-) -> RankedPopulation:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank backbones on the 4-objective vector (accuracy, latency, energy,
-    inner-front hypervolume); the result keeps their objective matrix."""
+    inner-front hypervolume): their objective matrix, non-domination ranks
+    and crowding distances."""
     if len(candidates) != len(statics):
         raise ValueError("candidates and static scores differ in length")
     values = np.array([
         combined_objectives(st, ioe_front_hypervolume(solutions, gamma)).values
         for (_, solutions), st in zip(candidates, statics)])
-    ranks, crowding = rank_rows(values, COMBINED_DIRECTIONS)
-    return RankedPopulation(tuple(range(len(candidates))), tuple(ranks.tolist()),
-                            tuple(crowding.tolist()), values)
+    return (values,) + rank_rows(values, COMBINED_DIRECTIONS)
 
 
 GenerationCallback = Callable[[int, tuple[ArchiveEntry, ...], EvalCounters], None]
@@ -220,7 +219,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                                          profiles, ioe_seeds)]
         counters.dynamic_evals += sum(r.n_dynamic_evals for r in ioe_results)
 
-        ranked = combined_rank(
+        values, ranks, crowding = combined_rank(
             [(b, r.solutions) for b, r in zip(forwarded, ioe_results)],
             forwarded_statics, config.ioe.gamma,
         )
@@ -232,7 +231,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         visit_rows = []
         for i, (b, st, result) in enumerate(zip(forwarded, forwarded_statics,
                                                 ioe_results)):
-            vector = ObjectiveVector(tuple(ranked.values[i].tolist()),
+            vector = ObjectiveVector(tuple(values[i].tolist()),
                                      COMBINED_DIRECTIONS)
             rows = []
             for sol in result.solutions:
@@ -245,7 +244,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                 visited.append(i)
                 visit_rows.append(tuple(rows))
         archive.merge_batch(range(n_visits, n_visits + len(visited)), visit_rows,
-                            ranked.values[visited])
+                            values[visited])
         n_visits += len(visited)
         entries = tuple(row for rows in archive.payloads for row in rows)
 
@@ -257,11 +256,10 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             on_generation(gen, entries, counters)
 
         if gen < config.generations:
-            k2 = min(config.population, len(ranked))
-            second_ids = survivor_select(ranked, k2)
-            pool = ranked.subset(second_ids)
+            pool, places = mating_pool(ranks, crowding,
+                                       min(config.population, len(ranks)))
             population = breed(
-                pool, forwarded, config.population,
+                [forwarded[i] for i in pool], places, config.population,
                 lambda a, b, r: crossover_backbone(a, b, space, variation, r),
                 lambda c, r: mutate_backbone(c, space, variation, r),
                 variation, rng)

@@ -5,8 +5,10 @@ whole-array numpy (or, for 3-D hypervolume, stopped filtering each slice
 before its 2-D sweep, or, for the output files, rendered rows from a
 template); a fast path must equal its oracle exactly (==, or byte for byte),
 not within a tolerance, because the arithmetic is kept in the same order.
-The per-exit primitives and the one-item archive merge are definitions
-only the tests use.  The regrouping helpers at the end give the package's
+The selection layer (RankedPopulation and the survivor, tournament and
+breeding functions over it) is the object API selection ran on before it
+took rank and crowding arrays.  The per-exit primitives and the one-item
+archive merge are definitions only the tests use.  The regrouping helpers at the end give the package's
 matrix ranking API (rank_rows, nondominated_rows, ParetoArchive.merge_batch)
 the lists of ObjectiveVectors the tests are written in; they convert and
 regroup, and rank nothing themselves.
@@ -18,19 +20,20 @@ import csv
 import io
 import json
 import math
-from typing import Sequence
+import random
+from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from nestevo.archive import FRONT_CSV_COLUMNS, _FIELDS, _blocks_str
 from nestevo.evaluator import ExitProfile, Workload, layer_workloads
-from nestevo.genome import sampled_positions
+from nestevo.genome import VariationParams, sampled_positions
 from nestevo.ioe import DynamicScore
 from nestevo.metrics import Front
 from nestevo.moea import (
     ObjectiveVector,
     ParetoArchive,
-    RankedPopulation,
     _crowding_by_front,
     dominates,
     nondominated_rows,
@@ -257,6 +260,76 @@ def front_csv_text(entries) -> str:
     for e in sorted(entries, key=lambda e: e.key):
         writer.writerow(dict(zip(FRONT_CSV_COLUMNS, solution_values(e.payload))))
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Selection on annotated populations
+
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class RankedPopulation:
+    """Population annotated with non-domination rank and crowding distance."""
+
+    ids: tuple[int, ...]
+    ranks: tuple[int, ...]
+    crowding: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def subset(self, keep_ids: Sequence[int]) -> "RankedPopulation":
+        """Restriction to `keep_ids`, preserving the original ranks/crowding."""
+        keep = set(keep_ids)
+        sel = [i for i, cid in enumerate(self.ids) if cid in keep]
+        return RankedPopulation(
+            ids=tuple(self.ids[i] for i in sel),
+            ranks=tuple(self.ranks[i] for i in sel),
+            crowding=tuple(self.crowding[i] for i in sel),
+        )
+
+
+def _selection_key(ranked: RankedPopulation, i: int) -> tuple[int, float, int]:
+    # Lower is better: rank ascending, crowding descending, id ascending.
+    return (ranked.ranks[i], -ranked.crowding[i], ranked.ids[i])
+
+
+def survivor_select(ranked: RankedPopulation, k: int) -> list[int]:
+    """Ids of the k best members by (rank asc, crowding desc, id asc)."""
+    if k > len(ranked):
+        raise ValueError(f"cannot select {k} from population of {len(ranked)}")
+    order = sorted(range(len(ranked)), key=lambda i: _selection_key(ranked, i))
+    return [ranked.ids[i] for i in order[:k]]
+
+
+def tournament_select(ranked: RankedPopulation, params: VariationParams,
+                      rng: random.Random) -> int:
+    """Id of the lexicographic best of `tournament_size` uniform draws (with
+    replacement)."""
+    if len(ranked) == 0:
+        raise ValueError("cannot run a tournament on an empty population")
+    draws = [rng.randrange(len(ranked)) for _ in range(params.tournament_size)]
+    best = min(draws, key=lambda i: _selection_key(ranked, i))
+    return ranked.ids[best]
+
+
+def breed(pool: RankedPopulation, members: Sequence[T], population: int,
+          crossover: Callable[[T, T, random.Random], tuple[T, T]],
+          mutate: Callable[[T, random.Random], T],
+          params: VariationParams, rng: random.Random) -> list[T]:
+    """Children of two tournaments on `pool` (whose ids index `members`)
+    each, crossed and mutated in turn; an odd population drops the last
+    pair's second child unmutated."""
+    children: list[T] = []
+    while len(children) < population:
+        pa = members[tournament_select(pool, params, rng)]
+        pb = members[tournament_select(pool, params, rng)]
+        ca, cb = crossover(pa, pb, rng)
+        children.append(mutate(ca, rng))
+        if len(children) < population:
+            children.append(mutate(cb, rng))
+    return children
 
 
 # ---------------------------------------------------------------------------

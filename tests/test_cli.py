@@ -92,6 +92,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="device name"):
             load_config(str(path))
 
+    # Each count fits the toy budgets, so only its type is wrong; a float or a
+    # bool count used to pass validation and fail or run on in the engine.
+    @pytest.mark.parametrize("section, node", [
+        ("ioe", {"generations": 1.5}),
+        ("ooe", {"population": 2.5}),
+        ("ooe", {"generations": True}),
+        ("ioe", {"budget": 12.0}),
+        ("variation", {"tournament_size": 1.5}),
+    ])
+    def test_non_integer_count_rejected(self, tmp_path, runner, section, node):
+        path = write_toy_config(tmp_path, **{section: node})
+        with pytest.raises(ConfigError, match="must be an integer"):
+            load_config(str(path))
+        res = runner.invoke(main, ["search", "--config", str(path)])
+        assert res.exit_code == 1
+        assert "Error: invalid config" in res.output
+        assert not (tmp_path / "out").exists()
+
     def test_nan_gamma_rejected(self, tmp_path):
         path = write_toy_config(tmp_path, ioe={"gamma": float("nan")})
         assert "gamma: .nan" in path.read_text(encoding="utf-8")
@@ -218,6 +236,54 @@ class TestSearchCommand:
         res = runner.invoke(main, ["search", "--config", str(cfg), "--seed", "8",
                                    "--force"])
         assert res.exit_code == 0, res.output
+
+    def test_checkpoint_of_another_config_refused(self, tmp_path, runner):
+        # An interrupted run leaves checkpoints but no archive.json; another
+        # config must not overwrite them without --force.
+        cfg = write_toy_config(tmp_path)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        (out / "archive.json").unlink()
+        (out / "front.csv").unlink()
+        newest = (out / "checkpoint_gen_002.json").read_bytes()
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--seed", "8"])
+        assert res.exit_code == 1
+        assert "checkpoint_gen_002.json was produced by a different config" \
+            in res.output
+        assert (out / "checkpoint_gen_002.json").read_bytes() == newest
+        assert not (out / "archive.json").exists()
+        # The same config may run on.
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+
+    def test_force_removes_outputs_of_another_config(self, tmp_path, runner):
+        cfg = write_toy_config(tmp_path)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        cfg = write_toy_config(tmp_path, ooe={"generations": 1})
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "different config" in res.output
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in out.iterdir()) == [
+            "archive.json", "checkpoint_gen_001.json", "front.csv"]
+        digest = json.loads((out / "archive.json").read_text())["config_digest"]
+        assert json.loads((out / "checkpoint_gen_001.json").read_text()
+                          )["config_digest"] == digest
+
+    def test_force_keeps_other_files(self, tmp_path, runner):
+        cfg = write_toy_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        (out / "checkpoint_gen_7.json.bak").write_text("{}", encoding="utf-8")
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
+        assert res.exit_code == 0, res.output
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+        assert (out / "checkpoint_gen_7.json.bak").exists()
 
     def test_env_var_output_override(self, tmp_path, runner):
         cfg = write_toy_config(tmp_path)

@@ -65,6 +65,11 @@ class TestSpaceValidation:
     def test_n_backbones(self, toy_space):
         assert toy_space.n_backbones() == 8
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_tournament_size_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="tournament_size must be an integer"):
+            VariationParams(tournament_size=value)
+
 
 class TestSampleBackbone:
     def test_layer_bounds_and_validity(self, full_space):

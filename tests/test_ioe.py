@@ -280,8 +280,7 @@ class TestRunIoe:
                              profile=profile, static=static,
                              on_generation=lambda gen, archive: history.append(
                                  sorted(e.key for e in archive.entries)))
-            return history, [(s.key(), s.objectives.values)
-                             for s in result.solutions]
+            return history, [(s.key(), s.score) for s in result.solutions]
 
         assert run(42) == run(42)
         # 8 distinct samples of the 12 candidates: the seed decides which,
@@ -326,6 +325,12 @@ class TestRunIoe:
             IoeConfig(gamma=-0.5)
         with pytest.raises(ValueError):
             IoeConfig(objective_mode="other")
+
+    @pytest.mark.parametrize("field", ["generations", "population", "budget"])
+    @pytest.mark.parametrize("value", [2.5, 35.0, True, "35"])
+    def test_counts_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            IoeConfig(**{field: value})
 
     def test_nan_gamma_rejected(self):
         # NaN fails `gamma < 0` as well as `gamma >= 0`.

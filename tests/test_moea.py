@@ -1,22 +1,27 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from nestevo.genome import VariationParams
 from nestevo.moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    RankedPopulation,
     breed,
     dominates,
     initial_population,
+    mating_pool,
     survivor_select,
     tournament_select,
 )
 
 from oracles import (
+    RankedPopulation,
     add,
     crowding_distance,
     fast_nondominated_sort,
@@ -176,6 +181,11 @@ class TestCrowding:
         assert crowding_distance(front) == [math.inf, 1.0, math.inf]
 
 
+def arrays(ranked):
+    """The rank and crowding arrays of a RankedPopulation."""
+    return np.array(ranked.ranks), np.array(ranked.crowding)
+
+
 class TestSurvivorSelect:
     def _ranked(self, pop):
         return rank_population(list(range(len(pop))), pop)
@@ -184,12 +194,12 @@ class TestSurvivorSelect:
         rng = random.Random(3)
         pop = [random_vec(rng, 2) for _ in range(12)]
         ranked = self._ranked(pop)
-        assert sorted(survivor_select(ranked, 12)) == list(range(12))
+        assert sorted(survivor_select(*arrays(ranked), 12)) == list(range(12))
 
     def test_k_equals_front0(self):
         pop = [vec(2, 2), vec(1, 1), vec(2, 1), vec(1, 2), vec(3, 3)]
         ranked = self._ranked(pop)
-        assert set(survivor_select(ranked, 1)) == {4}
+        assert set(survivor_select(*arrays(ranked), 1)) == {4}
 
     def test_partial_front_matches_sort_oracle(self):
         rng = random.Random(5)
@@ -202,19 +212,28 @@ class TestSurvivorSelect:
                 range(len(pop)),
                 key=lambda i: (ranked.ranks[i], -ranked.crowding[i], i),
             )[:k]
-            assert survivor_select(ranked, k) == expected
+            assert survivor_select(*arrays(ranked), k) == expected
 
     def test_k_too_large_raises(self):
         ranked = self._ranked([vec(1, 1)])
         with pytest.raises(ValueError):
-            survivor_select(ranked, 2)
+            survivor_select(*arrays(ranked), 2)
+
+
+def places_of(ranked):
+    """The places of a whole population taken as its own mating pool; its
+    slots are then its ids."""
+    pool, places = mating_pool(*arrays(ranked), len(ranked))
+    assert pool == list(ranked.ids)
+    return places
 
 
 class TestTournament:
     def test_single_member(self):
         ranked = rank_population([0], [vec(1, 1)])
         params = VariationParams(tournament_size=3)
-        assert tournament_select(ranked, params, random.Random(0)) == 0
+        assert tournament_select(places_of(ranked), params,
+                                 random.Random(0)) == 0
 
     def test_rank0_beats_rank1(self):
         pop = [vec(2, 2), vec(1, 1)]
@@ -223,7 +242,7 @@ class TestTournament:
         rng = random.Random(0)
         # Whenever both members are drawn, rank 0 must win.
         for _ in range(200):
-            winner = tournament_select(ranked, params, rng)
+            winner = tournament_select(places_of(ranked), params, rng)
             assert winner in (0, 1)
         # Force the mixed draw outcome directly.
         class TwoDraws(random.Random):
@@ -232,7 +251,7 @@ class TestTournament:
                 self.queue = [0, 1]
             def randrange(self, n):
                 return self.queue.pop(0)
-        assert tournament_select(ranked, params, TwoDraws()) == 0
+        assert tournament_select(places_of(ranked), params, TwoDraws()) == 0
 
     def test_empirical_win_rates_match_enumeration(self):
         # 4 members, fronts {a}, {c, d}, {b}; c beats d on the id tiebreak.
@@ -252,12 +271,58 @@ class TestTournament:
         rng = random.Random(123)
         n = 10_000
         counts = {i: 0 for i in range(4)}
+        places = places_of(ranked)
         for _ in range(n):
-            counts[tournament_select(ranked, params, rng)] += 1
+            counts[tournament_select(places, params, rng)] += 1
         for i in range(4):
             p = expected[i]
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts[i] / n - p) <= 5 * sigma
+
+
+@st.composite
+def annotated_populations(draw):
+    """Rank and crowding arrays with tied ranks, 0.0 and +inf crowding, and
+    a selection size from 1 to the population size."""
+    n = draw(st.integers(1, 12))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    crowding = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf]),
+                             min_size=n, max_size=n))
+    return np.array(ranks), np.array(crowding), draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_populations(), st.integers(1, 4), st.integers(1, 9),
+       st.integers(0, 2**32))
+def test_selection_matches_object_oracle(population, tournament_size,
+                                         n_children, seed):
+    ranks, crowding, k = population
+    ranked = RankedPopulation(tuple(range(len(ranks))), tuple(ranks.tolist()),
+                              tuple(crowding.tolist()))
+    survivors = oracles.survivor_select(ranked, k)
+    assert survivor_select(ranks, crowding, k) == survivors
+
+    sub = ranked.subset(survivors)
+    pool, places = mating_pool(ranks, crowding, k)
+    assert pool == list(sub.ids)
+    assert sorted(range(k), key=places.__getitem__) == sorted(
+        range(k), key=lambda i: (sub.ranks[i], -sub.crowding[i], sub.ids[i]))
+
+    def crossover(a, b, r):
+        cut = r.randrange(10)
+        return f"{a}{b}{cut}", f"{b}{a}{cut}"
+
+    def mutate(c, r):
+        return f"{c}'{r.randrange(10)}"
+
+    members = [chr(ord("A") + i) for i in range(len(ranks))]
+    params = VariationParams(tournament_size=tournament_size)
+    rng, ref = random.Random(seed), random.Random(seed)
+    children = breed([members[i] for i in pool], places, n_children,
+                     crossover, mutate, params, rng)
+    assert children == oracles.breed(sub, members, n_children, crossover,
+                                     mutate, params, ref)
+    assert rng.getstate() == ref.getstate()
 
 
 class TestInitialPopulation:
@@ -312,8 +377,12 @@ class TestInitialPopulation:
 class TestBreed:
     def test_odd_population_draw_sequence(self):
         members = ["A", "B", "C", "D"]
-        # Pool over members 0, 2 and 3: the ids index `members`.
-        pool = RankedPopulation((0, 2, 3), (1, 0, 0), (0.0, math.inf, 1.0))
+        # Pool over members 0, 2 and 3 (member 1 ranks last): its slots
+        # index `parents`.
+        pool, places = mating_pool(np.array([1, 2, 0, 0]),
+                                   np.array([0.0, 5.0, math.inf, 1.0]), 3)
+        assert (pool, places) == ([0, 2, 3], [2, 0, 1])
+        parents = [members[i] for i in pool]
         params = VariationParams(tournament_size=2)
         mutated = []
 
@@ -326,13 +395,13 @@ class TestBreed:
             return f"{c}'{r.randrange(10)}"
 
         rng = random.Random(17)
-        children = breed(pool, members, 5, crossover, mutate, params, rng)
+        children = breed(parents, places, 5, crossover, mutate, params, rng)
 
         ref = random.Random(17)
         expected = []
         for last in (False, False, True):
-            pa = members[tournament_select(pool, params, ref)]
-            pb = members[tournament_select(pool, params, ref)]
+            pa = parents[tournament_select(places, params, ref)]
+            pb = parents[tournament_select(places, params, ref)]
             cut = ref.randrange(10)
             expected.append(f"{pa}{pb}{cut}'{ref.randrange(10)}")
             if not last:
@@ -367,13 +436,13 @@ class TestRankPopulation:
     def test_subset_preserves_annotations(self):
         pop = [vec(2, 2), vec(1, 1), vec(2, 1)]
         ranked = rank_population([0, 1, 2], pop)
-        sub = ranked.subset([2, 0])
-        assert sub.ids == (0, 2)
-        for cid in sub.ids:
-            i_full = ranked.ids.index(cid)
-            i_sub = sub.ids.index(cid)
-            assert sub.ranks[i_sub] == ranked.ranks[i_full]
-            assert sub.crowding[i_sub] == ranked.crowding[i_full]
+        ranks, crowding = arrays(ranked)
+        pool, places = mating_pool(ranks, crowding, 2)
+        assert pool == [0, 2]
+        # Each pool row keeps its place in the whole population's order.
+        order = survivor_select(ranks, crowding, len(pop))
+        for cid, place in zip(pool, places):
+            assert order.index(cid) == place
 
 
 class TestParetoArchive:

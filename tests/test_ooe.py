@@ -142,8 +142,7 @@ class TestStaticRankAndPrune:
 
 def make_solution(eff, er, lr=0.5, n_exits=1):
     score = DynamicScore(eff * er * lr, eff, er, lr, 1.0, n_exits)
-    return IoeSolution(ExitGenome((1,)), DvfsGenome("toy-dev", 0), score,
-                       ioe_objectives(score, "vector", 1.0))
+    return IoeSolution(ExitGenome((1,)), DvfsGenome("toy-dev", 0), score)
 
 
 class TestCombinedRank:
@@ -155,15 +154,16 @@ class TestCombinedRank:
         hv_strong = ioe_front_hypervolume(strong, 1.0)
         hv_weak = ioe_front_hypervolume(weak, 1.0)
         assert hv_strong > hv_weak
-        ranked = combined_rank([(b1, strong), (b2, weak)], [static, static], 1.0)
-        assert ranked.ranks[0] == 0
-        assert ranked.ranks[1] == 1
+        _, ranks, _ = combined_rank([(b1, strong), (b2, weak)],
+                                    [static, static], 1.0)
+        assert ranks[0] == 0
+        assert ranks[1] == 1
 
     def test_single_candidate_rank_zero(self, toy_space):
         b = next(enumerate_backbones(toy_space))
-        ranked = combined_rank([(b, [make_solution(0.5, 0.5)])],
-                               [StaticScore(0.5, 1.0, 1.0)], 1.0)
-        assert ranked.ranks == (0,)
+        _, ranks, _ = combined_rank([(b, [make_solution(0.5, 0.5)])],
+                                    [StaticScore(0.5, 1.0, 1.0)], 1.0)
+        assert tuple(ranks.tolist()) == (0,)
 
     def test_summary_invariant_to_member_order(self):
         sols = [make_solution(0.8, 0.2), make_solution(0.5, 0.1),
@@ -284,6 +284,12 @@ class TestRunOoe:
             OoeConfig(generations=100, population=100, budget=450)
         with pytest.raises(ValueError):
             OoeConfig(prune_fraction=0.0)
+
+    @pytest.mark.parametrize("field", ["generations", "population", "budget"])
+    @pytest.mark.parametrize("value", [2.5, 15.0, True, "15"])
+    def test_counts_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OoeConfig(**{field: value})
 
     def test_space_cardinality(self, toy_space):
         card = space_cardinality(toy_space, toy_space.device("toy-dev"))
