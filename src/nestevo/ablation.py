@@ -25,7 +25,7 @@ from .genome import BackboneGenome, SearchSpaceSpec, sample_backbone, sampled_po
 from .ioe import IoeConfig, IoeSolution, run_ioe
 from .metrics import Front, ratio_of_dominance
 from .moea import Direction, ObjectiveVector
-from .ooe import ioe_front_hypervolume
+from .ooe import fork_map, ioe_front_hypervolume
 
 COMPONENT_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
 
@@ -94,8 +94,7 @@ def run_ablation(cfg: RunConfig, backend: HardwareBackend,
     profile = exit_profile(b, space, cfg.surrogate, cfg.seed)
     arm_seed = random.Random(cfg.seed).getrandbits(63)
 
-    arms = []
-    for gamma in gammas:
+    def arm(gamma: float) -> AblationArm:
         ioe_cfg = IoeConfig(
             generations=cfg.ooe.ioe.generations,
             population=cfg.ooe.ioe.population,
@@ -107,12 +106,14 @@ def run_ablation(cfg: RunConfig, backend: HardwareBackend,
         result = run_ioe(b, space, device, backend, cfg.hw, ioe_cfg,
                          cfg.variation, random.Random(arm_seed),
                          profile=profile, static=static)
-        arms.append(AblationArm(
+        return AblationArm(
             gamma=gamma,
             solutions=result.solutions,
             hypervolume=ioe_front_hypervolume(result.solutions, 0.0),
             spread=exit_fraction_spread(result.solutions, profile, space),
-        ))
+        )
+
+    arms = fork_map(arm, gammas)
 
     rod: dict[tuple[float, float], float] = {}
     for a, b_arm in combinations(arms, 2):

@@ -22,7 +22,7 @@ from .evaluator import SyntheticHardwareModel, TableHardwareModel
 from .exhaustive import enumerate_truth, space_cardinality
 from .metrics import Front, compare_fronts
 from .moea import Direction, ObjectiveVector
-from .ooe import run_ooe
+from .ooe import fork_map, run_ooe
 
 
 def build_backend(cfg: RunConfig):
@@ -52,6 +52,20 @@ def _checkpoints(out_dir: str) -> list[str]:
     return [os.path.join(out_dir, name) for _, name in found]
 
 
+# Line 2 of every document save_json writes with a config digest: it sorts
+# keys, and no key of archive.json or of a checkpoint sorts before this one.
+_DIGEST_LINE = re.compile(rb'  "config_digest": "([^"\\]*)",\n')
+
+
+def _config_digest_of(path: str) -> str | None:
+    """The config_digest of an earlier output, read from its first two
+    lines; None for a file that is not such an output."""
+    with open(path, "rb") as fh:
+        fh.readline(256)
+        match = _DIGEST_LINE.fullmatch(fh.readline(256))
+    return match.group(1).decode("ascii", "replace") if match else None
+
+
 def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     """Execute the search and write archive.json / front.csv plus one
     checkpoint per completed generation.  Returns the two output paths.
@@ -67,7 +81,7 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     prior = archive_path if os.path.exists(archive_path) else (
         checkpoints[-1] if checkpoints else None)
     if prior is not None and not force:
-        existing = ar.load_json(prior).get("config_digest")
+        existing = _config_digest_of(prior)
         if existing != digest:
             raise click.ClickException(
                 f"{prior} was produced by a different config "
@@ -92,9 +106,12 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     result = run_ooe(cfg.space, cfg.device_spec(), backend, cfg.hw,
                      cfg.surrogate, cfg.ooe, cfg.variation,
                      on_generation=checkpoint)
-    ar.save_json(archive_path, ar.archive_header(result, digest, cfg.seed),
-                 rows.final_json(result.entries))
-    ar.write_front_csv(front_path, result.entries)
+    # archive.json here and front.csv in a forked process, given two CPUs.
+    fork_map(lambda write: write(), (
+        lambda: ar.save_json(archive_path,
+                             ar.archive_header(result, digest, cfg.seed),
+                             rows.final_json(result.entries)),
+        lambda: ar.write_front_csv(front_path, result.entries)))
     return archive_path, front_path
 
 

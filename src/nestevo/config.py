@@ -17,7 +17,8 @@ from typing import Any
 import yaml
 
 from .evaluator import HardwareModelParams, SurrogateParams
-from .genome import BackboneGenome, BlockGenes, DeviceSpec, SearchSpaceSpec, VariationParams
+from .genome import (BackboneGenome, BlockGenes, DeviceSpec, SearchSpaceSpec,
+                     VariationParams, require_counts)
 from .ioe import IoeConfig
 from .ooe import OoeConfig
 
@@ -54,6 +55,8 @@ class AblateSpec:
     def __post_init__(self) -> None:
         if (self.backbone is None) == (self.backbone_seed is None):
             raise ConfigError("ablate needs exactly one of backbone / backbone_seed")
+        if self.backbone_seed is not None:
+            require_counts(self, "backbone_seed")
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,9 @@ class RunConfig:
     output_dir: str = "runs"
     enumerate_cap: int = 1_000_000
     ablate: AblateSpec | None = None
+
+    def __post_init__(self) -> None:
+        require_counts(self, "seed", "enumerate_cap")
 
     def device_spec(self) -> DeviceSpec:
         return self.space.device(self.device)
@@ -120,7 +126,7 @@ def _parse_space(node: dict) -> SearchSpaceSpec:
         if key in renames:
             kwargs[renames[key]] = tuple(value)
         elif key in ("n_block", "exit_min_position"):
-            kwargs[key] = int(value)
+            kwargs[key] = value
         else:
             raise ConfigError(f"unknown space key {key!r}")
     return SearchSpaceSpec(**kwargs)
@@ -129,13 +135,17 @@ def _parse_space(node: dict) -> SearchSpaceSpec:
 def _parse_backbone(node: dict) -> BackboneGenome:
     try:
         blocks = tuple(
-            BlockGenes(int(blk["depth_idx"]), int(blk["width_idx"]),
-                       int(blk["kernel_idx"]), int(blk["expand_idx"]))
+            BlockGenes(blk["depth_idx"], blk["width_idx"], blk["kernel_idx"],
+                       blk["expand_idx"])
             for blk in node["blocks"]
         )
-        return BackboneGenome(int(node["resolution_idx"]), blocks)
+        backbone = BackboneGenome(node["resolution_idx"], blocks)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed backbone genome: {exc}") from exc
+    require_counts(backbone, "resolution_idx")
+    for blk in blocks:
+        require_counts(blk, "depth_idx", "width_idx", "kernel_idx", "expand_idx")
+    return backbone
 
 
 def parse_config(doc: dict, *, seed_override: int | None = None,
@@ -172,7 +182,7 @@ def parse_config(doc: dict, *, seed_override: int | None = None,
             if reserved in ooe_kwargs:
                 raise ConfigError(f"{reserved!r} is configured at the top level, "
                                   "not inside the ooe section")
-        ooe = OoeConfig(ioe=ioe, seed=int(seed), **ooe_kwargs)
+        ooe = OoeConfig(ioe=ioe, seed=seed, **ooe_kwargs)
 
         var_node = _expect_mapping(doc.get("variation"), "variation")
         variation = VariationParams(**_pick(var_node, VariationParams()))
@@ -201,10 +211,10 @@ def parse_config(doc: dict, *, seed_override: int | None = None,
             raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
 
         return RunConfig(
-            seed=int(seed), space=space, device=device, backend=backend,
+            seed=seed, space=space, device=device, backend=backend,
             table_csv=table_csv, hw=hw, surrogate=surrogate, ooe=ooe,
             variation=variation, output_dir=str(out_dir),
-            enumerate_cap=int(doc.get("enumerate_cap", 1_000_000)),
+            enumerate_cap=doc.get("enumerate_cap", 1_000_000),
             ablate=ablate,
         )
     except ConfigError:

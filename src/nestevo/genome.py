@@ -47,6 +47,9 @@ class DeviceSpec:
                 or "\r" in self.name or "\n" in self.name):
             raise ValueError(f"device name {self.name!r} must be a non-empty "
                              "string without line breaks")
+        require_counts(self, "default_compute_idx")
+        if self.default_emc_idx is not None:
+            require_counts(self, "default_emc_idx")
         for label, levels in (("compute", self.compute_freq_ghz), ("emc", self.emc_freq_ghz)):
             if any(f <= 0 for f in levels):
                 raise ValueError(f"{self.name}: {label} frequencies must be positive")
@@ -86,6 +89,7 @@ class SearchSpaceSpec:
     device_specs: tuple[DeviceSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        require_counts(self, "n_block", "exit_min_position")
         if self.n_block < 1:
             raise ValueError("n_block must be >= 1")
         if self.exit_min_position < 1:

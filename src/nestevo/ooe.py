@@ -13,9 +13,11 @@ non-dominated solution seen so far, so its quality never regresses.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .genome import (
     require_counts,
     sample_backbone,
 )
-from .ioe import DynamicScore, IoeConfig, IoeSolution, run_ioe
+from .ioe import DynamicScore, IoeConfig, IoeResult, IoeSolution, run_ioe
 from .metrics import Front, hypervolume
 from .moea import (
     ArchiveEntry,
@@ -65,7 +67,7 @@ class OoeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_counts(self, "generations", "population", "budget")
+        require_counts(self, "generations", "population", "budget", "seed")
         if self.generations < 1 or self.population < 1:
             raise ValueError("generations and population must be >= 1")
         if self.generations * self.population > self.budget:
@@ -178,6 +180,114 @@ def combined_rank(
     return (values,) + rank_rows(values, COMBINED_DIRECTIONS)
 
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _share(fn: Callable[[T], R], items: Sequence[T]
+           ) -> tuple[list[R], Exception | None]:
+    """fn over items in order, up to the first one that raises: the results
+    before it and its exception."""
+    results = []
+    try:
+        for x in items:
+            results.append(fn(x))
+    except Exception as exc:  # noqa: BLE001 - handed to fork_map's caller
+        return results, exc
+    return results, None
+
+
+def _serve(fn: Callable[[T], R], items: Sequence[T], read_fds: list[int],
+           write_fd: int) -> NoReturn:
+    """Body of a forked worker: send _share(fn, items) pickled through its
+    pipe and leave through os._exit, running none of the parent's cleanup.
+    A share that cannot be pickled or sent ends it with status 1."""
+    status = 1
+    try:
+        # With its own read end open, a worker whose parent died would block
+        # on a full pipe instead of failing.
+        for fd in read_fds:
+            os.close(fd)
+        data = pickle.dumps(_share(fn, items), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """[fn(x) for x in items] over n = min(_cpus(), len(items)) processes,
+    at least one.
+
+    This process computes items[0::n]; each of n-1 forked children computes
+    items[w::n] and sends back its results, pickled through a pipe.  The
+    children inherit fn and items, so neither is pickled.  With one CPU, or
+    no os.fork, nothing is forked.  Items must not depend on each other, and
+    fn must not rely on side effects in this process.  Forking is safe for
+    the callers here: they run Python and element-wise numpy only, never a
+    threaded BLAS routine.
+
+    Every child is reaped before the call returns or raises.  An item that
+    raises makes the call raise: the exception of the first such item, with
+    its own type.  A child that ends without sending results raises a
+    ChildProcessError naming its exit status."""
+    n = max(1, min(_cpus(), len(items)))
+    pids: list[int] = []        # unreaped children
+    read_fds: list[int] = []    # one pipe per child, in worker order
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
+            read_fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, items[w::n], read_fds, write_fd)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        shares = [_share(fn, items[0::n])]
+        for fd in read_fds:
+            with open(fd, "rb", closefd=False) as src:
+                data = src.read()
+            shares.append(pickle.loads(data) if data else None)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        pids.clear()
+    finally:
+        for fd in read_fds:
+            os.close(fd)
+        if pids:  # interrupted: the results are no longer wanted
+            import signal
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                os.waitpid(pid, 0)
+
+    results: list = [None] * len(items)
+    first: tuple[int, BaseException] | None = None  # (item, its exception)
+    for w, share in enumerate(shares):
+        if share is None:
+            code = os.waitstatus_to_exitcode(statuses[w - 1])
+            share = [], ChildProcessError(
+                f"fork_map worker {w} ended with exit status {code} "
+                "without sending its results")
+        done, error = share
+        results[w:w + n * len(done):n] = done
+        failed = w + n * len(done)
+        if error is not None and (first is None or failed < first[0]):
+            first = failed, error
+    if first is not None:
+        raise first[1]
+    return results
+
+
 GenerationCallback = Callable[[int, tuple[ArchiveEntry, ...], EvalCounters], None]
 
 
@@ -212,11 +322,13 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         profiles = [exit_profile(b, space, surrogate, config.seed)
                     for b in forwarded]
         ioe_seeds = [rng.getrandbits(63) for _ in forwarded]
-        ioe_results = [
-            run_ioe(b, space, device, backend, hw, config.ioe, variation,
-                    random.Random(seed), profile=prof, static=st)
-            for b, st, prof, seed in zip(forwarded, forwarded_statics,
-                                         profiles, ioe_seeds)]
+
+        def inner(i: int) -> IoeResult:
+            return run_ioe(forwarded[i], space, device, backend, hw, config.ioe,
+                           variation, random.Random(ioe_seeds[i]),
+                           profile=profiles[i], static=forwarded_statics[i])
+
+        ioe_results = fork_map(inner, range(len(forwarded)))
         counters.dynamic_evals += sum(r.n_dynamic_evals for r in ioe_results)
 
         values, ranks, crowding = combined_rank(

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -8,6 +9,19 @@ from nestevo.genome import DeviceSpec, SearchSpaceSpec
 TOY_DEVICE = DeviceSpec("toy-dev", (0.5, 1.0), (), default_compute_idx=1)
 EMC_DEVICE = DeviceSpec("emc-dev", (0.5, 1.0, 1.5), (0.4, 0.8),
                         default_compute_idx=2, default_emc_idx=1)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child of this process unreaped, running or
+    not: a search must not leave worker processes behind."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process "
+                + ("running" if pid == 0 else f"{pid} unreaped"))
 
 
 @pytest.fixture

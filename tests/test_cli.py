@@ -100,6 +100,29 @@ class TestConfigLoading:
         ("ooe", {"generations": True}),
         ("ioe", {"budget": 12.0}),
         ("variation", {"tournament_size": 1.5}),
+        # These used to be truncated by int(): seed 7.9 ran as seed 7.
+        ("seed", 7.9),
+        ("seed", True),
+        ("enumerate_cap", 10.7),
+        ("space", {"n_block": 1.5}),
+        ("space", {"exit_min_position": 5.0}),
+        ("ablate", {"backbone": {"resolution_idx": 0.0, "blocks": [
+            {"depth_idx": 1, "width_idx": 0, "kernel_idx": 0,
+             "expand_idx": 0}]}}),
+        ("ablate", {"backbone": {"resolution_idx": 0, "blocks": [
+            {"depth_idx": 1, "width_idx": 0.5, "kernel_idx": 0,
+             "expand_idx": 0}]}}),
+        ("ablate", {"backbone_seed": 2.5}),
+        ("ablate", {"backbone_seed": True}),
+        # A float default index passed the range check and failed mid-search.
+        ("space", {"devices": [{"name": "toy-dev",
+                                "compute_freq_ghz": [0.5, 1.0],
+                                "default_compute_idx": 0.5}]}),
+        ("space", {"devices": [{"name": "toy-dev",
+                                "compute_freq_ghz": [0.5, 1.0],
+                                "emc_freq_ghz": [0.4, 0.8],
+                                "default_compute_idx": 1,
+                                "default_emc_idx": 1.0}]}),
     ])
     def test_non_integer_count_rejected(self, tmp_path, runner, section, node):
         path = write_toy_config(tmp_path, **{section: node})
@@ -273,6 +296,41 @@ class TestSearchCommand:
         digest = json.loads((out / "archive.json").read_text())["config_digest"]
         assert json.loads((out / "checkpoint_gen_001.json").read_text()
                           )["config_digest"] == digest
+
+    # Only the first two lines of an earlier output are read: a file whose
+    # line 2 is not this program's digest line counts as another config's.
+    @pytest.mark.parametrize("damage", ["empty", "line 1", "mid line 2",
+                                        "garbage"])
+    def test_damaged_archive_refused(self, tmp_path, runner, damage):
+        cfg = write_toy_config(tmp_path)
+        archive = tmp_path / "out" / "archive.json"
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        data = archive.read_bytes()
+        archive.write_bytes({"empty": b"", "line 1": data[:2],
+                             "mid line 2": data[:30],
+                             "garbage": b"\xff\xfe\x00 not json\n" * 1000,
+                             }[damage])
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert ("archive.json was produced by a different config "
+                "(digest None)") in res.output
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
+        assert res.exit_code == 0, res.output
+        assert archive.read_bytes() == data
+
+    def test_archive_cut_after_its_digest_line_reruns(self, tmp_path, runner):
+        cfg = write_toy_config(tmp_path)
+        archive = tmp_path / "out" / "archive.json"
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        data = archive.read_bytes()
+        head = b"".join(data.splitlines(keepends=True)[:2])
+        assert head.startswith(b'{\n  "config_digest": "')
+        archive.write_bytes(head)
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        assert archive.read_bytes() == data
 
     def test_force_keeps_other_files(self, tmp_path, runner):
         cfg = write_toy_config(tmp_path)
