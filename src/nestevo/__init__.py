@@ -30,13 +30,12 @@ from .genome import (
     sample_backbone,
     sample_exit_genome,
 )
-from .ioe import DynamicScore, IoeConfig, dynamic_fitness, ioe_objectives, run_ioe
+from .ioe import DynamicScore, IoeConfig, dynamic_fitness, run_ioe
 from .metrics import Front, hypervolume, hypervolume_mc, ratio_of_dominance
 from .moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    dominates,
     mating_pool,
     nondominated_rows,
     rank_rows,

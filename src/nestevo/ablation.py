@@ -10,9 +10,11 @@ weighted first objective is not comparable across exponents.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .config import ConfigError, RunConfig
 from .evaluator import (
@@ -22,20 +24,20 @@ from .evaluator import (
     exit_profile,
 )
 from .genome import BackboneGenome, SearchSpaceSpec, sample_backbone, sampled_positions, validate_backbone
-from .ioe import IoeConfig, IoeSolution, run_ioe
+from .ioe import IoeSolution, run_ioe
 from .metrics import Front, ratio_of_dominance
-from .moea import Direction, ObjectiveVector
+from .moea import Direction
 from .ooe import fork_map, ioe_front_hypervolume
 
 COMPONENT_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
 
 
-def component_vector(sol: IoeSolution) -> ObjectiveVector:
-    return ObjectiveVector(
-        (sol.score.mean_correct, sol.score.mean_energy_ratio,
-         sol.score.mean_latency_ratio),
-        COMPONENT_DIRECTIONS,
-    )
+def component_front(solutions: Sequence[IoeSolution]) -> Front:
+    """An archive's points in component space (correct fraction, energy
+    ratio, latency ratio)."""
+    values = np.array([(s.score.mean_correct, s.score.mean_energy_ratio,
+                        s.score.mean_latency_ratio) for s in solutions])
+    return Front(values, COMPONENT_DIRECTIONS)
 
 
 def exit_fraction_spread(solutions: Sequence[IoeSolution], profile: ExitProfile,
@@ -95,14 +97,7 @@ def run_ablation(cfg: RunConfig, backend: HardwareBackend,
     arm_seed = random.Random(cfg.seed).getrandbits(63)
 
     def arm(gamma: float) -> AblationArm:
-        ioe_cfg = IoeConfig(
-            generations=cfg.ooe.ioe.generations,
-            population=cfg.ooe.ioe.population,
-            gamma=gamma,
-            objective_mode=cfg.ooe.ioe.objective_mode,
-            keep_fraction=cfg.ooe.ioe.keep_fraction,
-            budget=cfg.ooe.ioe.budget,
-        )
+        ioe_cfg = replace(cfg.ooe.ioe, gamma=gamma)
         result = run_ioe(b, space, device, backend, cfg.hw, ioe_cfg,
                          cfg.variation, random.Random(arm_seed),
                          profile=profile, static=static)
@@ -115,10 +110,9 @@ def run_ablation(cfg: RunConfig, backend: HardwareBackend,
 
     arms = fork_map(arm, gammas)
 
+    fronts = [component_front(a.solutions) for a in arms]
     rod: dict[tuple[float, float], float] = {}
-    for a, b_arm in combinations(arms, 2):
-        front_a = Front([component_vector(s) for s in a.solutions])
-        front_b = Front([component_vector(s) for s in b_arm.solutions])
+    for (a, front_a), (b_arm, front_b) in combinations(zip(arms, fronts), 2):
         rod[(a.gamma, b_arm.gamma)] = ratio_of_dominance(front_a, front_b)
         rod[(b_arm.gamma, a.gamma)] = ratio_of_dominance(front_b, front_a)
 

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+from dataclasses import asdict
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -119,21 +120,8 @@ def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
         "seed": seed,
-        "counters": {
-            "static_evals": result.counters.static_evals,
-            "dynamic_evals": result.counters.dynamic_evals,
-            "forwarded_backbones": result.counters.forwarded_backbones,
-        },
-        "generations": [
-            {
-                "generation": rec.generation,
-                "archive_size": rec.archive_size,
-                "static_evals": rec.static_evals,
-                "dynamic_evals": rec.dynamic_evals,
-                "forwarded_backbones": rec.forwarded_backbones,
-            }
-            for rec in result.snapshots
-        ],
+        "counters": asdict(result.counters),
+        "generations": [asdict(rec) for rec in result.snapshots],
     }
 
 
@@ -144,11 +132,7 @@ def archive_doc_result(doc: dict) -> OoeResult:
         sol, vector = solution_from_dict(sol_doc)
         entries.append(ArchiveEntry(sol.key(), sol, vector))
     counters = EvalCounters(**doc["counters"])
-    snapshots = tuple(
-        GenerationRecord(g["generation"], g["archive_size"], g["static_evals"],
-                         g["dynamic_evals"], g["forwarded_backbones"])
-        for g in doc["generations"]
-    )
+    snapshots = tuple(GenerationRecord(**g) for g in doc["generations"])
     return OoeResult(tuple(entries), snapshots, counters)
 
 

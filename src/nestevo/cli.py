@@ -14,6 +14,7 @@ import os
 import re
 
 import click
+import numpy as np
 
 from . import archive as ar
 from .ablation import run_ablation
@@ -21,7 +22,7 @@ from .config import ConfigError, RunConfig, config_digest, load_config
 from .evaluator import SyntheticHardwareModel, TableHardwareModel
 from .exhaustive import enumerate_truth, space_cardinality
 from .metrics import Front, compare_fronts
-from .moea import Direction, ObjectiveVector
+from .moea import Direction
 from .ooe import fork_map, run_ooe
 
 
@@ -189,17 +190,14 @@ def _parse_objectives(specs: tuple[str, ...]) -> list[tuple[str, Direction]]:
 
 
 def load_front_csv(path: str, objectives: list[tuple[str, Direction]],
-                   reference: ObjectiveVector | None) -> Front:
-    rows = ar.read_front_csv(path)
-    directions = tuple(d for _, d in objectives)
-    points = []
-    for row in rows:
-        try:
-            values = tuple(float(row[c]) for c, _ in objectives)
-        except KeyError as exc:
-            raise click.ClickException(f"{path}: missing column {exc}")
-        points.append(ObjectiveVector(values, directions))
-    return Front(points, reference)
+                   reference: tuple[float, ...] | None) -> Front:
+    try:
+        values = [[float(row[c]) for c, _ in objectives]
+                  for row in ar.read_front_csv(path)]
+    except KeyError as exc:
+        raise click.ClickException(f"{path}: missing column {exc}")
+    return Front(np.array(values).reshape(len(values), len(objectives)),
+                 [d for _, d in objectives], reference)
 
 
 @main.command()
@@ -210,7 +208,7 @@ def load_front_csv(path: str, objectives: list[tuple[str, Direction]],
               show_default=True, help="CSV column and direction, repeatable.")
 @click.option("--reference", default=None,
               help="Comma-separated reference point (required for hypervolume).")
-@click.option("--mc-samples", type=int, default=0,
+@click.option("--mc-samples", type=click.IntRange(min=0), default=0,
               help="Monte Carlo samples for >3 objectives.")
 @click.option("--mc-seed", type=int, default=0)
 @click.option("--out", "report_path", type=click.Path(), default=None,
@@ -223,10 +221,9 @@ def metrics(front_a: str, front_b: str, objectives: tuple[str, ...],
     ref = None
     try:
         if reference is not None:
-            values = tuple(float(v) for v in reference.split(","))
-            if len(values) != len(objs):
+            ref = tuple(float(v) for v in reference.split(","))
+            if len(ref) != len(objs):
                 raise click.ClickException("reference length must match objectives")
-            ref = ObjectiveVector(values, tuple(d for _, d in objs))
         a = load_front_csv(front_a, objs, ref)
         b = load_front_csv(front_b, objs, ref)
         report = compare_fronts(a, b, mc_samples, mc_seed)

@@ -27,7 +27,7 @@ from .genome import (
     enumerate_exit_genomes,
 )
 from .ioe import IoeSolution, _DynamicEvaluator, ioe_objective_matrix
-from .moea import ArchiveEntry, nondominated_rows
+from .moea import ArchiveEntry, ObjectiveVector, nondominated_rows
 from .ooe import (
     COMBINED_DIRECTIONS,
     FinalSolution,
@@ -78,11 +78,12 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
         per_backbone.append((b, static, inner, combined_objectives(static, hv)))
 
     outer_mask = nondominated_rows(
-        np.array([v.values for _, _, _, v in per_backbone]), COMBINED_DIRECTIONS)
+        np.array([row for _, _, _, row in per_backbone]), COMBINED_DIRECTIONS)
     entries: list[ArchiveEntry] = []
-    for (b, static, inner, vector), keep in zip(per_backbone, outer_mask.tolist()):
+    for (b, static, inner, row), keep in zip(per_backbone, outer_mask.tolist()):
         if not keep:
             continue
+        vector = ObjectiveVector(row, COMBINED_DIRECTIONS)
         for sol in inner:
             fs = FinalSolution(b, sol.exits, sol.dvfs, static, sol.score)
             entries.append(ArchiveEntry(fs.key(), fs, vector))

@@ -44,12 +44,12 @@ from .genome import (
 )
 from .moea import (
     Direction,
-    ObjectiveVector,
     ParetoArchive,
     breed,
     initial_population,
     mating_pool,
     rank_rows,
+    require_finite,
 )
 
 # Column directions of the inner objectives, per objective mode.
@@ -236,24 +236,14 @@ def dynamic_fitness(b: BackboneGenome, x: ExitGenome, f: DvfsGenome,
     return ev.evaluate_batch([(x, f)]).score(0)
 
 
-def ioe_objectives(score: DynamicScore, mode: str, gamma: float) -> ObjectiveVector:
-    """Vector mode (default): maximize dissimilarity-weighted correctness,
-    minimize the energy and latency ratios.  Scalar mode: the single averaged
-    exit score, maximized."""
-    if mode == "scalar":
-        values: tuple[float, ...] = (score.mean_exit_score,)
-    elif mode == "vector":
-        effective = score.mean_correct * score.mean_dissimilarity**gamma
-        values = (effective, score.mean_energy_ratio, score.mean_latency_ratio)
-    else:
-        raise ValueError(f"unknown objective mode {mode!r}")
-    return ObjectiveVector(values, OBJECTIVE_DIRECTIONS[mode])
-
-
 def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
                          ) -> tuple[np.ndarray, tuple[Direction, ...]]:
-    """ioe_objectives of every row of a batch, as a matrix plus the column
-    directions; a non-finite value raises as ObjectiveVector does."""
+    """The inner objectives of every row of a batch, as a matrix plus the
+    column directions; a non-finite value raises ValueError.
+
+    Vector mode (default): maximize dissimilarity-weighted correctness,
+    minimize the energy and latency ratios.  Scalar mode: the single averaged
+    exit score, maximized."""
     if mode == "scalar":
         values = scores.means[:, [0]]
     elif mode == "vector":
@@ -261,10 +251,7 @@ def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
         values[:, 0] *= [d**gamma for d in scores.means[:, 4].tolist()]
     else:
         raise ValueError(f"unknown objective mode {mode!r}")
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ValueError(f"objective value {values[~finite][0].item()!r} "
-                         "is not finite")
+    require_finite(values)
     return values, OBJECTIVE_DIRECTIONS[mode]
 
 

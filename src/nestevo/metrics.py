@@ -12,67 +12,67 @@ from typing import Sequence
 
 import numpy as np
 
-from .moea import ObjectiveVector, _dominated_by, nondominated_rows
+from .moea import (Direction, _dominated_by, _normalize, nondominated_rows,
+                   require_finite)
 
 
 class Front:
     """A mutually non-dominated point set with an optional reference point.
 
-    Construction filters dominated points and collapses duplicates.  When a
-    reference is given, every surviving point must dominate or equal it
-    (required for hypervolume); a reference-free front still supports
-    dominance-based metrics.
+    `values` is a raw n x m matrix (n may be 0) whose columns carry
+    `directions`.  Construction keeps its non-dominated rows and drops
+    repeated rows, the first occurrence kept.  When a reference is given,
+    every surviving point must dominate or equal it (required for
+    hypervolume); a reference-free front still supports dominance-based
+    metrics.  A matrix or reference of the wrong shape, or a value that is
+    not finite, raises ValueError.
     """
 
-    def __init__(self, points: Sequence[ObjectiveVector],
-                 reference: ObjectiveVector | None = None) -> None:
-        points = list(points)
-        if points:
-            directions = points[0].directions
-            for p in points:
-                if p.directions != directions or len(p) != len(directions):
-                    raise ValueError("front points have mismatched shapes")
-            if reference is not None and reference.directions != directions:
-                raise ValueError("reference does not match the points' shape")
-        kept: list[ObjectiveVector] = []
-        seen: set[tuple[float, ...]] = set()
-        if points:
-            mask = nondominated_rows(np.array([p.values for p in points]),
-                                     directions)
-            for p, keep in zip(points, mask.tolist()):
-                if keep and p.values not in seen:
-                    seen.add(p.values)
-                    kept.append(p)
+    def __init__(self, values: np.ndarray, directions: Sequence[Direction],
+                 reference: Sequence[float] | None = None) -> None:
+        self.directions = tuple(directions)
+        m = len(self.directions)
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != m:
+            raise ValueError(f"a {values.shape} matrix does not fit {m} "
+                             "objectives")
         if reference is not None:
-            ref_n = reference.normalized()
-            for p in kept:
-                if any(v < r for v, r in zip(p.normalized(), ref_n)):
-                    raise ValueError(
-                        f"point {p.values} does not dominate the reference "
-                        f"{reference.values}"
-                    )
-        self.points: tuple[ObjectiveVector, ...] = tuple(kept)
+            reference = tuple(float(r) for r in reference)
+            if len(reference) != m:
+                raise ValueError("reference does not match the points' shape")
+            require_finite(np.array(reference))
+        require_finite(values)
+        mask = nondominated_rows(values, self.directions).tolist()
+        kept = []
+        seen: set[tuple[float, ...]] = set()
+        for i, row in enumerate(map(tuple, values.tolist())):
+            if mask[i] and row not in seen:
+                seen.add(row)
+                kept.append(i)
+        self.values = values[kept]
+        if reference is not None:
+            below = (_normalize(self.values, self.directions)
+                     < _normalize(np.array(reference), self.directions))
+            bad = np.flatnonzero(below.any(axis=1))
+            if len(bad):
+                raise ValueError(
+                    f"point {tuple(self.values[bad[0]].tolist())} does not "
+                    f"dominate the reference {reference}")
         self.reference = reference
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def dimension(self) -> int:
-        if self.points:
-            return len(self.points[0])
-        if self.reference is not None:
-            return len(self.reference)
-        return 0
+        return len(self.values)
 
 
-def _require_reference(front: Front) -> tuple[list[tuple[float, ...]], tuple[float, ...]]:
+def _require_reference(front: Front) -> tuple[list[list[float]], list[float]]:
+    """The front's points and reference, normalized, as Python floats."""
     if front.reference is None:
         raise ValueError("hypervolume needs a front with a reference point")
-    return [p.normalized() for p in front.points], front.reference.normalized()
+    return (_normalize(front.values, front.directions).tolist(),
+            _normalize(np.array(front.reference), front.directions).tolist())
 
 
-def _hv2d(points: list[tuple[float, float]], ref: tuple[float, float]) -> float:
+def _hv2d(points: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
     """Sweep over x descending, summing rectangle slabs against the reference.
     Dominated and repeated points never raise the running y, so they add
     nothing."""
@@ -87,8 +87,7 @@ def _hv2d(points: list[tuple[float, float]], ref: tuple[float, float]) -> float:
     return hv
 
 
-def _hv3d(points: list[tuple[float, float, float]],
-          ref: tuple[float, float, float]) -> float:
+def _hv3d(points: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
     """Exact slicing over the sorted third coordinate: each slab contributes
     the 2-D hypervolume of the points above it times the slab height."""
     if not points:
@@ -112,11 +111,11 @@ def hypervolume(front: Front) -> float:
     points, ref = _require_reference(front)
     if not points:
         return 0.0
-    dim = front.dimension
+    dim = len(front.directions)
     if dim == 2:
-        return _hv2d([(p[0], p[1]) for p in points], (ref[0], ref[1]))
+        return _hv2d(points, ref)
     if dim == 3:
-        return _hv3d([(p[0], p[1], p[2]) for p in points], (ref[0], ref[1], ref[2]))
+        return _hv3d(points, ref)
     raise ValueError(f"exact hypervolume supports 2 or 3 objectives, got {dim}; "
                      "use hypervolume_mc")
 
@@ -156,16 +155,15 @@ def hypervolume_mc(front: Front, samples: int,
 def ratio_of_dominance(a: Front, b: Front) -> float:
     """Fraction of points in `a` that dominate at least one point of `b`.
     Empty `a` yields 0."""
-    if a.points and b.points:
-        if a.points[0].directions != b.points[0].directions:
-            raise ValueError("fronts have mismatched objective shapes")
-    if not a.points or not b.points:
+    if a.directions != b.directions:
+        raise ValueError("fronts have mismatched objective shapes")
+    if not len(a) or not len(b):
         return 0.0
     # p dominates q exactly when -q dominates -p.
-    neg_a = -np.array([p.normalized() for p in a.points])
-    neg_b = -np.array([p.normalized() for p in b.points])
+    neg_a = -_normalize(a.values, a.directions)
+    neg_b = -_normalize(b.values, b.directions)
     count = int(_dominated_by(neg_a, neg_b).sum())
-    return count / len(a.points)
+    return count / len(a)
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def compare_fronts(a: Front, b: Front, mc_samples: int = 0,
                    mc_seed: int = 0) -> MetricsReport:
     """Hypervolumes (exact when 2-D/3-D, Monte Carlo above) and both ratios
     of dominance."""
-    dim = a.dimension or b.dimension
+    dim = len(a.directions)
     if dim <= 3 and mc_samples == 0:
         hv_a, hv_b = hypervolume(a), hypervolume(b)
         se_a = se_b = 0.0

@@ -49,32 +49,6 @@ class ObjectiveVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def normalized(self) -> tuple[float, ...]:
-        """Values flipped so every coordinate is maximized."""
-        return tuple(
-            v if d is Direction.MAXIMIZE else -v
-            for v, d in zip(self.values, self.directions)
-        )
-
-
-def _check_comparable(a: ObjectiveVector, b: ObjectiveVector) -> None:
-    if len(a.values) != len(b.values) or a.directions != b.directions:
-        raise ValueError("objective vectors have mismatched shape or directions")
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """True iff a is at least as good as b everywhere and strictly better somewhere."""
-    _check_comparable(a, b)
-    better = False
-    for va, vb, d in zip(a.values, b.values, a.directions):
-        if d is Direction.MINIMIZE:
-            va, vb = -va, -vb
-        if va < vb:
-            return False
-        if va > vb:
-            better = True
-    return better
-
 
 def _dominance(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """dom[i, j]: rows[i] dominates cands[j] (both normalized, every
@@ -87,6 +61,15 @@ def _dominance(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
         ge &= r >= c
         gt |= r > c
     return ge & gt
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise ValueError naming the first value of an array that is not
+    finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"objective value {values[~finite][0].item()!r} "
+                         "is not finite")
 
 
 def _normalize(values: np.ndarray, directions: Sequence[Direction]) -> np.ndarray:
@@ -322,10 +305,7 @@ class ParetoArchive:
                 f"batch of {len(keys)} keys, {len(payloads)} payloads and a "
                 f"{values.shape} matrix does not fit {len(self.directions)} "
                 "objectives")
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(f"objective value {values[~finite][0].item()!r} "
-                             "is not finite")
+        require_finite(values)
         seen = set(self.keys)
         fresh = []
         for i, key in enumerate(keys):

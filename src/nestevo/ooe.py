@@ -120,14 +120,8 @@ COMBINED_DIRECTIONS = STATIC_DIRECTIONS + (Direction.MAXIMIZE,)
 # Reference for the 2-D (effective correctness, energy ratio) summary of an
 # inner archive: zero correctness, break-even energy.  Archive members costing
 # more than the static backbone fall outside the box and contribute nothing.
-SUMMARY_REFERENCE = ObjectiveVector((0.0, 1.0),
-                                    (Direction.MAXIMIZE, Direction.MINIMIZE))
-
-
-def static_objectives(score: StaticScore) -> ObjectiveVector:
-    return ObjectiveVector(
-        (score.accuracy, score.latency_ms, score.energy_mj), STATIC_DIRECTIONS
-    )
+SUMMARY_REFERENCE = (0.0, 1.0)
+SUMMARY_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE)
 
 
 def static_rank_and_prune(
@@ -137,7 +131,7 @@ def static_rank_and_prune(
     rank, then crowding."""
     if not statics:
         raise ValueError("population is empty")
-    values = np.array([static_objectives(s).values for s in statics])
+    values = np.array([(s.accuracy, s.latency_ms, s.energy_mj) for s in statics])
     ranks, crowding = rank_rows(values, STATIC_DIRECTIONS)
     k = max(1, math.ceil(prune_fraction * len(statics)))
     return survivor_select(ranks, crowding, k)
@@ -148,20 +142,17 @@ def ioe_front_hypervolume(solutions: Sequence[IoeSolution], gamma: float) -> flo
     correctness, energy ratio) against the fixed (0, 1) reference."""
     if not solutions:
         raise ValueError("inner archive is empty")
-    points = []
-    for sol in solutions:
-        eff = sol.score.mean_correct * sol.score.mean_dissimilarity**gamma
-        er = sol.score.mean_energy_ratio
-        if er <= 1.0:
-            points.append(ObjectiveVector((eff, er), SUMMARY_REFERENCE.directions))
-    return hypervolume(Front(points, SUMMARY_REFERENCE))
+    points = np.array([
+        (s.score.mean_correct * s.score.mean_dissimilarity**gamma,
+         s.score.mean_energy_ratio) for s in solutions])
+    return hypervolume(Front(points[points[:, 1] <= SUMMARY_REFERENCE[1]],
+                             SUMMARY_DIRECTIONS, SUMMARY_REFERENCE))
 
 
-def combined_objectives(static: StaticScore, hv_summary: float) -> ObjectiveVector:
-    return ObjectiveVector(
-        (static.accuracy, static.latency_ms, static.energy_mj, hv_summary),
-        COMBINED_DIRECTIONS,
-    )
+def combined_objectives(static: StaticScore, hv_summary: float) -> tuple[float, ...]:
+    """A backbone's row in the combined ranking: its static objectives and
+    its inner-front hypervolume, columns carrying COMBINED_DIRECTIONS."""
+    return (static.accuracy, static.latency_ms, static.energy_mj, hv_summary)
 
 
 def combined_rank(
@@ -175,7 +166,7 @@ def combined_rank(
     if len(candidates) != len(statics):
         raise ValueError("candidates and static scores differ in length")
     values = np.array([
-        combined_objectives(st, ioe_front_hypervolume(solutions, gamma)).values
+        combined_objectives(st, ioe_front_hypervolume(solutions, gamma))
         for (_, solutions), st in zip(candidates, statics)])
     return (values,) + rank_rows(values, COMBINED_DIRECTIONS)
 

@@ -7,11 +7,15 @@ template); a fast path must equal its oracle exactly (==, or byte for byte),
 not within a tolerance, because the arithmetic is kept in the same order.
 The selection layer (RankedPopulation and the survivor, tournament and
 breeding functions over it) is the object API selection ran on before it
-took rank and crowding arrays.  The per-exit primitives and the one-item
-archive merge are definitions only the tests use.  The regrouping helpers at the end give the package's
-matrix ranking API (rank_rows, nondominated_rows, ParetoArchive.merge_batch)
-the lists of ObjectiveVectors the tests are written in; they convert and
-regroup, and rank nothing themselves.
+took rank and crowding arrays.  The object twins (dominates, normalized,
+ioe_objectives and ObjectFront with its hypervolume and ratio of dominance)
+are the per-ObjectiveVector code the package ran before metrics and the
+outer engine took objective matrices.  The per-exit primitives and the
+one-item archive merge are definitions only the tests use.  The regrouping
+helpers at the end give the package's matrix API (rank_rows,
+nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
+ObjectiveVectors the tests are written in; they convert and regroup, and
+rank nothing themselves.
 """
 
 from __future__ import annotations
@@ -29,16 +33,142 @@ import numpy as np
 from nestevo.archive import FRONT_CSV_COLUMNS, _FIELDS, _blocks_str
 from nestevo.evaluator import ExitProfile, Workload, layer_workloads
 from nestevo.genome import VariationParams, sampled_positions
-from nestevo.ioe import DynamicScore
-from nestevo.metrics import Front
+from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
+from nestevo.metrics import Front, _hv2d, _hv3d
 from nestevo.moea import (
+    Direction,
     ObjectiveVector,
     ParetoArchive,
     _crowding_by_front,
-    dominates,
     nondominated_rows,
     rank_rows,
 )
+
+
+# ---------------------------------------------------------------------------
+# Object twins
+
+
+def normalized(v: ObjectiveVector) -> tuple[float, ...]:
+    """Values flipped so every coordinate is maximized."""
+    return tuple(x if d is Direction.MAXIMIZE else -x
+                 for x, d in zip(v.values, v.directions))
+
+
+def _check_comparable(a: ObjectiveVector, b: ObjectiveVector) -> None:
+    if len(a.values) != len(b.values) or a.directions != b.directions:
+        raise ValueError("objective vectors have mismatched shape or directions")
+
+
+def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
+    """True iff a is at least as good as b everywhere and strictly better somewhere."""
+    _check_comparable(a, b)
+    better = False
+    for va, vb, d in zip(a.values, b.values, a.directions):
+        if d is Direction.MINIMIZE:
+            va, vb = -va, -vb
+        if va < vb:
+            return False
+        if va > vb:
+            better = True
+    return better
+
+
+def ioe_objectives(score: DynamicScore, mode: str, gamma: float) -> ObjectiveVector:
+    """One candidate's inner objectives (ioe_objective_matrix's row)."""
+    if mode == "scalar":
+        values: tuple[float, ...] = (score.mean_exit_score,)
+    elif mode == "vector":
+        effective = score.mean_correct * score.mean_dissimilarity**gamma
+        values = (effective, score.mean_energy_ratio, score.mean_latency_ratio)
+    else:
+        raise ValueError(f"unknown objective mode {mode!r}")
+    return ObjectiveVector(values, OBJECTIVE_DIRECTIONS[mode])
+
+
+class ObjectFront:
+    """Front over a list of ObjectiveVectors: the non-dominated points,
+    repeats collapsed (first kept), each dominating or equal to the
+    reference when one is given."""
+
+    def __init__(self, points: Sequence[ObjectiveVector],
+                 reference: ObjectiveVector | None = None) -> None:
+        points = list(points)
+        if points:
+            directions = points[0].directions
+            for p in points:
+                if p.directions != directions or len(p) != len(directions):
+                    raise ValueError("front points have mismatched shapes")
+            if reference is not None and reference.directions != directions:
+                raise ValueError("reference does not match the points' shape")
+        kept: list[ObjectiveVector] = []
+        seen: set[tuple[float, ...]] = set()
+        for p in points:
+            if (not any(dominates(q, p) for q in points)
+                    and p.values not in seen):
+                seen.add(p.values)
+                kept.append(p)
+        if reference is not None:
+            ref_n = normalized(reference)
+            for p in kept:
+                if any(v < r for v, r in zip(normalized(p), ref_n)):
+                    raise ValueError(
+                        f"point {p.values} does not dominate the reference "
+                        f"{reference.values}"
+                    )
+        self.points: tuple[ObjectiveVector, ...] = tuple(kept)
+        self.reference = reference
+
+
+def object_hypervolume(front: ObjectFront) -> float:
+    """Exact 2-D or 3-D hypervolume over the normalized point tuples."""
+    if front.reference is None:
+        raise ValueError("hypervolume needs a front with a reference point")
+    points = [normalized(p) for p in front.points]
+    ref = normalized(front.reference)
+    if not points:
+        return 0.0
+    if len(ref) == 2:
+        return _hv2d([(p[0], p[1]) for p in points], (ref[0], ref[1]))
+    if len(ref) == 3:
+        return _hv3d([(p[0], p[1], p[2]) for p in points], (ref[0], ref[1], ref[2]))
+    raise ValueError(f"exact hypervolume supports 2 or 3 objectives, got {len(ref)}")
+
+
+def object_hypervolume_mc(front: ObjectFront, samples: int,
+                          seed: int) -> tuple[float, float]:
+    """Monte Carlo hypervolume and its standard error, drawn as
+    metrics.hypervolume_mc draws."""
+    if front.reference is None:
+        raise ValueError("hypervolume needs a front with a reference point")
+    if not front.points:
+        return 0.0, 0.0
+    mat = np.asarray([normalized(p) for p in front.points], dtype=float)
+    lo = np.asarray(normalized(front.reference), dtype=float)
+    hi = mat.max(axis=0)
+    box = float(np.prod(hi - lo))
+    if box == 0.0:
+        return 0.0, 0.0
+    rng = np.random.default_rng(seed)
+    covered = 0
+    done = 0
+    while done < samples:
+        n = min(200_000, samples - done)
+        draws = rng.uniform(lo, hi, size=(n, mat.shape[1]))
+        covered += int((mat[None, :, :] >= draws[:, None, :]).all(axis=-1)
+                       .any(axis=-1).sum())
+        done += n
+    frac = covered / samples
+    return box * frac, box * float(np.sqrt(frac * (1.0 - frac) / samples))
+
+
+def object_ratio_of_dominance(a: ObjectFront, b: ObjectFront) -> float:
+    """Fraction of a's points that dominate some point of b; 0 when either
+    front is empty."""
+    if not a.points or not b.points:
+        return 0.0
+    return (sum(1 for p in a.points if any(dominates(p, q) for q in b.points))
+            / len(a.points))
 
 
 def add(archive: ParetoArchive, key, payload, vector: ObjectiveVector) -> bool:
@@ -169,7 +299,7 @@ class ScalarDynamicEvaluator:
 
 def object_fronts(pop: Sequence[ObjectiveVector]) -> list[list[int]]:
     """Deb's fronts, each in ascending index order."""
-    mat = np.asarray([v.normalized() for v in pop], dtype=float)
+    mat = np.asarray([normalized(v) for v in pop], dtype=float)
     ge = (mat[:, None, :] >= mat[None, :, :]).all(axis=-1)
     gt = (mat[:, None, :] > mat[None, :, :]).any(axis=-1)
     dom = ge & gt
@@ -379,7 +509,27 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
     return _crowding_by_front(values, np.zeros(len(front), dtype=int)).tolist()
 
 
+def to_front(points: Sequence[ObjectiveVector],
+             reference: ObjectiveVector | None = None,
+             directions: Sequence[Direction] | None = None) -> Front:
+    """The Front of a list of ObjectiveVectors; the column directions come
+    from the points, else from the reference, else from `directions`."""
+    if points:
+        directions = points[0].directions
+    elif reference is not None:
+        directions = reference.directions
+    width = len(directions)
+    return Front(np.array([v.values for v in points],
+                          dtype=float).reshape(len(points), width),
+                 directions, None if reference is None else reference.values)
+
+
+def front_points(f: Front) -> list[ObjectiveVector]:
+    """A Front's kept rows as ObjectiveVectors, in order."""
+    return [ObjectiveVector(tuple(row), f.directions) for row in f.values.tolist()]
+
+
 def merge_nondominated(a: Sequence[ObjectiveVector], b: Sequence[ObjectiveVector],
                        reference: ObjectiveVector | None = None) -> Front:
     """The Front of the union of two point sets."""
-    return Front(list(a) + list(b), reference)
+    return to_front(list(a) + list(b), reference)

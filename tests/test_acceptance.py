@@ -39,15 +39,18 @@ from nestevo.genome import (
     sample_exit_genome,
 )
 from nestevo.ioe import IoeConfig, dynamic_fitness
-from nestevo.metrics import Front, hypervolume, ratio_of_dominance
-from nestevo.moea import Direction, ObjectiveVector, dominates
+from nestevo.metrics import hypervolume, ratio_of_dominance
+from nestevo.moea import Direction, ObjectiveVector
 from nestevo.ooe import OoeConfig, run_ooe
 
 from oracles import (
     dissimilarity,
+    dominates,
     exit_score,
     fast_nondominated_sort,
+    front_points,
     merge_nondominated,
+    to_front,
 )
 
 MAX = Direction.MAXIMIZE
@@ -155,10 +158,10 @@ def mc_oracle_2d(points, samples, seed):
 
 def test_criterion_03_hypervolume():
     ref = ObjectiveVector((0.0, 0.0), (MAX, MAX))
-    single = Front([ObjectiveVector((0.5, 0.5), (MAX, MAX))], ref)
+    single = to_front([ObjectiveVector((0.5, 0.5), (MAX, MAX))], ref)
     assert abs(hypervolume(single) - 0.25) <= 1e-12
-    pair = Front([ObjectiveVector((0.8, 0.2), (MAX, MAX)),
-                  ObjectiveVector((0.2, 0.8), (MAX, MAX))], ref)
+    pair = to_front([ObjectiveVector((0.8, 0.2), (MAX, MAX)),
+                     ObjectiveVector((0.2, 0.8), (MAX, MAX))], ref)
     assert abs(hypervolume(pair) - 0.28) <= 1e-12
 
     rng = random.Random(303)
@@ -167,7 +170,7 @@ def test_criterion_03_hypervolume():
         xs = sorted(rng.uniform(0.05, 1.0) for _ in range(n))
         ys = sorted((rng.uniform(0.05, 1.0) for _ in range(n)), reverse=True)
         points = list(zip(xs, ys))
-        front = Front([ObjectiveVector(p, (MAX, MAX)) for p in points], ref)
+        front = to_front([ObjectiveVector(p, (MAX, MAX)) for p in points], ref)
         exact = hypervolume(front)
         est, se = mc_oracle_2d(points, 1_000_000, seed=trial)
         assert abs(exact - est) <= 3 * se, (
@@ -178,11 +181,11 @@ def test_criterion_03_hypervolume():
         n = rng.randint(1, 8)
         xs = sorted(rng.uniform(0.05, 1.0) for _ in range(n))
         ys = sorted((rng.uniform(0.05, 1.0) for _ in range(n)), reverse=True)
-        front = Front([ObjectiveVector(p, (MAX, MAX)) for p in zip(xs, ys)], ref)
+        front = to_front([ObjectiveVector(p, (MAX, MAX)) for p in zip(xs, ys)], ref)
         before = hypervolume(front)
         extra = ObjectiveVector((rng.uniform(0, 1.2), rng.uniform(0, 1.2)),
                                 (MAX, MAX))
-        after = hypervolume(merge_nondominated(front.points, [extra], ref))
+        after = hypervolume(merge_nondominated(front_points(front), [extra], ref))
         if after < before - 1e-12:
             violations += 1
     assert violations == 0
@@ -348,8 +351,8 @@ def test_criterion_05_end_to_end_oracle(tmp_path):
         truth_ids = {row_identity(r) for r in truth_rows}
         assert archive_ids <= truth_ids, "archive contains off-front rows"
 
-        truth_front = Front([row_vector(r) for r in truth_rows])
-        archive_front = Front([row_vector(r) for r in archive_rows])
+        truth_front = to_front([row_vector(r) for r in truth_rows])
+        archive_front = to_front([row_vector(r) for r in archive_rows])
         rod = ratio_of_dominance(truth_front, archive_front)
         assert rod == 0.0, f"seed {seed}: truth dominates archive (RoD {rod})"
         elapsed = time.perf_counter() - start

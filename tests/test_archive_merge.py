@@ -14,10 +14,9 @@ from nestevo.moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    dominates,
 )
 
-from oracles import add, merge
+from oracles import add, dominates, merge, normalized
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE
@@ -30,7 +29,7 @@ def vec(*values, directions=DIRECTIONS):
 
 def union_mask(vectors):
     """Non-dominated flags over the whole set, from one full comparison."""
-    mat = np.asarray([v.normalized() for v in vectors], dtype=float)
+    mat = np.asarray([normalized(v) for v in vectors], dtype=float)
     ge = (mat[:, None, :] >= mat[None, :, :]).all(axis=-1)
     gt = (mat[:, None, :] > mat[None, :, :]).any(axis=-1)
     return [bool(not d) for d in (ge & gt).any(axis=0)]

@@ -38,7 +38,6 @@ from nestevo.ioe import (
     _DynamicEvaluator,
     dynamic_fitness,
     ioe_objective_matrix,
-    ioe_objectives,
 )
 from nestevo.moea import Direction, ObjectiveVector
 
@@ -46,6 +45,7 @@ from oracles import (
     ScalarDynamicEvaluator,
     crowding_distance,
     fast_nondominated_sort,
+    ioe_objectives,
     object_crowding,
     object_fronts,
     object_rank,

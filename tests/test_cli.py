@@ -473,25 +473,49 @@ class TestMetricsCommand:
         assert report["rod_b_over_a"] == 0.0
         assert report["hv_a"] == report["hv_b"]
 
-    def test_hand_front_pass_through(self, tmp_path, runner):
-        # Single point (0.5, 0.5) against reference (0, 1) in a
-        # (max, min) space: volume 0.5 * 0.5.
-        path = tmp_path / "tiny.csv"
+    @staticmethod
+    def hand_front(path, energy_ratio="0.5"):
+        """A one-row front.csv whose (mean_correct, energy_ratio) is
+        (0.5, energy_ratio)."""
         header = ",".join(ar.FRONT_CSV_COLUMNS)
         row = {c: "0" for c in ar.FRONT_CSV_COLUMNS}
         row.update({"blocks": "0-0-0-0", "exit_bits": "1", "device": "d",
                     "acc": "0.5", "latency_ms": "1", "energy_mj": "1",
-                    "mean_correct": "0.5", "energy_ratio": "0.5",
+                    "mean_correct": "0.5", "energy_ratio": energy_ratio,
                     "latency_ratio": "0.5", "mean_dissimilarity": "1",
                     "n_exits": "1", "mean_exit_score": "0.125"})
         path.write_text(header + "\n" + ",".join(row[c] for c in
                                                  ar.FRONT_CSV_COLUMNS) + "\n",
                         encoding="utf-8")
-        res = runner.invoke(main, ["metrics", str(path), str(path),
-                                   "--reference", "0,1"])
+        return str(path)
+
+    def test_hand_front_pass_through(self, tmp_path, runner):
+        # Single point (0.5, 0.5) against reference (0, 1) in a
+        # (max, min) space: volume 0.5 * 0.5.
+        path = self.hand_front(tmp_path / "tiny.csv")
+        res = runner.invoke(main, ["metrics", path, path, "--reference", "0,1"])
         assert res.exit_code == 0, res.output
         report = json.loads(res.output)
         assert report["hv_a"] == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("cell, reference, value", [
+        ("nan", "0,1", "nan"),
+        ("0.5", "0,inf", "inf"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, runner, cell,
+                                       reference, value):
+        path = self.hand_front(tmp_path / "f.csv", energy_ratio=cell)
+        res = runner.invoke(main, ["metrics", path, path,
+                                   "--reference", reference])
+        assert res.exit_code == 1
+        assert f"Error: objective value {value} is not finite" in res.output
+
+    def test_negative_mc_samples_rejected(self, tmp_path, runner):
+        path = self.hand_front(tmp_path / "f.csv")
+        res = runner.invoke(main, ["metrics", path, path, "--reference", "0,1",
+                                   "--mc-samples", "-5"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--mc-samples'" in res.output
 
     def test_schema_mismatch_nonzero_exit(self, tmp_path, runner):
         good = tmp_path / "good.csv"

@@ -25,13 +25,18 @@ from nestevo.genome import (
 from nestevo.ioe import (
     IoeConfig,
     dynamic_fitness,
-    ioe_objectives,
     run_ioe,
 )
 from nestevo.metrics import Front, hypervolume
-from nestevo.moea import Direction, ObjectiveVector, dominates
+from nestevo.moea import Direction
 
-from oracles import dissimilarity, exit_score, is_mutually_nondominated
+from oracles import (
+    dissimilarity,
+    dominates,
+    exit_score,
+    ioe_objectives,
+    is_mutually_nondominated,
+)
 
 QUAD_DEVICE = DeviceSpec("quad", (0.5, 1.0, 1.5, 2.0), (), default_compute_idx=3)
 
@@ -304,14 +309,11 @@ class TestRunIoe:
     def test_archive_hypervolume_nondecreasing(self, toy_space):
         b, device, hw, backend, static, profile = self._setup(toy_space)
         config = IoeConfig(generations=6, population=6, budget=36)
-        reference = ObjectiveVector(
-            (0.0, 50.0, 50.0),
-            (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE))
         volumes = []
 
         def on_gen(gen, archive):
-            points = [e.vector for e in archive.entries]
-            volumes.append(hypervolume(Front(points, reference)))
+            volumes.append(hypervolume(Front(archive.values, archive.directions,
+                                             (0.0, 50.0, 50.0))))
 
         run_ioe(b, toy_space, device, backend, hw, config, VariationParams(),
                 random.Random(2), profile=profile, static=static,

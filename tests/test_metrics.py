@@ -14,8 +14,19 @@ from nestevo.metrics import (
     hypervolume_mc,
     ratio_of_dominance,
 )
-from nestevo.moea import Direction, ObjectiveVector, dominates
-from oracles import hv3d, merge_nondominated
+from nestevo.moea import Direction, ObjectiveVector
+from oracles import (
+    ObjectFront,
+    dominates,
+    front_points,
+    hv3d,
+    merge_nondominated,
+    normalized,
+    object_hypervolume,
+    object_hypervolume_mc,
+    object_ratio_of_dominance,
+    to_front,
+)
 
 MAX = Direction.MAXIMIZE
 MIN = Direction.MINIMIZE
@@ -28,7 +39,7 @@ def vec(*values, directions=None):
 
 
 def front_of(points, reference):
-    return Front([vec(*p) for p in points], vec(*reference))
+    return to_front([vec(*p) for p in points], vec(*reference))
 
 
 def random_2d_front(rng, n_points):
@@ -54,8 +65,8 @@ def mc_oracle(points, reference, samples, seed):
 
 class TestFrontConstruction:
     def test_filters_dominated_and_duplicates(self):
-        f = Front([vec(1, 1), vec(0, 0), vec(1, 1), vec(2, 0)])
-        assert sorted(p.values for p in f.points) == [(1.0, 1.0), (2.0, 0.0)]
+        f = to_front([vec(1, 1), vec(0, 0), vec(1, 1), vec(2, 0)])
+        assert sorted(p.values for p in front_points(f)) == [(1.0, 1.0), (2.0, 0.0)]
 
     def test_reference_violation_raises(self):
         with pytest.raises(ValueError):
@@ -67,9 +78,25 @@ class TestFrontConstruction:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            Front([vec(1, 1), vec(1, 1, 1)])
+            to_front([vec(1, 1), vec(1, 1, 1)])
         with pytest.raises(ValueError):
-            Front([vec(1, 1)], vec(0, 0, 0))
+            to_front([vec(1, 1)], vec(0, 0, 0))
+
+
+    def test_matrix_shape_checked(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            Front(np.zeros(2), (MAX, MAX))
+        with pytest.raises(ValueError, match="does not fit"):
+            Front(np.zeros((2, 3)), (MAX, MAX))
+        with pytest.raises(ValueError, match="reference"):
+            Front(np.zeros((1, 2)), (MAX, MAX), (0.0, 0.0, 0.0))
+        assert len(Front(np.zeros((0, 2)), (MAX, MAX), (0.0, 0.0))) == 0
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="objective value nan is not finite"):
+            Front(np.array([[0.5, math.nan]]), (MAX, MIN))
+        with pytest.raises(ValueError, match="objective value -inf is not finite"):
+            Front(np.array([[0.5, 0.5]]), (MAX, MIN), (-math.inf, 1.0))
 
 
 class TestHypervolume2D:
@@ -83,7 +110,7 @@ class TestHypervolume2D:
         assert hypervolume(f) == pytest.approx(0.28, abs=1e-12)
 
     def test_empty_front_zero(self):
-        assert hypervolume(Front([], vec(0, 0))) == 0.0
+        assert hypervolume(to_front([], vec(0, 0))) == 0.0
 
     def test_permutation_invariant(self):
         rng = random.Random(1)
@@ -98,7 +125,7 @@ class TestHypervolume2D:
         # (MAX, MIN) objectives with reference (0, 10); by hand 1.6.
         points = [vec(0.2, 5, directions=(MAX, MIN)),
                   vec(0.8, 9, directions=(MAX, MIN))]
-        f = Front(points, vec(0, 10, directions=(MAX, MIN)))
+        f = to_front(points, vec(0, 10, directions=(MAX, MIN)))
         assert hypervolume(f) == pytest.approx(1.6, abs=1e-12)
 
     def test_matches_mc_oracle(self):
@@ -117,7 +144,7 @@ class TestHypervolume2D:
             before = hypervolume(f)
             new_point = (rng.uniform(0.0, 1.2), rng.uniform(0.0, 1.2))
             merged = merge_nondominated(
-                f.points, [vec(*new_point)], vec(0.0, 0.0))
+                front_points(f), [vec(*new_point)], vec(0.0, 0.0))
             assert hypervolume(merged) >= before - 1e-12
 
 
@@ -169,9 +196,72 @@ def test_hypervolume_3d_equals_filtered_oracle_mixed_directions(points, flips):
     directions = tuple(MIN if f else MAX for f in flips)
     stored = [tuple(1 - v if f else v for v, f in zip(p, flips)) for p in points]
     ref = vec(*(1.0 if f else 0.0 for f in flips), directions=directions)
-    front = Front([vec(*p, directions=directions) for p in stored], ref)
-    expected = hv3d([p.normalized() for p in front.points], ref.normalized())
+    front = to_front([vec(*p, directions=directions) for p in stored], ref)
+    expected = hv3d([normalized(p) for p in front_points(front)],
+                    normalized(ref))
     assert hypervolume(front) == expected
+
+
+# Matrix Front against the object oracle.  Values are drawn from [0, 1],
+# with signed zeros, the smallest subnormal and 1e308 mixed in; a MIN column
+# keeps the reference at or below 1e308, so no span overflows past it.
+_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
+                   st.integers(0, 4).map(lambda k: k / 4), st.floats(0, 1))
+
+
+@st.composite
+def _front_inputs(draw):
+    m = draw(st.sampled_from([2, 3]))
+    directions = tuple(draw(st.sampled_from([MAX, MIN])) for _ in range(m))
+    row = st.tuples(*[_value] * m)
+    a, b = (draw(st.lists(row, max_size=12)) for _ in range(2))
+    if draw(st.booleans()):
+        a = a + a[::2]
+    outer = tuple(0.0 if d is MAX else 1e308 for d in directions)
+    tight = tuple(min(col) if d is MAX else max(col)
+                  for col, d in zip(zip(*a), directions)) if a else outer
+    reference = draw(st.sampled_from([outer, tight]) | row)
+    return directions, a, b, reference
+
+
+def _same(x, y):
+    """Equal, or both NaN (inf * 0 in an overflowing volume)."""
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_front_inputs())
+def test_matrix_front_equals_object_oracle(inputs):
+    directions, a_rows, b_rows, reference = inputs
+    a, b = ([ObjectiveVector(r, directions) for r in rows]
+            for rows in (a_rows, b_rows))
+    a_new, b_new = (to_front(v, directions=directions) for v in (a, b))
+    a_old, b_old = ObjectFront(a), ObjectFront(b)
+    assert (repr([tuple(r) for r in a_new.values.tolist()])
+            == repr([p.values for p in a_old.points]))
+    assert ratio_of_dominance(a_new, b_new) == object_ratio_of_dominance(
+        a_old, b_old)
+    assert ratio_of_dominance(b_new, a_new) == object_ratio_of_dominance(
+        b_old, a_old)
+
+    ref = ObjectiveVector(reference, directions)
+    new = _outcome(to_front, a, ref, directions)
+    old = _outcome(ObjectFront, a, ref)
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert _same(hypervolume(new), object_hypervolume(old))
+    with np.errstate(over="ignore", invalid="ignore"):  # a box past 1e308
+        mc = zip(hypervolume_mc(new, 64, seed=3),
+                 object_hypervolume_mc(old, 64, seed=3))
+        assert all(_same(x, y) for x, y in mc)
 
 
 class TestHypervolumeHighDim:
@@ -186,35 +276,35 @@ class TestHypervolumeHighDim:
         assert abs(est - 0.5**4) <= max(3 * se, 1e-9)
 
     def test_missing_reference_raises(self):
-        f = Front([vec(1, 1)])
+        f = to_front([vec(1, 1)])
         with pytest.raises(ValueError):
             hypervolume(f)
 
 
 class TestRatioOfDominance:
     def test_total_dominance(self):
-        a = Front([vec(1, 1)])
-        b = Front([vec(0, 0)])
+        a = to_front([vec(1, 1)])
+        b = to_front([vec(0, 0)])
         assert ratio_of_dominance(a, b) == 1.0
         assert ratio_of_dominance(b, a) == 0.0
 
     def test_identical_fronts_zero(self):
         rng = random.Random(5)
         pts = random_2d_front(rng, 6)
-        a = Front([vec(*p) for p in pts])
-        b = Front([vec(*p) for p in pts])
+        a = to_front([vec(*p) for p in pts])
+        b = to_front([vec(*p) for p in pts])
         assert ratio_of_dominance(a, b) == 0.0
         assert ratio_of_dominance(a, a) == 0.0
 
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(6)
         for _ in range(50):
-            a = Front([vec(*p) for p in random_2d_front(rng, 16)])
-            b = Front([vec(*p) for p in random_2d_front(rng, 16)])
+            a = to_front([vec(*p) for p in random_2d_front(rng, 16)])
+            b = to_front([vec(*p) for p in random_2d_front(rng, 16)])
             expected = sum(
-                1 for p in a.points
-                if any(dominates(p, q) for q in b.points)
-            ) / len(a.points)
+                1 for p in front_points(a)
+                if any(dominates(p, q) for q in front_points(b))
+            ) / len(front_points(a))
             assert ratio_of_dominance(a, b) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_pairwise_oracle_with_duplicates(self):
@@ -226,22 +316,26 @@ class TestRatioOfDominance:
         for _ in range(300):
             pts = [tuple(rng.randint(0, 3) for _ in range(3))
                    for _ in range(rng.randint(1, 25))]
-            a = Front([vec(*p, directions=dirs)
-                       for p in rng.choices(pts, k=rng.randint(0, 20))])
-            b = Front([vec(*p, directions=dirs)
-                       for p in rng.choices(pts, k=rng.randint(0, 20))])
-            expected = (sum(1 for p in a.points
-                            if any(dominates(p, q) for q in b.points))
-                        / len(a.points)) if a.points else 0.0
+            a = to_front([vec(*p, directions=dirs)
+                          for p in rng.choices(pts, k=rng.randint(0, 20))],
+                         directions=dirs)
+            b = to_front([vec(*p, directions=dirs)
+                          for p in rng.choices(pts, k=rng.randint(0, 20))],
+                         directions=dirs)
+            expected = (sum(1 for p in front_points(a)
+                            if any(dominates(p, q) for q in front_points(b)))
+                        / len(front_points(a))) if front_points(a) else 0.0
             assert ratio_of_dominance(a, b) == expected
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ratio_of_dominance(Front([vec(1, 1)]), Front([vec(1, 1, 1)]))
+            ratio_of_dominance(to_front([vec(1, 1)]), to_front([vec(1, 1, 1)]))
 
     def test_empty_front_zero(self):
-        assert ratio_of_dominance(Front([]), Front([vec(1, 1)])) == 0.0
-        assert ratio_of_dominance(Front([vec(1, 1)]), Front([])) == 0.0
+        assert ratio_of_dominance(to_front([], directions=(MAX, MAX)),
+                                  to_front([vec(1, 1)])) == 0.0
+        assert ratio_of_dominance(to_front([vec(1, 1)]),
+                                  to_front([], directions=(MAX, MAX))) == 0.0
 
 
 class TestMerge:
@@ -249,7 +343,7 @@ class TestMerge:
         rng = random.Random(7)
         pts = [vec(*p) for p in random_2d_front(rng, 5)]
         merged = merge_nondominated(pts, pts)
-        assert sorted(p.values for p in merged.points) == sorted(
+        assert sorted(p.values for p in front_points(merged)) == sorted(
             p.values for p in pts)
 
     def test_incomparable_retained(self):
@@ -258,7 +352,7 @@ class TestMerge:
 
     def test_dominated_dropped(self):
         merged = merge_nondominated([vec(1, 1)], [vec(0, 0)])
-        assert [p.values for p in merged.points] == [(1.0, 1.0)]
+        assert [p.values for p in front_points(merged)] == [(1.0, 1.0)]
 
 
 class TestCompareFronts:

@@ -13,7 +13,6 @@ from nestevo.moea import (
     ObjectiveVector,
     ParetoArchive,
     breed,
-    dominates,
     initial_population,
     mating_pool,
     survivor_select,
@@ -24,6 +23,7 @@ from oracles import (
     RankedPopulation,
     add,
     crowding_distance,
+    dominates,
     fast_nondominated_sort,
     is_mutually_nondominated,
     merge,

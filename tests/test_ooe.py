@@ -26,17 +26,18 @@ from nestevo.ioe import (
     IoeConfig,
     IoeSolution,
     dynamic_fitness,
-    ioe_objectives,
 )
 from nestevo.moea import Direction, ObjectiveVector
 from nestevo.ooe import (
+    STATIC_DIRECTIONS,
     OoeConfig,
     combined_rank,
     ioe_front_hypervolume,
     run_ooe,
     static_rank_and_prune,
-    static_objectives,
 )
+
+from oracles import ioe_objectives
 
 HW = HardwareModelParams()
 SUR = SurrogateParams()
@@ -121,7 +122,8 @@ class TestStaticRankAndPrune:
             k = math.ceil(0.25 * len(statics))
             selected = static_rank_and_prune(statics, 0.25)
             assert len(selected) == k
-            vectors = [static_objectives(s) for s in statics]
+            vectors = [ObjectiveVector((s.accuracy, s.latency_ms, s.energy_mj),
+                                       STATIC_DIRECTIONS) for s in statics]
             for i in range(len(statics)):
                 dominators = sum(
                     1 for j in range(len(statics))
