@@ -22,6 +22,7 @@ from .evaluator import (
     HardwareBackend,
     eval_static,
     exit_profile,
+    running_sums,
 )
 from .genome import BackboneGenome, SearchSpaceSpec, sample_backbone, sampled_positions, validate_backbone
 from .ioe import IoeSolution, run_ioe
@@ -53,10 +54,10 @@ def exit_fraction_spread(solutions: Sequence[IoeSolution], profile: ExitProfile,
             continue
         values = [profile.fraction_at(p) for p in positions]
         diffs = [abs(a - b) for a, b in combinations(values, 2)]
-        per_solution.append(sum(diffs) / len(diffs))
+        per_solution.append(running_sums(diffs)[-1] / len(diffs))
     if not per_solution:
         return 0.0
-    return sum(per_solution) / len(per_solution)
+    return running_sums(per_solution)[-1] / len(per_solution)
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,10 @@ def run_ablation(cfg: RunConfig, backend: HardwareBackend,
                  gammas: Sequence[float]) -> AblationReport:
     if not gammas:
         raise ConfigError("gamma list must be non-empty")
+    if len(set(gammas)) != len(gammas):
+        # The ratios of dominance are keyed by gamma pair.
+        raise ConfigError(f"gammas must be distinct (0 and -0 are one value), "
+                          f"got {list(gammas)}")
     b = resolve_backbone(cfg)
     space = cfg.space
     device = cfg.device_spec()

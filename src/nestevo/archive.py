@@ -1,7 +1,10 @@
 """Archive persistence: a JSON document with config digest, per-generation
 snapshots, and the final solution set, plus a flat plot-ready CSV of the
-front.  All writes are atomic (temp file + rename) and all documents
-round-trip exactly, so byte-for-byte determinism can be asserted on disk.
+front.  All writes are atomic (temp file + rename), and the text of every
+row is a function of the solution alone, so byte-for-byte determinism can
+be asserted on disk.  The readers that rebuild solutions from both files
+live with the tests (tests/oracles.py), which check that a read-and-rewrite
+gives the same bytes.
 """
 
 from __future__ import annotations
@@ -16,12 +19,9 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Sequence
 
-from .evaluator import StaticScore
-from .genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
-from .ioe import DynamicScore
+from .genome import BackboneGenome
 from .moea import ArchiveEntry, ObjectiveVector
-from .ooe import (COMBINED_DIRECTIONS, EvalCounters, FinalSolution,
-                  GenerationRecord, OoeResult)
+from .ooe import FinalSolution, OoeResult
 
 SCHEMA_VERSION = 1
 
@@ -40,31 +40,26 @@ def _blocks_str(b: BackboneGenome) -> str:
                     for g in b.blocks)
 
 
-def _blocks_from_str(s: str) -> tuple[BlockGenes, ...]:
-    return tuple(BlockGenes(*(int(v) for v in part.split("-")))
-                 for part in s.split("|"))
-
-
 # The solution schema, one entry per field in front.csv column order: the
-# CSV column, the field's section of an archive.json row (None: the row's
-# top level) and its name there, and the parser of the CSV text.  The CSV
-# writer turns None into an empty cell and floats into their repr.
+# CSV column, and the field's section of an archive.json row (None: the
+# row's top level) and its name there.  The CSV writer turns None into an
+# empty cell and floats into their repr.
 _FIELDS = (
-    ("resolution_idx", "backbone", "resolution_idx", int),
-    ("blocks", "backbone", "blocks", str),
-    ("exit_bits", None, "exit_bits", str),
-    ("device", "dvfs", "device", str),
-    ("compute_idx", "dvfs", "compute_idx", int),
-    ("emc_idx", "dvfs", "emc_idx", lambda s: None if s == "" else int(s)),
-    ("acc", "static", "acc", float),
-    ("latency_ms", "static", "latency_ms", float),
-    ("energy_mj", "static", "energy_mj", float),
-    ("mean_correct", "dynamic", "mean_correct", float),
-    ("energy_ratio", "dynamic", "mean_energy_ratio", float),
-    ("latency_ratio", "dynamic", "mean_latency_ratio", float),
-    ("mean_dissimilarity", "dynamic", "mean_dissimilarity", float),
-    ("n_exits", "dynamic", "n_exits", int),
-    ("mean_exit_score", "dynamic", "mean_exit_score", float),
+    ("resolution_idx", "backbone", "resolution_idx"),
+    ("blocks", "backbone", "blocks"),
+    ("exit_bits", None, "exit_bits"),
+    ("device", "dvfs", "device"),
+    ("compute_idx", "dvfs", "compute_idx"),
+    ("emc_idx", "dvfs", "emc_idx"),
+    ("acc", "static", "acc"),
+    ("latency_ms", "static", "latency_ms"),
+    ("energy_mj", "static", "energy_mj"),
+    ("mean_correct", "dynamic", "mean_correct"),
+    ("energy_ratio", "dynamic", "mean_energy_ratio"),
+    ("latency_ratio", "dynamic", "mean_latency_ratio"),
+    ("mean_dissimilarity", "dynamic", "mean_dissimilarity"),
+    ("n_exits", "dynamic", "n_exits"),
+    ("mean_exit_score", "dynamic", "mean_exit_score"),
 )
 
 FRONT_CSV_COLUMNS = tuple(f[0] for f in _FIELDS)
@@ -89,27 +84,6 @@ def _values(sol: FinalSolution) -> tuple:
     return sum((values(getattr(sol, attr)) for attr, values in _PARTS), ())
 
 
-def _solution(values: Sequence) -> FinalSolution:
-    """Inverse of _values."""
-    (resolution, blocks, bits, device, compute, emc, acc, latency, energy,
-     correct, energy_ratio, latency_ratio, dissimilarity, n_exits,
-     exit_score) = values
-    return FinalSolution(
-        BackboneGenome(resolution, _blocks_from_str(blocks)),
-        ExitGenome(tuple(int(c) for c in bits)),
-        DvfsGenome(device, compute, emc),
-        StaticScore(acc, latency, energy),
-        DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
-                     dissimilarity, n_exits),
-    )
-
-
-def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
-    sol = _solution([(doc if section is None else doc[section])[name]
-                     for _, section, name, _ in _FIELDS])
-    return sol, ObjectiveVector(tuple(doc["objectives"]), COMBINED_DIRECTIONS)
-
-
 def _sorted_entries(entries: Sequence[ArchiveEntry]) -> list[ArchiveEntry]:
     return sorted(entries, key=lambda e: e.key)
 
@@ -123,17 +97,6 @@ def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
         "counters": asdict(result.counters),
         "generations": [asdict(rec) for rec in result.snapshots],
     }
-
-
-def archive_doc_result(doc: dict) -> OoeResult:
-    """Rebuild an OoeResult from a loaded archive document."""
-    entries = []
-    for sol_doc in doc["final"]:
-        sol, vector = solution_from_dict(sol_doc)
-        entries.append(ArchiveEntry(sol.key(), sol, vector))
-    counters = EvalCounters(**doc["counters"])
-    snapshots = tuple(GenerationRecord(**g) for g in doc["generations"])
-    return OoeResult(tuple(entries), snapshots, counters)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -189,7 +152,7 @@ def _compile_row() -> tuple[str, tuple]:
     groups = groupby(_FIELDS, key=lambda f: f[1] or f[2])
     for (attr, values), (key, fields) in zip(_PARTS, groups, strict=True):
         fields = list(fields)
-        names = [name for _, _, name, _ in fields]
+        names = [name for _, _, name in fields]
         order = sorted(range(len(names)), key=names.__getitem__)
         template = "%s" if fields[0][1] is None else _json_block(
             "{", [_key(names[i]) + "%s" for i in order], "}")
@@ -267,11 +230,6 @@ def save_json(path: str, doc: dict, final_json: str | None = None) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_front_csv(path: str, entries: Sequence[ArchiveEntry]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -287,7 +245,3 @@ def read_front_csv(path: str) -> list[dict]:
         if missing:
             raise ValueError(f"front CSV missing columns: {sorted(missing)}")
         return list(reader)
-
-
-def front_solution_from_row(row: dict) -> FinalSolution:
-    return _solution([parse(row[column]) for column, _, _, parse in _FIELDS])

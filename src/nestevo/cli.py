@@ -180,9 +180,8 @@ def _parse_objectives(specs: tuple[str, ...]) -> list[tuple[str, Direction]]:
     for spec in specs:
         try:
             column, direction = spec.rsplit(":", 1)
-            out.append((column, {"max": Direction.MAXIMIZE,
-                                 "min": Direction.MINIMIZE}[direction]))
-        except (ValueError, KeyError):
+            out.append((column, Direction(direction)))
+        except ValueError:
             raise click.ClickException(
                 f"bad objective {spec!r}; expected COLUMN:max or COLUMN:min"
             )

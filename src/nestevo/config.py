@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import yaml
@@ -89,17 +89,31 @@ def _expect_mapping(node: Any, name: str) -> dict:
     return node
 
 
-def _pick(node: dict, defaults: Any, **renames: str) -> dict:
+def _pick(node: dict, defaults: Any) -> dict:
     """kwargs for a dataclass: every key in `node` must be known."""
-    known = set(defaults.__dataclass_fields__) | set(renames)
+    known = set(defaults.__dataclass_fields__)
     unknown = set(node) - known
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}; "
                           f"expected a subset of {sorted(known)}")
-    out = {}
-    for k, v in node.items():
-        out[renames.get(k, k)] = v
-    return out
+    return dict(node)
+
+
+def _parse_device(i: int, d: Any) -> DeviceSpec:
+    where = f"space.devices[{i}]"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in ("name", "compute_freq_ghz"):
+        if key not in d:
+            named = f" ({d['name']!r})" if "name" in d else ""
+            raise ConfigError(f"{where}{named} has no {key!r}")
+    return DeviceSpec(
+        name=d["name"],
+        compute_freq_ghz=tuple(d["compute_freq_ghz"]),
+        emc_freq_ghz=tuple(d.get("emc_freq_ghz", ())),
+        default_compute_idx=d.get("default_compute_idx", 0),
+        default_emc_idx=d.get("default_emc_idx"),
+    )
 
 
 def _parse_space(node: dict) -> SearchSpaceSpec:
@@ -108,23 +122,14 @@ def _parse_space(node: dict) -> SearchSpaceSpec:
     if devices_node is None:
         devices = default_devices()
     else:
-        devices = tuple(
-            DeviceSpec(
-                name=d["name"],
-                compute_freq_ghz=tuple(d["compute_freq_ghz"]),
-                emc_freq_ghz=tuple(d.get("emc_freq_ghz", ())),
-                default_compute_idx=d.get("default_compute_idx", 0),
-                default_emc_idx=d.get("default_emc_idx"),
-            )
-            for d in devices_node
-        )
+        devices = tuple(_parse_device(i, d) for i, d in enumerate(devices_node))
     kwargs: dict[str, Any] = {"device_specs": devices}
-    renames = {"resolution": "resolution_domain", "depth": "depth_domain",
+    domains = {"resolution": "resolution_domain", "depth": "depth_domain",
                "width": "width_domain", "kernel": "kernel_domain",
                "expand": "expand_domain"}
     for key, value in node.items():
-        if key in renames:
-            kwargs[renames[key]] = tuple(value)
+        if key in domains:
+            kwargs[domains[key]] = tuple(value)
         elif key in ("n_block", "exit_min_position"):
             kwargs[key] = value
         else:
@@ -238,19 +243,10 @@ def load_config(path: str, *, seed_override: int | None = None,
                         out_override=out_override)
 
 
-def _dataclass_dict(obj: Any) -> Any:
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _dataclass_dict(getattr(obj, k))
-                for k in obj.__dataclass_fields__}
-    if isinstance(obj, (list, tuple)):
-        return [_dataclass_dict(v) for v in obj]
-    return obj
-
-
 def config_digest(config: RunConfig) -> str:
     """sha256 over everything that affects results (output paths excluded),
     including the bytes of the lookup table for the table backend."""
-    doc = _dataclass_dict(config)
+    doc = asdict(config)
     doc.pop("output_dir", None)
     if config.backend == "table":
         try:

@@ -14,8 +14,8 @@ import csv
 import hashlib
 import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -141,6 +141,15 @@ class LossRecord:
 # Workload model
 
 
+def running_sums(values: Iterable[float]) -> list[float]:
+    """0.0 followed by each prefix sum of `values`, added left to right.
+
+    Float lists are summed here rather than with sum(): from Python 3.12 on
+    sum() of floats is compensated, so its last bit would depend on the
+    interpreter."""
+    return list(accumulate(values, initial=0.0))
+
+
 def layer_workloads(b: BackboneGenome,
                     space: SearchSpaceSpec) -> tuple[list[float], list[float]]:
     """Per-layer (flops, bytes) shares, layer 1 first.
@@ -182,8 +191,8 @@ def workload_of(b: BackboneGenome, space: SearchSpaceSpec,
         raise ValueError("prefix must contain at least one layer")
     if upto_layer > n:
         raise ValueError(f"prefix of {upto_layer} layers exceeds model depth {n}")
-    total_flops = sum(flops[:upto_layer])
-    total_bytes = sum(bytes_[:upto_layer])
+    total_flops = running_sums(flops[:upto_layer])[-1]
+    total_bytes = running_sums(bytes_[:upto_layer])[-1]
     for pos in exit_positions:
         if not 1 <= pos <= upto_layer:
             raise ValueError(f"exit position {pos} outside prefix 1..{upto_layer}")
@@ -241,17 +250,10 @@ def exit_correct_fraction(accuracy: float, compute_ratio: float,
 def exit_profile(b: BackboneGenome, space: SearchSpaceSpec,
                  params: SurrogateParams, seed: int) -> ExitProfile:
     acc = accuracy_surrogate(b, space, params, seed)
-    flops, _ = layer_workloads(b, space)
-    full = sum(flops)
+    cum_flops = running_sums(layer_workloads(b, space)[0])
     positions = admissible_positions(b, space)
-    fractions = []
-    running = 0.0
-    upto = 0
-    for pos in positions:
-        while upto < pos:
-            running += flops[upto]
-            upto += 1
-        fractions.append(exit_correct_fraction(acc, running / full, params))
+    fractions = [exit_correct_fraction(acc, cum_flops[pos] / cum_flops[-1], params)
+                 for pos in positions]
     return ExitProfile(tuple(positions), tuple(fractions), acc)
 
 
@@ -284,18 +286,24 @@ def hw_latency_energy(w: Workload, device: DeviceSpec, f: DvfsGenome,
 
 
 class HardwareBackend(Protocol):
-    def latency_energy(self, w: Workload, device: DeviceSpec,
-                       f: DvfsGenome) -> tuple[float, float]: ...
+    """A hardware cost model.  A backend implements latency_energy_batch;
+    latency_energy, inherited by subclasses, is its one-row call."""
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
                              rows: np.ndarray, device: DeviceSpec,
                              settings: Sequence[DvfsGenome]
                              ) -> tuple[np.ndarray, np.ndarray]:
-        """Latency and energy of each workload (flops[i], bytes_[i]) at the
-        frequency setting settings[rows[i]]; element i equals
-        latency_energy(Workload(flops[i], bytes_[i]), device,
-        settings[rows[i]]) exactly.  The workloads are already validated."""
+        """Latency (ms) and energy (mJ) of each workload (flops[i],
+        bytes_[i]) at the frequency setting settings[rows[i]].  The
+        workloads are already validated."""
         ...
+
+    def latency_energy(self, w: Workload, device: DeviceSpec,
+                       f: DvfsGenome) -> tuple[float, float]:
+        latency, energy = self.latency_energy_batch(
+            np.array([w.flops]), np.array([w.bytes]), np.zeros(1, dtype=int),
+            device, [f])
+        return float(latency[0]), float(energy[0])
 
 
 _T = TypeVar("_T")
@@ -317,15 +325,11 @@ def _per_setting(settings: Sequence[DvfsGenome],
     return values, np.array(which, dtype=int)
 
 
-class SyntheticHardwareModel:
+class SyntheticHardwareModel(HardwareBackend):
     """Closed-form backend; the default."""
 
     def __init__(self, params: HardwareModelParams | None = None) -> None:
         self.params = params or HardwareModelParams()
-
-    def latency_energy(self, w: Workload, device: DeviceSpec,
-                       f: DvfsGenome) -> tuple[float, float]:
-        return hw_latency_energy(w, device, f, self.params)
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
                              rows: np.ndarray, device: DeviceSpec,
@@ -372,21 +376,19 @@ class HardwareTable:
                 (bucket, latency, energy))
         for bucket_rows in self._rows.values():
             bucket_rows.sort()
-        self._xs = {key: [r[0] for r in bucket_rows]
-                    for key, bucket_rows in self._rows.items()}
-        # The same rows padded into matrices with one row per key, for
-        # lookup_batch: buckets past a key's count read +inf.  math.log
-        # raises on values <= 0, and only when interpolating, so those read
-        # NaN here and lookup_batch raises when it would use them.
+        # The same rows padded into matrices with one row per key: buckets
+        # past a key's count read +inf.  Interpolating in logs needs
+        # positive values, so a value <= 0 reads NaN here and lookup_batch
+        # raises when it would interpolate from it.
         self._index = {key: k for k, key in enumerate(self._rows)}
         width = max(map(len, self._rows.values()), default=0)
         self._counts = np.array([len(r) for r in self._rows.values()], dtype=int)
-        self._bucket_xs = np.full((len(self._rows), width), math.inf)
+        self._buckets = np.full((len(self._rows), width), math.inf)
         self._values = np.zeros((len(self._rows), width, 2))
         self._logs = np.zeros((len(self._rows), width, 2))
         for k, bucket_rows in enumerate(self._rows.values()):
             n = len(bucket_rows)
-            self._bucket_xs[k, :n] = [r[0] for r in bucket_rows]
+            self._buckets[k, :n] = [r[0] for r in bucket_rows]
             self._values[k, :n] = [r[1:] for r in bucket_rows]
             self._logs[k, :n] = [[math.log(v) if v > 0 else math.nan
                                   for v in r[1:]] for r in bucket_rows]
@@ -415,34 +417,25 @@ class HardwareTable:
 
     def lookup(self, device: str, f_c: float, f_m: float | None,
                flops: float) -> tuple[float, float]:
-        key = self._key(device, f_c, f_m)
-        rows = self._rows[key]
-        q = math.log10(flops)
-        xs = self._xs[key]
-        i = bisect_left(xs, q)
-        if i < len(rows) and xs[i] == q:
-            return rows[i][1], rows[i][2]
-        if i == 0:  # below the smallest bucket: clamp
-            return rows[0][1], rows[0][2]
-        if i == len(rows):  # above the largest bucket: clamp
-            return rows[-1][1], rows[-1][2]
-        (x0, l0, e0), (x1, l1, e1) = rows[i - 1], rows[i]
-        t = (q - x0) / (x1 - x0)
-        lat = math.exp((1 - t) * math.log(l0) + t * math.log(l1))
-        energy = math.exp((1 - t) * math.log(e0) + t * math.log(e1))
-        return lat, energy
+        latency, energy = self.lookup_batch([(device, f_c, f_m)],
+                                            np.zeros(1, dtype=int),
+                                            np.array([flops], dtype=float))
+        return float(latency[0]), float(energy[0])
 
     def lookup_batch(self, queries: Sequence[tuple[str, float, float | None]],
                      which: np.ndarray,
                      flops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lookup(*queries[which[i]], flops[i]) for every i, as arrays.
+        """Latency and energy of flops[i] under the frequency pair
+        queries[which[i]] = (device, f_c, f_m or None), as arrays.
 
-        The bisection is a count of the buckets below each query; log10 and
-        exp are the math module's, so every element equals lookup's."""
+        Each query's place among the buckets is a count of the buckets
+        below it; log10 and exp are the math module's.  A pair without rows
+        raises KeyError, and an interpolation from a value <= 0 raises
+        ValueError ("math domain error")."""
         keys = np.array([self._index[self._key(*q)] for q in queries],
                         dtype=int)[which]
         counts = self._counts[keys]
-        xs = self._bucket_xs[keys]
+        xs = self._buckets[keys]
         q = np.array([math.log10(v) for v in flops.tolist()])
         i = (xs < q[:, None]).sum(axis=1)
         nearest = np.minimum(i, counts - 1)
@@ -454,27 +447,21 @@ class HardwareTable:
             lo = hi - 1
             if (self._values[k, lo] <= 0).any() or (self._values[k, hi] <= 0).any():
                 raise ValueError("math domain error")
-            x0 = self._bucket_xs[k, lo]
-            t = ((q[inner] - x0) / (self._bucket_xs[k, hi] - x0))[:, None]
+            x0 = self._buckets[k, lo]
+            t = ((q[inner] - x0) / (self._buckets[k, hi] - x0))[:, None]
             mixed = (1 - t) * self._logs[k, lo] + t * self._logs[k, hi]
             out[inner] = np.array([math.exp(v) for v in mixed.ravel().tolist()]
                                   ).reshape(-1, 2)
         return out[:, 0], out[:, 1]
 
 
-class TableHardwareModel:
+class TableHardwareModel(HardwareBackend):
     def __init__(self, table: HardwareTable) -> None:
         self.table = table
 
     @classmethod
     def from_csv(cls, path: str) -> "TableHardwareModel":
         return cls(HardwareTable.from_csv(path))
-
-    def latency_energy(self, w: Workload, device: DeviceSpec,
-                       f: DvfsGenome) -> tuple[float, float]:
-        f_c, f_m = resolved_frequencies(device, f)
-        return self.table.lookup(device.name, f_c,
-                                 f_m if device.has_emc else None, w.flops)
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
                              rows: np.ndarray, device: DeviceSpec,
@@ -511,12 +498,12 @@ _PROB_FLOOR = 1e-12
 
 def _soften(p: Sequence[float], temperature: float) -> list[float]:
     powered = [max(v, 0.0) ** (1.0 / temperature) for v in p]
-    z = sum(powered)
+    z = running_sums(powered)[-1]
     return [v / z for v in powered]
 
 
 def _check_simplex(p: Sequence[float], name: str) -> None:
-    if abs(sum(p) - 1.0) > 1e-9:
+    if abs(running_sums(p)[-1] - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1")
     if any(v < 0 for v in p):
         raise ValueError(f"{name} must be nonnegative")
@@ -547,11 +534,11 @@ def hybrid_loss(exit_probs: Sequence[Sequence[float]],
             raise ValueError("exit and final distributions differ in length")
         nll_sum += -math.log(max(probs[label], _PROB_FLOOR))
         student = _soften(probs, temperature)
-        kl = sum(
+        kl = running_sums(
             t * (math.log(t) - math.log(max(s, _PROB_FLOOR)))
             for t, s in zip(teacher, student)
             if t > 0
-        )
+        )[-1]
         kd_sum += max(kl, 0.0) * temperature**2
     n_exits = len(exit_probs)
     return LossRecord(nll_sum / n_exits, kd_sum / n_exits)
@@ -565,5 +552,5 @@ def hybrid_loss_batch(samples: Sequence[tuple[Sequence[Sequence[float]],
         raise ValueError("empty batch")
     records = [hybrid_loss(e, f, y, temperature) for e, f, y in samples]
     n = len(records)
-    return LossRecord(sum(r.nll for r in records) / n,
-                      sum(r.kd for r in records) / n)
+    return LossRecord(running_sums(r.nll for r in records)[-1] / n,
+                      running_sums(r.kd for r in records)[-1] / n)

@@ -22,6 +22,7 @@ from .evaluator import (
     HardwareModelParams,
     StaticScore,
     layer_workloads,
+    running_sums,
 )
 from .genome import (
     BackboneGenome,
@@ -139,11 +140,8 @@ class _DynamicEvaluator:
                  hw: HardwareModelParams, profile: ExitProfile,
                  static: StaticScore, gamma: float) -> None:
         flops, byts = layer_workloads(b, space)
-        cum_flops = [0.0]
-        cum_bytes = [0.0]
-        for f, m in zip(flops, byts):
-            cum_flops.append(cum_flops[-1] + f)
-            cum_bytes.append(cum_bytes[-1] + m)
+        cum_flops = running_sums(flops)
+        cum_bytes = running_sums(byts)
         first = space.exit_min_position
         positions = range(first, first + indicator_length(b, space))
         if len(profile.correct_fractions) < len(positions):

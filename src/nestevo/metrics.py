@@ -7,6 +7,7 @@ make hypervolumes incomparable across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -124,7 +125,8 @@ def hypervolume_mc(front: Front, samples: int,
                    seed: int) -> tuple[float, float]:
     """Monte Carlo estimate (any dimensionality): uniform samples in the
     reference-to-upper-corner box, counting points covered by the front.
-    Returns (estimate, standard error)."""
+    Returns (estimate, standard error); a box with a side of zero width has
+    volume 0, and one whose volume is not a finite float raises ValueError."""
     if samples < 1:
         raise ValueError("need at least one sample")
     points, ref = _require_reference(front)
@@ -133,9 +135,14 @@ def hypervolume_mc(front: Front, samples: int,
     mat = np.asarray(points, dtype=float)
     lo = np.asarray(ref, dtype=float)
     hi = mat.max(axis=0)
-    box = float(np.prod(hi - lo))
-    if box == 0.0:
+    # In Python floats, so that an overflow gives inf instead of a warning.
+    sides = [h - r for h, r in zip(hi.tolist(), ref)]
+    box = math.prod(sides)
+    if 0.0 in sides or box == 0.0:
         return 0.0, 0.0
+    if not math.isfinite(box):
+        raise ValueError(f"the box from the reference {front.reference} to "
+                         "the front's upper corner has no finite volume")
     rng = np.random.default_rng(seed)
     covered = 0
     chunk = 200_000

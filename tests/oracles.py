@@ -10,9 +10,12 @@ breeding functions over it) is the object API selection ran on before it
 took rank and crowding arrays.  The object twins (dominates, normalized,
 ioe_objectives and ObjectFront with its hypervolume and ratio of dominance)
 are the per-ObjectiveVector code the package ran before metrics and the
-outer engine took objective matrices.  The per-exit primitives and the
-one-item archive merge are definitions only the tests use.  The regrouping
-helpers at the end give the package's matrix API (rank_rows,
+outer engine took objective matrices.  The scalar hardware costs
+(hw_latency_energy and a bisecting table lookup) price one workload at a
+time, independently of the backends' batch path.  The per-exit primitives,
+the one-item archive merge and the archive readers (archive.json rows and
+front.csv rows back to solutions) are definitions only the tests use.  The
+regrouping helpers at the end give the package's matrix API (rank_rows,
 nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
 ObjectiveVectors the tests are written in; they convert and regroup, and
 rank nothing themselves.
@@ -25,23 +28,49 @@ import io
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from nestevo.archive import FRONT_CSV_COLUMNS, _FIELDS, _blocks_str
-from nestevo.evaluator import ExitProfile, Workload, layer_workloads
-from nestevo.genome import VariationParams, sampled_positions
+from nestevo.evaluator import (
+    ExitProfile,
+    HardwareTable,
+    StaticScore,
+    SyntheticHardwareModel,
+    TableHardwareModel,
+    Workload,
+    hw_latency_energy,
+    layer_workloads,
+    resolved_frequencies,
+)
+from nestevo.genome import (
+    BackboneGenome,
+    BlockGenes,
+    DvfsGenome,
+    ExitGenome,
+    VariationParams,
+    sampled_positions,
+)
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
 from nestevo.metrics import Front, _hv2d, _hv3d
 from nestevo.moea import (
+    ArchiveEntry,
     Direction,
     ObjectiveVector,
     ParetoArchive,
     _crowding_by_front,
     nondominated_rows,
     rank_rows,
+)
+from nestevo.ooe import (
+    COMBINED_DIRECTIONS,
+    EvalCounters,
+    FinalSolution,
+    GenerationRecord,
+    OoeResult,
 )
 
 
@@ -146,9 +175,13 @@ def object_hypervolume_mc(front: ObjectFront, samples: int,
     mat = np.asarray([normalized(p) for p in front.points], dtype=float)
     lo = np.asarray(normalized(front.reference), dtype=float)
     hi = mat.max(axis=0)
-    box = float(np.prod(hi - lo))
-    if box == 0.0:
+    sides = [h - r for h, r in zip(hi.tolist(), normalized(front.reference))]
+    box = math.prod(sides)
+    if 0.0 in sides or box == 0.0:
         return 0.0, 0.0
+    if not math.isfinite(box):
+        raise ValueError(f"the box from the reference {front.reference.values} "
+                         "to the front's upper corner has no finite volume")
     rng = np.random.default_rng(seed)
     covered = 0
     done = 0
@@ -251,6 +284,42 @@ def is_mutually_nondominated(archive: ParetoArchive) -> bool:
     )
 
 
+def table_lookup(table: HardwareTable, device: str, f_c: float,
+                 f_m: float | None, flops: float) -> tuple[float, float]:
+    """One table query: a bisection over the key's sorted buckets, an exact
+    hit read as stored, a clamp at either end, and log-linear interpolation
+    in Python floats between the two buckets around the query."""
+    rows = table._rows[table._key(device, f_c, f_m)]
+    q = math.log10(flops)
+    xs = [r[0] for r in rows]
+    i = bisect_left(xs, q)
+    if i < len(rows) and xs[i] == q:
+        return rows[i][1], rows[i][2]
+    if i == 0:
+        return rows[0][1], rows[0][2]
+    if i == len(rows):
+        return rows[-1][1], rows[-1][2]
+    (x0, l0, e0), (x1, l1, e1) = rows[i - 1], rows[i]
+    t = (q - x0) / (x1 - x0)
+    lat = math.exp((1 - t) * math.log(l0) + t * math.log(l1))
+    energy = math.exp((1 - t) * math.log(e0) + t * math.log(e1))
+    return lat, energy
+
+
+def reference_latency_energy(backend, w: Workload, device,
+                             f: DvfsGenome) -> tuple[float, float]:
+    """Latency and energy of one workload without the backend's batch path:
+    hw_latency_energy for the synthetic model, table_lookup for a table, and
+    a test double's own latency_energy."""
+    if isinstance(backend, SyntheticHardwareModel):
+        return hw_latency_energy(w, device, f, backend.params)
+    if isinstance(backend, TableHardwareModel):
+        f_c, f_m = resolved_frequencies(device, f)
+        return table_lookup(backend.table, device.name, f_c,
+                            f_m if device.has_emc else None, w.flops)
+    return backend.latency_energy(w, device, f)
+
+
 class ScalarDynamicEvaluator:
     """Per-candidate dynamic evaluation: one backend call per sampled exit,
     running sums in Python floats."""
@@ -281,7 +350,8 @@ class ScalarDynamicEvaluator:
         for pos in positions:
             overhead_flops += self.overhead * self.layer_flops[pos - 1]
             w = Workload(self.cum_flops[pos] + overhead_flops, self.cum_bytes[pos])
-            latency, energy = self.backend.latency_energy(w, self.device, f)
+            latency, energy = reference_latency_energy(self.backend, w,
+                                                       self.device, f)
             er = energy / self.static.energy_mj
             lr = latency / self.static.latency_ms
             n = self.profile.correct_fractions[pos - self.min_pos]
@@ -368,7 +438,7 @@ def solution_values(sol) -> tuple:
 def solution_to_dict(sol, vector: ObjectiveVector) -> dict:
     """One archive.json row as a dict."""
     doc: dict = {"objectives": list(vector.values)}
-    for (_, section, name, _), value in zip(_FIELDS, solution_values(sol)):
+    for (_, section, name), value in zip(_FIELDS, solution_values(sol)):
         (doc if section is None else doc.setdefault(section, {}))[name] = value
     return doc
 
@@ -390,6 +460,69 @@ def front_csv_text(entries) -> str:
     for e in sorted(entries, key=lambda e: e.key):
         writer.writerow(dict(zip(FRONT_CSV_COLUMNS, solution_values(e.payload))))
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Archive readers
+
+
+def _emc_idx(text: str) -> int | None:
+    return None if text == "" else int(text)
+
+
+# The parser of each front.csv column's text, in _FIELDS order.
+_CSV_PARSERS = (int, str, str, str, int, _emc_idx, float, float, float,
+                float, float, float, float, int, float)
+
+
+def _blocks_from_str(s: str) -> tuple[BlockGenes, ...]:
+    return tuple(BlockGenes(*(int(v) for v in part.split("-")))
+                 for part in s.split("|"))
+
+
+def solution_from_values(values: Sequence) -> FinalSolution:
+    """Inverse of solution_values."""
+    (resolution, blocks, bits, device, compute, emc, acc, latency, energy,
+     correct, energy_ratio, latency_ratio, dissimilarity, n_exits,
+     exit_score) = values
+    return FinalSolution(
+        BackboneGenome(resolution, _blocks_from_str(blocks)),
+        ExitGenome(tuple(int(c) for c in bits)),
+        DvfsGenome(device, compute, emc),
+        StaticScore(acc, latency, energy),
+        DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
+                     dissimilarity, n_exits),
+    )
+
+
+def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
+    """One loaded archive.json row as a solution and its objective vector."""
+    sol = solution_from_values([(doc if section is None else doc[section])[name]
+                                for _, section, name in _FIELDS])
+    return sol, ObjectiveVector(tuple(doc["objectives"]), COMBINED_DIRECTIONS)
+
+
+def archive_doc_result(doc: dict) -> OoeResult:
+    """Rebuild an OoeResult from a loaded archive document."""
+    entries = []
+    for sol_doc in doc["final"]:
+        sol, vector = solution_from_dict(sol_doc)
+        entries.append(ArchiveEntry(sol.key(), sol, vector))
+    counters = EvalCounters(**doc["counters"])
+    snapshots = tuple(GenerationRecord(**g) for g in doc["generations"])
+    return OoeResult(tuple(entries), snapshots, counters)
+
+
+def load_json(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def front_solution_from_row(row: dict) -> FinalSolution:
+    """One front.csv row (a csv.DictReader dict) as a solution."""
+    return solution_from_values(
+        [parse(row[column]) for (column, _, _), parse
+         in zip(_FIELDS, _CSV_PARSERS, strict=True)])
 
 
 # ---------------------------------------------------------------------------

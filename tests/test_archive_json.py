@@ -19,7 +19,8 @@ from nestevo.ioe import DynamicScore
 from nestevo.moea import ArchiveEntry, ObjectiveVector
 from nestevo.ooe import COMBINED_DIRECTIONS, FinalSolution
 
-from oracles import archive_text, front_csv_text
+from oracles import (archive_text, front_csv_text, front_solution_from_row,
+                     solution_from_dict)
 
 
 def entry(bits, compute_idx, emc_idx, hv, device="dev"):
@@ -106,7 +107,7 @@ ODD_ROWS = [
 def test_json_rows_round_trip(tmp_path):
     doc = {"schema_version": 1, "config_digest": "f" * 64, "seed": 11}
     first = saved_text(tmp_path, doc, ar.RowEncoder().final_json(ODD_ROWS))
-    decoded = [ar.solution_from_dict(row) for row in json.loads(first)["final"]]
+    decoded = [solution_from_dict(row) for row in json.loads(first)["final"]]
     assert [sol for sol, _ in decoded] == \
         [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
     again = [ArchiveEntry(sol.key(), sol, vector) for sol, vector in decoded]
@@ -120,7 +121,7 @@ def test_csv_rows_round_trip(tmp_path):
     assert "5e-324" in text and "1e-07" in text and "dév" in text
     rows = ar.read_front_csv(str(first))
     assert [row["emc_idx"] for row in rows] == ["3", "", "12", "0"]
-    sols = [ar.front_solution_from_row(row) for row in rows]
+    sols = [front_solution_from_row(row) for row in rows]
     assert sols == [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
     ar.write_front_csv(str(second),
                        [ArchiveEntry(sol.key(), sol, None) for sol in sols])

@@ -23,6 +23,7 @@ from nestevo.evaluator import (
     Workload,
     eval_static,
     exit_profile,
+    hw_latency_energy,
 )
 from nestevo.genome import (
     DeviceSpec,
@@ -50,6 +51,8 @@ from oracles import (
     object_fronts,
     object_rank,
     rank_population,
+    reference_latency_energy,
+    table_lookup,
 )
 
 MAX = Direction.MAXIMIZE
@@ -245,7 +248,8 @@ def test_table_batch_lookup_equals_scalar(device, queries):
     flops = np.array([v for _, v in queries])
     lat, energy = TABLE.latency_energy_batch(flops, np.zeros(len(flops)), rows,
                                              device, settings_)
-    expected = [TABLE.latency_energy(Workload(v, 0.0), device, settings_[i])
+    expected = [reference_latency_energy(TABLE, Workload(v, 0.0), device,
+                                         settings_[i])
                 for i, v in queries]
     assert list(zip(lat.tolist(), energy.tolist())) == expected
 
@@ -259,13 +263,13 @@ def test_table_batch_exact_hits_duplicates_and_domain_errors():
     flops = np.array([100.0, 1000.0, 5e4, 10.0, 1e6, 300.0, 2e4])
     got = table.lookup_batch([("d", 1.0, None)], np.zeros(len(flops), dtype=int),
                              flops)
-    expected = [table.lookup("d", 1.0, None, v) for v in flops.tolist()]
+    expected = [table_lookup(table, "d", 1.0, None, v) for v in flops.tolist()]
     assert list(zip(*(a.tolist() for a in got))) == expected
     # Zero latency: exact hits and clamps read it; interpolation raises.
     assert table.lookup_batch([("z", 1.0, None)], np.zeros(2, dtype=int),
                               np.array([100.0, 1.0])
                               )[0].tolist() == [0.0, 0.0]
-    for lookup in (lambda: table.lookup("z", 1.0, None, 1000.0),
+    for lookup in (lambda: table_lookup(table, "z", 1.0, None, 1000.0),
                    lambda: table.lookup_batch([("z", 1.0, None)],
                                               np.zeros(1, dtype=int),
                                               np.array([1000.0]))):
@@ -274,6 +278,61 @@ def test_table_batch_exact_hits_duplicates_and_domain_errors():
     with pytest.raises(KeyError):
         table.lookup_batch([("d", 2.0, None)], np.zeros(1, dtype=int),
                            np.array([100.0]))
+
+
+# One-row latency_energy against the scalar references.  The table has
+# buckets at 10^2, 10^3 and 5 * 10^4 flops for every setting of PLAIN and
+# EMC, except that PLAIN's top compute level has no rows (KeyError) and
+# EMC's setting (0, 0) has a zero latency at 10^3 flops, which an exact hit
+# reads and an interpolation refuses ("math domain error").
+ONE_ROW_FLOPS = (100.0, 1000.0, 5e4)
+
+
+def one_row_table():
+    rows = []
+    for device in (PLAIN, EMC):
+        emc = range(len(device.emc_freq_ghz)) if device.has_emc else (None,)
+        for c, f_c in enumerate(device.compute_freq_ghz):
+            if device is PLAIN and c == 2:
+                continue
+            for e in emc:
+                f_m = None if e is None else device.emc_freq_ghz[e]
+                for k, v in enumerate(ONE_ROW_FLOPS):
+                    zero = device is EMC and (c, e, k) == (0, 0, 1)
+                    rows.append((device.name, f_c, f_m, math.log10(v),
+                                 0.0 if zero else 1.0 + c + 3 * k,
+                                 2.0 + k * (c + 1)))
+    return TableHardwareModel(HardwareTable(rows))
+
+
+ONE_ROW_TABLE = one_row_table()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([PLAIN, EMC]), st.integers(0, 5),
+       st.one_of(st.sampled_from(ONE_ROW_FLOPS),     # exact hits
+                 st.floats(100.0, 5e4),              # interpolation
+                 st.floats(1e-3, 100.0),             # clamp below
+                 st.floats(5e4, 1e12)),              # clamp above
+       st.floats(0.0, 1e6))
+@example(PLAIN, 2, 1000.0, 0.0)                      # a setting without rows
+@example(EMC, 0, 1000.0, 0.0)                        # an exact hit on 0.0
+@example(EMC, 0, 300.0, 0.0)                         # interpolation from 0.0
+def test_one_row_latency_energy_equals_scalar_reference(device, i, flops, bytes_):
+    f = setting(device, i)
+    w = Workload(flops, bytes_)
+    for backend in (SYNTHETIC, ONE_ROW_TABLE):
+        got = outcome(backend.latency_energy, w, device, f)
+        assert got == outcome(reference_latency_energy, backend, w, device, f)
+        if not isinstance(got[0], type):                # not an error
+            assert [type(v) for v in got] == [float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +401,7 @@ class InfiniteAtSetting:
         self.compute_idx = compute_idx
 
     def latency_energy(self, w, device, f):
-        lat, energy = SYNTHETIC.latency_energy(w, device, f)
+        lat, energy = hw_latency_energy(w, device, f, HW)
         return lat, math.inf if f.compute_idx == self.compute_idx else energy
 
     def latency_energy_batch(self, flops, bytes_, rows, device, settings):

@@ -8,6 +8,8 @@ from nestevo import archive as ar
 from nestevo.cli import main
 from nestevo.config import ConfigError, config_digest, load_config
 
+from oracles import archive_doc_result, front_solution_from_row, load_json
+
 TOY_DOC = {
     "seed": 7,
     "device": "toy-dev",
@@ -132,6 +134,25 @@ class TestConfigLoading:
         assert res.exit_code == 1
         assert "Error: invalid config" in res.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("devices, message", [
+        ([{"compute_freq_ghz": [0.5, 1.0]}],
+         "space.devices[0] has no 'name'"),
+        ([{"name": "toy-dev", "compute_freq_ghz": [0.5, 1.0]},
+          {"name": "other", "emc_freq_ghz": [0.4]}],
+         "space.devices[1] ('other') has no 'compute_freq_ghz'"),
+        ([{"name": "toy-dev", "compute_freq_ghz": [0.5, 1.0]}, ["other"]],
+         "space.devices[1] must be a mapping"),
+    ])
+    def test_device_entry_errors_name_the_entry(self, tmp_path, runner,
+                                                devices, message):
+        path = write_toy_config(tmp_path, space={"devices": devices})
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == message
+        res = runner.invoke(main, ["search", "--config", str(path)])
+        assert res.exit_code == 1
+        assert f"Error: invalid config: {message}" in res.output
 
     def test_nan_gamma_rejected(self, tmp_path):
         path = write_toy_config(tmp_path, ioe={"gamma": float("nan")})
@@ -363,8 +384,8 @@ class TestSearchCommand:
         out = tmp_path / "out"
         res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 0, res.output
-        doc = ar.load_json(str(out / "archive.json"))
-        result = ar.archive_doc_result(doc)
+        doc = load_json(str(out / "archive.json"))
+        result = archive_doc_result(doc)
         ar.save_json(str(out / "archive2.json"),
                      ar.archive_header(result, doc["config_digest"], doc["seed"]),
                      ar.RowEncoder().final_json(result.entries))
@@ -379,7 +400,7 @@ class TestSearchCommand:
         rows = ar.read_front_csv(str(out / "front.csv"))
         entries = []
         for row in rows:
-            sol = ar.front_solution_from_row(row)
+            sol = front_solution_from_row(row)
             entries.append(type("E", (), {"key": sol.key(), "payload": sol})())
         ar.write_front_csv(str(out / "front2.csv"), entries)
         assert (out / "front.csv").read_bytes() == (out / "front2.csv").read_bytes()
@@ -574,6 +595,17 @@ class TestAblateCommand:
         assert res.exit_code != 0
         assert "Error:" in res.output
         assert isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "out" / "ablation.json").exists()
+
+    # Ratios of dominance are keyed by gamma pair, so a repeated exponent
+    # would run an arm whose comparisons the report cannot hold.
+    @pytest.mark.parametrize("gammas", ["1,1", "0,-0", "0,1,0.0"])
+    def test_repeated_gammas_rejected(self, tmp_path, runner, gammas):
+        cfg = write_toy_config(tmp_path)
+        res = runner.invoke(main, ["ablate-dissim", "--config", str(cfg),
+                                   "--gammas", gammas])
+        assert res.exit_code == 1
+        assert "Error: gammas must be distinct" in res.output
         assert not (tmp_path / "out" / "ablation.json").exists()
 
     def test_requires_ablate_section(self, tmp_path, runner):

@@ -21,6 +21,7 @@ from nestevo.evaluator import (
     hybrid_loss_batch,
     layer_workloads,
     reference_flops,
+    running_sums,
     workload_of,
 )
 from nestevo.genome import (
@@ -81,6 +82,13 @@ class TestWorkload:
                                 exit_overhead_fraction=0.05)
         assert with_exit.flops == pytest.approx(bare.flops + 0.05 * 144.0, abs=1e-12)
         assert with_exit.bytes == bare.bytes
+
+    def test_running_sums_add_left_to_right(self):
+        # Compensated summation (sum() from Python 3.12 on) gives 1.0.
+        assert running_sums([1e16, 1.0, -1e16]) == [0.0, 1e16, 1e16, 0.0]
+        assert running_sums([1e16, 1.0, -1e16])[-1] == 0.0
+        assert running_sums([]) == [0.0]
+        assert math.copysign(1.0, running_sums([-0.0])[-1]) == 1.0
 
     def test_prefix_bounds(self):
         space = single_block_space()

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestevo.metrics import (
@@ -238,6 +238,10 @@ def _outcome(fn, *args):
 
 @settings(max_examples=400, deadline=None)
 @given(_front_inputs())
+# A side of width -0.0 next to sides whose product overflows: volume 0.
+@example(((MIN, MIN, MAX), [(0.0, 0.0, -0.0)], [], (1e308, 1e308, 0.0)))
+# A box whose volume overflows: refused.
+@example(((MIN, MIN), [(0.0, 0.0)], [], (1e308, 1e308)))
 def test_matrix_front_equals_object_oracle(inputs):
     directions, a_rows, b_rows, reference = inputs
     a, b = ([ObjectiveVector(r, directions) for r in rows]
@@ -258,10 +262,8 @@ def test_matrix_front_equals_object_oracle(inputs):
         assert new == old
         return
     assert _same(hypervolume(new), object_hypervolume(old))
-    with np.errstate(over="ignore", invalid="ignore"):  # a box past 1e308
-        mc = zip(hypervolume_mc(new, 64, seed=3),
-                 object_hypervolume_mc(old, 64, seed=3))
-        assert all(_same(x, y) for x, y in mc)
+    assert (_outcome(hypervolume_mc, new, 64, 3)
+            == _outcome(object_hypervolume_mc, old, 64, 3))
 
 
 class TestHypervolumeHighDim:
@@ -279,6 +281,20 @@ class TestHypervolumeHighDim:
         f = to_front([vec(1, 1)])
         with pytest.raises(ValueError):
             hypervolume(f)
+
+    @pytest.mark.parametrize("point, reference", [
+        ((0.5, 0.5, 0.5, 0.0), (0.0, 0.0, 0.0, 0.0)),
+        ((0.5, 0.5, 0.5, -0.0), (0.0, 0.0, 0.0, 0.0)),
+        ((1e308, 1e308, 0.5, -0.0), (0.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_mc_zero_width_side_is_zero(self, point, reference):
+        assert hypervolume_mc(front_of([point], reference), 10, seed=0) == (0.0, 0.0)
+
+    def test_mc_volume_past_float_range_raises(self):
+        f = front_of([(1e308, 1e308, 1.0, 1.0)], (0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"reference \(0\.0, 0\.0, 0\.0, 0\.0\) "
+                           "to the front's upper corner has no finite volume"):
+            hypervolume_mc(f, 10, seed=0)
 
 
 class TestRatioOfDominance:
