@@ -89,31 +89,29 @@ def _expect_mapping(node: Any, name: str) -> dict:
     return node
 
 
-def _pick(node: dict, defaults: Any) -> dict:
-    """kwargs for a dataclass: every key in `node` must be known."""
-    known = set(defaults.__dataclass_fields__)
+def _pick(node: Any, cls: type, where: str) -> dict:
+    """kwargs for the dataclass `cls` from the mapping `node`, every key of
+    which must be a field of `cls`; errors name the entry `where`."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    known = set(cls.__dataclass_fields__)
     unknown = set(node) - known
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)}; "
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; "
                           f"expected a subset of {sorted(known)}")
     return dict(node)
 
 
 def _parse_device(i: int, d: Any) -> DeviceSpec:
     where = f"space.devices[{i}]"
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a mapping")
+    kwargs = _pick(d, DeviceSpec, where)
     for key in ("name", "compute_freq_ghz"):
         if key not in d:
             named = f" ({d['name']!r})" if "name" in d else ""
             raise ConfigError(f"{where}{named} has no {key!r}")
-    return DeviceSpec(
-        name=d["name"],
-        compute_freq_ghz=tuple(d["compute_freq_ghz"]),
-        emc_freq_ghz=tuple(d.get("emc_freq_ghz", ())),
-        default_compute_idx=d.get("default_compute_idx", 0),
-        default_emc_idx=d.get("default_emc_idx"),
-    )
+    kwargs["compute_freq_ghz"] = tuple(d["compute_freq_ghz"])
+    kwargs["emc_freq_ghz"] = tuple(d.get("emc_freq_ghz", ()))
+    return DeviceSpec(**kwargs)
 
 
 def _parse_space(node: dict) -> SearchSpaceSpec:
@@ -137,12 +135,12 @@ def _parse_space(node: dict) -> SearchSpaceSpec:
     return SearchSpaceSpec(**kwargs)
 
 
-def _parse_backbone(node: dict) -> BackboneGenome:
+def _parse_backbone(node: Any) -> BackboneGenome:
+    _pick(node, BackboneGenome, "ablate.backbone")
     try:
         blocks = tuple(
-            BlockGenes(blk["depth_idx"], blk["width_idx"], blk["kernel_idx"],
-                       blk["expand_idx"])
-            for blk in node["blocks"]
+            BlockGenes(**_pick(blk, BlockGenes, f"ablate.backbone.blocks[{j}]"))
+            for j, blk in enumerate(node["blocks"])
         )
         backbone = BackboneGenome(node["resolution_idx"], blocks)
     except (KeyError, TypeError) as exc:
@@ -180,9 +178,9 @@ def parse_config(doc: dict, *, seed_override: int | None = None,
         surrogate = SurrogateParams(**sur_node)
 
         ioe_node = _expect_mapping(doc.get("ioe"), "ioe")
-        ioe = IoeConfig(**_pick(ioe_node, IoeConfig()))
+        ioe = IoeConfig(**_pick(ioe_node, IoeConfig, "ioe"))
         ooe_node = _expect_mapping(doc.get("ooe"), "ooe")
-        ooe_kwargs = _pick(ooe_node, OoeConfig())
+        ooe_kwargs = _pick(ooe_node, OoeConfig, "ooe")
         for reserved in ("ioe", "seed"):
             if reserved in ooe_kwargs:
                 raise ConfigError(f"{reserved!r} is configured at the top level, "
@@ -190,7 +188,7 @@ def parse_config(doc: dict, *, seed_override: int | None = None,
         ooe = OoeConfig(ioe=ioe, seed=seed, **ooe_kwargs)
 
         var_node = _expect_mapping(doc.get("variation"), "variation")
-        variation = VariationParams(**_pick(var_node, VariationParams()))
+        variation = VariationParams(**_pick(var_node, VariationParams, "variation"))
 
         device = doc.get("device")
         if not device:
@@ -200,7 +198,8 @@ def parse_config(doc: dict, *, seed_override: int | None = None,
         ablate = None
         ab_node = doc.get("ablate")
         if ab_node is not None:
-            ab_node = _expect_mapping(ab_node, "ablate")
+            ab_node = _pick(_expect_mapping(ab_node, "ablate"), AblateSpec,
+                            "ablate")
             backbone = (_parse_backbone(ab_node["backbone"])
                         if "backbone" in ab_node else None)
             ablate = AblateSpec(backbone=backbone,

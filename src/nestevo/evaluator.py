@@ -16,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -295,7 +295,8 @@ class HardwareBackend(Protocol):
                              ) -> tuple[np.ndarray, np.ndarray]:
         """Latency (ms) and energy (mJ) of each workload (flops[i],
         bytes_[i]) at the frequency setting settings[rows[i]].  The
-        workloads are already validated."""
+        workloads are already validated; settings may repeat, and each one
+        is priced."""
         ...
 
     def latency_energy(self, w: Workload, device: DeviceSpec,
@@ -304,25 +305,6 @@ class HardwareBackend(Protocol):
             np.array([w.flops]), np.array([w.bytes]), np.zeros(1, dtype=int),
             device, [f])
         return float(latency[0]), float(energy[0])
-
-
-_T = TypeVar("_T")
-
-
-def _per_setting(settings: Sequence[DvfsGenome],
-                 constants: Callable[[DvfsGenome], _T]) -> tuple[list[_T], np.ndarray]:
-    """constants(f) of each distinct setting, and the index of each
-    setting's value in that list."""
-    index: dict[tuple, int] = {}
-    values: list[_T] = []
-    which = []
-    for f in settings:
-        key = f.key()
-        if key not in index:
-            index[key] = len(values)
-            values.append(constants(f))
-        which.append(index[key])
-    return values, np.array(which, dtype=int)
 
 
 class SyntheticHardwareModel(HardwareBackend):
@@ -344,8 +326,7 @@ class SyntheticHardwareModel(HardwareBackend):
             return (params.kappa_compute * f_c, params.kappa_memory * f_m,
                     params.p0 + params.p1 * f_c**3 + params.p2 * f_m)
 
-        values, which = _per_setting(settings, constants)
-        c = np.array(values)[which[rows]]
+        c = np.array([constants(f) for f in settings])[rows]
         latency = flops / c[:, 0] + bytes_ / c[:, 1]
         return latency, c[:, 2] * latency / 1e3
 
@@ -415,13 +396,6 @@ class HardwareTable:
             raise KeyError(f"no table rows for device={device!r} f_c={f_c} f_m={f_m}")
         return key
 
-    def lookup(self, device: str, f_c: float, f_m: float | None,
-               flops: float) -> tuple[float, float]:
-        latency, energy = self.lookup_batch([(device, f_c, f_m)],
-                                            np.zeros(1, dtype=int),
-                                            np.array([flops], dtype=float))
-        return float(latency[0]), float(energy[0])
-
     def lookup_batch(self, queries: Sequence[tuple[str, float, float | None]],
                      which: np.ndarray,
                      flops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,8 +445,7 @@ class TableHardwareModel(HardwareBackend):
             f_c, f_m = resolved_frequencies(device, f)
             return device.name, f_c, f_m if device.has_emc else None
 
-        queries, which = _per_setting(settings, query)
-        return self.table.lookup_batch(queries, which[rows], flops)
+        return self.table.lookup_batch([query(f) for f in settings], rows, flops)
 
 
 def default_dvfs(device: DeviceSpec) -> DvfsGenome:

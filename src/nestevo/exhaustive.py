@@ -26,7 +26,8 @@ from .genome import (
     enumerate_dvfs,
     enumerate_exit_genomes,
 )
-from .ioe import IoeSolution, _DynamicEvaluator, ioe_objective_matrix
+from .ioe import (IoeSolution, _DynamicEvaluator, candidate_genes,
+                  ioe_objective_matrix)
 from .moea import ArchiveEntry, ObjectiveVector, nondominated_rows
 from .ooe import (
     COMBINED_DIRECTIONS,
@@ -67,12 +68,12 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
         profile = exit_profile(b, space, surrogate, seed)
         ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                                gamma)
-        candidates = [(x, f) for x in enumerate_exit_genomes(b, space)
-                      for f in dvfs_all]
-        scores = ev.evaluate_batch(candidates)
+        pairs = [(x, f) for x in enumerate_exit_genomes(b, space)
+                 for f in dvfs_all]
+        scores = ev.evaluate_batch([candidate_genes(x, f) for x, f in pairs])
         values, directions = ioe_objective_matrix(scores, objective_mode, gamma)
         keep = nondominated_rows(values, directions)
-        inner = [IoeSolution(*candidates[i], scores.score(i))
+        inner = [IoeSolution(*pairs[i], scores.score(i))
                  for i in keep.nonzero()[0].tolist()]
         hv = ioe_front_hypervolume(inner, gamma)
         per_backbone.append((b, static, inner, combined_objectives(static, hv)))

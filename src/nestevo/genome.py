@@ -4,8 +4,10 @@ Three subspaces are searched: backbone architectures (resolution plus
 per-block depth/width/kernel/expand choices), early-exit placements
 (an indicator bit per admissible layer), and per-device frequency settings.
 All encodings are index-based so the value domains can be swapped in config
-without touching any operator.  Genomes are immutable; operators never touch
-their inputs and draw exclusively from the caller's RNG stream.
+without touching any operator.  The two variation operators work on flat
+tuples of gene indices, whatever genome the tuple encodes.  Genomes are
+immutable; operators never touch their inputs and draw exclusively from the
+caller's RNG stream.
 """
 
 from __future__ import annotations
@@ -268,10 +270,12 @@ def sample_backbone(space: SearchSpaceSpec, rng: random.Random) -> BackboneGenom
     return _repair_backbone(b, space, rng)
 
 
-def _repair_exit(bits: list[int], rng: random.Random) -> tuple[int, ...]:
-    if not any(bits):
-        bits[rng.randrange(len(bits))] = 1
-    return tuple(bits)
+def repair_exit_bits(bits: tuple[int, ...], rng: random.Random) -> tuple[int, ...]:
+    """The bits, with one uniformly chosen bit set if none is."""
+    if any(bits):
+        return bits
+    i = rng.randrange(len(bits))
+    return bits[:i] + (1,) + bits[i + 1:]
 
 
 def sample_exit_genome(b: BackboneGenome, space: SearchSpaceSpec,
@@ -279,8 +283,8 @@ def sample_exit_genome(b: BackboneGenome, space: SearchSpaceSpec,
     """Bernoulli(0.5) per admissible position; an all-zero draw gets one
     uniformly chosen bit forced on."""
     n = indicator_length(b, space)
-    bits = [1 if rng.random() < 0.5 else 0 for _ in range(n)]
-    return ExitGenome(_repair_exit(bits, rng))
+    bits = tuple([1 if rng.random() < 0.5 else 0 for _ in range(n)])
+    return ExitGenome(repair_exit_bits(bits, rng))
 
 
 def sample_dvfs(device: DeviceSpec, rng: random.Random) -> DvfsGenome:
@@ -289,105 +293,53 @@ def sample_dvfs(device: DeviceSpec, rng: random.Random) -> DvfsGenome:
 
 
 # ---------------------------------------------------------------------------
-# Mutation
+# Variation on flat tuples of gene indices: a backbone's key(), or an inner
+# candidate's exit bits followed by its frequency indices.
+
+
+def crossover_genes(a: Sequence[int], b: Sequence[int], prob: float,
+                    rng: random.Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Uniform crossover: one draw per gene, and the parents swap the gene
+    when the draw is below `prob`."""
+    if len(a) != len(b):
+        raise ValueError(f"parents have {len(a)} and {len(b)} genes")
+    draw = rng.random
+    child_a, child_b = list(a), list(b)
+    for i in range(len(child_a)):
+        if draw() < prob:
+            child_a[i], child_b[i] = child_b[i], child_a[i]
+    return tuple(child_a), tuple(child_b)
+
+
+def mutate_genes(genes: Sequence[int], sizes: Sequence[int], prob: float,
+                 rng: random.Random) -> tuple[int, ...]:
+    """One draw per gene; a draw below `prob` redraws the gene uniformly
+    from its domain of `sizes[i]` values."""
+    draw, redraw = rng.random, rng.randrange
+    return tuple([redraw(n) if draw() < prob else g
+                  for g, n in zip(genes, sizes, strict=True)])
+
+
+def _backbone_of(genes: Sequence[int]) -> BackboneGenome:
+    return BackboneGenome(genes[0], tuple(BlockGenes(*genes[i:i + 4])
+                                          for i in range(1, len(genes), 4)))
 
 
 def mutate_backbone(b: BackboneGenome, space: SearchSpaceSpec,
                     params: VariationParams, rng: random.Random) -> BackboneGenome:
-    p = params.mutation_prob_per_gene
-
-    def maybe(idx: int, domain_len: int) -> int:
-        return rng.randrange(domain_len) if rng.random() < p else idx
-
-    res = maybe(b.resolution_idx, len(space.resolution_domain))
-    blocks = tuple(
-        BlockGenes(
-            maybe(blk.depth_idx, len(space.depth_domain)),
-            maybe(blk.width_idx, len(space.width_domain)),
-            maybe(blk.kernel_idx, len(space.kernel_domain)),
-            maybe(blk.expand_idx, len(space.expand_domain)),
-        )
-        for blk in b.blocks
-    )
-    return _repair_backbone(BackboneGenome(res, blocks), space, rng)
-
-
-def mutate_exit(x: ExitGenome, params: VariationParams,
-                rng: random.Random) -> ExitGenome:
-    p = params.mutation_prob_per_gene
-    bits = [rng.randrange(2) if rng.random() < p else bit for bit in x.indicators]
-    return ExitGenome(_repair_exit(bits, rng))
-
-
-def mutate_dvfs(f: DvfsGenome, device: DeviceSpec, params: VariationParams,
-                rng: random.Random) -> DvfsGenome:
-    p = params.mutation_prob_per_gene
-    compute = (rng.randrange(len(device.compute_freq_ghz))
-               if rng.random() < p else f.compute_idx)
-    emc = f.emc_idx
-    if device.has_emc and rng.random() < p:
-        emc = rng.randrange(len(device.emc_freq_ghz))
-    return DvfsGenome(f.device, compute, emc)
-
-
-# ---------------------------------------------------------------------------
-# Crossover (uniform: each gene swapped between the parents with
-# probability crossover_prob; children repaired afterwards)
-
-
-def _swap(a, b, prob: float, rng: random.Random):
-    return (b, a) if rng.random() < prob else (a, b)
+    block = (len(space.depth_domain), len(space.width_domain),
+             len(space.kernel_domain), len(space.expand_domain))
+    sizes = (len(space.resolution_domain),) + block * len(b.blocks)
+    genes = mutate_genes(b.key(), sizes, params.mutation_prob_per_gene, rng)
+    return _repair_backbone(_backbone_of(genes), space, rng)
 
 
 def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
                        space: SearchSpaceSpec, params: VariationParams,
                        rng: random.Random) -> tuple[BackboneGenome, BackboneGenome]:
-    if len(parent_a.blocks) != len(parent_b.blocks):
-        raise ValueError("parents have different block counts")
-    p = params.crossover_prob
-    res_a, res_b = _swap(parent_a.resolution_idx, parent_b.resolution_idx, p, rng)
-    blocks_a, blocks_b = [], []
-    for blk_a, blk_b in zip(parent_a.blocks, parent_b.blocks):
-        d = _swap(blk_a.depth_idx, blk_b.depth_idx, p, rng)
-        w = _swap(blk_a.width_idx, blk_b.width_idx, p, rng)
-        k = _swap(blk_a.kernel_idx, blk_b.kernel_idx, p, rng)
-        e = _swap(blk_a.expand_idx, blk_b.expand_idx, p, rng)
-        blocks_a.append(BlockGenes(d[0], w[0], k[0], e[0]))
-        blocks_b.append(BlockGenes(d[1], w[1], k[1], e[1]))
-    child_a = _repair_backbone(BackboneGenome(res_a, tuple(blocks_a)), space, rng)
-    child_b = _repair_backbone(BackboneGenome(res_b, tuple(blocks_b)), space, rng)
-    return child_a, child_b
-
-
-def crossover_exit(parent_a: ExitGenome, parent_b: ExitGenome,
-                   params: VariationParams,
-                   rng: random.Random) -> tuple[ExitGenome, ExitGenome]:
-    if len(parent_a.indicators) != len(parent_b.indicators):
-        raise ValueError("exit genomes have different lengths")
-    p = params.crossover_prob
-    draw = rng.random
-    bits_a, bits_b = [], []
-    for ba, bb in zip(parent_a.indicators, parent_b.indicators):
-        if draw() < p:
-            ba, bb = bb, ba
-        bits_a.append(ba)
-        bits_b.append(bb)
-    return (ExitGenome(_repair_exit(bits_a, rng)),
-            ExitGenome(_repair_exit(bits_b, rng)))
-
-
-def crossover_dvfs(parent_a: DvfsGenome, parent_b: DvfsGenome,
-                   params: VariationParams,
-                   rng: random.Random) -> tuple[DvfsGenome, DvfsGenome]:
-    if parent_a.device != parent_b.device:
-        raise ValueError("dvfs genomes belong to different devices")
-    p = params.crossover_prob
-    c_a, c_b = _swap(parent_a.compute_idx, parent_b.compute_idx, p, rng)
-    e_a, e_b = parent_a.emc_idx, parent_b.emc_idx
-    if e_a is not None and e_b is not None:
-        e_a, e_b = _swap(e_a, e_b, p, rng)
-    return (DvfsGenome(parent_a.device, c_a, e_a),
-            DvfsGenome(parent_b.device, c_b, e_b))
+    children = crossover_genes(parent_a.key(), parent_b.key(),
+                               params.crossover_prob, rng)
+    return tuple(_repair_backbone(_backbone_of(g), space, rng) for g in children)
 
 
 # ---------------------------------------------------------------------------

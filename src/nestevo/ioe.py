@@ -31,14 +31,13 @@ from .genome import (
     ExitGenome,
     SearchSpaceSpec,
     VariationParams,
-    crossover_dvfs,
-    crossover_exit,
+    crossover_genes,
     enumerate_dvfs,
     enumerate_exit_genomes,
     indicator_length,
-    mutate_dvfs,
-    mutate_exit,
+    mutate_genes,
     n_inner_candidates,
+    repair_exit_bits,
     require_counts,
     sample_dvfs,
     sample_exit_genome,
@@ -99,11 +98,38 @@ class IoeConfig:
             raise ValueError(f"objective_mode must be one of {OBJECTIVE_MODES}")
 
 
-Candidate = tuple[ExitGenome, DvfsGenome]
+# An inner candidate, and its inner-archive key: its exit bits, then its
+# compute frequency index, then its emc index if the device has a memory clock.
+Candidate = tuple[int, ...]
 
 
-def _candidate_key(c: Candidate) -> tuple:
-    return (c[0].key(),) + c[1].key()
+def candidate_genes(x: ExitGenome, f: DvfsGenome) -> Candidate:
+    """The gene tuple of an (exits, frequencies) pair."""
+    emc = () if f.emc_idx is None else (f.emc_idx,)
+    return x.indicators + (f.compute_idx,) + emc
+
+
+def crossover_candidates(a: Candidate, b: Candidate, n_bits: int,
+                         params: VariationParams,
+                         rng: random.Random) -> tuple[Candidate, Candidate]:
+    """Uniform crossover of the exit bits, each child's bits repaired (a's
+    first), then uniform crossover of the frequency genes."""
+    p = params.crossover_prob
+    bits_a, bits_b = crossover_genes(a[:n_bits], b[:n_bits], p, rng)
+    bits_a, bits_b = repair_exit_bits(bits_a, rng), repair_exit_bits(bits_b, rng)
+    freq_a, freq_b = crossover_genes(a[n_bits:], b[n_bits:], p, rng)
+    return bits_a + freq_a, bits_b + freq_b
+
+
+def mutate_candidate(c: Candidate, n_bits: int, device: DeviceSpec,
+                     params: VariationParams, rng: random.Random) -> Candidate:
+    """Per-gene mutation of the exit bits, repaired, then of the frequency
+    genes over the device's tables."""
+    p = params.mutation_prob_per_gene
+    bits = repair_exit_bits(mutate_genes(c[:n_bits], (2,) * n_bits, p, rng), rng)
+    sizes = (len(device.compute_freq_ghz),) + (
+        (len(device.emc_freq_ghz),) if device.has_emc else ())
+    return bits + mutate_genes(c[n_bits:], sizes, p, rng)
 
 
 # Candidates evaluated per block: bounds the temporaries of an exhaustive
@@ -127,13 +153,14 @@ class DynamicScores:
 class _DynamicEvaluator:
     """Per-backbone context that evaluates candidates as a batch.
 
-    A batch is a P x L indicator matrix (one column per admissible exit
-    position) plus one frequency setting per row.  Every value comes from
-    the per-exit definition's operations in the same order: running sums
-    are masked cumulative sums along the layer axis (never pairwise sums),
-    the best earlier fraction is a running maximum, and powers are taken
-    with Python's pow, so each score equals that of a per-candidate loop
-    bit for bit."""
+    A batch is P gene tuples: their first L genes form a P x L indicator
+    matrix (one column per admissible exit position), and the rest of each
+    is its frequency setting.  Every value comes from the per-exit
+    definition's operations in the same order: running sums are masked
+    cumulative sums along the layer axis (never pairwise sums), the best
+    earlier fraction is a running maximum, and powers are taken with
+    Python's pow, so each score equals that of a per-candidate loop bit for
+    bit."""
 
     def __init__(self, b: BackboneGenome, space: SearchSpaceSpec,
                  device: DeviceSpec, backend: HardwareBackend,
@@ -165,17 +192,24 @@ class _DynamicEvaluator:
         self.gamma = gamma
 
     def evaluate_batch(self, candidates: Sequence[Candidate]) -> DynamicScores:
-        blocks = [self._evaluate_block(candidates[i:i + _BLOCK_ROWS])
+        n = self.n_cols
+        if set(map(len, candidates)) != {n + 1 + self.device.has_emc}:
+            raise ValueError("exit genome is not conditioned on this backbone")
+        # One DvfsGenome per distinct setting, in order of first occurrence.
+        index: dict[tuple[int, ...], int] = {}
+        which = np.array([index.setdefault(c[n:], len(index)) for c in candidates])
+        settings = [DvfsGenome(self.device.name, *s) for s in index]
+        blocks = [self._score(candidates[i:i + _BLOCK_ROWS], settings,
+                              which[i:i + _BLOCK_ROWS])
                   for i in range(0, len(candidates), _BLOCK_ROWS)]
         return DynamicScores(np.concatenate([b.means for b in blocks]),
                              np.concatenate([b.n_exits for b in blocks]))
 
-    def _evaluate_block(self, candidates: Sequence[Candidate]) -> DynamicScores:
-        bits = [x.indicators for x, _ in candidates]
-        if set(map(len, bits)) != {self.n_cols}:
-            raise ValueError("exit genome is not conditioned on this backbone")
-        sel = np.frombuffer(b"".join(map(bytes, bits)), dtype=np.uint8
-                            ).reshape(len(bits), self.n_cols).astype(bool)
+    def _score(self, rows: Sequence[tuple[int, ...]],
+               settings: Sequence[DvfsGenome], which: np.ndarray) -> DynamicScores:
+        """Scores of the exit bits rows[i][:n_cols] at settings[which[i]]."""
+        sel = np.frombuffer(b"".join([bytes(r[:self.n_cols]) for r in rows]),
+                            dtype=np.uint8).reshape(len(rows), self.n_cols).astype(bool)
         k = sel.sum(axis=1)
         if not k.all():
             raise ZeroDivisionError("exit genome samples no exit")
@@ -191,8 +225,7 @@ class _DynamicEvaluator:
             raise ValueError("workload must be finite" if not finite[bad.argmax()]
                              else "workload must be nonnegative")
         latency, energy = self.backend.latency_energy_batch(
-            flops, bytes_, np.nonzero(sel)[0], self.device,
-            [f for _, f in candidates])
+            flops, bytes_, which[np.nonzero(sel)[0]], self.device, settings)
 
         # Best fraction among the sampled exits strictly before each one,
         # from 0; fmax skips a NaN as max() does.
@@ -231,7 +264,9 @@ def dynamic_fitness(b: BackboneGenome, x: ExitGenome, f: DvfsGenome,
     of every sampled exit at or before each position) at the candidate's
     frequencies, normalized by the backbone's static score at defaults."""
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static, gamma)
-    return ev.evaluate_batch([(x, f)]).score(0)
+    if len(x.indicators) != ev.n_cols:
+        raise ValueError("exit genome is not conditioned on this backbone")
+    return ev._score([x.indicators], [f], np.zeros(1, dtype=int)).score(0)
 
 
 def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
@@ -260,7 +295,7 @@ class IoeSolution:
     score: DynamicScore
 
     def key(self) -> tuple:
-        return _candidate_key((self.exits, self.dvfs))
+        return (self.exits.key(),) + self.dvfs.key()
 
 
 @dataclass
@@ -278,50 +313,48 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     """NSGA-II loop over (exits, frequencies) for one backbone, whose exit
     profile and static score the caller supplies.
 
-    The archive accumulates the rank-0 set across every generation and is
-    pruned to a mutually non-dominated set after each one.  Its payloads are
-    (candidate, its generation's scores, its row in them) until the end,
-    when the final rows become IoeSolutions.
+    Candidates are gene tuples.  The archive accumulates the rank-0 set
+    across every generation and is pruned to a mutually non-dominated set
+    after each one.  Its keys are the candidates and its payloads (their
+    generation's scores, their row in them) until the end, when the final
+    rows become IoeSolutions: the only genome objects built after the first
+    generation.
     """
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)
-
-    def crossover(pa: Candidate, pb: Candidate,
-                  r: random.Random) -> tuple[Candidate, Candidate]:
-        xa, xb = crossover_exit(pa[0], pb[0], variation, r)
-        fa, fb = crossover_dvfs(pa[1], pb[1], variation, r)
-        return (xa, fa), (xb, fb)
-
-    def mutate(c: Candidate, r: random.Random) -> Candidate:
-        return (mutate_exit(c[0], variation, r),
-                mutate_dvfs(c[1], device, variation, r))
+    n_bits = ev.n_cols
 
     archive = ParetoArchive(OBJECTIVE_DIRECTIONS[config.objective_mode])
     n_evals = 0
     candidates = initial_population(
         config.population, n_inner_candidates(b, space, device),
-        lambda: [(x, f) for x in enumerate_exit_genomes(b, space)
+        lambda: [candidate_genes(x, f) for x in enumerate_exit_genomes(b, space)
                  for f in enumerate_dvfs(device)],
-        lambda r: (sample_exit_genome(b, space, r), sample_dvfs(device, r)),
-        _candidate_key, rng)
+        lambda r: candidate_genes(sample_exit_genome(b, space, r),
+                                  sample_dvfs(device, r)),
+        lambda c: c, rng)
     for gen in range(config.generations):
         if gen > 0:
-            candidates = breed(parents, places, config.population,
-                               crossover, mutate, variation, rng)
+            candidates = breed(
+                parents, places, config.population,
+                lambda x, y, r: crossover_candidates(x, y, n_bits, variation, r),
+                lambda c, r: mutate_candidate(c, n_bits, device, variation, r),
+                variation, rng)
         scores = ev.evaluate_batch(candidates)
         n_evals += len(candidates)
         values, directions = ioe_objective_matrix(
             scores, config.objective_mode, config.gamma)
         ranks, crowding = rank_rows(values, directions)
         front = np.flatnonzero(ranks == 0).tolist()
-        archive.merge_batch([_candidate_key(candidates[i]) for i in front],
-                            [(candidates[i], scores, i) for i in front],
-                            values[front])
+        archive.merge_batch([candidates[i] for i in front],
+                            [(scores, i) for i in front], values[front])
         if on_generation is not None:
             on_generation(gen, archive)
         keep = max(1, math.ceil(config.keep_fraction * len(candidates)))
         pool, places = mating_pool(ranks, crowding, keep)
         parents = [candidates[i] for i in pool]
-    solutions = tuple(IoeSolution(x, f, gen_scores.score(i))
-                      for (x, f), gen_scores, i in archive.payloads)
+    solutions = tuple(
+        IoeSolution(ExitGenome(c[:n_bits]), DvfsGenome(device.name, *c[n_bits:]),
+                    gen_scores.score(i))
+        for c, (gen_scores, i) in zip(archive.keys, archive.payloads))
     return IoeResult(solutions, n_evals)

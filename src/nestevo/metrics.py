@@ -108,17 +108,20 @@ def _hv3d(points: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
 
 def hypervolume(front: Front) -> float:
     """Exact dominated volume against the reference; 2-D and 3-D only
-    (use hypervolume_mc beyond that)."""
+    (use hypervolume_mc beyond that).  A volume that is not a finite float
+    raises ValueError, as hypervolume_mc does."""
     points, ref = _require_reference(front)
     if not points:
         return 0.0
     dim = len(front.directions)
-    if dim == 2:
-        return _hv2d(points, ref)
-    if dim == 3:
-        return _hv3d(points, ref)
-    raise ValueError(f"exact hypervolume supports 2 or 3 objectives, got {dim}; "
-                     "use hypervolume_mc")
+    if dim not in (2, 3):
+        raise ValueError(f"exact hypervolume supports 2 or 3 objectives, got "
+                         f"{dim}; use hypervolume_mc")
+    hv = _hv2d(points, ref) if dim == 2 else _hv3d(points, ref)
+    if not math.isfinite(hv):
+        raise ValueError(f"the box from the reference {front.reference} to "
+                         "the front's upper corner has no finite volume")
+    return hv
 
 
 def hypervolume_mc(front: Front, samples: int,

@@ -15,6 +15,9 @@ outer engine took objective matrices.  The scalar hardware costs
 time, independently of the backends' batch path.  The per-exit primitives,
 the one-item archive merge and the archive readers (archive.json rows and
 front.csv rows back to solutions) are definitions only the tests use.  The
+object variation operators are the per-genome mutation and crossover the
+package ran before both engines bred flat tuples of gene indices; the gene
+operators must make the same children from the same draws.  The
 regrouping helpers at the end give the package's matrix API (rank_rows,
 nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
 ObjectiveVectors the tests are written in; they convert and regroup, and
@@ -49,9 +52,13 @@ from nestevo.evaluator import (
 from nestevo.genome import (
     BackboneGenome,
     BlockGenes,
+    DeviceSpec,
     DvfsGenome,
     ExitGenome,
+    SearchSpaceSpec,
     VariationParams,
+    _repair_backbone,
+    repair_exit_bits,
     sampled_positions,
 )
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
@@ -150,7 +157,8 @@ class ObjectFront:
 
 
 def object_hypervolume(front: ObjectFront) -> float:
-    """Exact 2-D or 3-D hypervolume over the normalized point tuples."""
+    """Exact 2-D or 3-D hypervolume over the normalized point tuples; a
+    volume that is not a finite float raises ValueError."""
     if front.reference is None:
         raise ValueError("hypervolume needs a front with a reference point")
     points = [normalized(p) for p in front.points]
@@ -158,10 +166,15 @@ def object_hypervolume(front: ObjectFront) -> float:
     if not points:
         return 0.0
     if len(ref) == 2:
-        return _hv2d([(p[0], p[1]) for p in points], (ref[0], ref[1]))
-    if len(ref) == 3:
-        return _hv3d([(p[0], p[1], p[2]) for p in points], (ref[0], ref[1], ref[2]))
-    raise ValueError(f"exact hypervolume supports 2 or 3 objectives, got {len(ref)}")
+        hv = _hv2d([(p[0], p[1]) for p in points], (ref[0], ref[1]))
+    elif len(ref) == 3:
+        hv = _hv3d([(p[0], p[1], p[2]) for p in points], (ref[0], ref[1], ref[2]))
+    else:
+        raise ValueError(f"exact hypervolume supports 2 or 3 objectives, got {len(ref)}")
+    if not math.isfinite(hv):
+        raise ValueError(f"the box from the reference {front.reference.values} "
+                         "to the front's upper corner has no finite volume")
+    return hv
 
 
 def object_hypervolume_mc(front: ObjectFront, samples: int,
@@ -593,6 +606,103 @@ def breed(pool: RankedPopulation, members: Sequence[T], population: int,
         if len(children) < population:
             children.append(mutate(cb, rng))
     return children
+
+
+# ---------------------------------------------------------------------------
+# Object variation operators
+
+
+def mutate_backbone(b: BackboneGenome, space: SearchSpaceSpec,
+                    params: VariationParams, rng: random.Random) -> BackboneGenome:
+    p = params.mutation_prob_per_gene
+
+    def maybe(idx: int, domain_len: int) -> int:
+        return rng.randrange(domain_len) if rng.random() < p else idx
+
+    res = maybe(b.resolution_idx, len(space.resolution_domain))
+    blocks = tuple(
+        BlockGenes(
+            maybe(blk.depth_idx, len(space.depth_domain)),
+            maybe(blk.width_idx, len(space.width_domain)),
+            maybe(blk.kernel_idx, len(space.kernel_domain)),
+            maybe(blk.expand_idx, len(space.expand_domain)),
+        )
+        for blk in b.blocks
+    )
+    return _repair_backbone(BackboneGenome(res, blocks), space, rng)
+
+
+def mutate_exit(x: ExitGenome, params: VariationParams,
+                rng: random.Random) -> ExitGenome:
+    p = params.mutation_prob_per_gene
+    bits = [rng.randrange(2) if rng.random() < p else bit for bit in x.indicators]
+    return ExitGenome(repair_exit_bits(tuple(bits), rng))
+
+
+def mutate_dvfs(f: DvfsGenome, device: DeviceSpec, params: VariationParams,
+                rng: random.Random) -> DvfsGenome:
+    p = params.mutation_prob_per_gene
+    compute = (rng.randrange(len(device.compute_freq_ghz))
+               if rng.random() < p else f.compute_idx)
+    emc = f.emc_idx
+    if device.has_emc and rng.random() < p:
+        emc = rng.randrange(len(device.emc_freq_ghz))
+    return DvfsGenome(f.device, compute, emc)
+
+
+def _swap(a, b, prob: float, rng: random.Random):
+    return (b, a) if rng.random() < prob else (a, b)
+
+
+def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
+                       space: SearchSpaceSpec, params: VariationParams,
+                       rng: random.Random) -> tuple[BackboneGenome, BackboneGenome]:
+    if len(parent_a.blocks) != len(parent_b.blocks):
+        raise ValueError("parents have different block counts")
+    p = params.crossover_prob
+    res_a, res_b = _swap(parent_a.resolution_idx, parent_b.resolution_idx, p, rng)
+    blocks_a, blocks_b = [], []
+    for blk_a, blk_b in zip(parent_a.blocks, parent_b.blocks):
+        d = _swap(blk_a.depth_idx, blk_b.depth_idx, p, rng)
+        w = _swap(blk_a.width_idx, blk_b.width_idx, p, rng)
+        k = _swap(blk_a.kernel_idx, blk_b.kernel_idx, p, rng)
+        e = _swap(blk_a.expand_idx, blk_b.expand_idx, p, rng)
+        blocks_a.append(BlockGenes(d[0], w[0], k[0], e[0]))
+        blocks_b.append(BlockGenes(d[1], w[1], k[1], e[1]))
+    child_a = _repair_backbone(BackboneGenome(res_a, tuple(blocks_a)), space, rng)
+    child_b = _repair_backbone(BackboneGenome(res_b, tuple(blocks_b)), space, rng)
+    return child_a, child_b
+
+
+def crossover_exit(parent_a: ExitGenome, parent_b: ExitGenome,
+                   params: VariationParams,
+                   rng: random.Random) -> tuple[ExitGenome, ExitGenome]:
+    if len(parent_a.indicators) != len(parent_b.indicators):
+        raise ValueError("exit genomes have different lengths")
+    p = params.crossover_prob
+    draw = rng.random
+    bits_a, bits_b = [], []
+    for ba, bb in zip(parent_a.indicators, parent_b.indicators):
+        if draw() < p:
+            ba, bb = bb, ba
+        bits_a.append(ba)
+        bits_b.append(bb)
+    return (ExitGenome(repair_exit_bits(tuple(bits_a), rng)),
+            ExitGenome(repair_exit_bits(tuple(bits_b), rng)))
+
+
+def crossover_dvfs(parent_a: DvfsGenome, parent_b: DvfsGenome,
+                   params: VariationParams,
+                   rng: random.Random) -> tuple[DvfsGenome, DvfsGenome]:
+    if parent_a.device != parent_b.device:
+        raise ValueError("dvfs genomes belong to different devices")
+    p = params.crossover_prob
+    c_a, c_b = _swap(parent_a.compute_idx, parent_b.compute_idx, p, rng)
+    e_a, e_b = parent_a.emc_idx, parent_b.emc_idx
+    if e_a is not None and e_b is not None:
+        e_a, e_b = _swap(e_a, e_b, p, rng)
+    return (DvfsGenome(parent_a.device, c_a, e_a),
+            DvfsGenome(parent_b.device, c_b, e_b))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from nestevo.genome import (
 )
 from nestevo.ioe import (
     _DynamicEvaluator,
+    candidate_genes,
     dynamic_fitness,
     ioe_objective_matrix,
 )
@@ -155,6 +156,12 @@ FULL_TABLE = TableHardwareModel(tabulate(FULL_DEVICES,
                                          [6.5 + k / 4 for k in range(12)]))
 
 
+def genes(candidates):
+    """(ExitGenome, DvfsGenome) pairs as the gene tuples evaluate_batch
+    takes."""
+    return [candidate_genes(x, f) for x, f in candidates]
+
+
 def falling(profile: ExitProfile) -> ExitProfile:
     """The profile with every second fraction 1e-15 below its predecessor,
     the largest fall ExitProfile accepts."""
@@ -203,7 +210,7 @@ def test_batch_evaluator_equals_scalar_oracle(batch, mode):
     args = (b, space, device, backend, HW, profile, static, gamma)
     oracle = ScalarDynamicEvaluator(*args)
     expected = [oracle.evaluate(x, f) for x, f in candidates]
-    scores = _DynamicEvaluator(*args).evaluate_batch(candidates)
+    scores = _DynamicEvaluator(*args).evaluate_batch(genes(candidates))
     assert [scores.score(i) for i in range(len(candidates))] == expected
     x, f = candidates[0]
     assert dynamic_fitness(b, x, f, profile, static, space, device, backend,
@@ -224,9 +231,9 @@ def test_evaluation_blocks_concatenate(monkeypatch):
     candidates = [(sample_exit_genome(b, SPACE, rng), sample_dvfs(EMC, rng))
                   for _ in range(23)]
     ev = _DynamicEvaluator(b, SPACE, EMC, SYNTHETIC, HW, profile, static, 1.0)
-    whole = ev.evaluate_batch(candidates)
+    whole = ev.evaluate_batch(genes(candidates))
     monkeypatch.setattr(ioe, "_BLOCK_ROWS", 5)
-    blocks = ev.evaluate_batch(candidates)
+    blocks = ev.evaluate_batch(genes(candidates))
     assert blocks.means.tolist() == whole.means.tolist()
     assert blocks.n_exits.tolist() == whole.n_exits.tolist()
 
@@ -350,7 +357,7 @@ def both_paths(b, space, device, backend, hw, profile, static, gamma, candidates
         return [ioe_objectives(s, "vector", gamma) for s in scores]
 
     def batch():
-        scores = _DynamicEvaluator(*args).evaluate_batch(candidates)
+        scores = _DynamicEvaluator(*args).evaluate_batch(genes(candidates))
         return ioe_objective_matrix(scores, "vector", gamma)
 
     return scalar, batch
@@ -443,7 +450,7 @@ def test_wrong_length_genome_raises(delta):
                   (wrong, DvfsGenome("plain", 1))]
     ev = _DynamicEvaluator(b, SPACE, PLAIN, SYNTHETIC, HW, profile, static, 1.0)
     with pytest.raises(ValueError, match="not conditioned on this backbone"):
-        ev.evaluate_batch(candidates)
+        ev.evaluate_batch(genes(candidates))
     with pytest.raises(ValueError, match="not conditioned on this backbone"):
         dynamic_fitness(b, wrong, DvfsGenome("plain", 0), profile, static, SPACE,
                         PLAIN, SYNTHETIC, HW, 1.0)

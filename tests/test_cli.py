@@ -154,6 +154,29 @@ class TestConfigLoading:
         assert res.exit_code == 1
         assert f"Error: invalid config: {message}" in res.output
 
+    # Each mapping refuses a key it does not know; a misspelt device default
+    # used to run silently at index 0.
+    BLOCK = {"depth_idx": 1, "width_idx": 0, "kernel_idx": 0, "expand_idx": 0}
+
+    @pytest.mark.parametrize("section, node, where, key", [
+        ("space", {"devices": [{"name": "toy-dev", "compute_freq_ghz": [0.5, 1.0],
+                                "default_compute": 1}]},
+         "space.devices[0]", "default_compute"),
+        ("ablate", {"backbone_seed": 3, "backbone_sed": 4}, "ablate",
+         "backbone_sed"),
+        ("ablate", {"backbone": {"resolution_idx": 0, "blocks": [BLOCK],
+                                 "depth": 7}}, "ablate.backbone", "depth"),
+        ("ablate", {"backbone": {"resolution_idx": 0,
+                                 "blocks": [BLOCK, dict(BLOCK, kernel=3)]}},
+         "ablate.backbone.blocks[1]", "kernel"),
+    ])
+    def test_unknown_keys_name_the_entry(self, tmp_path, section, node, where,
+                                         key):
+        path = write_toy_config(tmp_path, **{section: node})
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value).startswith(f"{where}: unknown keys [{key!r}]")
+
     def test_nan_gamma_rejected(self, tmp_path):
         path = write_toy_config(tmp_path, ioe={"gamma": float("nan")})
         assert "gamma: .nan" in path.read_text(encoding="utf-8")
@@ -530,6 +553,15 @@ class TestMetricsCommand:
                                    "--reference", reference])
         assert res.exit_code == 1
         assert f"Error: objective value {value} is not finite" in res.output
+
+    def test_overflowing_hypervolume_rejected(self, tmp_path, runner):
+        # Both sides of the box are 1e308 wide: its volume is not a float.
+        path = self.hand_front(tmp_path / "f.csv")
+        res = runner.invoke(main, ["metrics", path, path,
+                                   "--reference", "-1e308,1e308"])
+        assert res.exit_code == 1
+        assert ("Error: the box from the reference (-1e+308, 1e+308) to the "
+                "front's upper corner has no finite volume") in res.output
 
     def test_negative_mc_samples_rejected(self, tmp_path, runner):
         path = self.hand_front(tmp_path / "f.csv")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nestevo.config import default_devices
@@ -293,30 +294,38 @@ class TestEvalStatic:
         assert checked > 100
 
 
+def lookup(table, device, f_c, f_m, flops):
+    """One query through HardwareTable.lookup_batch, as Python floats."""
+    latency, energy = table.lookup_batch([(device, f_c, f_m)],
+                                         np.zeros(1, dtype=int),
+                                         np.array([flops], dtype=float))
+    return float(latency[0]), float(energy[0])
+
+
 class TestHardwareTable:
     def test_exact_hit_verbatim(self):
         table = HardwareTable([("dev", 1.0, None, 3.0, 12.5, 80.0)])
-        assert table.lookup("dev", 1.0, None, 10.0**3) == (12.5, 80.0)
+        assert lookup(table, "dev", 1.0, None, 10.0**3) == (12.5, 80.0)
 
     def test_midway_log_flops_geometric_mean(self):
         table = HardwareTable([("dev", 1.0, None, 2.0, 10.0, 5.0),
                                ("dev", 1.0, None, 4.0, 40.0, 45.0)])
-        lat, energy = table.lookup("dev", 1.0, None, 10.0**3)
+        lat, energy = lookup(table, "dev", 1.0, None, 10.0**3)
         assert lat == pytest.approx(math.sqrt(10.0 * 40.0), rel=1e-12)
         assert energy == pytest.approx(math.sqrt(5.0 * 45.0), rel=1e-12)
 
     def test_extrapolation_clamps(self):
         table = HardwareTable([("dev", 1.0, None, 2.0, 10.0, 5.0),
                                ("dev", 1.0, None, 4.0, 40.0, 45.0)])
-        assert table.lookup("dev", 1.0, None, 10.0) == (10.0, 5.0)
-        assert table.lookup("dev", 1.0, None, 10.0**9) == (40.0, 45.0)
+        assert lookup(table, "dev", 1.0, None, 10.0) == (10.0, 5.0)
+        assert lookup(table, "dev", 1.0, None, 10.0**9) == (40.0, 45.0)
 
     def test_absent_frequency_errors(self):
         table = HardwareTable([("dev", 1.0, None, 2.0, 10.0, 5.0)])
         with pytest.raises(KeyError):
-            table.lookup("dev", 2.0, None, 100.0)
+            lookup(table, "dev", 2.0, None, 100.0)
         with pytest.raises(KeyError):
-            table.lookup("other", 1.0, None, 100.0)
+            lookup(table, "other", 1.0, None, 100.0)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -328,8 +337,8 @@ class TestHardwareTable:
             encoding="utf-8",
         )
         table = HardwareTable.from_csv(str(path))
-        assert table.lookup("dev", 1.0, None, 100.0) == (10.0, 5.0)
-        assert table.lookup("emcdev", 0.5, 0.8, 1000.0) == (7.0, 2.0)
+        assert lookup(table, "dev", 1.0, None, 100.0) == (10.0, 5.0)
+        assert lookup(table, "emcdev", 0.5, 0.8, 1000.0) == (7.0, 2.0)
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

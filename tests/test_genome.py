@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from nestevo.genome import (
     BackboneGenome,
     BlockGenes,
@@ -13,15 +16,13 @@ from nestevo.genome import (
     VariationParams,
     admissible_positions,
     crossover_backbone,
-    crossover_dvfs,
-    crossover_exit,
+    crossover_genes,
     enumerate_backbones,
     enumerate_dvfs,
     enumerate_exit_genomes,
     indicator_length,
     mutate_backbone,
-    mutate_dvfs,
-    mutate_exit,
+    mutate_genes,
     n_inner_candidates,
     sample_backbone,
     sample_dvfs,
@@ -30,6 +31,7 @@ from nestevo.genome import (
     total_layers,
     validate_backbone,
 )
+from nestevo.ioe import candidate_genes, crossover_candidates, mutate_candidate
 from tests.conftest import EMC_DEVICE, TOY_DEVICE
 
 
@@ -179,10 +181,10 @@ class TestMutation:
         params = VariationParams(mutation_prob_per_gene=0.0)
         b = sample_backbone(full_space, rng)
         assert mutate_backbone(b, full_space, params, rng) == b
-        x = sample_exit_genome(b, full_space, rng)
-        assert mutate_exit(x, params, rng) == x
-        f = sample_dvfs(EMC_DEVICE, rng)
-        assert mutate_dvfs(f, EMC_DEVICE, params, rng) == f
+        c = candidate_genes(sample_exit_genome(b, full_space, rng),
+                            sample_dvfs(EMC_DEVICE, rng))
+        n_bits = indicator_length(b, full_space)
+        assert mutate_candidate(c, n_bits, EMC_DEVICE, params, rng) == c
 
     def test_prob_one_kernel_uniform(self, full_space):
         params = VariationParams(mutation_prob_per_gene=1.0)
@@ -200,9 +202,9 @@ class TestMutation:
     def test_exit_length_one_keeps_a_bit(self):
         params = VariationParams(mutation_prob_per_gene=1.0)
         rng = random.Random(13)
-        x = ExitGenome((1,))
+        c = (1, 0)
         for _ in range(100):
-            assert mutate_exit(x, params, rng).n_exits >= 1
+            assert mutate_candidate(c, 1, TOY_DEVICE, params, rng)[0] == 1
 
     def test_input_not_modified(self, full_space, rng):
         params = VariationParams(mutation_prob_per_gene=1.0)
@@ -236,26 +238,110 @@ class TestCrossover:
             bits_b = [rng.randrange(2) for _ in range(7)]
             shared = rng.randrange(7)
             bits_a[shared] = bits_b[shared] = 1
-            pa, pb = ExitGenome(tuple(bits_a)), ExitGenome(tuple(bits_b))
-            ca, cb = crossover_exit(pa, pb, params, rng)
+            pa = tuple(bits_a) + (rng.randrange(3), rng.randrange(2))
+            pb = tuple(bits_b) + (rng.randrange(3), rng.randrange(2))
+            ca, cb = crossover_candidates(pa, pb, 7, params, rng)
             for child in (ca, cb):
-                for i, bit in enumerate(child.indicators):
-                    assert bit in (pa.indicators[i], pb.indicators[i])
+                for i, gene in enumerate(child):
+                    assert gene in (pa[i], pb[i])
 
     def test_mismatched_lengths_raise(self, rng):
-        params = VariationParams()
         with pytest.raises(ValueError):
-            crossover_exit(ExitGenome((1, 0)), ExitGenome((1, 0, 1)), params, rng)
+            crossover_genes((1, 0), (1, 0, 1), 0.5, rng)
         with pytest.raises(ValueError):
-            crossover_dvfs(DvfsGenome("toy-dev", 0), DvfsGenome("emc-dev", 0, 0),
-                           params, rng)
+            mutate_genes((1, 0), (2, 2, 2), 0.5, rng)
+        pa = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),) * 2)
+        pb = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),) * 3)
+        with pytest.raises(ValueError):
+            crossover_backbone(pa, pb, SearchSpaceSpec(), VariationParams(), rng)
 
     def test_dvfs_swap(self, rng):
         params = VariationParams(crossover_prob=1.0)
-        pa = DvfsGenome("emc-dev", 0, 1)
-        pb = DvfsGenome("emc-dev", 2, 0)
-        ca, cb = crossover_dvfs(pa, pb, params, rng)
+        pa = candidate_genes(ExitGenome((1, 0)), DvfsGenome("emc-dev", 0, 1))
+        pb = candidate_genes(ExitGenome((0, 1)), DvfsGenome("emc-dev", 2, 0))
+        ca, cb = crossover_candidates(pa, pb, 2, params, rng)
         assert ca == pb and cb == pa
+
+
+class TestGeneOperators:
+    def test_prob_zero_is_identity(self):
+        rng = random.Random(19)
+        a, b = (0, 1, 2, 3, 1), (4, 0, 2, 1, 0)
+        assert crossover_genes(a, b, 0.0, rng) == (a, b)
+        assert mutate_genes(a, (5,) * 5, 0.0, rng) == a
+
+    def test_prob_one_redraws_every_gene(self):
+        # One random() and one randrange() per gene, in gene order.
+        sizes = (2, 7, 3, 5)
+        rng, replay = random.Random(29), random.Random(29)
+        expected = []
+        for n in sizes:
+            replay.random()
+            expected.append(replay.randrange(n))
+        assert mutate_genes((0, 0, 0, 0), sizes, 1.0, rng) == tuple(expected)
+        assert rng.getstate() == replay.getstate()
+
+
+def _twins(seed: int) -> tuple[random.Random, random.Random]:
+    return random.Random(seed), random.Random(seed)
+
+
+PROBS = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 41), st.sampled_from([EMC_DEVICE, TOY_DEVICE]), PROBS,
+       PROBS, st.sampled_from([0.0, 0.1, 0.5]), st.integers(0, 2**32))
+def test_inner_breeding_matches_object_operators(n_bits, device, p_cross, p_mut,
+                                                 density, seed):
+    """Crossover then mutation of each child, as the inner engine breeds,
+    against the object operators: the same children from the same draws.
+    Sparse parents may have no exit set, so that repair fires."""
+    params = VariationParams(mutation_prob_per_gene=p_mut, crossover_prob=p_cross)
+    rng = random.Random(seed)
+    parents = [(ExitGenome(tuple(int(rng.random() < density)
+                                 for _ in range(n_bits))),
+                sample_dvfs(device, rng)) for _ in range(2)]
+    old, new = _twins(seed)
+    (xa, xb), (fa, fb) = (oracles.crossover_exit(parents[0][0], parents[1][0],
+                                                 params, old),
+                          oracles.crossover_dvfs(parents[0][1], parents[1][1],
+                                                 params, old))
+    children = crossover_candidates(*(candidate_genes(*p) for p in parents),
+                                    n_bits, params, new)
+    assert children == (candidate_genes(xa, fa), candidate_genes(xb, fb))
+    assert new.getstate() == old.getstate()
+    for (x, f), c in zip(((xa, fa), (xb, fb)), children):
+        expected = candidate_genes(oracles.mutate_exit(x, params, old),
+                                   oracles.mutate_dvfs(f, device, params, old))
+        assert mutate_candidate(c, n_bits, device, params, new) == expected
+        assert new.getstate() == old.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["small", "full"]), PROBS, PROBS, st.integers(0, 2**32))
+def test_backbone_variation_matches_object_operators(which, p_cross, p_mut, seed):
+    # The small space's shallow blocks make repair fire often.  Its parents
+    # are left unrepaired, so that both children may need repair and the
+    # order of the two repairs shows.
+    space = (SearchSpaceSpec(n_block=2, depth_domain=(1, 2, 3, 4),
+                             exit_min_position=5) if which == "small"
+             else SearchSpaceSpec())
+    params = VariationParams(mutation_prob_per_gene=p_mut, crossover_prob=p_cross)
+    rng = random.Random(seed)
+    if which == "small":
+        pa, pb = (BackboneGenome(0, tuple(BlockGenes(rng.randrange(4), 0, 0, 0)
+                                          for _ in range(2))) for _ in range(2))
+    else:
+        pa, pb = sample_backbone(space, rng), sample_backbone(space, rng)
+    old, new = _twins(seed)
+    children = crossover_backbone(pa, pb, space, params, new)
+    assert children == oracles.crossover_backbone(pa, pb, space, params, old)
+    assert new.getstate() == old.getstate()
+    for child in children:
+        assert (mutate_backbone(child, space, params, new)
+                == oracles.mutate_backbone(child, space, params, old))
+        assert new.getstate() == old.getstate()
 
 
 class TestDeterminismAndInvariants:
@@ -279,29 +365,34 @@ class TestDeterminismAndInvariants:
         params = VariationParams(mutation_prob_per_gene=0.3, crossover_prob=0.5)
         device = EMC_DEVICE
         b = sample_backbone(small_space, rng)
-        x = sample_exit_genome(b, small_space, rng)
-        f = sample_dvfs(device, rng)
+        c = candidate_genes(sample_exit_genome(b, small_space, rng),
+                            sample_dvfs(device, rng))
         for i in range(100_000):
+            n = indicator_length(b, small_space)
             op = i % 5
             if op == 0:
                 b2 = sample_backbone(small_space, rng)
                 b, _ = crossover_backbone(b, b2, small_space, params, rng)
-                x = sample_exit_genome(b, small_space, rng)
+                c = sample_exit_genome(b, small_space, rng).indicators + c[n:]
             elif op == 1:
                 b = mutate_backbone(b, small_space, params, rng)
-                x = sample_exit_genome(b, small_space, rng)
+                c = sample_exit_genome(b, small_space, rng).indicators + c[n:]
             elif op == 2:
-                x = mutate_exit(x, params, rng)
+                c = mutate_candidate(c, n, device, params, rng)
             elif op == 3:
-                x2 = sample_exit_genome(b, small_space, rng)
-                x, _ = crossover_exit(x, x2, params, rng)
+                c2 = candidate_genes(sample_exit_genome(b, small_space, rng),
+                                     sample_dvfs(device, rng))
+                c, _ = crossover_candidates(c, c2, n, params, rng)
             else:
-                f = mutate_dvfs(f, device, params, rng)
+                sizes = (len(device.compute_freq_ghz), len(device.emc_freq_ghz))
+                c = c[:n] + mutate_genes(c[n:], sizes,
+                                         params.mutation_prob_per_gene, rng)
             validate_backbone(b, small_space)
-            assert x.n_exits >= 1
-            assert len(x.indicators) == indicator_length(b, small_space)
-            assert 0 <= f.compute_idx < len(device.compute_freq_ghz)
-            assert f.emc_idx is not None and 0 <= f.emc_idx < len(device.emc_freq_ghz)
+            n = indicator_length(b, small_space)
+            assert len(c) == n + 2
+            assert set(c[:n]) <= {0, 1} and 1 in c[:n]
+            assert 0 <= c[n] < len(device.compute_freq_ghz)
+            assert 0 <= c[n + 1] < len(device.emc_freq_ghz)
 
 
 class TestEnumeration:

@@ -21,6 +21,7 @@ from nestevo.genome import (
     VariationParams,
     enumerate_dvfs,
     enumerate_exit_genomes,
+    sample_backbone,
 )
 from nestevo.ioe import (
     IoeConfig,
@@ -319,6 +320,27 @@ class TestRunIoe:
                 random.Random(2), profile=profile, static=static,
                 on_generation=on_gen)
         assert all(a <= b + 1e-12 for a, b in zip(volumes, volumes[1:]))
+
+    def test_genome_objects_only_at_the_ends(self, full_space, monkeypatch):
+        # Breeding works on gene tuples: ExitGenomes are built for the first
+        # generation's samples and for the final archive, never per child.
+        rng = random.Random(8)
+        b = sample_backbone(full_space, rng)
+        device = full_space.device("agx-volta-gpu")
+        hw = HardwareModelParams()
+        backend = SyntheticHardwareModel(hw)
+        sur = SurrogateParams()
+        built = []
+        check = ExitGenome.__post_init__
+        monkeypatch.setattr(ExitGenome, "__post_init__",
+                            lambda x: (built.append(x), check(x)))
+        config = IoeConfig(generations=10, population=100, budget=1000)
+        result = run_ioe(b, full_space, device, backend, hw, config,
+                         VariationParams(), rng,
+                         profile=exit_profile(b, full_space, sur, seed=0),
+                         static=eval_static(b, full_space, device, backend, sur,
+                                            seed=0))
+        assert len(built) <= config.population + len(result.solutions)
 
     def test_budget_invariant_enforced(self):
         with pytest.raises(ValueError):
