@@ -1,10 +1,11 @@
 """Archive persistence: a JSON document with config digest, per-generation
-snapshots, and the final solution set, plus a flat plot-ready CSV of the
-front.  All writes are atomic (temp file + rename), and the text of every
-row is a function of the solution alone, so byte-for-byte determinism can
-be asserted on disk.  The readers that rebuild solutions from both files
-live with the tests (tests/oracles.py), which check that a read-and-rewrite
-gives the same bytes.
+records, and the final solution set; a flat plot-ready CSV of the front;
+and one checkpoint per generation that holds what the generation changed
+and the state to resume from.  All writes are atomic (temp file + rename),
+and the text of every row is a function of the solution alone, so
+byte-for-byte determinism can be asserted on disk.  A row is read back by
+solution_from_dict, and checkpoints 1..k are replayed into the search state
+after generation k by replay_checkpoints.
 """
 
 from __future__ import annotations
@@ -13,15 +14,25 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict
-from itertools import groupby
+import random
+from dataclasses import asdict, replace
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Sequence
 
-from .genome import BackboneGenome
+from .evaluator import StaticScore
+from .genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
+from .ioe import DynamicScore
 from .moea import ArchiveEntry, ObjectiveVector
-from .ooe import FinalSolution, OoeResult
+from .ooe import (
+    COMBINED_DIRECTIONS,
+    EvalCounters,
+    FinalSolution,
+    GenerationRecord,
+    OoeResult,
+    OoeState,
+)
 
 SCHEMA_VERSION = 1
 
@@ -82,6 +93,33 @@ _PARTS = (
 def _values(sol: FinalSolution) -> tuple:
     """The solution's fields in _FIELDS order."""
     return sum((values(getattr(sol, attr)) for attr, values in _PARTS), ())
+
+
+def _blocks_from_str(s: str) -> tuple[BlockGenes, ...]:
+    return tuple(BlockGenes(*(int(v) for v in part.split("-")))
+                 for part in s.split("|"))
+
+
+def solution_from_values(values: Sequence) -> FinalSolution:
+    """The solution whose fields in _FIELDS order are `values`."""
+    (resolution, blocks, bits, device, compute, emc, acc, latency, energy,
+     correct, energy_ratio, latency_ratio, dissimilarity, n_exits,
+     exit_score) = values
+    return FinalSolution(
+        BackboneGenome(resolution, _blocks_from_str(blocks)),
+        ExitGenome(tuple(int(c) for c in bits)),
+        DvfsGenome(device, compute, emc),
+        StaticScore(acc, latency, energy),
+        DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
+                     dissimilarity, n_exits),
+    )
+
+
+def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
+    """One loaded archive.json row as a solution and its objective vector."""
+    sol = solution_from_values([(doc if section is None else doc[section])[name]
+                                for _, section, name in _FIELDS])
+    return sol, ObjectiveVector(tuple(doc["objectives"]), COMBINED_DIRECTIONS)
 
 
 def _sorted_entries(entries: Sequence[ArchiveEntry]) -> list[ArchiveEntry]:
@@ -189,30 +227,40 @@ def _row_json(e: ArchiveEntry, last: list) -> str:
 class RowEncoder:
     """JSON text of a run's archive rows, each row rendered once.
 
-    Checkpoints and archive.json list the same rows again and again, so each
-    row's text is kept for as long as the same entry object stays in the
-    archive (an evicted key that comes back is a new entry and is rendered
-    anew)."""
+    A row's text is kept while its entry object stays in the archive: from
+    the checkpoint of the generation in which it entered to archive.json (an
+    evicted key that comes back is a new entry and is rendered anew)."""
 
     def __init__(self) -> None:
         self._texts: dict[int, tuple[ArchiveEntry, str]] = {}
 
-    def final_json(self, entries: Sequence[ArchiveEntry]) -> str:
-        """The sorted "final" list as json.dumps(doc, indent=2) writes it
-        one level below the document root."""
-        texts = {}
+    def rows_json(self, entries: Sequence[ArchiveEntry]) -> str:
+        """The list of the entries' rows, in their order, as
+        json.dumps(doc, indent=2) writes it one level below the document
+        root.  New texts are kept."""
         rows = []
         last: list = [None] * len(_ROW_SLOTS)
-        for e in _sorted_entries(entries):
+        for e in entries:
             cached = self._texts.get(id(e))
             if cached is None or cached[0] is not e:
-                cached = (e, _row_json(e, last))
-            texts[id(e)] = cached
+                cached = self._texts[id(e)] = (e, _row_json(e, last))
             rows.append(cached[1])
-        self._texts = texts
         if not rows:
             return "[]"
         return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+    def keep(self, entries: Sequence[ArchiveEntry]) -> None:
+        """Keep the texts of `entries` only."""
+        self._texts = {id(e): cached for e in entries
+                       if (cached := self._texts.get(id(e))) and cached[0] is e}
+
+    def final_json(self, entries: Sequence[ArchiveEntry]) -> str:
+        """rows_json of the entries sorted by key; only their texts are
+        kept."""
+        entries = _sorted_entries(entries)
+        text = self.rows_json(entries)
+        self.keep(entries)
+        return text
 
 
 # Stands in for the "final" list while the rest of a document is encoded.
@@ -221,13 +269,95 @@ _FINAL_MARK = "\x00final\x00"
 
 def save_json(path: str, doc: dict, final_json: str | None = None) -> None:
     """Write json.dumps(doc, indent=2, sort_keys=True).  With `final_json`
-    (from RowEncoder.final_json) that text is the document's "final" list."""
+    (from RowEncoder) that text is the document's "final" list."""
     if final_json is None:
         text = json.dumps(doc, indent=2, sort_keys=True)
     else:
         text = json.dumps(dict(doc, final=_FINAL_MARK), indent=2, sort_keys=True
                           ).replace(json.dumps(_FINAL_MARK), final_json, 1)
     atomic_write_text(path, text + "\n")
+
+
+def save_checkpoint(path: str, state: OoeState, digest: str,
+                    rows: RowEncoder) -> None:
+    """Write what the state's generation changed: under "final" the rows of
+    the visits that entered the archive, in visit order, with each visit's
+    number and row count under "visits"; the evicted visits; the
+    generation's record; and under "resume" the state the next generation
+    starts from.  Only the archive's rows stay in `rows`."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "config_digest": digest,
+        "generation": state.generation,
+        "record": asdict(state.snapshots[-1]),
+        "visits": [[v, len(state.visits[v])] for v in state.added],
+        "evicted": state.evicted,
+        "resume": {"counters": asdict(state.counters),
+                   "n_visits": state.n_visits,
+                   "population": state.population,
+                   "rng_state": state.rng_state},
+    }
+    save_json(path, doc, rows.rows_json(
+        [row for v in state.added for row in state.visits[v]]))
+    rows.keep(state.entries)
+
+
+def _visit_entries(visit: int, docs: Sequence[dict]) -> tuple[ArchiveEntry, ...]:
+    """A visit's loaded rows as entries that share the first row's backbone,
+    static score and objective vector, as the rows of a live visit do."""
+    first = None
+    entries = []
+    for doc in docs:
+        sol, vector = solution_from_dict(doc)
+        if first is None:
+            first = sol, vector
+        elif (sol.backbone, sol.static_score, vector) != (
+                first[0].backbone, first[0].static_score, first[1]):
+            raise ValueError(f"the rows of visit {visit} differ in backbone, "
+                             "static score or objectives")
+        else:
+            sol = replace(sol, backbone=first[0].backbone,
+                          static_score=first[0].static_score)
+            vector = first[1]
+        entries.append(ArchiveEntry(sol.key(), sol, vector))
+    return tuple(entries)
+
+
+def replay_checkpoints(paths: Sequence[str]) -> OoeState:
+    """The search state after generation k, rebuilt from the checkpoints of
+    generations 1..k, given in order.  A checkpoint that holds another
+    generation, no resume state, row counts that do not add up to its rows,
+    rows of one visit that differ in backbone, static score or objectives,
+    or an RNG state that random.Random refuses raises ValueError."""
+    visits: dict[int, tuple[ArchiveEntry, ...]] = {}
+    snapshots = []
+    for gen, path in enumerate(paths, 1):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("generation") != gen:
+            raise ValueError(f"the checkpoint of generation {gen} is missing: "
+                             f"{path} holds generation {doc.get('generation')}")
+        if "resume" not in doc:
+            raise ValueError(f"{path} holds no resume state")
+        counts = [count for _, count in doc["visits"]]
+        if sum(counts) != len(doc["final"]) or not all(
+                isinstance(c, int) and c > 0 for c in counts):
+            raise ValueError(f"{path} lists {len(doc['final'])} rows under "
+                             f"final and row counts {counts} under visits")
+        rows = iter(doc["final"])
+        for visit, count in doc["visits"]:
+            visits[visit] = _visit_entries(visit, list(islice(rows, count)))
+        for visit in doc["evicted"]:
+            del visits[visit]
+        snapshots.append(GenerationRecord(**doc["record"]))
+    resume = doc["resume"]
+    version, internal, gauss = resume["rng_state"]
+    rng_state = (version, tuple(internal), gauss)
+    random.Random().setstate(rng_state)
+    return OoeState(
+        visits, tuple(v for v, _ in doc["visits"]), tuple(doc["evicted"]),
+        tuple(snapshots), EvalCounters(**resume["counters"]),
+        resume["n_visits"], tuple(map(tuple, resume["population"])), rng_state)
 
 
 def write_front_csv(path: str, entries: Sequence[ArchiveEntry]) -> None:

@@ -1,6 +1,8 @@
 """Batch command-line front end.
 
-Subcommands: `search` runs the nested engine and persists the archive;
+Subcommands: `search` runs the nested engine and persists the archive,
+writing one checkpoint per generation, and continues an interrupted run of
+the same config from its checkpoints;
 `enumerate` writes the exhaustive ground-truth front for tiny spaces;
 `metrics` compares two front CSVs (hypervolume and ratio of dominance);
 `ablate-dissim` compares inner-engine runs across regularizer exponents.
@@ -67,13 +69,26 @@ def _config_digest_of(path: str) -> str | None:
     return match.group(1).decode("ascii", "replace") if match else None
 
 
+def _require_digest(path: str, digest: str) -> None:
+    existing = _config_digest_of(path)
+    if existing != digest:
+        raise click.ClickException(
+            f"{path} was produced by a different config "
+            f"(digest {existing}); rerun with --force to overwrite"
+        )
+
+
 def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     """Execute the search and write archive.json / front.csv plus one
     checkpoint per completed generation.  Returns the two output paths.
 
     The output directory must not hold another config's run: its
     archive.json, or without one its newest checkpoint, must carry this
-    config's digest.  With `force` the earlier outputs are removed instead."""
+    config's digest.  Its checkpoints of generations 1..k, each of which
+    must carry this config's digest, are then replayed and the run goes on
+    from generation k + 1; the outputs are those of an uninterrupted run.
+    With `force` the earlier outputs are removed instead and the run starts
+    from generation 1."""
     digest = config_digest(cfg)
     out_dir = cfg.output_dir
     archive_path = os.path.join(out_dir, "archive.json")
@@ -81,13 +96,21 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     checkpoints = _checkpoints(out_dir)
     prior = archive_path if os.path.exists(archive_path) else (
         checkpoints[-1] if checkpoints else None)
+    start = None
     if prior is not None and not force:
-        existing = _config_digest_of(prior)
-        if existing != digest:
+        _require_digest(prior, digest)
+        for path in checkpoints:
+            _require_digest(path, digest)
+        try:
+            if len(checkpoints) > cfg.ooe.generations:
+                raise ValueError(f"{len(checkpoints)} checkpoints for "
+                                 f"{cfg.ooe.generations} generations")
+            if checkpoints:
+                start = ar.replay_checkpoints(checkpoints)
+        except (ValueError, KeyError, TypeError) as exc:
             raise click.ClickException(
-                f"{prior} was produced by a different config "
-                f"(digest {existing}); rerun with --force to overwrite"
-            )
+                f"cannot resume: {exc}; rerun with --force to start over"
+            ) from exc
     backend = build_backend(cfg)
     if force:
         for path in [archive_path, front_path] + checkpoints:
@@ -95,18 +118,14 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
                 os.remove(path)
     rows = ar.RowEncoder()
 
-    def checkpoint(gen: int, entries, counters) -> None:
-        doc = {
-            "schema_version": ar.SCHEMA_VERSION,
-            "config_digest": digest,
-            "generation": gen,
-        }
-        ar.save_json(os.path.join(out_dir, f"checkpoint_gen_{gen:03d}.json"),
-                     doc, rows.final_json(entries))
+    def checkpoint(state) -> None:
+        ar.save_checkpoint(
+            os.path.join(out_dir, f"checkpoint_gen_{state.generation:03d}.json"),
+            state, digest, rows)
 
     result = run_ooe(cfg.space, cfg.device_spec(), backend, cfg.hw,
                      cfg.surrogate, cfg.ooe, cfg.variation,
-                     on_generation=checkpoint)
+                     on_generation=checkpoint, start=start)
     # archive.json here and front.csv in a forked process, given two CPUs.
     fork_map(lambda write: write(), (
         lambda: ar.save_json(archive_path,
@@ -137,10 +156,11 @@ _out_opt = click.option("--out", type=click.Path(), default=None,
 @click.option("--force", is_flag=True,
               help="Remove the outputs of an earlier run (archive.json, "
                    "front.csv, checkpoints) first, even one of a different "
-                   "config.")
+                   "config, and start from generation 1.")
 def search(config_path: str, seed: int | None, out: str | None,
            force: bool) -> None:
-    """Run the nested search and persist the final archive."""
+    """Run the nested search and persist the final archive; an interrupted
+    run of the same config goes on from its checkpoints."""
     cfg = _load(config_path, seed, out)
     try:
         archive_path, front_path = run_search(cfg, force=force)

@@ -158,10 +158,6 @@ class ExitGenome:
         if bits.count(0) + bits.count(1) != len(bits):
             raise ValueError("indicators must be 0/1")
 
-    @property
-    def n_exits(self) -> int:
-        return sum(self.indicators)
-
     def key(self) -> str:
         return bytes(self.indicators).translate(_BIT_CHARS).decode()
 
@@ -278,18 +274,32 @@ def repair_exit_bits(bits: tuple[int, ...], rng: random.Random) -> tuple[int, ..
     return bits[:i] + (1,) + bits[i + 1:]
 
 
+def sample_exit_bits(n: int, rng: random.Random) -> tuple[int, ...]:
+    """Bernoulli(0.5) per bit; an all-zero draw gets one uniformly chosen
+    bit forced on."""
+    draw = rng.random
+    return repair_exit_bits(tuple([1 if draw() < 0.5 else 0 for _ in range(n)]),
+                            rng)
+
+
 def sample_exit_genome(b: BackboneGenome, space: SearchSpaceSpec,
                        rng: random.Random) -> ExitGenome:
-    """Bernoulli(0.5) per admissible position; an all-zero draw gets one
-    uniformly chosen bit forced on."""
-    n = indicator_length(b, space)
-    bits = tuple([1 if rng.random() < 0.5 else 0 for _ in range(n)])
-    return ExitGenome(repair_exit_bits(bits, rng))
+    """One exit bit per admissible position, drawn by sample_exit_bits."""
+    return ExitGenome(sample_exit_bits(indicator_length(b, space), rng))
+
+
+def sample_frequency_genes(device: DeviceSpec,
+                           rng: random.Random) -> tuple[int, ...]:
+    """A uniform setting as (compute_idx,), or (compute_idx, emc_idx) on a
+    device with a memory clock; the emc index is drawn first."""
+    if device.has_emc:
+        emc = rng.randrange(len(device.emc_freq_ghz))
+        return rng.randrange(len(device.compute_freq_ghz)), emc
+    return (rng.randrange(len(device.compute_freq_ghz)),)
 
 
 def sample_dvfs(device: DeviceSpec, rng: random.Random) -> DvfsGenome:
-    emc = rng.randrange(len(device.emc_freq_ghz)) if device.has_emc else None
-    return DvfsGenome(device.name, rng.randrange(len(device.compute_freq_ghz)), emc)
+    return DvfsGenome(device.name, *sample_frequency_genes(device, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +330,8 @@ def mutate_genes(genes: Sequence[int], sizes: Sequence[int], prob: float,
                   for g, n in zip(genes, sizes, strict=True)])
 
 
-def _backbone_of(genes: Sequence[int]) -> BackboneGenome:
+def backbone_of_key(genes: Sequence[int]) -> BackboneGenome:
+    """The backbone whose key() is `genes`."""
     return BackboneGenome(genes[0], tuple(BlockGenes(*genes[i:i + 4])
                                           for i in range(1, len(genes), 4)))
 
@@ -331,7 +342,7 @@ def mutate_backbone(b: BackboneGenome, space: SearchSpaceSpec,
              len(space.kernel_domain), len(space.expand_domain))
     sizes = (len(space.resolution_domain),) + block * len(b.blocks)
     genes = mutate_genes(b.key(), sizes, params.mutation_prob_per_gene, rng)
-    return _repair_backbone(_backbone_of(genes), space, rng)
+    return _repair_backbone(backbone_of_key(genes), space, rng)
 
 
 def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
@@ -339,7 +350,7 @@ def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
                        rng: random.Random) -> tuple[BackboneGenome, BackboneGenome]:
     children = crossover_genes(parent_a.key(), parent_b.key(),
                                params.crossover_prob, rng)
-    return tuple(_repair_backbone(_backbone_of(g), space, rng) for g in children)
+    return tuple(_repair_backbone(backbone_of_key(g), space, rng) for g in children)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .genome import (
     n_inner_candidates,
     repair_exit_bits,
     require_counts,
-    sample_dvfs,
-    sample_exit_genome,
+    sample_exit_bits,
+    sample_frequency_genes,
 )
 from .moea import (
     Direction,
@@ -107,6 +107,13 @@ def candidate_genes(x: ExitGenome, f: DvfsGenome) -> Candidate:
     """The gene tuple of an (exits, frequencies) pair."""
     emc = () if f.emc_idx is None else (f.emc_idx,)
     return x.indicators + (f.compute_idx,) + emc
+
+
+def sample_candidate(n_bits: int, device: DeviceSpec,
+                     rng: random.Random) -> Candidate:
+    """candidate_genes of a sample_exit_genome and a sample_dvfs draw, from
+    the same draws, without the genome objects."""
+    return sample_exit_bits(n_bits, rng) + sample_frequency_genes(device, rng)
 
 
 def crossover_candidates(a: Candidate, b: Candidate, n_bits: int,
@@ -294,9 +301,6 @@ class IoeSolution:
     dvfs: DvfsGenome
     score: DynamicScore
 
-    def key(self) -> tuple:
-        return (self.exits.key(),) + self.dvfs.key()
-
 
 @dataclass
 class IoeResult:
@@ -317,8 +321,8 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     across every generation and is pruned to a mutually non-dominated set
     after each one.  Its keys are the candidates and its payloads (their
     generation's scores, their row in them) until the end, when the final
-    rows become IoeSolutions: the only genome objects built after the first
-    generation.
+    rows become IoeSolutions: the only genome objects built, unless the
+    whole inner space fits in one population and is enumerated.
     """
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)
@@ -330,9 +334,7 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         config.population, n_inner_candidates(b, space, device),
         lambda: [candidate_genes(x, f) for x in enumerate_exit_genomes(b, space)
                  for f in enumerate_dvfs(device)],
-        lambda r: candidate_genes(sample_exit_genome(b, space, r),
-                                  sample_dvfs(device, r)),
-        lambda c: c, rng)
+        lambda r: sample_candidate(n_bits, device, r), lambda c: c, rng)
     for gen in range(config.generations):
         if gen > 0:
             candidates = breed(

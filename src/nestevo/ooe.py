@@ -16,7 +16,7 @@ import math
 import os
 import pickle
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
@@ -36,6 +36,7 @@ from .genome import (
     ExitGenome,
     SearchSpaceSpec,
     VariationParams,
+    backbone_of_key,
     crossover_backbone,
     enumerate_backbones,
     mutate_backbone,
@@ -105,6 +106,35 @@ class GenerationRecord:
     static_evals: int
     dynamic_evals: int
     forwarded_backbones: int
+
+
+@dataclass(frozen=True)
+class OoeState:
+    """The search after a generation: what the generation changed in the
+    archive, and all that the next generation starts from.
+
+    The archive is one entry per backbone visit (one backbone forwarded in
+    one generation), numbered in visit order: `visits` maps each live visit
+    to its rows, in archive order.  `population` holds the backbone keys of
+    the next generation, and is empty after the last one."""
+
+    visits: dict[int, tuple[ArchiveEntry, ...]]
+    added: tuple[int, ...]    # visits that entered the archive in this generation
+    evicted: tuple[int, ...]  # visits that left it
+    snapshots: tuple[GenerationRecord, ...]  # one per generation so far
+    counters: EvalCounters
+    n_visits: int             # visits numbered so far
+    population: tuple[tuple[int, ...], ...]
+    rng_state: tuple          # random.Random.getstate() after breeding
+
+    @property
+    def generation(self) -> int:
+        return self.snapshots[-1].generation
+
+    @property
+    def entries(self) -> tuple[ArchiveEntry, ...]:
+        """The archive's rows."""
+        return tuple(row for rows in self.visits.values() for row in rows)
 
 
 @dataclass
@@ -279,29 +309,45 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return results
 
 
-GenerationCallback = Callable[[int, tuple[ArchiveEntry, ...], EvalCounters], None]
-
-
 def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend,
             hw: HardwareModelParams, surrogate: SurrogateParams,
             config: OoeConfig, variation: VariationParams,
-            on_generation: GenerationCallback | None = None) -> OoeResult:
+            on_generation: Callable[[OoeState], None] | None = None,
+            start: OoeState | None = None) -> OoeResult:
     """Run the nested search and return the elitist archive of final
-    solutions, per-generation records, and exact evaluation counters."""
-    rng = random.Random(config.seed)
-    counters = EvalCounters()
+    solutions, per-generation records, and exact evaluation counters.
+
+    After each generation `on_generation` gets the search's state.  Given
+    the state after generation k as `start`, the run goes on from generation
+    k + 1 and returns what the run that handed out that state returns: each
+    inner search is a function of its seed, drawn from the restored stream."""
     # Keys: visit numbers; payloads: solution rows.
     archive = ParetoArchive(COMBINED_DIRECTIONS)
-    n_visits = 0
-    entries: tuple[ArchiveEntry, ...] = ()
-    snapshots: list[GenerationRecord] = []
-    population = initial_population(
-        config.population, space.n_backbones(),
-        lambda: enumerate_backbones(space),
-        lambda r: sample_backbone(space, r),
-        BackboneGenome.key, rng)
+    if start is None:
+        rng = random.Random(config.seed)
+        counters = EvalCounters()
+        n_visits = 0
+        snapshots: list[GenerationRecord] = []
+        population = initial_population(
+            config.population, space.n_backbones(),
+            lambda: enumerate_backbones(space),
+            lambda r: sample_backbone(space, r),
+            BackboneGenome.key, rng)
+    else:
+        rng = random.Random()
+        rng.setstate(start.rng_state)
+        counters = replace(start.counters)
+        n_visits = start.n_visits
+        snapshots = list(start.snapshots)
+        population = [backbone_of_key(k) for k in start.population]
+        # The live visits are mutually non-dominated: the merge keeps them all.
+        archive.merge_batch(
+            list(start.visits), list(start.visits.values()),
+            np.array([rows[0].vector.values for rows in start.visits.values()]
+                     ).reshape(-1, len(COMBINED_DIRECTIONS)))
+    entries = tuple(row for rows in archive.payloads for row in rows)
 
-    for gen in range(1, config.generations + 1):
+    for gen in range(len(snapshots) + 1, config.generations + 1):
         statics = [eval_static(b, space, device, backend, surrogate, config.seed)
                    for b in population]
         counters.static_evals += len(population)
@@ -346,6 +392,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             if rows:
                 visited.append(i)
                 visit_rows.append(tuple(rows))
+        previous, first_new = archive.keys, n_visits
         archive.merge_batch(range(n_visits, n_visits + len(visited)), visit_rows,
                             values[visited])
         n_visits += len(visited)
@@ -355,9 +402,6 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             gen, len(entries), counters.static_evals, counters.dynamic_evals,
             counters.forwarded_backbones,
         ))
-        if on_generation is not None:
-            on_generation(gen, entries, counters)
-
         if gen < config.generations:
             pool, places = mating_pool(ranks, crowding,
                                        min(config.population, len(ranks)))
@@ -366,5 +410,15 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                 lambda a, b, r: crossover_backbone(a, b, space, variation, r),
                 lambda c, r: mutate_backbone(c, space, variation, r),
                 variation, rng)
+        else:
+            population = []
+        if on_generation is not None:
+            live = set(archive.keys)
+            on_generation(OoeState(
+                dict(zip(archive.keys, archive.payloads)),
+                tuple(v for v in archive.keys if v >= first_new),
+                tuple(v for v in previous if v not in live),
+                tuple(snapshots), replace(counters), n_visits,
+                tuple(b.key() for b in population), rng.getstate()))
 
     return OoeResult(entries, tuple(snapshots), counters)

@@ -13,8 +13,9 @@ are the per-ObjectiveVector code the package ran before metrics and the
 outer engine took objective matrices.  The scalar hardware costs
 (hw_latency_energy and a bisecting table lookup) price one workload at a
 time, independently of the backends' batch path.  The per-exit primitives,
-the one-item archive merge and the archive readers (archive.json rows and
-front.csv rows back to solutions) are definitions only the tests use.  The
+the one-item archive merge and the readers of a whole archive.json and of
+front.csv rows (built on nestevo.archive's row reader) are definitions only
+the tests use.  The
 object variation operators are the per-genome mutation and crossover the
 package ran before both engines bred flat tuples of gene indices; the gene
 operators must make the same children from the same draws.  The
@@ -37,7 +38,13 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from nestevo.archive import FRONT_CSV_COLUMNS, _FIELDS, _blocks_str
+from nestevo.archive import (
+    FRONT_CSV_COLUMNS,
+    _FIELDS,
+    _blocks_str,
+    solution_from_dict,
+    solution_from_values,
+)
 from nestevo.evaluator import (
     ExitProfile,
     HardwareTable,
@@ -486,33 +493,6 @@ def _emc_idx(text: str) -> int | None:
 # The parser of each front.csv column's text, in _FIELDS order.
 _CSV_PARSERS = (int, str, str, str, int, _emc_idx, float, float, float,
                 float, float, float, float, int, float)
-
-
-def _blocks_from_str(s: str) -> tuple[BlockGenes, ...]:
-    return tuple(BlockGenes(*(int(v) for v in part.split("-")))
-                 for part in s.split("|"))
-
-
-def solution_from_values(values: Sequence) -> FinalSolution:
-    """Inverse of solution_values."""
-    (resolution, blocks, bits, device, compute, emc, acc, latency, energy,
-     correct, energy_ratio, latency_ratio, dissimilarity, n_exits,
-     exit_score) = values
-    return FinalSolution(
-        BackboneGenome(resolution, _blocks_from_str(blocks)),
-        ExitGenome(tuple(int(c) for c in bits)),
-        DvfsGenome(device, compute, emc),
-        StaticScore(acc, latency, energy),
-        DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
-                     dissimilarity, n_exits),
-    )
-
-
-def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
-    """One loaded archive.json row as a solution and its objective vector."""
-    sol = solution_from_values([(doc if section is None else doc[section])[name]
-                                for _, section, name in _FIELDS])
-    return sol, ObjectiveVector(tuple(doc["objectives"]), COMBINED_DIRECTIONS)
 
 
 def archive_doc_result(doc: dict) -> OoeResult:

@@ -19,8 +19,7 @@ from nestevo.ioe import DynamicScore
 from nestevo.moea import ArchiveEntry, ObjectiveVector
 from nestevo.ooe import COMBINED_DIRECTIONS, FinalSolution
 
-from oracles import (archive_text, front_csv_text, front_solution_from_row,
-                     solution_from_dict)
+from oracles import archive_text, front_csv_text, front_solution_from_row
 
 
 def entry(bits, compute_idx, emc_idx, hv, device="dev"):
@@ -107,7 +106,7 @@ ODD_ROWS = [
 def test_json_rows_round_trip(tmp_path):
     doc = {"schema_version": 1, "config_digest": "f" * 64, "seed": 11}
     first = saved_text(tmp_path, doc, ar.RowEncoder().final_json(ODD_ROWS))
-    decoded = [solution_from_dict(row) for row in json.loads(first)["final"]]
+    decoded = [ar.solution_from_dict(row) for row in json.loads(first)["final"]]
     assert [sol for sol, _ in decoded] == \
         [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
     again = [ArchiveEntry(sol.key(), sol, vector) for sol, vector in decoded]

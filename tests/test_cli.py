@@ -443,9 +443,9 @@ class TestInterruption:
         def aborting_run_ooe(*args, **kwargs):
             inner_cb = kwargs.get("on_generation")
 
-            def wrapper(gen, entries, counters):
-                inner_cb(gen, entries, counters)
-                if gen == 1:
+            def wrapper(state):
+                inner_cb(state)
+                if state.generation == 1:
                     raise KeyboardInterrupt
 
             kwargs["on_generation"] = wrapper

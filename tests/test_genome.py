@@ -149,8 +149,8 @@ class TestExitSampling:
         total_bits = 0
         for _ in range(n):
             x = sample_exit_genome(b, space, rng)
-            assert x.n_exits >= 1
-            total_bits += x.n_exits
+            assert sum(x.indicators) >= 1
+            total_bits += sum(x.indicators)
         mean = total_bits / n
         sigma = math.sqrt(variance / n)
         assert abs(mean - expected_mean) <= 5 * sigma

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nestevo.config import default_devices
 from nestevo.evaluator import (
     ExitProfile,
     HardwareModelParams,
@@ -18,15 +21,21 @@ from nestevo.genome import (
     DeviceSpec,
     DvfsGenome,
     ExitGenome,
+    SearchSpaceSpec,
     VariationParams,
     enumerate_dvfs,
     enumerate_exit_genomes,
+    indicator_length,
     sample_backbone,
+    sample_dvfs,
+    sample_exit_genome,
 )
 from nestevo.ioe import (
     IoeConfig,
+    candidate_genes,
     dynamic_fitness,
     run_ioe,
+    sample_candidate,
 )
 from nestevo.metrics import Front, hypervolume
 from nestevo.moea import Direction
@@ -222,6 +231,11 @@ class TestIoeObjectives:
             ioe_objectives(self._score(), "weighted", 1.0)
 
 
+def solution_key(s) -> tuple:
+    """An IoeSolution's candidate key, as exhaustive_inner_front spells it."""
+    return (s.exits.key(),) + s.dvfs.key()
+
+
 def exhaustive_inner_front(b, space, device, backend, hw, profile, static,
                            gamma, mode):
     """Oracle: evaluate every candidate, keep the non-dominated keys."""
@@ -260,7 +274,7 @@ class TestRunIoe:
         expected = exhaustive_inner_front(b, toy_space, device, backend, hw,
                                           profile, static, config.gamma,
                                           config.objective_mode)
-        assert {s.key() for s in result.solutions} == expected
+        assert {solution_key(s) for s in result.solutions} == expected
         assert result.n_dynamic_evals == 36
 
     def test_single_generation_full_population(self, toy_space):
@@ -272,7 +286,7 @@ class TestRunIoe:
         expected = exhaustive_inner_front(b, toy_space, device, backend, hw,
                                           profile, static, config.gamma,
                                           config.objective_mode)
-        assert {s.key() for s in result.solutions} == expected
+        assert {solution_key(s) for s in result.solutions} == expected
 
     def test_fixed_seed_reproducible(self, toy_space):
         b, device, hw, backend, static, profile = self._setup(toy_space)
@@ -286,7 +300,7 @@ class TestRunIoe:
                              profile=profile, static=static,
                              on_generation=lambda gen, archive: history.append(
                                  sorted(e.key for e in archive.entries)))
-            return history, [(s.key(), s.score) for s in result.solutions]
+            return history, [(solution_key(s), s.score) for s in result.solutions]
 
         assert run(42) == run(42)
         # 8 distinct samples of the 12 candidates: the seed decides which,
@@ -322,25 +336,35 @@ class TestRunIoe:
         assert all(a <= b + 1e-12 for a, b in zip(volumes, volumes[1:]))
 
     def test_genome_objects_only_at_the_ends(self, full_space, monkeypatch):
-        # Breeding works on gene tuples: ExitGenomes are built for the first
-        # generation's samples and for the final archive, never per child.
-        rng = random.Random(8)
-        b = sample_backbone(full_space, rng)
-        device = full_space.device("agx-volta-gpu")
-        hw = HardwareModelParams()
-        backend = SyntheticHardwareModel(hw)
-        sur = SurrogateParams()
+        # Sampling and breeding work on gene tuples: ExitGenomes are built
+        # for the final archive only, never per sample or per child.  Two
+        # backbones: one of the default space, and a 1-block one with 3 exit
+        # bits on carmel-cpu (203 candidates), whose first generation rejects
+        # many repeated samples.
         built = []
         check = ExitGenome.__post_init__
         monkeypatch.setattr(ExitGenome, "__post_init__",
                             lambda x: (built.append(x), check(x)))
+        one_block = SearchSpaceSpec(n_block=1, depth_domain=(8,),
+                                    device_specs=full_space.device_specs)
+        hw = HardwareModelParams()
+        backend = SyntheticHardwareModel(hw)
+        sur = SurrogateParams()
         config = IoeConfig(generations=10, population=100, budget=1000)
-        result = run_ioe(b, full_space, device, backend, hw, config,
-                         VariationParams(), rng,
-                         profile=exit_profile(b, full_space, sur, seed=0),
-                         static=eval_static(b, full_space, device, backend, sur,
-                                            seed=0))
-        assert len(built) <= config.population + len(result.solutions)
+        rng = random.Random(8)
+        for space, b, device in [
+                (full_space, sample_backbone(full_space, rng), "agx-volta-gpu"),
+                (one_block, BackboneGenome(0, (BlockGenes(0, 3, 1, 2),)),
+                 "carmel-cpu")]:
+            device = space.device(device)
+            static = eval_static(b, space, device, backend, sur, seed=0)
+            built.clear()
+            result = run_ioe(b, space, device, backend, hw, config,
+                             VariationParams(), rng,
+                             profile=exit_profile(b, space, sur, seed=0),
+                             static=static)
+            assert len(built) == len(result.solutions)
+        assert indicator_length(b, space) == 3
 
     def test_budget_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -360,3 +384,21 @@ class TestRunIoe:
         # NaN fails `gamma < 0` as well as `gamma >= 0`.
         with pytest.raises(ValueError, match="gamma must be nonnegative"):
             IoeConfig(gamma=math.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_bits=st.integers(1, 41), emc=st.booleans(),
+       seed=st.integers(0, 2**32), draws=st.integers(1, 4))
+def test_sampled_candidates_match_object_samplers(n_bits, emc, seed, draws):
+    # Same draws in the same order: n bits, the repair, emc, then compute.
+    space = SearchSpaceSpec(n_block=1, depth_domain=(n_bits + 5,),
+                            device_specs=default_devices())
+    b = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),))
+    device = space.device("agx-volta-gpu" if emc else "carmel-cpu")
+    assert device.has_emc == emc
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        assert sample_candidate(n_bits, device, ours) == candidate_genes(
+            sample_exit_genome(b, space, theirs), sample_dvfs(device, theirs))
+        assert ours.getstate() == theirs.getstate()
+

@@ -1,0 +1,284 @@
+"""Per-generation checkpoints and resumed searches: a run aborted after any
+generation and run again writes the bytes of an uninterrupted run, replaying
+checkpoints 1..k rebuilds generation k's archive row for row, and a rerun
+refuses checkpoints it cannot continue from."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import nestevo.cli as cli_mod
+import nestevo.ooe as ooe
+from nestevo import archive as ar
+from nestevo.cli import main, run_search
+from nestevo.config import load_config, parse_config
+
+import test_identity
+from oracles import solution_to_dict
+from test_cli import write_toy_config
+
+
+class Abort(Exception):
+    pass
+
+
+def files(out: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+def run_aborted(cfg, k: int) -> None:
+    """run_search, stopped right after generation k's checkpoint."""
+    original = cli_mod.run_ooe
+
+    def aborting_run_ooe(*args, **kwargs):
+        inner_cb = kwargs["on_generation"]
+
+        def wrapper(state):
+            inner_cb(state)
+            if state.generation == k:
+                raise Abort
+
+        kwargs["on_generation"] = wrapper
+        return original(*args, **kwargs)
+
+    cli_mod.run_ooe = aborting_run_ooe
+    try:
+        with pytest.raises(Abort):
+            run_search(cfg)
+    finally:
+        cli_mod.run_ooe = original
+
+
+def table_search_doc(tmp_path: Path) -> dict:
+    """A small search of the default space through the lookup-table backend."""
+    table = tmp_path / "carmel-cpu-table.csv"
+    test_identity.write_table(table, "carmel-cpu")
+    return {
+        "seed": 3,
+        "device": "carmel-cpu",
+        "evaluator": {"backend": "table", "table_csv": str(table)},
+        "ooe": {"generations": 3, "population": 8, "prune_fraction": 0.5,
+                "budget": 24},
+        "ioe": {"generations": 3, "population": 16, "budget": 48},
+    }
+
+
+def search_config(name: str, tmp_path: Path, out: Path):
+    if name == "toy":
+        return load_config(str(test_identity.CONFIGS / "toy.yaml"),
+                           out_override=str(out))
+    doc = (test_identity.SMALL_DEFAULT_DOC if name == "small-default"
+           else table_search_doc(tmp_path))
+    return parse_config(doc, out_override=str(out))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", ["toy", "small-default", "table"])
+def test_resume_after_any_generation_is_exact(name, cpus, tmp_path,
+                                              monkeypatch):
+    monkeypatch.setattr(ooe, "_cpus", lambda: cpus)
+    cfg = search_config(name, tmp_path, tmp_path / "full")
+    run_search(cfg)
+    expected = files(tmp_path / "full")
+    if name in test_identity.PINNED:
+        assert {n: expected[n] for n in ("archive.json", "front.csv")} \
+            == test_identity.PINNED[name]
+    generations = cfg.ooe.generations
+    for k in range(1, generations + 1):
+        out = tmp_path / f"aborted_{k}"
+        cfg = search_config(name, tmp_path, out)
+        run_aborted(cfg, k)
+        assert sorted(files(out)) == [f"checkpoint_gen_{g:03d}.json"
+                                      for g in range(1, k + 1)]
+        run_search(cfg)
+        assert files(out) == expected, k
+
+
+def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
+    # The oracle is the full-archive "final" list the checkpoints held before
+    # they became deltas, rendered from the live run's own entries.
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
+                       out_override=str(tmp_path))
+    states = []
+    original = cli_mod.run_ooe
+
+    def recording_run_ooe(*args, **kwargs):
+        inner_cb = kwargs["on_generation"]
+
+        def wrapper(state):
+            inner_cb(state)
+            states.append((state, ar.RowEncoder().final_json(state.entries)))
+
+        kwargs["on_generation"] = wrapper
+        return original(*args, **kwargs)
+
+    cli_mod.run_ooe = recording_run_ooe
+    try:
+        run_search(cfg)
+    finally:
+        cli_mod.run_ooe = original
+    paths = [str(tmp_path / f"checkpoint_gen_{g:03d}.json")
+             for g in range(1, cfg.ooe.generations + 1)]
+    assert len(states) == len(paths)
+    for k, (state, final_json) in enumerate(states, 1):
+        # Each checkpoint is one json.dumps of its document, whose rows are
+        # those of the visits the generation added.
+        text = Path(paths[k - 1]).read_text(encoding="utf-8")
+        doc = dict(json.loads(text), final=[
+            solution_to_dict(e.payload, e.vector)
+            for v in state.added for e in state.visits[v]])
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        replayed = ar.replay_checkpoints(paths[:k])
+        assert ar.RowEncoder().final_json(replayed.entries) == final_json
+        assert list(replayed.visits) == list(state.visits)
+        assert [len(rows) for rows in replayed.visits.values()] == \
+            [len(rows) for rows in state.visits.values()]
+        # As in the live run, a visit's rows share one backbone, static
+        # score and objective vector.
+        for rows in replayed.visits.values():
+            assert all(row.payload.backbone is rows[0].payload.backbone
+                       and row.payload.static_score is rows[0].payload.static_score
+                       and row.vector is rows[0].vector for row in rows)
+        for name in ("added", "evicted", "snapshots", "counters", "n_visits",
+                     "population", "rng_state"):
+            assert getattr(replayed, name) == getattr(state, name), (k, name)
+    # The run exercises evictions and several new visits per generation.
+    assert any(state.evicted for state, _ in states)
+    assert all(len(state.added) > 1 for state, _ in states)
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
+
+
+def toy_run(tmp_path, runner, **overrides):
+    tmp_path.mkdir(exist_ok=True)
+    cfg = write_toy_config(tmp_path, ooe={"generations": 3, "budget": 24},
+                           **overrides)
+    res = runner.invoke(main, ["search", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    return cfg, tmp_path / "out"
+
+
+class TestResumeRefusals:
+    def test_gap_in_checkpoint_numbers(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        (out / "checkpoint_gen_002.json").unlink()
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "cannot resume: the checkpoint of generation 2 is missing" \
+            in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_more_checkpoints_than_generations(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        doc = json.loads((out / "checkpoint_gen_003.json").read_text())
+        doc["generation"] = 4
+        (out / "checkpoint_gen_004.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "cannot resume: 4 checkpoints for 3 generations" in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_checkpoint_without_resume_state(self, tmp_path, runner):
+        # A full-archive checkpoint, as written before checkpoints held the
+        # state to resume from: its digest line is intact.
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_002.json"
+        doc = json.loads(path.read_text())
+        del doc["resume"]
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "checkpoint_gen_002.json holds no resume state" in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_checkpoint_of_another_config(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        # The newest checkpoint is refused as without --resume ...
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--seed", "8"])
+        assert res.exit_code == 1
+        assert "checkpoint_gen_003.json was produced by a different config" \
+            in res.output
+        # ... and so is an older one, though the newest carries the digest.
+        _, other = toy_run(tmp_path / "other", runner, seed=8)
+        first = (other / "checkpoint_gen_001.json").read_bytes()
+        (out / "checkpoint_gen_001.json").write_bytes(first)
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "checkpoint_gen_001.json was produced by a different config" \
+            in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_row_counts_that_do_not_match_the_rows(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        expected = files(out)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        doc["visits"][-1][1] += 1
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "checkpoint_gen_001.json lists" in res.output
+        assert "rerun with --force to start over" in res.output
+        assert not (out / "archive.json").exists()
+        # --force starts from generation 1 and rewrites every checkpoint.
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
+        assert res.exit_code == 0, res.output
+        assert files(out) == expected
+
+    def test_rows_of_one_visit_that_differ(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        first = 0
+        for visit, count in doc["visits"]:
+            if count > 1:
+                break
+            first += count
+        assert count > 1
+        doc["final"][first + 1]["static"]["acc"] += 0.5
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert f"the rows of visit {visit} differ" in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_bad_rng_state(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_003.json"
+        doc = json.loads(path.read_text())
+        doc["resume"]["rng_state"][1] = doc["resume"]["rng_state"][1][:5]
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "cannot resume:" in res.output
+        assert not (out / "archive.json").exists()
+
+
+def test_digest_line_key_sorts_first(tmp_path, runner):
+    # The integrity check reads line 2 only: every other top-level key of
+    # archive.json and of a checkpoint must sort after config_digest.
+    _, out = toy_run(tmp_path, runner)
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert names == ["archive.json", "checkpoint_gen_001.json",
+                     "checkpoint_gen_002.json", "checkpoint_gen_003.json"]
+    for name in names:
+        doc = json.loads((out / name).read_text())
+        assert sorted(doc)[0] == "config_digest", name
+        assert cli_mod._config_digest_of(str(out / name)) == \
+            doc["config_digest"]
+
