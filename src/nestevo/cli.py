@@ -2,7 +2,8 @@
 
 Subcommands: `search` runs the nested engine and persists the archive,
 writing one checkpoint per generation, and continues an interrupted run of
-the same config from its checkpoints;
+the same config from its checkpoints; its archive.json and front.csv join
+the row texts the engine's workers rendered, in the main process;
 `enumerate` writes the exhaustive ground-truth front for tiny spaces;
 `metrics` compares two front CSVs (hypervolume and ratio of dominance);
 `ablate-dissim` compares inner-engine runs across regularizer exponents.
@@ -25,7 +26,7 @@ from .evaluator import SyntheticHardwareModel, TableHardwareModel
 from .exhaustive import enumerate_truth, space_cardinality
 from .metrics import Front, compare_fronts
 from .moea import Direction
-from .ooe import fork_map, run_ooe
+from .ooe import run_ooe
 
 
 def build_backend(cfg: RunConfig):
@@ -116,22 +117,18 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
         for path in [archive_path, front_path] + checkpoints:
             if os.path.exists(path):
                 os.remove(path)
-    rows = ar.RowEncoder()
 
     def checkpoint(state) -> None:
         ar.save_checkpoint(
             os.path.join(out_dir, f"checkpoint_gen_{state.generation:03d}.json"),
-            state, digest, rows)
+            state, digest)
 
     result = run_ooe(cfg.space, cfg.device_spec(), backend, cfg.hw,
                      cfg.surrogate, cfg.ooe, cfg.variation,
                      on_generation=checkpoint, start=start)
-    # archive.json here and front.csv in a forked process, given two CPUs.
-    fork_map(lambda write: write(), (
-        lambda: ar.save_json(archive_path,
-                             ar.archive_header(result, digest, cfg.seed),
-                             rows.final_json(result.entries)),
-        lambda: ar.write_front_csv(front_path, result.entries)))
+    ar.save_json(archive_path, ar.archive_header(result, digest, cfg.seed),
+                 [text for _, text, _ in result.rows])
+    ar.write_front_csv(front_path, [line for _, _, line in result.rows])
     return archive_path, front_path
 
 
@@ -187,11 +184,11 @@ def enumerate_cmd(config_path: str, seed: int | None, out: str | None) -> None:
         backend = build_backend(cfg)
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
-    entries = enumerate_truth(cfg.space, cfg.device_spec(), backend, cfg.hw,
-                              cfg.surrogate, cfg.seed, cfg.ooe.ioe.gamma,
-                              cfg.ooe.ioe.objective_mode)
+    rows = enumerate_truth(cfg.space, cfg.device_spec(), backend, cfg.hw,
+                           cfg.surrogate, cfg.seed, cfg.ooe.ioe.gamma,
+                           cfg.ooe.ioe.objective_mode)
     path = os.path.join(cfg.output_dir, "truth_front.csv")
-    ar.write_front_csv(path, entries)
+    ar.write_front_csv(path, [line for _, _, line in rows])
     click.echo(f"evaluated {card.total} candidates; front: {path}")
 
 

@@ -9,6 +9,7 @@ that the evolutionary engine is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,13 +29,9 @@ from .genome import (
 )
 from .ioe import (IoeSolution, _DynamicEvaluator, candidate_genes,
                   ioe_objective_matrix)
-from .moea import ArchiveEntry, ObjectiveVector, nondominated_rows
-from .ooe import (
-    COMBINED_DIRECTIONS,
-    FinalSolution,
-    combined_objectives,
-    ioe_front_hypervolume,
-)
+from .moea import nondominated_rows
+from .ooe import COMBINED_DIRECTIONS, combined_objectives, ioe_front_hypervolume
+from .rows import Row, render_rows, visit_values
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,8 @@ def space_cardinality(space: SearchSpaceSpec, device: DeviceSpec) -> SpaceCardin
 def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
                     backend: HardwareBackend, hw: HardwareModelParams,
                     surrogate: SurrogateParams, seed: int, gamma: float,
-                    objective_mode: str = "vector") -> list[ArchiveEntry]:
-    """The true bi-level Pareto front, one entry per surviving
+                    objective_mode: str = "vector") -> list[Row]:
+    """The true bi-level Pareto front, one row (nestevo.rows) per surviving
     (backbone, exits, frequencies) triple, sorted by solution key."""
     per_backbone = []
     dvfs_all = list(enumerate_dvfs(device))
@@ -80,13 +77,7 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
 
     outer_mask = nondominated_rows(
         np.array([row for _, _, _, row in per_backbone]), COMBINED_DIRECTIONS)
-    entries: list[ArchiveEntry] = []
-    for (b, static, inner, row), keep in zip(per_backbone, outer_mask.tolist()):
-        if not keep:
-            continue
-        vector = ObjectiveVector(row, COMBINED_DIRECTIONS)
-        for sol in inner:
-            fs = FinalSolution(b, sol.exits, sol.dvfs, static, sol.score)
-            entries.append(ArchiveEntry(fs.key(), fs, vector))
-    entries.sort(key=lambda e: e.key)
-    return entries
+    rows = [row for (b, static, inner, objectives), keep
+            in zip(per_backbone, outer_mask.tolist()) if keep
+            for row in render_rows(visit_values(b, static, inner), objectives)]
+    return sorted(rows, key=itemgetter(0))

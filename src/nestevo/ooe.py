@@ -8,6 +8,10 @@ non-dominated rank and crowding, run one inner search per survivor, then rank
 the survivors on (accuracy, latency, energy, inner-front hypervolume) to pick
 the mating pool for the next generation.  The archive keeps every mutually
 non-dominated solution seen so far, so its quality never regresses.
+
+A worker runs a survivor's inner search, computes its combined objectives and
+renders its archive rows (nestevo.rows); the main process handles only row
+keys and texts.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 import pickle
 import random
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
@@ -32,8 +37,6 @@ from .evaluator import (
 from .genome import (
     BackboneGenome,
     DeviceSpec,
-    DvfsGenome,
-    ExitGenome,
     SearchSpaceSpec,
     VariationParams,
     backbone_of_key,
@@ -43,12 +46,11 @@ from .genome import (
     require_counts,
     sample_backbone,
 )
-from .ioe import DynamicScore, IoeConfig, IoeResult, IoeSolution, run_ioe
+from .ioe import IoeConfig, IoeSolution, run_ioe
 from .metrics import Front, hypervolume
 from .moea import (
     ArchiveEntry,
     Direction,
-    ObjectiveVector,
     ParetoArchive,
     breed,
     initial_population,
@@ -56,6 +58,9 @@ from .moea import (
     rank_rows,
     survivor_select,
 )
+from .rows import FinalSolution  # noqa: F401 - re-exported
+from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, Row, read_entries,
+                   render_rows, visit_values)
 
 
 @dataclass(frozen=True)
@@ -80,18 +85,6 @@ class OoeConfig:
             raise ValueError("prune_fraction must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class FinalSolution:
-    backbone: BackboneGenome
-    exits: ExitGenome
-    dvfs: DvfsGenome
-    static_score: StaticScore
-    dynamic_score: DynamicScore
-
-    def key(self) -> tuple:
-        return (self.backbone.key(), self.exits.key()) + self.dvfs.key()
-
-
 @dataclass
 class EvalCounters:
     static_evals: int = 0
@@ -114,11 +107,12 @@ class OoeState:
     archive, and all that the next generation starts from.
 
     The archive is one entry per backbone visit (one backbone forwarded in
-    one generation), numbered in visit order: `visits` maps each live visit
-    to its rows, in archive order.  `population` holds the backbone keys of
-    the next generation, and is empty after the last one."""
+    one generation), numbered in visit order: `visits` maps each live visit,
+    in archive order, to its combined objectives and its rows (nestevo.rows).
+    `population` holds the backbone keys of the next generation, and is
+    empty after the last one."""
 
-    visits: dict[int, tuple[ArchiveEntry, ...]]
+    visits: dict[int, tuple[tuple[float, ...], tuple[Row, ...]]]
     added: tuple[int, ...]    # visits that entered the archive in this generation
     evicted: tuple[int, ...]  # visits that left it
     snapshots: tuple[GenerationRecord, ...]  # one per generation so far
@@ -133,19 +127,22 @@ class OoeState:
 
     @property
     def entries(self) -> tuple[ArchiveEntry, ...]:
-        """The archive's rows."""
-        return tuple(row for rows in self.visits.values() for row in rows)
+        """The archive's rows as FinalSolution entries, read on each call."""
+        return read_entries(row for _, rows in self.visits.values()
+                            for row in rows)
 
 
 @dataclass
 class OoeResult:
-    entries: tuple[ArchiveEntry, ...]  # payloads are FinalSolutions
+    rows: tuple[Row, ...]  # the archive's, sorted by key
     snapshots: tuple[GenerationRecord, ...]
     counters: EvalCounters
 
+    @property
+    def entries(self) -> tuple[ArchiveEntry, ...]:
+        """The rows as FinalSolution entries, read on each call."""
+        return read_entries(self.rows)
 
-STATIC_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
-COMBINED_DIRECTIONS = STATIC_DIRECTIONS + (Direction.MAXIMIZE,)
 
 # Reference for the 2-D (effective correctness, energy ratio) summary of an
 # inner archive: zero correctness, break-even energy.  Archive members costing
@@ -185,20 +182,10 @@ def combined_objectives(static: StaticScore, hv_summary: float) -> tuple[float, 
     return (static.accuracy, static.latency_ms, static.energy_mj, hv_summary)
 
 
-def combined_rank(
-    candidates: Sequence[tuple[BackboneGenome, Sequence[IoeSolution]]],
-    statics: Sequence[StaticScore],
-    gamma: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank backbones on the 4-objective vector (accuracy, latency, energy,
-    inner-front hypervolume): their objective matrix, non-domination ranks
-    and crowding distances."""
-    if len(candidates) != len(statics):
-        raise ValueError("candidates and static scores differ in length")
-    values = np.array([
-        combined_objectives(st, ioe_front_hypervolume(solutions, gamma))
-        for (_, solutions), st in zip(candidates, statics)])
-    return (values,) + rank_rows(values, COMBINED_DIRECTIONS)
+def combined_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-domination ranks and crowding distances of backbones whose rows
+    of `values` are their combined_objectives."""
+    return rank_rows(values, COMBINED_DIRECTIONS)
 
 
 T = TypeVar("T")
@@ -321,7 +308,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
     the state after generation k as `start`, the run goes on from generation
     k + 1 and returns what the run that handed out that state returns: each
     inner search is a function of its seed, drawn from the restored stream."""
-    # Keys: visit numbers; payloads: solution rows.
+    # Keys: visit numbers; payloads: (combined objectives, rows).
     archive = ParetoArchive(COMBINED_DIRECTIONS)
     if start is None:
         rng = random.Random(config.seed)
@@ -343,9 +330,9 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         # The live visits are mutually non-dominated: the merge keeps them all.
         archive.merge_batch(
             list(start.visits), list(start.visits.values()),
-            np.array([rows[0].vector.values for rows in start.visits.values()]
+            np.array([objectives for objectives, _ in start.visits.values()]
                      ).reshape(-1, len(COMBINED_DIRECTIONS)))
-    entries = tuple(row for rows in archive.payloads for row in rows)
+    live = {key for _, rows in archive.payloads for key, _, _ in rows}
 
     for gen in range(len(snapshots) + 1, config.generations + 1):
         statics = [eval_static(b, space, device, backend, surrogate, config.seed)
@@ -360,46 +347,49 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                     for b in forwarded]
         ioe_seeds = [rng.getrandbits(63) for _ in forwarded]
 
-        def inner(i: int) -> IoeResult:
-            return run_ioe(forwarded[i], space, device, backend, hw, config.ioe,
-                           variation, random.Random(ioe_seeds[i]),
-                           profile=profiles[i], static=forwarded_statics[i])
+        def inner(i: int) -> tuple[int, tuple[float, ...], list[Row]]:
+            """Visit i's evaluation count, combined objectives and rows."""
+            b, static = forwarded[i], forwarded_statics[i]
+            result = run_ioe(b, space, device, backend, hw, config.ioe,
+                             variation, random.Random(ioe_seeds[i]),
+                             profile=profiles[i], static=static)
+            objectives = combined_objectives(static, ioe_front_hypervolume(
+                result.solutions, config.ioe.gamma))
+            return result.n_dynamic_evals, objectives, render_rows(
+                visit_values(b, static, result.solutions), objectives)
 
-        ioe_results = fork_map(inner, range(len(forwarded)))
-        counters.dynamic_evals += sum(r.n_dynamic_evals for r in ioe_results)
-
-        values, ranks, crowding = combined_rank(
-            [(b, r.solutions) for b, r in zip(forwarded, ioe_results)],
-            forwarded_statics, config.ioe.gamma,
-        )
+        results = fork_map(inner, range(len(forwarded)))
+        counters.dynamic_evals += sum(n for n, _, _ in results)
+        values = np.array([objectives for _, objectives, _ in results])
+        ranks, crowding = combined_rank(values)
         # One archive entry per backbone visit: its rows are the visit's
-        # solutions whose keys are not live yet (the existing row wins), and
-        # all of them share the visit's combined vector.
-        live = {row.key for row in entries}
+        # solutions whose keys are not live yet (the existing row wins).
         visited: list[int] = []  # forwarded indices of this generation's visits
-        visit_rows = []
-        for i, (b, st, result) in enumerate(zip(forwarded, forwarded_statics,
-                                                ioe_results)):
-            vector = ObjectiveVector(tuple(values[i].tolist()),
-                                     COMBINED_DIRECTIONS)
-            rows = []
-            for sol in result.solutions:
-                fs = FinalSolution(b, sol.exits, sol.dvfs, st, sol.score)
-                key = fs.key()
-                if key not in live:
-                    live.add(key)
-                    rows.append(ArchiveEntry(key, fs, vector))
-            if rows:
+        payloads = []
+        for i, (_, objectives, rows) in enumerate(results):
+            kept = []
+            for row in rows:
+                if row[0] not in live:
+                    live.add(row[0])
+                    kept.append(row)
+            if kept:
                 visited.append(i)
-                visit_rows.append(tuple(rows))
-        previous, first_new = archive.keys, n_visits
-        archive.merge_batch(range(n_visits, n_visits + len(visited)), visit_rows,
-                            values[visited])
+                payloads.append((objectives, tuple(kept)))
+        first_new = n_visits
         n_visits += len(visited)
-        entries = tuple(row for rows in archive.payloads for row in rows)
+        merged = dict(zip(archive.keys, archive.payloads))
+        merged.update(zip(range(first_new, n_visits), payloads))
+        archive.merge_batch(range(first_new, n_visits), payloads,
+                            values[visited])
+        kept_visits = set(archive.keys)
+        left = [v for v in merged if v not in kept_visits]
+        # The keys of visits that left the archive, or never entered it, are
+        # free again.
+        for v in left:
+            live.difference_update(key for key, _, _ in merged[v][1])
 
         snapshots.append(GenerationRecord(
-            gen, len(entries), counters.static_evals, counters.dynamic_evals,
+            gen, len(live), counters.static_evals, counters.dynamic_evals,
             counters.forwarded_backbones,
         ))
         if gen < config.generations:
@@ -413,12 +403,14 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         else:
             population = []
         if on_generation is not None:
-            live = set(archive.keys)
             on_generation(OoeState(
                 dict(zip(archive.keys, archive.payloads)),
                 tuple(v for v in archive.keys if v >= first_new),
-                tuple(v for v in previous if v not in live),
+                tuple(v for v in left if v < first_new),
                 tuple(snapshots), replace(counters), n_visits,
                 tuple(b.key() for b in population), rng.getstate()))
 
-    return OoeResult(entries, tuple(snapshots), counters)
+    return OoeResult(
+        tuple(sorted((row for _, rows in archive.payloads for row in rows),
+                     key=itemgetter(0))),
+        tuple(snapshots), counters)

@@ -14,7 +14,7 @@ outer engine took objective matrices.  The scalar hardware costs
 (hw_latency_energy and a bisecting table lookup) price one workload at a
 time, independently of the backends' batch path.  The per-exit primitives,
 the one-item archive merge and the readers of a whole archive.json and of
-front.csv rows (built on nestevo.archive's row reader) are definitions only
+front.csv rows (built on nestevo.rows' row reader) are definitions only
 the tests use.  The
 object variation operators are the per-genome mutation and crossover the
 package ran before both engines bred flat tuples of gene indices; the gene
@@ -38,13 +38,6 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from nestevo.archive import (
-    FRONT_CSV_COLUMNS,
-    _FIELDS,
-    _blocks_str,
-    solution_from_dict,
-    solution_from_values,
-)
 from nestevo.evaluator import (
     ExitProfile,
     HardwareTable,
@@ -71,7 +64,6 @@ from nestevo.genome import (
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
 from nestevo.metrics import Front, _hv2d, _hv3d
 from nestevo.moea import (
-    ArchiveEntry,
     Direction,
     ObjectiveVector,
     ParetoArchive,
@@ -85,6 +77,14 @@ from nestevo.ooe import (
     FinalSolution,
     GenerationRecord,
     OoeResult,
+)
+from nestevo.rows import (
+    FRONT_CSV_COLUMNS,
+    _FIELDS,
+    _blocks_str,
+    render_rows,
+    row_values,
+    solution_from_values,
 )
 
 
@@ -495,15 +495,22 @@ _CSV_PARSERS = (int, str, str, str, int, _emc_idx, float, float, float,
                 float, float, float, float, int, float)
 
 
+def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
+    """One loaded archive.json row as a solution and its objective vector."""
+    return (solution_from_values(row_values(doc)),
+            ObjectiveVector(tuple(doc["objectives"]), COMBINED_DIRECTIONS))
+
+
 def archive_doc_result(doc: dict) -> OoeResult:
-    """Rebuild an OoeResult from a loaded archive document."""
-    entries = []
+    """Rebuild an OoeResult from a loaded archive document: each row read
+    as a solution object and rendered anew from its fields."""
+    rows = []
     for sol_doc in doc["final"]:
         sol, vector = solution_from_dict(sol_doc)
-        entries.append(ArchiveEntry(sol.key(), sol, vector))
+        rows += render_rows([solution_values(sol)], vector.values)
     counters = EvalCounters(**doc["counters"])
     snapshots = tuple(GenerationRecord(**g) for g in doc["generations"])
-    return OoeResult(tuple(entries), snapshots, counters)
+    return OoeResult(tuple(rows), snapshots, counters)
 
 
 def load_json(path: str) -> dict:

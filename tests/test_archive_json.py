@@ -1,25 +1,41 @@
-"""Archive rows rendered once per run (RowEncoder) and front.csv against
-the oracles in tests/oracles.py (one json.dumps of the whole document, one
-csv.DictWriter row per solution): the bytes must be the same."""
+"""Archive rows rendered from their values (rows.render_rows) and joined
+into archive.json, checkpoints and front.csv, against the oracles in
+tests/oracles.py (one json.dumps of the whole document, one csv.DictWriter
+row per solution): the bytes must be the same.  The search itself builds no
+solution object per row."""
 
 import json
 import math
 import tempfile
 from dataclasses import replace
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestevo.ooe as ooe
+import nestevo.rows as rows_mod
 from nestevo import archive as ar
+from nestevo.cli import run_search
+from nestevo.config import parse_config
 from nestevo.evaluator import StaticScore
 from nestevo.genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
 from nestevo.ioe import DynamicScore
 from nestevo.moea import ArchiveEntry, ObjectiveVector
 from nestevo.ooe import COMBINED_DIRECTIONS, FinalSolution
+from nestevo.rows import render_rows
 
-from oracles import archive_text, front_csv_text, front_solution_from_row
+import test_identity
+from oracles import (
+    archive_text,
+    front_csv_text,
+    front_solution_from_row,
+    solution_from_dict,
+    solution_values,
+)
 
 
 def entry(bits, compute_idx, emc_idx, hv, device="dev"):
@@ -34,9 +50,30 @@ def entry(bits, compute_idx, emc_idx, hv, device="dev"):
     return ArchiveEntry(sol.key(), sol, vector)
 
 
-def saved_text(tmp_path, doc, final_json):
+def rendered(entries) -> list:
+    """The entries' rows through render_rows, sorted by key: one call per
+    run of entries that share one vector object, as a visit's rows do."""
+    rows = []
+    for _, visit in groupby(entries, key=lambda e: id(e.vector)):
+        visit = list(visit)
+        got = render_rows([solution_values(e.payload) for e in visit],
+                          visit[0].vector.values)
+        assert [key for key, _, _ in got] == [e.key for e in visit]
+        rows += got
+    return sorted(rows, key=itemgetter(0))
+
+
+def texts(entries) -> list[str]:
+    return [text for _, text, _ in rendered(entries)]
+
+
+def lines(entries) -> list[str]:
+    return [line for _, _, line in rendered(entries)]
+
+
+def saved_text(tmp_path, doc, final):
     path = tmp_path / "doc.json"
-    ar.save_json(str(path), doc, final_json)
+    ar.save_json(str(path), doc, final)
     return path.read_text(encoding="utf-8")
 
 
@@ -46,12 +83,11 @@ def test_checkpoint_sequence_matches_json_dumps(tmp_path):
     b = entry((0, 1, 1), 0, 3, 0.5)
     c = entry((1, 1, 1), 1, 1, 1e-7)
     a_again = entry((1, 0, 1), 2, None, 0.875)    # evicted key, new vector
-    rows = ar.RowEncoder()
     # a_again replaces a both right after a was live and after a gap.
     for gen, entries in enumerate([[], [a], [b, a], [a_again, b], [c, b],
                                    [a, c], [a_again, c, b], []]):
         doc["generation"] = gen
-        text = saved_text(tmp_path, doc, rows.final_json(entries))
+        text = saved_text(tmp_path, doc, texts(entries))
         assert text == archive_text(doc, entries)
 
 
@@ -62,26 +98,12 @@ def test_archive_document_matches_json_dumps(tmp_path):
            "generations": [{"generation": 1, "archive_size": 2}]}
     entries = [entry((0, 1), 1, None, 0.3, device="dév"),
                entry((1, 1), 0, None, 0.3)]
-    rows = ar.RowEncoder()
-    rows.final_json(entries[:1])
-    assert saved_text(tmp_path, doc, rows.final_json(entries)) == \
+    assert saved_text(tmp_path, doc, texts(entries[:1])) == \
+        archive_text(doc, entries[:1])
+    assert saved_text(tmp_path, doc, texts(entries)) == \
         archive_text(doc, entries)
     assert saved_text(tmp_path, doc, None) == \
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def test_row_text_cached_under_a_reused_id_is_not_reused(tmp_path):
-    # An evicted entry's id can be taken by a later entry.  Put the evicted
-    # entry's (entry, text) pair under the new entry's id, as that reuse
-    # would leave it: the new entry must still be rendered from itself.
-    doc = {"schema_version": 1, "config_digest": "cd" * 32, "generation": 1}
-    stale = entry((1, 0, 1), 2, None, 0.125)
-    fresh = entry((0, 1, 1), 0, 3, 0.5)
-    rows = ar.RowEncoder()
-    rows.final_json([stale])
-    rows._texts = {id(fresh): rows._texts[id(stale)]}
-    assert saved_text(tmp_path, doc, rows.final_json([fresh])) == \
-        archive_text(doc, [fresh])
 
 
 def with_scores(e, mean_dissimilarity, mean_exit_score):
@@ -103,28 +125,77 @@ ODD_ROWS = [
 ]
 
 
+def test_equal_values_spelled_apart_are_rendered_apart(tmp_path):
+    # 0.0 == -0.0 and 1 == 1.0 == True, but json.dumps and csv spell them
+    # apart: a slot's text is reused only while its values spell alike.
+    vector = ObjectiveVector((0.0, 1.0, 2.0, 0.5), COMBINED_DIRECTIONS)
+    entries = []
+    for bits, acc, n_exits in [((1, 0, 0), 0.0, 1), ((0, 1, 0), -0.0, 1.0),
+                               ((0, 0, 1), 0.0, True), ((1, 1, 0), 0.0, 1)]:
+        e = entry(bits, 0, None, 0.5)
+        sol = replace(e.payload, static_score=StaticScore(acc, 12.5, 0.3),
+                      dynamic_score=replace(e.payload.dynamic_score,
+                                            n_exits=n_exits))
+        entries.append(ArchiveEntry(e.key, sol, vector))
+    doc = {"schema_version": 1, "config_digest": "e" * 64}
+    assert saved_text(tmp_path, doc, texts(entries)) == \
+        archive_text(doc, entries)
+    front = tmp_path / "front.csv"
+    ar.write_front_csv(str(front), lines(entries))
+    assert front.read_text(encoding="utf-8") == front_csv_text(entries)
+
+
 def test_json_rows_round_trip(tmp_path):
     doc = {"schema_version": 1, "config_digest": "f" * 64, "seed": 11}
-    first = saved_text(tmp_path, doc, ar.RowEncoder().final_json(ODD_ROWS))
-    decoded = [ar.solution_from_dict(row) for row in json.loads(first)["final"]]
+    first = saved_text(tmp_path, doc, texts(ODD_ROWS))
+    decoded = [solution_from_dict(row) for row in json.loads(first)["final"]]
     assert [sol for sol, _ in decoded] == \
         [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
     again = [ArchiveEntry(sol.key(), sol, vector) for sol, vector in decoded]
-    assert saved_text(tmp_path, doc, ar.RowEncoder().final_json(again)) == first
+    assert saved_text(tmp_path, doc, texts(again)) == first
+    # The entries of a search result are read back through the same reader.
+    assert rows_mod.read_entries(rendered(ODD_ROWS)) == \
+        tuple(sorted(ODD_ROWS, key=lambda e: e.key))
 
 
 def test_csv_rows_round_trip(tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    ar.write_front_csv(str(first), ODD_ROWS)
+    ar.write_front_csv(str(first), lines(ODD_ROWS))
     text = first.read_text(encoding="utf-8")
     assert "5e-324" in text and "1e-07" in text and "dév" in text
     rows = ar.read_front_csv(str(first))
     assert [row["emc_idx"] for row in rows] == ["3", "", "12", "0"]
     sols = [front_solution_from_row(row) for row in rows]
     assert sols == [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
-    ar.write_front_csv(str(second),
-                       [ArchiveEntry(sol.key(), sol, None) for sol in sols])
+    ar.write_front_csv(str(second), [
+        line for sol in sols
+        for _, _, line in render_rows([solution_values(sol)], ())])
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_search_builds_no_object_per_row(tmp_path, monkeypatch):
+    # The rows of a search travel as values and texts only: no solution or
+    # archive entry object is built, in the main process or (with one CPU)
+    # anywhere.
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in (FinalSolution, ArchiveEntry):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    monkeypatch.setattr(ooe, "_cpus", lambda: 1)
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
+                       out_override=str(tmp_path))
+    run_search(cfg)
+    assert test_identity.digests(tmp_path) == \
+        test_identity.PINNED["small-default"]
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +283,14 @@ def checkpoint_sequences(draw):
 @given(checkpoint_sequences())
 def test_rows_and_front_match_oracles(generations):
     doc = {"schema_version": 1, "config_digest": "c" * 64, "generation": 0}
-    rows = ar.RowEncoder()
     with tempfile.TemporaryDirectory() as tmp:
         for gen, entries in enumerate(generations):
             doc["generation"] = gen
+            rows = rendered(entries)
             path = Path(tmp, "checkpoint.json")
-            ar.save_json(str(path), doc, rows.final_json(entries))
+            ar.save_json(str(path), doc, [text for _, text, _ in rows])
             assert path.read_bytes() == archive_text(doc, entries).encode()
             front = Path(tmp, "front.csv")
-            ar.write_front_csv(str(front), entries)
+            ar.write_front_csv(str(front), [line for _, _, line in rows])
             assert front.read_bytes() == \
                 front_csv_text(entries).encode("utf-8")

@@ -7,8 +7,14 @@ from click.testing import CliRunner
 from nestevo import archive as ar
 from nestevo.cli import main
 from nestevo.config import ConfigError, config_digest, load_config
+from nestevo.rows import render_rows
 
-from oracles import archive_doc_result, front_solution_from_row, load_json
+from oracles import (
+    archive_doc_result,
+    front_solution_from_row,
+    load_json,
+    solution_values,
+)
 
 TOY_DOC = {
     "seed": 7,
@@ -411,7 +417,7 @@ class TestSearchCommand:
         result = archive_doc_result(doc)
         ar.save_json(str(out / "archive2.json"),
                      ar.archive_header(result, doc["config_digest"], doc["seed"]),
-                     ar.RowEncoder().final_json(result.entries))
+                     [text for _, text, _ in result.rows])
         assert (out / "archive2.json").read_bytes() == \
             (out / "archive.json").read_bytes()
 
@@ -421,11 +427,12 @@ class TestSearchCommand:
         res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 0, res.output
         rows = ar.read_front_csv(str(out / "front.csv"))
-        entries = []
+        lines = []
         for row in rows:
             sol = front_solution_from_row(row)
-            entries.append(type("E", (), {"key": sol.key(), "payload": sol})())
-        ar.write_front_csv(str(out / "front2.csv"), entries)
+            lines += [line for _, _, line
+                      in render_rows([solution_values(sol)], ())]
+        ar.write_front_csv(str(out / "front2.csv"), lines)
         assert (out / "front.csv").read_bytes() == (out / "front2.csv").read_bytes()
 
 

@@ -5,7 +5,9 @@ The toy and small-default digests were recorded before the outer archive
 became an archive of backbone visits with an incremental merge; the
 scalar-objective and table-backend ablation digests before the inner engine
 evaluated and ranked each generation as arrays.  A speed-up must keep them;
-a change that alters results on purpose re-pins them and says why.
+a change that alters results on purpose re-pins them and says why.  The
+benchmark's own output checks (perfbench/workloads.py) must find no problem
+in any of these outputs.
 """
 
 import csv
@@ -22,6 +24,7 @@ from nestevo.cli import main, run_search
 from nestevo.config import default_devices, load_config, parse_config
 from nestevo.evaluator import HardwareModelParams, Workload, hw_latency_energy
 from nestevo.genome import DvfsGenome
+import perfbench.workloads as bench
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,28 +103,48 @@ def write_table(path: Path, device_name: str) -> None:
                                  repr(f_c), "", repr(lat), repr(energy)))
 
 
+def assert_search_checks_pass(cfg, out_dir: Path) -> None:
+    """perfbench's check of a search's outputs: counters, a non-dominated
+    archive, and front.csv matching archive.json row for row."""
+    ooe_cfg, ioe_cfg = cfg.ooe, cfg.ooe.ioe
+    doc = {"ooe": {"generations": ooe_cfg.generations,
+                   "population": ooe_cfg.population,
+                   "prune_fraction": ooe_cfg.prune_fraction},
+           "ioe": {"generations": ioe_cfg.generations,
+                   "population": ioe_cfg.population}}
+    inp = bench.Input(0, cfg.seed, "", doc)
+    assert bench.check_search(inp, str(out_dir)).problems == []
+
+
 def test_toy_digests(tmp_path):
     cfg = load_config(str(CONFIGS / "toy.yaml"), out_override=str(tmp_path))
     run_search(cfg)
     assert digests(tmp_path) == PINNED["toy"]
+    assert_search_checks_pass(cfg, tmp_path)
 
 
 def test_small_default_digests(tmp_path, monkeypatch):
-    forwarded_keys = []
-    combined_rank = ooe.combined_rank
+    # The main process looks up one exit profile per forwarded backbone.
+    forwarded = []
+    exit_profile = ooe.exit_profile
 
-    def recording_rank(candidates, statics, gamma):
-        forwarded_keys.append([b.key() for b, _ in candidates])
-        return combined_rank(candidates, statics, gamma)
+    def recording_profile(b, *args):
+        forwarded.append(b.key())
+        return exit_profile(b, *args)
 
-    monkeypatch.setattr(ooe, "combined_rank", recording_rank)
+    monkeypatch.setattr(ooe, "exit_profile", recording_profile)
     cfg = parse_config(SMALL_DEFAULT_DOC, out_override=str(tmp_path))
     run_search(cfg)
     assert digests(tmp_path) == PINNED["small-default"]
+    assert_search_checks_pass(cfg, tmp_path)
 
     # The run must keep exercising both paths the gate protects: a backbone
     # forwarded twice in one generation, and archive rows sharing vectors.
-    assert any(len(set(keys)) < len(keys) for keys in forwarded_keys)
+    # Nothing is pruned, so each generation forwards its whole population.
+    size = cfg.ooe.population
+    assert len(forwarded) == cfg.ooe.generations * size
+    assert any(len(set(forwarded[i:i + size])) < size
+               for i in range(0, len(forwarded), size))
     final = json.loads((tmp_path / "archive.json").read_text())["final"]
     distinct = {tuple(row["objectives"]) for row in final}
     assert len(final) > len(distinct)
@@ -148,3 +171,8 @@ def test_ablate_table_digests(tmp_path):
     assert digests(out, ("ablation.json",)) == PINNED["ablate-table"]
     report = json.loads((out / "ablation.json").read_text())
     assert [arm["gamma"] for arm in report["arms"]] == [0.0, 0.5, 1.0, 2.0]
+    workload = bench.Workload("ablate-table", "", "ablate-dissim", sub_seeds=1,
+                        gammas=(0, 0.5, 1, 2))
+    inp = bench.Input(0, ABLATE_DOC["seed"], str(config),
+                      {"ioe": ABLATE_DOC["ioe"]})
+    assert bench.check_ablate(workload, inp, str(out)).problems == []

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nestevo.evaluator import (
@@ -31,6 +32,7 @@ from nestevo.moea import Direction, ObjectiveVector
 from nestevo.ooe import (
     STATIC_DIRECTIONS,
     OoeConfig,
+    combined_objectives,
     combined_rank,
     ioe_front_hypervolume,
     run_ooe,
@@ -148,23 +150,23 @@ def make_solution(eff, er, lr=0.5, n_exits=1):
 
 
 class TestCombinedRank:
-    def test_hypervolume_summary_orders_backbones(self, toy_space):
-        b1, b2 = list(enumerate_backbones(toy_space))[:2]
+    def test_hypervolume_summary_orders_backbones(self):
         static = StaticScore(0.5, 10.0, 100.0)
         strong = [make_solution(0.8, 0.2), make_solution(0.9, 0.4)]
         weak = [make_solution(0.4, 0.6)]
         hv_strong = ioe_front_hypervolume(strong, 1.0)
         hv_weak = ioe_front_hypervolume(weak, 1.0)
         assert hv_strong > hv_weak
-        _, ranks, _ = combined_rank([(b1, strong), (b2, weak)],
-                                    [static, static], 1.0)
+        ranks, _ = combined_rank(np.array([
+            combined_objectives(static, ioe_front_hypervolume(sols, 1.0))
+            for sols in (strong, weak)]))
         assert ranks[0] == 0
         assert ranks[1] == 1
 
-    def test_single_candidate_rank_zero(self, toy_space):
-        b = next(enumerate_backbones(toy_space))
-        _, ranks, _ = combined_rank([(b, [make_solution(0.5, 0.5)])],
-                                    [StaticScore(0.5, 1.0, 1.0)], 1.0)
+    def test_single_candidate_rank_zero(self):
+        ranks, _ = combined_rank(np.array([combined_objectives(
+            StaticScore(0.5, 1.0, 1.0),
+            ioe_front_hypervolume([make_solution(0.5, 0.5)], 1.0))]))
         assert tuple(ranks.tolist()) == (0,)
 
     def test_summary_invariant_to_member_order(self):
@@ -184,11 +186,6 @@ class TestCombinedRank:
         with pytest.raises(ValueError):
             ioe_front_hypervolume([], 1.0)
 
-    def test_mismatched_lengths_rejected(self, toy_space):
-        b = next(enumerate_backbones(toy_space))
-        with pytest.raises(ValueError):
-            combined_rank([(b, [make_solution(0.5, 0.5)])], [], 1.0)
-
 
 class TestRunOoe:
     def test_exhaustive_settings_reproduce_truth(self, toy_space):
@@ -204,9 +201,9 @@ class TestRunOoe:
     def test_enumerate_truth_matches_inline_oracle(self, toy_space):
         device = toy_space.device("toy-dev")
         backend = SyntheticHardwareModel(HW)
-        entries = enumerate_truth(toy_space, device, backend, HW, SUR,
-                                  seed=11, gamma=1.0)
-        assert {e.payload.key() for e in entries} == bilevel_truth_keys(
+        rows = enumerate_truth(toy_space, device, backend, HW, SUR,
+                               seed=11, gamma=1.0)
+        assert {key for key, _, _ in rows} == bilevel_truth_keys(
             toy_space, device, backend, seed=11)
 
     def test_exhaustive_equality_across_seeds(self, toy_space):

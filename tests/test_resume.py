@@ -1,23 +1,31 @@
 """Per-generation checkpoints and resumed searches: a run aborted after any
-generation and run again writes the bytes of an uninterrupted run, replaying
-checkpoints 1..k rebuilds generation k's archive row for row, and a rerun
-refuses checkpoints it cannot continue from."""
+generation, or killed, and run again writes the bytes of an uninterrupted
+run, replaying checkpoints 1..k rebuilds generation k's archive row for row,
+and a rerun refuses checkpoints it cannot continue from."""
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
+import nestevo
 import nestevo.cli as cli_mod
 import nestevo.ooe as ooe
 from nestevo import archive as ar
 from nestevo.cli import main, run_search
 from nestevo.config import load_config, parse_config
+from nestevo.rows import read_entries
 
 import test_identity
-from oracles import solution_to_dict
+from oracles import archive_text, solution_to_dict
 from test_cli import write_toy_config
 
 
@@ -100,7 +108,7 @@ def test_resume_after_any_generation_is_exact(name, cpus, tmp_path,
 
 def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     # The oracle is the full-archive "final" list the checkpoints held before
-    # they became deltas, rendered from the live run's own entries.
+    # they became deltas: one json.dumps of the live run's entries.
     cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
                        out_override=str(tmp_path))
     states = []
@@ -111,7 +119,7 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
 
         def wrapper(state):
             inner_cb(state)
-            states.append((state, ar.RowEncoder().final_json(state.entries)))
+            states.append((state, archive_text({}, state.entries)))
 
         kwargs["on_generation"] = wrapper
         return original(*args, **kwargs)
@@ -124,25 +132,28 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     paths = [str(tmp_path / f"checkpoint_gen_{g:03d}.json")
              for g in range(1, cfg.ooe.generations + 1)]
     assert len(states) == len(paths)
-    for k, (state, final_json) in enumerate(states, 1):
+    for k, (state, archive) in enumerate(states, 1):
         # Each checkpoint is one json.dumps of its document, whose rows are
         # those of the visits the generation added.
         text = Path(paths[k - 1]).read_text(encoding="utf-8")
         doc = dict(json.loads(text), final=[
             solution_to_dict(e.payload, e.vector)
-            for v in state.added for e in state.visits[v]])
+            for v in state.added for e in read_entries(state.visits[v][1])])
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         replayed = ar.replay_checkpoints(paths[:k])
-        assert ar.RowEncoder().final_json(replayed.entries) == final_json
+        assert archive_text({}, replayed.entries) == archive
         assert list(replayed.visits) == list(state.visits)
-        assert [len(rows) for rows in replayed.visits.values()] == \
-            [len(rows) for rows in state.visits.values()]
+        assert [len(rows) for _, rows in replayed.visits.values()] == \
+            [len(rows) for _, rows in state.visits.values()]
+        assert replayed.visits == state.visits
         # As in the live run, a visit's rows share one backbone, static
         # score and objective vector.
-        for rows in replayed.visits.values():
-            assert all(row.payload.backbone is rows[0].payload.backbone
-                       and row.payload.static_score is rows[0].payload.static_score
-                       and row.vector is rows[0].vector for row in rows)
+        for objectives, rows in replayed.visits.values():
+            entries = read_entries(rows)
+            first = entries[0].payload
+            assert all(e.payload.backbone == first.backbone
+                       and e.payload.static_score == first.static_score
+                       and e.vector.values == objectives for e in entries)
         for name in ("added", "evicted", "snapshots", "counters", "n_visits",
                      "population", "rng_state"):
             assert getattr(replayed, name) == getattr(state, name), (k, name)
@@ -205,7 +216,7 @@ class TestResumeRefusals:
     def test_checkpoint_of_another_config(self, tmp_path, runner):
         cfg, out = toy_run(tmp_path, runner)
         (out / "archive.json").unlink()
-        # The newest checkpoint is refused as without --resume ...
+        # The newest checkpoint is refused, as archive.json would be ...
         res = runner.invoke(main, ["search", "--config", str(cfg), "--seed", "8"])
         assert res.exit_code == 1
         assert "checkpoint_gen_003.json was produced by a different config" \
@@ -256,6 +267,51 @@ class TestResumeRefusals:
         assert f"the rows of visit {visit} differ" in res.output
         assert not (out / "archive.json").exists()
 
+    def test_visit_count_below_its_visits(self, tmp_path, runner):
+        # New visits are numbered from the count: with a count that is too
+        # low they would take the numbers of live visits.
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        (out / "checkpoint_gen_003.json").unlink()
+        path = out / "checkpoint_gen_002.json"
+        doc = json.loads(path.read_text())
+        assert doc["resume"]["n_visits"] > 0
+        doc["resume"]["n_visits"] = 0
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "cannot resume: " in res.output
+        assert "checkpoint_gen_002.json lists visits" in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_visit_number_already_live(self, tmp_path, runner):
+        # A visit that took a live visit's number would replace it.
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        assert len(doc["visits"]) > 1
+        doc["visits"][1][0] = doc["visits"][0][0]
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "cannot resume: " in res.output
+        assert "checkpoint_gen_001.json lists visits" in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_evicted_visit_not_live(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_002.json"
+        doc = json.loads(path.read_text())
+        doc["evicted"].append(10**6)
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "cannot resume: " in res.output
+        assert "evicts visit 1000000, which is not live" in res.output
+        assert not (out / "archive.json").exists()
+
     def test_bad_rng_state(self, tmp_path, runner):
         cfg, out = toy_run(tmp_path, runner)
         (out / "archive.json").unlink()
@@ -282,3 +338,68 @@ def test_digest_line_key_sorts_first(tmp_path, runner):
         assert cli_mod._config_digest_of(str(out / name)) == \
             doc["config_digest"]
 
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """The processes of group `pgid` that have not exited (zombies, which
+    whoever adopted them may not have reaped yet, excluded)."""
+    pids = []
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                with open(f"/proc/{name}/stat", encoding="ascii",
+                          errors="replace") as fh:
+                    stat = fh.read()
+            except OSError:
+                continue
+            state, _, pgrp = stat.rpartition(")")[2].split()[:3]
+            if int(pgrp) == pgid and state not in ("Z", "X"):
+                pids.append(int(name))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="reads the process table from /proc")
+@pytest.mark.parametrize("whole_group", [False, True])
+def test_killed_search_resumes_to_the_pinned_bytes(tmp_path, whole_group):
+    # A search in its own session is SIGKILLed once its first checkpoint is
+    # on disk: only the search process, whose forked workers then find no
+    # reader, or its whole process group.
+    out = tmp_path / "out"
+    config = tmp_path / "small-default.yaml"
+    config.write_text(yaml.safe_dump(dict(test_identity.SMALL_DEFAULT_DOC,
+                                          output_dir=str(out))))
+    src = str(Path(nestevo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nestevo.cli", "search", "--config", str(config)],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while (not (out / "checkpoint_gen_001.json").exists()
+               and proc.poll() is None and time.monotonic() < deadline):
+            time.sleep(0.002)
+        assert proc.poll() is None, "the search ended before it was killed"
+        if whole_group:
+            os.killpg(proc.pid, signal.SIGKILL)
+        else:
+            proc.kill()
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=60)
+    deadline = time.monotonic() + 60
+    while live_group_members(proc.pid):
+        assert time.monotonic() < deadline, "a killed search's worker runs on"
+        time.sleep(0.05)
+    names = [p.name for p in out.iterdir()]
+    assert "checkpoint_gen_001.json" in names and "archive.json" not in names
+    assert not [name for name in names if name.endswith(".tmp")]
+
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC, out_override=str(out))
+    run_search(cfg)
+    assert test_identity.digests(out) == test_identity.PINNED["small-default"]
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
