@@ -4,7 +4,9 @@ once per trade-off exponent and compare the resulting archives.
 Arms share the same RNG seed so their initial populations coincide; gamma 0
 is the regularizer-off arm.  Cross-arm comparisons use the exponent-free
 component space (correct fraction, energy ratio, latency ratio), since the
-weighted first objective is not comparable across exponents.
+weighted first objective is not comparable across exponents.  Each arm
+keeps its inner result as run_ioe returns it, and the comparisons read its
+score matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .config import ConfigError, RunConfig
 from .evaluator import (
     ExitProfile,
@@ -24,8 +24,8 @@ from .evaluator import (
     exit_profile,
     running_sums,
 )
-from .genome import BackboneGenome, SearchSpaceSpec, sample_backbone, sampled_positions, validate_backbone
-from .ioe import IoeSolution, run_ioe
+from .genome import BackboneGenome, sample_backbone, validate_backbone
+from .ioe import Candidate, DynamicScores, IoeResult, run_ioe
 from .metrics import Front, ratio_of_dominance
 from .moea import Direction
 from .ooe import fork_map, ioe_front_hypervolume
@@ -33,26 +33,24 @@ from .ooe import fork_map, ioe_front_hypervolume
 COMPONENT_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
 
 
-def component_front(solutions: Sequence[IoeSolution]) -> Front:
+def component_front(scores: DynamicScores) -> Front:
     """An archive's points in component space (correct fraction, energy
     ratio, latency ratio)."""
-    values = np.array([(s.score.mean_correct, s.score.mean_energy_ratio,
-                        s.score.mean_latency_ratio) for s in solutions])
-    return Front(values, COMPONENT_DIRECTIONS)
+    return Front(scores.means[:, 1:4], COMPONENT_DIRECTIONS)
 
 
-def exit_fraction_spread(solutions: Sequence[IoeSolution], profile: ExitProfile,
-                         space: SearchSpaceSpec) -> float:
+def exit_fraction_spread(solutions: Sequence[Candidate],
+                         profile: ExitProfile) -> float:
     """Mean over multi-exit archive members of the mean pairwise absolute
     difference between their selected exits' correct fractions.  Members with
     a single exit carry no pairwise information and are skipped; an archive
     with no multi-exit member scores 0."""
     per_solution = []
-    for sol in solutions:
-        positions = sampled_positions(sol.exits, space)
-        if len(positions) < 2:
+    for c in solutions:
+        # A candidate's leading genes are its exit bits, one per fraction.
+        values = [f for bit, f in zip(c, profile.correct_fractions) if bit]
+        if len(values) < 2:
             continue
-        values = [profile.fraction_at(p) for p in positions]
         diffs = [abs(a - b) for a, b in combinations(values, 2)]
         per_solution.append(running_sums(diffs)[-1] / len(diffs))
     if not per_solution:
@@ -63,7 +61,7 @@ def exit_fraction_spread(solutions: Sequence[IoeSolution], profile: ExitProfile,
 @dataclass(frozen=True)
 class AblationArm:
     gamma: float
-    solutions: tuple[IoeSolution, ...]
+    result: IoeResult
     hypervolume: float          # (correct fraction, energy ratio) vs (0, 1)
     spread: float
 
@@ -108,14 +106,14 @@ def run_ablation(cfg: RunConfig, backend: HardwareBackend,
                          profile=profile, static=static)
         return AblationArm(
             gamma=gamma,
-            solutions=result.solutions,
-            hypervolume=ioe_front_hypervolume(result.solutions, 0.0),
-            spread=exit_fraction_spread(result.solutions, profile, space),
+            result=result,
+            hypervolume=ioe_front_hypervolume(result.scores, 0.0),
+            spread=exit_fraction_spread(result.solutions, profile),
         )
 
     arms = fork_map(arm, gammas)
 
-    fronts = [component_front(a.solutions) for a in arms]
+    fronts = [component_front(a.result.scores) for a in arms]
     rod: dict[tuple[float, float], float] = {}
     for (a, front_a), (b_arm, front_b) in combinations(zip(arms, fronts), 2):
         rod[(a.gamma, b_arm.gamma)] = ratio_of_dominance(front_a, front_b)

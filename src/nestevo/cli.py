@@ -276,6 +276,7 @@ def ablate_dissim(config_path: str, seed: int | None, out: str | None,
         report = run_ablation(cfg, build_backend(cfg), gamma_values)
     except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
+    device = cfg.device_spec()
     doc = {
         "backbone": {
             "resolution_idx": report.backbone.resolution_idx,
@@ -285,20 +286,22 @@ def ablate_dissim(config_path: str, seed: int | None, out: str | None,
         "arms": [
             {
                 "gamma": arm.gamma,
-                "archive_size": len(arm.solutions),
+                "archive_size": len(arm.result.solutions),
                 "hypervolume": arm.hypervolume,
                 "exit_fraction_spread": arm.spread,
                 "archive": [
                     {
-                        "exit_bits": s.exits.key(),
-                        "compute_idx": s.dvfs.compute_idx,
-                        "emc_idx": s.dvfs.emc_idx,
-                        "mean_correct": s.score.mean_correct,
-                        "energy_ratio": s.score.mean_energy_ratio,
-                        "latency_ratio": s.score.mean_latency_ratio,
-                        "mean_exit_score": s.score.mean_exit_score,
+                        "exit_bits": bits,
+                        "compute_idx": compute,
+                        "emc_idx": emc,
+                        "mean_correct": correct,
+                        "energy_ratio": energy_ratio,
+                        "latency_ratio": latency_ratio,
+                        "mean_exit_score": exit_score,
                     }
-                    for s in arm.solutions
+                    for (bits, _, compute, emc, exit_score, correct,
+                         energy_ratio, latency_ratio, _, _)
+                    in arm.result.solution_fields(device)
                 ],
             }
             for arm in report.arms

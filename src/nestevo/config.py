@@ -127,6 +127,13 @@ def _parse_space(node: dict) -> SearchSpaceSpec:
                "expand": "expand_domain"}
     for key, value in node.items():
         if key in domains:
+            # A bool is not an integer here, and a value below 1 would make
+            # a block without workload or divide by a zero depth.
+            if not isinstance(value, (list, tuple)) or not all(
+                    isinstance(v, int) and not isinstance(v, bool) and v > 0
+                    for v in value):
+                raise ConfigError(f"space.{key} must be a list of positive "
+                                  f"integers, got {value!r}")
             kwargs[domains[key]] = tuple(value)
         elif key in ("n_block", "exit_min_position"):
             kwargs[key] = value

@@ -76,10 +76,6 @@ class ExitProfile:
                                  "bounded by the final accuracy")
             prev = f
 
-    def fraction_at(self, position: int) -> float:
-        i = self.positions.index(position)
-        return self.correct_fractions[i]
-
 
 @dataclass(frozen=True)
 class HardwareModelParams:
@@ -261,25 +257,30 @@ def exit_profile(b: BackboneGenome, space: SearchSpaceSpec,
 # Hardware backends
 
 
-def resolved_frequencies(device: DeviceSpec, f: DvfsGenome) -> tuple[float, float]:
-    """(compute GHz, memory GHz); memory falls back to the compute clock on
-    devices without an EMC knob."""
+def frequency_genes(device: DeviceSpec, f: DvfsGenome) -> tuple[int, ...]:
+    """f as the frequency genes of a setting on `device`: (compute_idx,), or
+    (compute_idx, emc_idx) on a device with a memory clock."""
     if f.device != device.name:
         raise ValueError(f"dvfs genome targets {f.device!r}, device is {device.name!r}")
-    f_c = device.compute_freq_ghz[f.compute_idx]
-    if device.has_emc:
-        if f.emc_idx is None:
-            raise ValueError(f"{device.name} needs an emc index")
-        f_m = device.emc_freq_ghz[f.emc_idx]
-    else:
-        f_m = f_c
-    return f_c, f_m
+    if not device.has_emc:
+        return (f.compute_idx,)
+    if f.emc_idx is None:
+        raise ValueError(f"{device.name} needs an emc index")
+    return f.compute_idx, f.emc_idx
+
+
+def resolved_frequencies(device: DeviceSpec,
+                         setting: Sequence[int]) -> tuple[float, float]:
+    """(compute GHz, memory GHz) of a setting given as its frequency genes;
+    memory falls back to the compute clock on devices without an EMC knob."""
+    f_c = device.compute_freq_ghz[setting[0]]
+    return f_c, device.emc_freq_ghz[setting[1]] if device.has_emc else f_c
 
 
 def hw_latency_energy(w: Workload, device: DeviceSpec, f: DvfsGenome,
                       params: HardwareModelParams) -> tuple[float, float]:
     """Analytic latency (ms) and energy (mJ) at the given frequency setting."""
-    f_c, f_m = resolved_frequencies(device, f)
+    f_c, f_m = resolved_frequencies(device, frequency_genes(device, f))
     latency = w.flops / (params.kappa_compute * f_c) + w.bytes / (params.kappa_memory * f_m)
     power = params.p0 + params.p1 * f_c**3 + params.p2 * f_m
     return latency, power * latency / 1e3
@@ -291,19 +292,20 @@ class HardwareBackend(Protocol):
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
                              rows: np.ndarray, device: DeviceSpec,
-                             settings: Sequence[DvfsGenome]
+                             settings: Sequence[tuple[int, ...]]
                              ) -> tuple[np.ndarray, np.ndarray]:
         """Latency (ms) and energy (mJ) of each workload (flops[i],
-        bytes_[i]) at the frequency setting settings[rows[i]].  The
-        workloads are already validated; settings may repeat, and each one
-        is priced."""
+        bytes_[i]) at the frequency setting settings[rows[i]], given as its
+        frequency genes (see frequency_genes).  The workloads and settings
+        are already validated; settings may repeat, and each one is
+        priced."""
         ...
 
     def latency_energy(self, w: Workload, device: DeviceSpec,
                        f: DvfsGenome) -> tuple[float, float]:
         latency, energy = self.latency_energy_batch(
             np.array([w.flops]), np.array([w.bytes]), np.zeros(1, dtype=int),
-            device, [f])
+            device, [frequency_genes(device, f)])
         return float(latency[0]), float(energy[0])
 
 
@@ -315,18 +317,18 @@ class SyntheticHardwareModel(HardwareBackend):
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
                              rows: np.ndarray, device: DeviceSpec,
-                             settings: Sequence[DvfsGenome]
+                             settings: Sequence[tuple[int, ...]]
                              ) -> tuple[np.ndarray, np.ndarray]:
         # hw_latency_energy's per-setting factors in Python floats, then the
         # same operations elementwise.
         params = self.params
 
-        def constants(f: DvfsGenome) -> tuple[float, float, float]:
-            f_c, f_m = resolved_frequencies(device, f)
+        def constants(setting: tuple[int, ...]) -> tuple[float, float, float]:
+            f_c, f_m = resolved_frequencies(device, setting)
             return (params.kappa_compute * f_c, params.kappa_memory * f_m,
                     params.p0 + params.p1 * f_c**3 + params.p2 * f_m)
 
-        c = np.array([constants(f) for f in settings])[rows]
+        c = np.array([constants(s) for s in settings])[rows]
         latency = flops / c[:, 0] + bytes_ / c[:, 1]
         return latency, c[:, 2] * latency / 1e3
 
@@ -439,13 +441,13 @@ class TableHardwareModel(HardwareBackend):
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
                              rows: np.ndarray, device: DeviceSpec,
-                             settings: Sequence[DvfsGenome]
+                             settings: Sequence[tuple[int, ...]]
                              ) -> tuple[np.ndarray, np.ndarray]:
-        def query(f: DvfsGenome) -> tuple[str, float, float | None]:
-            f_c, f_m = resolved_frequencies(device, f)
+        def query(setting: tuple[int, ...]) -> tuple[str, float, float | None]:
+            f_c, f_m = resolved_frequencies(device, setting)
             return device.name, f_c, f_m if device.has_emc else None
 
-        return self.table.lookup_batch([query(f) for f in settings], rows, flops)
+        return self.table.lookup_batch([query(s) for s in settings], rows, flops)
 
 
 def default_dvfs(device: DeviceSpec) -> DvfsGenome:

@@ -24,10 +24,9 @@ from .genome import (
     DeviceSpec,
     SearchSpaceSpec,
     enumerate_backbones,
-    enumerate_dvfs,
-    enumerate_exit_genomes,
+    enumerate_candidates,
 )
-from .ioe import (IoeSolution, _DynamicEvaluator, candidate_genes,
+from .ioe import (DynamicScores, IoeResult, _DynamicEvaluator,
                   ioe_objective_matrix)
 from .moea import nondominated_rows
 from .ooe import COMBINED_DIRECTIONS, combined_objectives, ioe_front_hypervolume
@@ -59,25 +58,26 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
     """The true bi-level Pareto front, one row (nestevo.rows) per surviving
     (backbone, exits, frequencies) triple, sorted by solution key."""
     per_backbone = []
-    dvfs_all = list(enumerate_dvfs(device))
     for b in enumerate_backbones(space):
         static = eval_static(b, space, device, backend, surrogate, seed)
         profile = exit_profile(b, space, surrogate, seed)
         ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                                gamma)
-        pairs = [(x, f) for x in enumerate_exit_genomes(b, space)
-                 for f in dvfs_all]
-        scores = ev.evaluate_batch([candidate_genes(x, f) for x, f in pairs])
+        candidates = enumerate_candidates(ev.n_cols, device)
+        scores = ev.evaluate_batch(candidates)
         values, directions = ioe_objective_matrix(scores, objective_mode, gamma)
-        keep = nondominated_rows(values, directions)
-        inner = [IoeSolution(*pairs[i], scores.score(i))
-                 for i in keep.nonzero()[0].tolist()]
-        hv = ioe_front_hypervolume(inner, gamma)
+        keep = np.flatnonzero(nondominated_rows(values, directions))
+        inner = IoeResult(tuple([candidates[i] for i in keep.tolist()]),
+                          DynamicScores(scores.means[keep], scores.n_exits[keep]),
+                          len(candidates))
+        hv = ioe_front_hypervolume(inner.scores, gamma)
         per_backbone.append((b, static, inner, combined_objectives(static, hv)))
 
     outer_mask = nondominated_rows(
         np.array([row for _, _, _, row in per_backbone]), COMBINED_DIRECTIONS)
     rows = [row for (b, static, inner, objectives), keep
             in zip(per_backbone, outer_mask.tolist()) if keep
-            for row in render_rows(visit_values(b, static, inner), objectives)]
+            for row in render_rows(
+                visit_values(b, static, inner.solution_fields(device)),
+                objectives)]
     return sorted(rows, key=itemgetter(0))

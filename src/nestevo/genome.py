@@ -143,6 +143,11 @@ class BackboneGenome:
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def bits_key(bits: Sequence[int]) -> str:
+    """Exit bits as a string of 0s and 1s."""
+    return bytes(bits).translate(_BIT_CHARS).decode()
+
+
 @dataclass(frozen=True)
 class ExitGenome:
     """Indicator bits over a backbone's admissible exit layers.
@@ -159,7 +164,7 @@ class ExitGenome:
             raise ValueError("indicators must be 0/1")
 
     def key(self) -> str:
-        return bytes(self.indicators).translate(_BIT_CHARS).decode()
+        return bits_key(self.indicators)
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,6 @@ def admissible_positions(b: BackboneGenome, space: SearchSpaceSpec) -> list[int]
 
 def indicator_length(b: BackboneGenome, space: SearchSpaceSpec) -> int:
     return total_layers(b, space) - space.exit_min_position
-
-
-def sampled_positions(x: ExitGenome, space: SearchSpaceSpec) -> list[int]:
-    """Layer indices of the set indicator bits, ascending."""
-    return [space.exit_min_position + p for p, bit in enumerate(x.indicators) if bit]
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +298,6 @@ def sample_frequency_genes(device: DeviceSpec,
     return (rng.randrange(len(device.compute_freq_ghz)),)
 
 
-def sample_dvfs(device: DeviceSpec, rng: random.Random) -> DvfsGenome:
-    return DvfsGenome(device.name, *sample_frequency_genes(device, rng))
-
-
 # ---------------------------------------------------------------------------
 # Variation on flat tuples of gene indices: a backbone's key(), or an inner
 # candidate's exit bits followed by its frequency indices.
@@ -355,7 +351,8 @@ def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (tiny spaces only; used by the oracle front and by
-# initial-population seeding when the whole subspace fits in one population)
+# initial-population seeding when the whole subspace fits in one
+# population): backbones as genomes, inner candidates as gene tuples
 
 
 def enumerate_backbones(space: SearchSpaceSpec) -> Iterator[BackboneGenome]:
@@ -369,21 +366,16 @@ def enumerate_backbones(space: SearchSpaceSpec) -> Iterator[BackboneGenome]:
                 yield b
 
 
-def enumerate_exit_genomes(b: BackboneGenome,
-                           space: SearchSpaceSpec) -> Iterator[ExitGenome]:
-    n = indicator_length(b, space)
-    for bits in itertools.product((0, 1), repeat=n):
-        if any(bits):
-            yield ExitGenome(bits)
-
-
-def enumerate_dvfs(device: DeviceSpec) -> Iterator[DvfsGenome]:
-    emc_range: Sequence[int | None] = (
-        range(len(device.emc_freq_ghz)) if device.has_emc else (None,)
-    )
-    for c in range(len(device.compute_freq_ghz)):
-        for e in emc_range:
-            yield DvfsGenome(device.name, c, e)
+def enumerate_candidates(n_bits: int, device: DeviceSpec) -> list[tuple[int, ...]]:
+    """Every inner candidate of `n_bits` exit bits on `device`, as gene
+    tuples: the exit patterns with a set bit in counting order, each
+    followed by every frequency setting, compute index outer."""
+    settings = list(itertools.product(
+        range(len(device.compute_freq_ghz)),
+        *([range(len(device.emc_freq_ghz))] if device.has_emc else [])))
+    return [bits + setting
+            for bits in itertools.product((0, 1), repeat=n_bits) if any(bits)
+            for setting in settings]
 
 
 def n_inner_candidates(b: BackboneGenome, space: SearchSpaceSpec,

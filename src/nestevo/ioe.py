@@ -5,6 +5,10 @@ The dynamic fitness of a candidate averages, over its sampled exits, the
 product of the exit's correct-classification fraction, its energy and latency
 relative to the static backbone at default frequencies, and a dissimilarity
 regularizer that discounts exits whose predecessors already classify well.
+
+A candidate is a tuple of gene indices from sampling to the result: the
+result holds the archive's candidates and their scores as one matrix
+(IoeResult), and readers decode fields from those arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .evaluator import (
     HardwareBackend,
     HardwareModelParams,
     StaticScore,
+    frequency_genes,
     layer_workloads,
     running_sums,
 )
@@ -31,9 +36,9 @@ from .genome import (
     ExitGenome,
     SearchSpaceSpec,
     VariationParams,
+    bits_key,
     crossover_genes,
-    enumerate_dvfs,
-    enumerate_exit_genomes,
+    enumerate_candidates,
     indicator_length,
     mutate_genes,
     n_inner_candidates,
@@ -103,16 +108,9 @@ class IoeConfig:
 Candidate = tuple[int, ...]
 
 
-def candidate_genes(x: ExitGenome, f: DvfsGenome) -> Candidate:
-    """The gene tuple of an (exits, frequencies) pair."""
-    emc = () if f.emc_idx is None else (f.emc_idx,)
-    return x.indicators + (f.compute_idx,) + emc
-
-
 def sample_candidate(n_bits: int, device: DeviceSpec,
                      rng: random.Random) -> Candidate:
-    """candidate_genes of a sample_exit_genome and a sample_dvfs draw, from
-    the same draws, without the genome objects."""
+    """A uniform candidate: sample_exit_bits, then sample_frequency_genes."""
     return sample_exit_bits(n_bits, rng) + sample_frequency_genes(device, rng)
 
 
@@ -202,10 +200,10 @@ class _DynamicEvaluator:
         n = self.n_cols
         if set(map(len, candidates)) != {n + 1 + self.device.has_emc}:
             raise ValueError("exit genome is not conditioned on this backbone")
-        # One DvfsGenome per distinct setting, in order of first occurrence.
+        # The distinct settings, in order of first occurrence.
         index: dict[tuple[int, ...], int] = {}
         which = np.array([index.setdefault(c[n:], len(index)) for c in candidates])
-        settings = [DvfsGenome(self.device.name, *s) for s in index]
+        settings = list(index)
         blocks = [self._score(candidates[i:i + _BLOCK_ROWS], settings,
                               which[i:i + _BLOCK_ROWS])
                   for i in range(0, len(candidates), _BLOCK_ROWS)]
@@ -213,8 +211,10 @@ class _DynamicEvaluator:
                              np.concatenate([b.n_exits for b in blocks]))
 
     def _score(self, rows: Sequence[tuple[int, ...]],
-               settings: Sequence[DvfsGenome], which: np.ndarray) -> DynamicScores:
-        """Scores of the exit bits rows[i][:n_cols] at settings[which[i]]."""
+               settings: Sequence[tuple[int, ...]],
+               which: np.ndarray) -> DynamicScores:
+        """Scores of the exit bits rows[i][:n_cols] at settings[which[i]],
+        each setting given as its frequency genes."""
         sel = np.frombuffer(b"".join([bytes(r[:self.n_cols]) for r in rows]),
                             dtype=np.uint8).reshape(len(rows), self.n_cols).astype(bool)
         k = sel.sum(axis=1)
@@ -273,7 +273,8 @@ def dynamic_fitness(b: BackboneGenome, x: ExitGenome, f: DvfsGenome,
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static, gamma)
     if len(x.indicators) != ev.n_cols:
         raise ValueError("exit genome is not conditioned on this backbone")
-    return ev._score([x.indicators], [f], np.zeros(1, dtype=int)).score(0)
+    return ev._score([x.indicators], [frequency_genes(device, f)],
+                     np.zeros(1, dtype=int)).score(0)
 
 
 def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
@@ -295,17 +296,25 @@ def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
     return values, OBJECTIVE_DIRECTIONS[mode]
 
 
-@dataclass(frozen=True)
-class IoeSolution:
-    exits: ExitGenome
-    dvfs: DvfsGenome
-    score: DynamicScore
-
-
 @dataclass
 class IoeResult:
-    solutions: tuple[IoeSolution, ...]
+    """An inner archive: its candidates in archive order, their scores as
+    rows of one matrix, and the number of candidates evaluated."""
+
+    solutions: tuple[Candidate, ...]
+    scores: DynamicScores
     n_dynamic_evals: int
+
+    def solution_fields(self, device: DeviceSpec) -> list[tuple]:
+        """Per solution, as Python values: its exit bits as a string of 0s
+        and 1s, device name, compute_idx and emc_idx (None without a memory
+        clock), then its DynamicScore fields in their order."""
+        m = 1 + device.has_emc
+        return [(bits_key(c[:-m]), device.name, c[-m],
+                 c[-1] if device.has_emc else None, *means, n)
+                for c, means, n in zip(self.solutions,
+                                       self.scores.means.tolist(),
+                                       self.scores.n_exits.tolist())]
 
 
 def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
@@ -317,12 +326,13 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     """NSGA-II loop over (exits, frequencies) for one backbone, whose exit
     profile and static score the caller supplies.
 
-    Candidates are gene tuples.  The archive accumulates the rank-0 set
-    across every generation and is pruned to a mutually non-dominated set
-    after each one.  Its keys are the candidates and its payloads (their
-    generation's scores, their row in them) until the end, when the final
-    rows become IoeSolutions: the only genome objects built, unless the
-    whole inner space fits in one population and is enumerated.
+    Candidates are gene tuples from sampling to the result, and no genome
+    object is built.  The archive accumulates the rank-0 set across every
+    generation and is pruned to a mutually non-dominated set after each
+    one.  Its keys are the candidates and its payloads (their generation's
+    scores, their row in them); the result gathers those rows into one
+    DynamicScores.  When the whole inner space fits in one population, the
+    first generation is all of it, from enumerate_candidates.
     """
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)
@@ -332,8 +342,7 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     n_evals = 0
     candidates = initial_population(
         config.population, n_inner_candidates(b, space, device),
-        lambda: [candidate_genes(x, f) for x in enumerate_exit_genomes(b, space)
-                 for f in enumerate_dvfs(device)],
+        lambda: enumerate_candidates(n_bits, device),
         lambda r: sample_candidate(n_bits, device, r), lambda c: c, rng)
     for gen in range(config.generations):
         if gen > 0:
@@ -355,8 +364,7 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         keep = max(1, math.ceil(config.keep_fraction * len(candidates)))
         pool, places = mating_pool(ranks, crowding, keep)
         parents = [candidates[i] for i in pool]
-    solutions = tuple(
-        IoeSolution(ExitGenome(c[:n_bits]), DvfsGenome(device.name, *c[n_bits:]),
-                    gen_scores.score(i))
-        for c, (gen_scores, i) in zip(archive.keys, archive.payloads))
-    return IoeResult(solutions, n_evals)
+    payloads = archive.payloads
+    scores = DynamicScores(np.array([s.means[i] for s, i in payloads]),
+                           np.array([s.n_exits[i] for s, i in payloads]))
+    return IoeResult(tuple(archive.keys), scores, n_evals)

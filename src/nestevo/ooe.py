@@ -46,7 +46,7 @@ from .genome import (
     require_counts,
     sample_backbone,
 )
-from .ioe import IoeConfig, IoeSolution, run_ioe
+from .ioe import DynamicScores, IoeConfig, run_ioe
 from .metrics import Front, hypervolume
 from .moea import (
     ArchiveEntry,
@@ -164,14 +164,13 @@ def static_rank_and_prune(
     return survivor_select(ranks, crowding, k)
 
 
-def ioe_front_hypervolume(solutions: Sequence[IoeSolution], gamma: float) -> float:
-    """2-D hypervolume summary of an inner archive over (effective
+def ioe_front_hypervolume(scores: DynamicScores, gamma: float) -> float:
+    """2-D hypervolume summary of an inner archive's scores over (effective
     correctness, energy ratio) against the fixed (0, 1) reference."""
-    if not solutions:
+    if not len(scores.means):
         raise ValueError("inner archive is empty")
-    points = np.array([
-        (s.score.mean_correct * s.score.mean_dissimilarity**gamma,
-         s.score.mean_energy_ratio) for s in solutions])
+    points = np.array([(m[1] * m[4]**gamma, m[2])
+                       for m in scores.means.tolist()])
     return hypervolume(Front(points[points[:, 1] <= SUMMARY_REFERENCE[1]],
                              SUMMARY_DIRECTIONS, SUMMARY_REFERENCE))
 
@@ -213,17 +212,26 @@ def _share(fn: Callable[[T], R], items: Sequence[T]
 
 
 def _serve(fn: Callable[[T], R], items: Sequence[T], read_fds: list[int],
-           write_fd: int) -> NoReturn:
+           write_fd: int, parent: int) -> NoReturn:
     """Body of a forked worker: send _share(fn, items) pickled through its
     pipe and leave through os._exit, running none of the parent's cleanup.
-    A share that cannot be pickled or sent ends it with status 1."""
+    A share that cannot be pickled or sent ends it with status 1, and so
+    does the death of `parent`, seen before each item: nobody would read
+    the results."""
     status = 1
+
+    def unless_orphaned(x: T) -> R:
+        if os.getppid() != parent:
+            os._exit(1)
+        return fn(x)
+
     try:
         # With its own read end open, a worker whose parent died would block
         # on a full pipe instead of failing.
         for fd in read_fds:
             os.close(fd)
-        data = pickle.dumps(_share(fn, items), pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(_share(unless_orphaned, items),
+                            pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as out:
             out.write(data)
         status = 0
@@ -243,11 +251,13 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     the callers here: they run Python and element-wise numpy only, never a
     threaded BLAS routine.
 
-    Every child is reaped before the call returns or raises.  An item that
+    Every child is reaped before the call returns or raises, and a child
+    whose parent was killed stops before its next item.  An item that
     raises makes the call raise: the exception of the first such item, with
     its own type.  A child that ends without sending results raises a
     ChildProcessError naming its exit status."""
     n = max(1, min(_cpus(), len(items)))
+    parent = os.getpid()
     pids: list[int] = []        # unreaped children
     read_fds: list[int] = []    # one pipe per child, in worker order
     try:
@@ -257,7 +267,7 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, items[w::n], read_fds, write_fd)
+                    _serve(fn, items[w::n], read_fds, write_fd, parent)
             finally:
                 os.close(write_fd)
             pids.append(pid)
@@ -354,9 +364,10 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                              variation, random.Random(ioe_seeds[i]),
                              profile=profiles[i], static=static)
             objectives = combined_objectives(static, ioe_front_hypervolume(
-                result.solutions, config.ioe.gamma))
+                result.scores, config.ioe.gamma))
             return result.n_dynamic_evals, objectives, render_rows(
-                visit_values(b, static, result.solutions), objectives)
+                visit_values(b, static, result.solution_fields(device)),
+                objectives)
 
         results = fork_map(inner, range(len(forwarded)))
         counters.dynamic_evals += sum(n for n, _, _ in results)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .evaluator import StaticScore
 from .genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
-from .ioe import DynamicScore, IoeSolution
+from .ioe import DynamicScore
 from .moea import ArchiveEntry, Direction, ObjectiveVector
 
 STATIC_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
@@ -78,14 +78,14 @@ def _blocks_from_str(s: str) -> tuple[BlockGenes, ...]:
 
 
 def visit_values(backbone: BackboneGenome, static: StaticScore,
-                 solutions: Iterable[IoeSolution]) -> list[tuple]:
-    """The fields, in _FIELDS order, of `backbone`'s inner solutions."""
+                 solutions: Iterable[tuple]) -> list[tuple]:
+    """The fields, in _FIELDS order, of `backbone`'s inner solutions, each
+    given as IoeResult.solution_fields spells it."""
     head = (backbone.resolution_idx, _blocks_str(backbone))
     scores = (static.accuracy, static.latency_ms, static.energy_mj)
-    return [head + (s.exits.key(), *s.dvfs.key()) + scores
-            + (d.mean_correct, d.mean_energy_ratio, d.mean_latency_ratio,
-               d.mean_dissimilarity, d.n_exits, d.mean_exit_score)
-            for s in solutions for d in (s.score,)]
+    # A solution's DynamicScore fields lead with mean_exit_score, which
+    # _FIELDS puts last.
+    return [head + s[:4] + scores + s[5:] + s[4:5] for s in solutions]
 
 
 def row_values(doc: dict) -> tuple:

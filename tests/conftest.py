@@ -62,3 +62,19 @@ def full_space() -> SearchSpaceSpec:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def genome_objects(monkeypatch) -> list:
+    """The ExitGenome, DvfsGenome and DynamicScore objects that this
+    process builds during the test, in order of construction."""
+    from nestevo.genome import DvfsGenome, ExitGenome
+    from nestevo.ioe import DynamicScore
+
+    built: list = []
+    for cls in (ExitGenome, DvfsGenome, DynamicScore):
+        def counting(self, *args, init=cls.__init__, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built

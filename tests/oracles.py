@@ -15,7 +15,11 @@ outer engine took objective matrices.  The scalar hardware costs
 time, independently of the backends' batch path.  The per-exit primitives,
 the one-item archive merge and the readers of a whole archive.json and of
 front.csv rows (built on nestevo.rows' row reader) are definitions only
-the tests use.  The
+the tests use.  The object enumerators and samplers (enumerate_exit_genomes,
+enumerate_dvfs, sample_dvfs, with candidate_genes to flatten a pair) are
+the genome-object code both engines ran before they sampled and enumerated
+gene tuples; enumerate_candidates and sample_candidate must give the same
+tuples in the same order from the same draws.  The
 object variation operators are the per-genome mutation and crossover the
 package ran before both engines bred flat tuples of gene indices; the gene
 operators must make the same children from the same draws.  The
@@ -29,12 +33,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from nestevo.evaluator import (
     SyntheticHardwareModel,
     TableHardwareModel,
     Workload,
+    frequency_genes,
     hw_latency_energy,
     layer_workloads,
     resolved_frequencies,
@@ -58,8 +64,9 @@ from nestevo.genome import (
     SearchSpaceSpec,
     VariationParams,
     _repair_backbone,
+    indicator_length,
     repair_exit_bits,
-    sampled_positions,
+    sample_frequency_genes,
 )
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
 from nestevo.metrics import Front, _hv2d, _hv3d
@@ -241,7 +248,7 @@ def dissimilarity(profile: ExitProfile, positions: Sequence[int], i: int) -> flo
         raise ValueError("exit index out of range")
     best = 0.0
     for p in positions[:i]:
-        best = max(best, profile.fraction_at(p))
+        best = max(best, fraction_at(profile, p))
     return 1.0 - best
 
 
@@ -334,7 +341,7 @@ def reference_latency_energy(backend, w: Workload, device,
     if isinstance(backend, SyntheticHardwareModel):
         return hw_latency_energy(w, device, f, backend.params)
     if isinstance(backend, TableHardwareModel):
-        f_c, f_m = resolved_frequencies(device, f)
+        f_c, f_m = resolved_frequencies(device, frequency_genes(device, f))
         return table_lookup(backend.table, device.name, f_c,
                             f_m if device.has_emc else None, w.flops)
     return backend.latency_energy(w, device, f)
@@ -593,6 +600,47 @@ def breed(pool: RankedPopulation, members: Sequence[T], population: int,
         if len(children) < population:
             children.append(mutate(cb, rng))
     return children
+
+
+# ---------------------------------------------------------------------------
+# Object enumerators and samplers
+
+
+def candidate_genes(x: ExitGenome, f: DvfsGenome) -> tuple[int, ...]:
+    """The gene tuple of an (exits, frequencies) pair."""
+    emc = () if f.emc_idx is None else (f.emc_idx,)
+    return x.indicators + (f.compute_idx,) + emc
+
+
+def sampled_positions(x: ExitGenome, space: SearchSpaceSpec) -> list[int]:
+    """Layer indices of the set indicator bits, ascending."""
+    return [space.exit_min_position + p for p, bit in enumerate(x.indicators) if bit]
+
+
+def fraction_at(profile: ExitProfile, position: int) -> float:
+    """The correct fraction of the exit after layer `position`."""
+    return profile.correct_fractions[profile.positions.index(position)]
+
+
+def sample_dvfs(device: DeviceSpec, rng: random.Random) -> DvfsGenome:
+    return DvfsGenome(device.name, *sample_frequency_genes(device, rng))
+
+
+def enumerate_exit_genomes(b: BackboneGenome,
+                           space: SearchSpaceSpec) -> Iterator[ExitGenome]:
+    n = indicator_length(b, space)
+    for bits in itertools.product((0, 1), repeat=n):
+        if any(bits):
+            yield ExitGenome(bits)
+
+
+def enumerate_dvfs(device: DeviceSpec) -> Iterator[DvfsGenome]:
+    emc_range: Sequence[int | None] = (
+        range(len(device.emc_freq_ghz)) if device.has_emc else (None,)
+    )
+    for c in range(len(device.compute_freq_ghz)):
+        for e in emc_range:
+            yield DvfsGenome(device.name, c, e)
 
 
 # ---------------------------------------------------------------------------

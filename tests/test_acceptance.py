@@ -35,7 +35,6 @@ from nestevo.genome import (
     SearchSpaceSpec,
     VariationParams,
     sample_backbone,
-    sample_dvfs,
     sample_exit_genome,
 )
 from nestevo.ioe import IoeConfig, dynamic_fitness
@@ -48,8 +47,10 @@ from oracles import (
     dominates,
     exit_score,
     fast_nondominated_sort,
+    fraction_at,
     front_points,
     merge_nondominated,
+    sample_dvfs,
     to_front,
 )
 
@@ -213,7 +214,7 @@ def oracle_dynamic(b, x, f, profile, static, space, device, hw, gamma):
         lat = ((sum(flops[:pos]) + overhead) / (hw.kappa_compute * f_c)
                + sum(byts[:pos]) / (hw.kappa_memory * f_m))
         energy = power * lat / 1e3
-        n = profile.fraction_at(pos)
+        n = fraction_at(profile, pos)
         d = 1.0 - best
         best = max(best, n)
         er, lr = energy / static.energy_mj, lat / static.latency_ms

@@ -23,6 +23,7 @@ from nestevo.evaluator import (
     Workload,
     eval_static,
     exit_profile,
+    frequency_genes,
     hw_latency_energy,
 )
 from nestevo.genome import (
@@ -32,12 +33,10 @@ from nestevo.genome import (
     SearchSpaceSpec,
     indicator_length,
     sample_backbone,
-    sample_dvfs,
     sample_exit_genome,
 )
 from nestevo.ioe import (
     _DynamicEvaluator,
-    candidate_genes,
     dynamic_fitness,
     ioe_objective_matrix,
 )
@@ -45,6 +44,7 @@ from nestevo.moea import Direction, ObjectiveVector
 
 from oracles import (
     ScalarDynamicEvaluator,
+    candidate_genes,
     crowding_distance,
     fast_nondominated_sort,
     ioe_objectives,
@@ -53,6 +53,7 @@ from oracles import (
     object_rank,
     rank_population,
     reference_latency_energy,
+    sample_dvfs,
     table_lookup,
 )
 
@@ -253,8 +254,9 @@ def test_table_batch_lookup_equals_scalar(device, queries):
     settings_ = [setting(device, i) for i in range(6)]
     rows = np.array([i for i, _ in queries])
     flops = np.array([v for _, v in queries])
-    lat, energy = TABLE.latency_energy_batch(flops, np.zeros(len(flops)), rows,
-                                             device, settings_)
+    lat, energy = TABLE.latency_energy_batch(
+        flops, np.zeros(len(flops)), rows, device,
+        [frequency_genes(device, f) for f in settings_])
     expected = [reference_latency_energy(TABLE, Workload(v, 0.0), device,
                                          settings_[i])
                 for i, v in queries]
@@ -414,7 +416,7 @@ class InfiniteAtSetting:
     def latency_energy_batch(self, flops, bytes_, rows, device, settings):
         lat, energy = SYNTHETIC.latency_energy_batch(flops, bytes_, rows,
                                                      device, settings)
-        bad = np.array([f.compute_idx == self.compute_idx for f in settings])
+        bad = np.array([f[0] == self.compute_idx for f in settings])
         return lat, np.where(bad[rows], math.inf, energy)
 
 

@@ -141,6 +141,33 @@ class TestConfigLoading:
         assert "Error: invalid config" in res.output
         assert not (tmp_path / "out").exists()
 
+    # A domain value that is not a positive integer used to fail mid-search
+    # (a zero depth divides by zero, a fractional one indexes a list, a
+    # negative width fails the workload check, a string multiplies) or to
+    # run on blocks without workload (a zero resolution or expansion, a
+    # bool kernel).
+    @pytest.mark.parametrize("key, values", [
+        ("depth", [0, 6, 7]),
+        ("depth", [6.5, 7]),
+        ("width", [-16, 32]),
+        ("width", "16"),
+        ("resolution", [0, 32]),
+        ("expand", [0, 1]),
+        ("kernel", [True, 3]),
+    ])
+    def test_domain_values_must_be_positive_integers(self, tmp_path, runner,
+                                                     key, values):
+        path = write_toy_config(tmp_path, space={key: values})
+        message = (f"space.{key} must be a list of positive integers, "
+                   f"got {values!r}")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == message
+        res = runner.invoke(main, ["search", "--config", str(path)])
+        assert res.exit_code == 1
+        assert f"Error: invalid config: {message}" in res.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("devices, message", [
         ([{"compute_freq_ghz": [0.5, 1.0]}],
          "space.devices[0] has no 'name'"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nestevo.config import default_devices
 from nestevo.genome import (
     BackboneGenome,
     BlockGenes,
@@ -18,20 +19,24 @@ from nestevo.genome import (
     crossover_backbone,
     crossover_genes,
     enumerate_backbones,
-    enumerate_dvfs,
-    enumerate_exit_genomes,
+    enumerate_candidates,
     indicator_length,
     mutate_backbone,
     mutate_genes,
     n_inner_candidates,
     sample_backbone,
-    sample_dvfs,
     sample_exit_genome,
-    sampled_positions,
     total_layers,
     validate_backbone,
 )
-from nestevo.ioe import candidate_genes, crossover_candidates, mutate_candidate
+from nestevo.ioe import crossover_candidates, mutate_candidate
+from oracles import (
+    candidate_genes,
+    enumerate_dvfs,
+    enumerate_exit_genomes,
+    sample_dvfs,
+    sampled_positions,
+)
 from tests.conftest import EMC_DEVICE, TOY_DEVICE
 
 
@@ -393,6 +398,20 @@ class TestDeterminismAndInvariants:
             assert set(c[:n]) <= {0, 1} and 1 in c[:n]
             assert 0 <= c[n] < len(device.compute_freq_ghz)
             assert 0 <= c[n + 1] < len(device.emc_freq_ghz)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_bits=st.integers(1, 8), device=st.sampled_from(default_devices()))
+def test_enumerated_candidates_match_object_enumeration(n_bits, device):
+    # The same candidates in the same order: exit patterns in counting
+    # order, each with every setting, compute index outer.
+    space = SearchSpaceSpec(n_block=1, depth_domain=(n_bits + 5,),
+                            device_specs=default_devices())
+    b = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),))
+    assert indicator_length(b, space) == n_bits
+    assert enumerate_candidates(n_bits, device) == [
+        candidate_genes(x, f) for x in enumerate_exit_genomes(b, space)
+        for f in enumerate_dvfs(device)]
 
 
 class TestEnumeration:

@@ -23,16 +23,13 @@ from nestevo.genome import (
     ExitGenome,
     SearchSpaceSpec,
     VariationParams,
-    enumerate_dvfs,
-    enumerate_exit_genomes,
     indicator_length,
+    n_inner_candidates,
     sample_backbone,
-    sample_dvfs,
     sample_exit_genome,
 )
 from nestevo.ioe import (
     IoeConfig,
-    candidate_genes,
     dynamic_fitness,
     run_ioe,
     sample_candidate,
@@ -41,11 +38,16 @@ from nestevo.metrics import Front, hypervolume
 from nestevo.moea import Direction
 
 from oracles import (
+    candidate_genes,
     dissimilarity,
     dominates,
+    enumerate_dvfs,
+    enumerate_exit_genomes,
     exit_score,
+    fraction_at,
     ioe_objectives,
     is_mutually_nondominated,
+    sample_dvfs,
 )
 
 QUAD_DEVICE = DeviceSpec("quad", (0.5, 1.0, 1.5, 2.0), (), default_compute_idx=3)
@@ -123,7 +125,7 @@ def straight_line_scores(b, x, f, profile, static, space, device, hw, gamma):
         lat = pre_f / (hw.kappa_compute * f_c) + pre_b / (hw.kappa_memory * f_m)
         power = hw.p0 + hw.p1 * f_c**3 + hw.p2 * f_m
         energy = power * lat / 1e3
-        n = profile.fraction_at(pos)
+        n = fraction_at(profile, pos)
         d = 1.0 - best
         best = max(best, n)
         scores.append(n * (energy / static.energy_mj)
@@ -231,9 +233,9 @@ class TestIoeObjectives:
             ioe_objectives(self._score(), "weighted", 1.0)
 
 
-def solution_key(s) -> tuple:
-    """An IoeSolution's candidate key, as exhaustive_inner_front spells it."""
-    return (s.exits.key(),) + s.dvfs.key()
+def solution_keys(result, device) -> set:
+    """A result's candidate keys, as exhaustive_inner_front spells them."""
+    return {fields[:4] for fields in result.solution_fields(device)}
 
 
 def exhaustive_inner_front(b, space, device, backend, hw, profile, static,
@@ -274,7 +276,7 @@ class TestRunIoe:
         expected = exhaustive_inner_front(b, toy_space, device, backend, hw,
                                           profile, static, config.gamma,
                                           config.objective_mode)
-        assert {solution_key(s) for s in result.solutions} == expected
+        assert solution_keys(result, device) == expected
         assert result.n_dynamic_evals == 36
 
     def test_single_generation_full_population(self, toy_space):
@@ -286,7 +288,7 @@ class TestRunIoe:
         expected = exhaustive_inner_front(b, toy_space, device, backend, hw,
                                           profile, static, config.gamma,
                                           config.objective_mode)
-        assert {solution_key(s) for s in result.solutions} == expected
+        assert solution_keys(result, device) == expected
 
     def test_fixed_seed_reproducible(self, toy_space):
         b, device, hw, backend, static, profile = self._setup(toy_space)
@@ -300,7 +302,8 @@ class TestRunIoe:
                              profile=profile, static=static,
                              on_generation=lambda gen, archive: history.append(
                                  sorted(e.key for e in archive.entries)))
-            return history, [(solution_key(s), s.score) for s in result.solutions]
+            return (history, result.solutions, result.scores.means.tolist(),
+                    result.scores.n_exits.tolist())
 
         assert run(42) == run(42)
         # 8 distinct samples of the 12 candidates: the seed decides which,
@@ -335,16 +338,15 @@ class TestRunIoe:
                 on_generation=on_gen)
         assert all(a <= b + 1e-12 for a, b in zip(volumes, volumes[1:]))
 
-    def test_genome_objects_only_at_the_ends(self, full_space, monkeypatch):
-        # Sampling and breeding work on gene tuples: ExitGenomes are built
-        # for the final archive only, never per sample or per child.  Two
-        # backbones: one of the default space, and a 1-block one with 3 exit
-        # bits on carmel-cpu (203 candidates), whose first generation rejects
-        # many repeated samples.
-        built = []
-        check = ExitGenome.__post_init__
-        monkeypatch.setattr(ExitGenome, "__post_init__",
-                            lambda x: (built.append(x), check(x)))
+    def test_genome_objects_only_at_the_ends(self, full_space, toy_space,
+                                             genome_objects):
+        # Sampling, enumeration, breeding, evaluation and the result work on
+        # gene tuples and score matrices: between the static evaluation and
+        # the caller's reading of the result, no ExitGenome, DvfsGenome or
+        # DynamicScore is built.  Three backbones: one of the default space;
+        # a 1-block one with 3 exit bits on carmel-cpu (203 candidates),
+        # whose first generation rejects many repeated samples; and the toy
+        # one on QUAD_DEVICE, whose 12 candidates are enumerated.
         one_block = SearchSpaceSpec(n_block=1, depth_domain=(8,),
                                     device_specs=full_space.device_specs)
         hw = HardwareModelParams()
@@ -352,19 +354,23 @@ class TestRunIoe:
         sur = SurrogateParams()
         config = IoeConfig(generations=10, population=100, budget=1000)
         rng = random.Random(8)
-        for space, b, device in [
-                (full_space, sample_backbone(full_space, rng), "agx-volta-gpu"),
-                (one_block, BackboneGenome(0, (BlockGenes(0, 3, 1, 2),)),
-                 "carmel-cpu")]:
-            device = space.device(device)
+        one = BackboneGenome(0, (BlockGenes(0, 3, 1, 2),))
+        for space, b, device, config in [
+                (full_space, sample_backbone(full_space, rng),
+                 full_space.device("agx-volta-gpu"), config),
+                (one_block, one, one_block.device("carmel-cpu"), config),
+                (toy_space, toy_backbone(toy_space, 7), QUAD_DEVICE,
+                 IoeConfig(generations=3, population=12, budget=36))]:
             static = eval_static(b, space, device, backend, sur, seed=0)
-            built.clear()
+            genome_objects.clear()
             result = run_ioe(b, space, device, backend, hw, config,
                              VariationParams(), rng,
                              profile=exit_profile(b, space, sur, seed=0),
                              static=static)
-            assert len(built) == len(result.solutions)
-        assert indicator_length(b, space) == 3
+            assert genome_objects == []
+            assert len(result.solutions) == len(result.scores.means) > 0
+        assert indicator_length(one, one_block) == 3
+        assert n_inner_candidates(b, toy_space, QUAD_DEVICE) == 12
 
     def test_budget_invariant_enforced(self):
         with pytest.raises(ValueError):

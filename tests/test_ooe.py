@@ -1,33 +1,27 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nestevo.config import load_config
 from nestevo.evaluator import (
     HardwareModelParams,
     StaticScore,
     SurrogateParams,
     SyntheticHardwareModel,
+    default_dvfs,
     eval_static,
     exit_profile,
 )
 from nestevo.exhaustive import enumerate_truth, space_cardinality
 from nestevo.genome import (
-    DvfsGenome,
-    ExitGenome,
     VariationParams,
     enumerate_backbones,
-    enumerate_dvfs,
-    enumerate_exit_genomes,
     indicator_length,
 )
-from nestevo.ioe import (
-    DynamicScore,
-    IoeConfig,
-    IoeSolution,
-    dynamic_fitness,
-)
+from nestevo.ioe import DynamicScores, IoeConfig, dynamic_fitness
 from nestevo.moea import Direction, ObjectiveVector
 from nestevo.ooe import (
     STATIC_DIRECTIONS,
@@ -39,10 +33,11 @@ from nestevo.ooe import (
     static_rank_and_prune,
 )
 
-from oracles import ioe_objectives
+from oracles import enumerate_dvfs, enumerate_exit_genomes, ioe_objectives
 
 HW = HardwareModelParams()
 SUR = SurrogateParams()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def oracle_dominates(a, b):
@@ -145,8 +140,14 @@ class TestStaticRankAndPrune:
 
 
 def make_solution(eff, er, lr=0.5, n_exits=1):
-    score = DynamicScore(eff * er * lr, eff, er, lr, 1.0, n_exits)
-    return IoeSolution(ExitGenome((1,)), DvfsGenome("toy-dev", 0), score)
+    """An inner solution's score row: its DynamicScore fields in order."""
+    return (eff * er * lr, eff, er, lr, 1.0, n_exits)
+
+
+def scores_of(solutions):
+    """Score rows as the DynamicScores of an inner archive."""
+    return DynamicScores(np.array([s[:5] for s in solutions]).reshape(-1, 5),
+                         np.array([s[5] for s in solutions], dtype=int))
 
 
 class TestCombinedRank:
@@ -154,11 +155,12 @@ class TestCombinedRank:
         static = StaticScore(0.5, 10.0, 100.0)
         strong = [make_solution(0.8, 0.2), make_solution(0.9, 0.4)]
         weak = [make_solution(0.4, 0.6)]
-        hv_strong = ioe_front_hypervolume(strong, 1.0)
-        hv_weak = ioe_front_hypervolume(weak, 1.0)
+        hv_strong = ioe_front_hypervolume(scores_of(strong), 1.0)
+        hv_weak = ioe_front_hypervolume(scores_of(weak), 1.0)
         assert hv_strong > hv_weak
         ranks, _ = combined_rank(np.array([
-            combined_objectives(static, ioe_front_hypervolume(sols, 1.0))
+            combined_objectives(static, ioe_front_hypervolume(scores_of(sols),
+                                                              1.0))
             for sols in (strong, weak)]))
         assert ranks[0] == 0
         assert ranks[1] == 1
@@ -166,25 +168,28 @@ class TestCombinedRank:
     def test_single_candidate_rank_zero(self):
         ranks, _ = combined_rank(np.array([combined_objectives(
             StaticScore(0.5, 1.0, 1.0),
-            ioe_front_hypervolume([make_solution(0.5, 0.5)], 1.0))]))
+            ioe_front_hypervolume(scores_of([make_solution(0.5, 0.5)]),
+                                  1.0))]))
         assert tuple(ranks.tolist()) == (0,)
 
     def test_summary_invariant_to_member_order(self):
         sols = [make_solution(0.8, 0.2), make_solution(0.5, 0.1),
                 make_solution(0.9, 0.9)]
-        base = ioe_front_hypervolume(sols, 1.0)
-        assert ioe_front_hypervolume(list(reversed(sols)), 1.0) == pytest.approx(
+        base = ioe_front_hypervolume(scores_of(sols), 1.0)
+        assert ioe_front_hypervolume(scores_of(list(reversed(sols))),
+                                     1.0) == pytest.approx(
             base, abs=1e-15)
 
     def test_points_beyond_reference_contribute_nothing(self):
         inside = [make_solution(0.5, 0.5)]
         with_outside = inside + [make_solution(0.9, 1.5)]
-        assert ioe_front_hypervolume(with_outside, 1.0) == pytest.approx(
-            ioe_front_hypervolume(inside, 1.0), abs=1e-15)
+        assert ioe_front_hypervolume(scores_of(with_outside),
+                                     1.0) == pytest.approx(
+            ioe_front_hypervolume(scores_of(inside), 1.0), abs=1e-15)
 
     def test_empty_archive_rejected(self):
         with pytest.raises(ValueError):
-            ioe_front_hypervolume([], 1.0)
+            ioe_front_hypervolume(scores_of([]), 1.0)
 
 
 class TestRunOoe:
@@ -205,6 +210,22 @@ class TestRunOoe:
                                seed=11, gamma=1.0)
         assert {key for key, _, _ in rows} == bilevel_truth_keys(
             toy_space, device, backend, seed=11)
+
+    def test_enumerate_truth_builds_genomes_only_for_statics(self,
+                                                             genome_objects):
+        # Candidates are enumerated, scored and rendered as gene tuples and
+        # score matrices; the only genome objects are the default settings
+        # of the static evaluations, one per backbone.
+        cfg = load_config(str(CONFIGS / "toy.yaml"))
+        device = cfg.device_spec()
+        n_backbones = len(list(enumerate_backbones(cfg.space)))
+        default = default_dvfs(device)
+        genome_objects.clear()
+        rows = enumerate_truth(cfg.space, device, SyntheticHardwareModel(cfg.hw),
+                               cfg.hw, cfg.surrogate, cfg.seed,
+                               cfg.ooe.ioe.gamma)
+        assert rows
+        assert genome_objects == [default] * n_backbones
 
     def test_exhaustive_equality_across_seeds(self, toy_space):
         device = toy_space.device("toy-dev")

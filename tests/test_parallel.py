@@ -2,7 +2,11 @@
 workers, with every worker reaped."""
 
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,63 @@ def test_interrupt_kills_and_reaps_the_children(cpus):
         fork_map(fn, range(3))
     assert time.perf_counter() - t0 < 30
     assert_no_children()
+
+
+# A fork_map over two workers whose items each leave a file named after the
+# item and the pid that ran it, then sleep.
+SLOW_MAP = """
+import os, sys, time
+import nestevo.ooe as ooe
+ooe._cpus = lambda: 2
+out = sys.argv[1]
+
+def item(x):
+    open(os.path.join(out, f"{x}.{os.getpid()}"), "w").close()
+    time.sleep(0.25)
+
+ooe.fork_map(item, range(40))
+"""
+
+
+def process_state(pid):
+    """The state letter of a process in /proc, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_worker_stops_when_its_parent_is_killed(tmp_path):
+    # The worker's share is 20 items of 0.25 s.  Once it has started one,
+    # only its parent is killed: the worker must stop before its next item,
+    # not run the 4 s or so of its share that is left.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    search = subprocess.Popen([sys.executable, "-c", SLOW_MAP, str(tmp_path)],
+                              env=env)
+    worker = None
+    try:
+        deadline = time.monotonic() + 30
+        while worker is None and time.monotonic() < deadline:
+            pids = {int(p.name.split(".")[1]) for p in tmp_path.iterdir()}
+            worker = next(iter(pids - {search.pid}), None)
+            time.sleep(0.01)
+        assert worker is not None, "the worker started no item"
+        search.send_signal(signal.SIGKILL)
+        search.wait()
+        killed = time.monotonic()
+        while (process_state(worker) not in (None, "Z")
+               and time.monotonic() - killed < 2.0):
+            time.sleep(0.01)
+        assert process_state(worker) in (None, "Z")
+    finally:
+        if search.poll() is None:
+            search.kill()
+            search.wait()
+        if worker is not None and process_state(worker) not in (None, "Z"):
+            os.kill(worker, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
