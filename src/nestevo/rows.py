@@ -10,12 +10,8 @@ library callers and tests: the search itself builds neither.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import math
 from dataclasses import dataclass
-from itertools import accumulate, groupby
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -121,23 +117,31 @@ def read_entries(rows: Iterable[Row]) -> tuple[ArchiveEntry, ...]:
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CSV_SPECIAL = frozenset(',"\n')
 
 
-def _json_value(v) -> str:
-    """A scalar as json.dumps spells it (bools before ints, as it checks)."""
+def _spell(v) -> tuple[str, str]:
+    """A scalar's text as json.dumps spells it (bools before ints, as it
+    checks) and as csv.writer spells it in a QUOTE_MINIMAL field: floats by
+    their repr, None as an empty field, and a string quoted only when it
+    holds a comma, a quote or a \\n (with lineterminator "\\n" the writer
+    leaves a bare \\r unquoted)."""
     if isinstance(v, float):
         text = float.__repr__(v)
-        return _NON_FINITE.get(text, text)
+        return _NON_FINITE.get(text, text), text
     if isinstance(v, str):
-        return encode_basestring_ascii(v)
+        quoted = not _CSV_SPECIAL.isdisjoint(v)
+        return encode_basestring_ascii(v), (
+            '"' + v.replace('"', '""') + '"' if quoted else v)
     if v is None:
-        return "null"
+        return "null", ""
     if v is True:
-        return "true"
+        return "true", "True"
     if v is False:
-        return "false"
+        return "false", "False"
     if isinstance(v, int):
-        return int.__repr__(v)
+        text = int.__repr__(v)
+        return text, text
     raise TypeError(f"Object of type {type(v).__name__} "
                     "is not JSON serializable")
 
@@ -160,71 +164,55 @@ def _key(name: str) -> str:
     return encode_basestring_ascii(name).replace("%", "%%") + ": "
 
 
-def _compile_row() -> tuple[str, tuple]:
+def _compile_row() -> tuple[str, tuple[int, ...]]:
     """The %-template of an archive.json row as json.dumps(row, indent=2,
-    sort_keys=True) writes it one level below "final", with one slot per row
-    key, and per slot in key order the slice of the row's fields it is
-    filled from (None: the visit's objectives) and its renderer."""
-    slots = {"objectives": (None, lambda values: _json_block(
-        "[", [_json_value(v) for v in values], "]"))}
-    start = 0
-    for key, fields in groupby(_FIELDS, key=lambda f: f[1] or f[2]):
-        fields = list(fields)
-        names = [name for _, _, name in fields]
-        order = sorted(range(len(names)), key=names.__getitem__)
-        template = "%s" if fields[0][1] is None else _json_block(
-            "{", [_key(names[i]) + "%s" for i in order], "}")
+    sort_keys=True) writes it one level below "final": one slot per field
+    and one for the visit's objectives, and per slot in template order the
+    field's place in _FIELDS (len(_FIELDS): the objectives)."""
+    # Per key of a row: None for the objectives, a field's place for a
+    # top-level field, a section's (name, place) pairs.
+    slots: dict[str, int | list | None] = {"objectives": None}
+    for i, (_, section, name) in enumerate(_FIELDS):
+        if section is None:
+            slots[name] = i
+        else:
+            slots.setdefault(section, []).append((name, i))
+    parts, order = [], []
+    for key in sorted(slots):
+        slot = slots[key]
+        if isinstance(slot, list):
+            slot.sort()
+            order.extend(i for _, i in slot)
+            parts.append(_key(key) + _json_block(
+                "{", [_key(name) + "%s" for name, _ in slot], "}"))
+        else:
+            order.append(len(_FIELDS) if slot is None else slot)
+            parts.append(_key(key) + "%s")
+    row = "{" + _ROW_INDENT + ("," + _ROW_INDENT).join(parts) + "\n    }"
+    return row, tuple(order)
 
-        def render(values, template=template, order=order):
-            spelled = [_json_value(v) for v in values]
-            return template % tuple([spelled[i] for i in order])
-        slots[key] = (slice(start, start + len(names)), render)
-        start += len(names)
-    keys = sorted(slots)
-    row = "{" + _ROW_INDENT + ("," + _ROW_INDENT).join(
-        _key(k) + "%s" for k in keys) + "\n    }"
-    return row, tuple(slots[k] for k in keys)
 
-
-_ROW, _ROW_SLOTS = _compile_row()
-
-
-def _spelled_alike(a: Sequence, b: Sequence) -> bool:
-    """Whether equal values spell alike (0.0 and -0.0, 1 and 1.0 do not)."""
-    return all(x is y or (type(x) is type(y) and (
-        x or not isinstance(x, float)
-        or math.copysign(1.0, x) == math.copysign(1.0, y)))
-        for x, y in zip(a, b))
+_ROW, _ROW_ORDER = _compile_row()
 
 
 def render_rows(rows: Sequence[Sequence], objectives: Sequence[float]
                 ) -> list[Row]:
     """The rows of one visit, from their fields in _FIELDS order and the
     visit's combined objectives.  A JSON text is the row as json.dumps(doc,
-    indent=2, sort_keys=True) writes it one level below "final"; the lines
-    are one csv.writer(lineterminator="\\n") pass, cut where each writerow
-    ended, as a quoted field may hold a line break.  A slot's text is reused
-    while its values are equal and spelled alike, so a visit's backbone,
-    static and objectives are rendered once."""
-    buf = io.StringIO()
-    ends = list(accumulate(map(csv.writer(buf, lineterminator="\n").writerow,
-                               rows)))
-    lines = buf.getvalue()
-    last: list = [None] * len(_ROW_SLOTS)  # per slot: its values and text
+    indent=2, sort_keys=True) writes it one level below "final"; a line is
+    the row as csv.writer(lineterminator="\\n") writes it.  Each value is
+    spelled once for both, and the objectives once per visit."""
+    spelled_objectives = _json_block(
+        "[", [_spell(v)[0] for v in objectives], "]")
     head = b_key = None
     out = []
-    for values, start, end in zip(rows, [0] + ends, ends):
-        filled = []
-        for k, (part, render) in enumerate(_ROW_SLOTS):
-            v = objectives if part is None else values[part]
-            cached = last[k]
-            if (cached is None or cached[0] != v
-                    or not _spelled_alike(cached[0], v)):
-                cached = last[k] = (v, render(v))
-            filled.append(cached[1])
+    for values in rows:
+        json_texts, csv_texts = zip(*map(_spell, values))
+        json_texts += (spelled_objectives,)
         if values[:2] != head:
             head = values[:2]
             b_key = BackboneGenome(head[0], _blocks_from_str(head[1])).key()
-        out.append(((b_key,) + tuple(values[2:6]), _ROW % tuple(filled),
-                    lines[start:end]))
+        out.append(((b_key,) + tuple(values[2:6]),
+                    _ROW % tuple([json_texts[i] for i in _ROW_ORDER]),
+                    ",".join(csv_texts) + "\n"))
     return out
