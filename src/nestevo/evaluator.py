@@ -11,12 +11,13 @@ bit for bit.  No training loops, no datasets, no device drivers.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Protocol, Sequence
+from typing import Any, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .genome import (
     DvfsGenome,
     SearchSpaceSpec,
     admissible_positions,
+    frequency_settings,
     validate_backbone,
 )
 
@@ -277,6 +279,14 @@ def resolved_frequencies(device: DeviceSpec,
     return f_c, device.emc_freq_ghz[setting[1]] if device.has_emc else f_c
 
 
+def setting_codes(device: DeviceSpec, genes: np.ndarray) -> np.ndarray:
+    """The code of each row of a matrix of frequency genes: the row's place
+    in genome.frequency_settings(device), which indexes a price table."""
+    if device.has_emc:
+        return genes[:, 0] * len(device.emc_freq_ghz) + genes[:, 1]
+    return genes[:, 0]
+
+
 def hw_latency_energy(w: Workload, device: DeviceSpec, f: DvfsGenome,
                       params: HardwareModelParams) -> tuple[float, float]:
     """Analytic latency (ms) and energy (mJ) at the given frequency setting."""
@@ -287,25 +297,31 @@ def hw_latency_energy(w: Workload, device: DeviceSpec, f: DvfsGenome,
 
 
 class HardwareBackend(Protocol):
-    """A hardware cost model.  A backend implements latency_energy_batch;
-    latency_energy, inherited by subclasses, is its one-row call."""
+    """A hardware cost model.  A backend implements price_table and
+    latency_energy_batch; latency_energy, inherited by subclasses, is the
+    batch path's one-row call."""
+
+    def price_table(self, device: DeviceSpec) -> Any:
+        """What latency_energy_batch needs to price every frequency setting
+        of `device`, indexed by setting code (see setting_codes).  A caller
+        builds it once per device and passes it to every batch."""
+        ...
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
-                             rows: np.ndarray, device: DeviceSpec,
-                             settings: Sequence[tuple[int, ...]]
+                             codes: np.ndarray, prices: Any
                              ) -> tuple[np.ndarray, np.ndarray]:
         """Latency (ms) and energy (mJ) of each workload (flops[i],
-        bytes_[i]) at the frequency setting settings[rows[i]], given as its
-        frequency genes (see frequency_genes).  The workloads and settings
-        are already validated; settings may repeat, and each one is
-        priced."""
+        bytes_[i]) at the setting whose code is codes[i], on the device
+        that `prices` (price_table) was built for.  The workloads are
+        already validated."""
         ...
 
     def latency_energy(self, w: Workload, device: DeviceSpec,
                        f: DvfsGenome) -> tuple[float, float]:
         latency, energy = self.latency_energy_batch(
-            np.array([w.flops]), np.array([w.bytes]), np.zeros(1, dtype=int),
-            device, [frequency_genes(device, f)])
+            np.array([w.flops]), np.array([w.bytes]),
+            setting_codes(device, np.array([frequency_genes(device, f)])),
+            self.price_table(device))
         return float(latency[0]), float(energy[0])
 
 
@@ -315,20 +331,23 @@ class SyntheticHardwareModel(HardwareBackend):
     def __init__(self, params: HardwareModelParams | None = None) -> None:
         self.params = params or HardwareModelParams()
 
-    def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
-                             rows: np.ndarray, device: DeviceSpec,
-                             settings: Sequence[tuple[int, ...]]
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        # hw_latency_energy's per-setting factors in Python floats, then the
-        # same operations elementwise.
+    @functools.lru_cache(maxsize=16)
+    def price_table(self, device: DeviceSpec) -> np.ndarray:
+        """Per setting code, hw_latency_energy's factors in Python floats:
+        the compute and memory throughputs and the power.  Built once per
+        backend and device, and never written to."""
         params = self.params
+        return np.array([
+            (params.kappa_compute * f_c, params.kappa_memory * f_m,
+             params.p0 + params.p1 * f_c**3 + params.p2 * f_m)
+            for f_c, f_m in (resolved_frequencies(device, s)
+                             for s in frequency_settings(device))])
 
-        def constants(setting: tuple[int, ...]) -> tuple[float, float, float]:
-            f_c, f_m = resolved_frequencies(device, setting)
-            return (params.kappa_compute * f_c, params.kappa_memory * f_m,
-                    params.p0 + params.p1 * f_c**3 + params.p2 * f_m)
-
-        c = np.array([constants(s) for s in settings])[rows]
+    def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
+                             codes: np.ndarray, prices: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        # hw_latency_energy's operations, elementwise.
+        c = prices[codes]
         latency = flops / c[:, 0] + bytes_ / c[:, 1]
         return latency, c[:, 2] * latency / 1e3
 
@@ -361,7 +380,7 @@ class HardwareTable:
             bucket_rows.sort()
         # The same rows padded into matrices with one row per key: buckets
         # past a key's count read +inf.  Interpolating in logs needs
-        # positive values, so a value <= 0 reads NaN here and lookup_batch
+        # positive values, so a value <= 0 reads NaN here and lookup_rows
         # raises when it would interpolate from it.
         self._index = {key: k for k, key in enumerate(self._rows)}
         width = max(map(len, self._rows.values()), default=0)
@@ -392,24 +411,29 @@ class HardwareTable:
                              float(row["latency_ms"]), float(row["energy_mj"])))
         return cls(rows)
 
-    def _key(self, device: str, f_c: float, f_m: float | None) -> tuple:
-        key = _table_key(device, f_c, f_m)
-        if not self._rows.get(key):
-            raise KeyError(f"no table rows for device={device!r} f_c={f_c} f_m={f_m}")
-        return key
+    def query_rows(self, queries: Sequence[tuple[str, float, float | None]]
+                   ) -> np.ndarray:
+        """The row of each (device, f_c, f_m or None) query in the padded
+        matrices, -1 for a frequency pair without rows."""
+        return np.array([self._index.get(_table_key(*q), -1) for q in queries],
+                        dtype=int)
 
-    def lookup_batch(self, queries: Sequence[tuple[str, float, float | None]],
-                     which: np.ndarray,
-                     flops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lookup_rows(self, queries: Sequence[tuple[str, float, float | None]],
+                    rows: np.ndarray, which: np.ndarray,
+                    flops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Latency and energy of flops[i] under the frequency pair
-        queries[which[i]] = (device, f_c, f_m or None), as arrays.
+        queries[which[i]] = (device, f_c, f_m or None), whose rows are
+        `rows` = query_rows(queries), as arrays.
 
         Each query's place among the buckets is a count of the buckets
         below it; log10 and exp are the math module's.  A pair without rows
         raises KeyError, and an interpolation from a value <= 0 raises
         ValueError ("math domain error")."""
-        keys = np.array([self._index[self._key(*q)] for q in queries],
-                        dtype=int)[which]
+        keys = rows[which]
+        missing = np.flatnonzero(keys < 0)
+        if len(missing):
+            device, f_c, f_m = queries[which[missing[0]]]
+            raise KeyError(f"no table rows for device={device!r} f_c={f_c} f_m={f_m}")
         counts = self._counts[keys]
         xs = self._buckets[keys]
         q = np.array([math.log10(v) for v in flops.tolist()])
@@ -430,6 +454,12 @@ class HardwareTable:
                                   ).reshape(-1, 2)
         return out[:, 0], out[:, 1]
 
+    def lookup_batch(self, queries: Sequence[tuple[str, float, float | None]],
+                     which: np.ndarray,
+                     flops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lookup_rows with the queries' rows looked up on this call."""
+        return self.lookup_rows(queries, self.query_rows(queries), which, flops)
+
 
 class TableHardwareModel(HardwareBackend):
     def __init__(self, table: HardwareTable) -> None:
@@ -439,15 +469,22 @@ class TableHardwareModel(HardwareBackend):
     def from_csv(cls, path: str) -> "TableHardwareModel":
         return cls(HardwareTable.from_csv(path))
 
-    def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
-                             rows: np.ndarray, device: DeviceSpec,
-                             settings: Sequence[tuple[int, ...]]
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        def query(setting: tuple[int, ...]) -> tuple[str, float, float | None]:
-            f_c, f_m = resolved_frequencies(device, setting)
-            return device.name, f_c, f_m if device.has_emc else None
+    @functools.lru_cache(maxsize=16)
+    def price_table(self, device: DeviceSpec
+                    ) -> tuple[tuple[tuple[str, float, float | None], ...],
+                               np.ndarray]:
+        """Per setting code, the table query (device, f_c, f_m or None) and
+        its row (HardwareTable.query_rows).  Built once per backend and
+        device, and never written to."""
+        queries = tuple((device.name, f_c, f_m if device.has_emc else None)
+                        for f_c, f_m in (resolved_frequencies(device, s)
+                                         for s in frequency_settings(device)))
+        return queries, self.table.query_rows(queries)
 
-        return self.table.lookup_batch([query(s) for s in settings], rows, flops)
+    def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,
+                             codes: np.ndarray, prices: tuple
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        return self.table.lookup_rows(*prices, codes, flops)
 
 
 def default_dvfs(device: DeviceSpec) -> DvfsGenome:

@@ -63,11 +63,11 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
         profile = exit_profile(b, space, surrogate, seed)
         ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                                gamma)
-        candidates = enumerate_candidates(ev.n_cols, device)
+        candidates = np.array(enumerate_candidates(ev.n_cols, device))
         scores = ev.evaluate_batch(candidates)
         values, directions = ioe_objective_matrix(scores, objective_mode, gamma)
         keep = np.flatnonzero(nondominated_rows(values, directions))
-        inner = IoeResult(tuple([candidates[i] for i in keep.tolist()]),
+        inner = IoeResult(tuple(map(tuple, candidates[keep].tolist())),
                           DynamicScores(scores.means[keep], scores.n_exits[keep]),
                           len(candidates))
         hv = ioe_front_hypervolume(inner.scores, gamma)

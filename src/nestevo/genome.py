@@ -288,16 +288,6 @@ def sample_exit_genome(b: BackboneGenome, space: SearchSpaceSpec,
     return ExitGenome(sample_exit_bits(indicator_length(b, space), rng))
 
 
-def sample_frequency_genes(device: DeviceSpec,
-                           rng: random.Random) -> tuple[int, ...]:
-    """A uniform setting as (compute_idx,), or (compute_idx, emc_idx) on a
-    device with a memory clock; the emc index is drawn first."""
-    if device.has_emc:
-        emc = rng.randrange(len(device.emc_freq_ghz))
-        return rng.randrange(len(device.compute_freq_ghz)), emc
-    return (rng.randrange(len(device.compute_freq_ghz)),)
-
-
 # ---------------------------------------------------------------------------
 # Variation on flat tuples of gene indices: a backbone's key(), or an inner
 # candidate's exit bits followed by its frequency indices.
@@ -366,13 +356,20 @@ def enumerate_backbones(space: SearchSpaceSpec) -> Iterator[BackboneGenome]:
                 yield b
 
 
+def frequency_settings(device: DeviceSpec) -> list[tuple[int, ...]]:
+    """Every frequency setting of `device` as its genes, compute index
+    outer.  A setting's place in this list is its code, compute_idx *
+    len(emc_freq_ghz) + emc_idx (compute_idx without a memory clock)."""
+    return list(itertools.product(
+        range(len(device.compute_freq_ghz)),
+        *([range(len(device.emc_freq_ghz))] if device.has_emc else [])))
+
+
 def enumerate_candidates(n_bits: int, device: DeviceSpec) -> list[tuple[int, ...]]:
     """Every inner candidate of `n_bits` exit bits on `device`, as gene
     tuples: the exit patterns with a set bit in counting order, each
-    followed by every frequency setting, compute index outer."""
-    settings = list(itertools.product(
-        range(len(device.compute_freq_ghz)),
-        *([range(len(device.emc_freq_ghz))] if device.has_emc else [])))
+    followed by every frequency setting in code order."""
+    settings = frequency_settings(device)
     return [bits + setting
             for bits in itertools.product((0, 1), repeat=n_bits) if any(bits)
             for setting in settings]

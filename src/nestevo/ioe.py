@@ -28,6 +28,7 @@ from .evaluator import (
     frequency_genes,
     layer_workloads,
     running_sums,
+    setting_codes,
 )
 from .genome import (
     BackboneGenome,
@@ -37,21 +38,14 @@ from .genome import (
     SearchSpaceSpec,
     VariationParams,
     bits_key,
-    crossover_genes,
     enumerate_candidates,
     indicator_length,
-    mutate_genes,
     n_inner_candidates,
-    repair_exit_bits,
     require_counts,
-    sample_exit_bits,
-    sample_frequency_genes,
 )
 from .moea import (
     Direction,
     ParetoArchive,
-    breed,
-    initial_population,
     mating_pool,
     rank_rows,
     require_finite,
@@ -108,33 +102,100 @@ class IoeConfig:
 Candidate = tuple[int, ...]
 
 
-def sample_candidate(n_bits: int, device: DeviceSpec,
-                     rng: random.Random) -> Candidate:
-    """A uniform candidate: sample_exit_bits, then sample_frequency_genes."""
-    return sample_exit_bits(n_bits, rng) + sample_frequency_genes(device, rng)
+def gene_sizes(n_bits: int, device: DeviceSpec) -> np.ndarray:
+    """The domain size of each gene of a candidate: 2 per exit bit, then
+    the compute table's, then the emc table's if the device has one."""
+    return np.array((2,) * n_bits + (len(device.compute_freq_ghz),) + (
+        (len(device.emc_freq_ghz),) if device.has_emc else ()))
 
 
-def crossover_candidates(a: Candidate, b: Candidate, n_bits: int,
-                         params: VariationParams,
-                         rng: random.Random) -> tuple[Candidate, Candidate]:
-    """Uniform crossover of the exit bits, each child's bits repaired (a's
-    first), then uniform crossover of the frequency genes."""
-    p = params.crossover_prob
-    bits_a, bits_b = crossover_genes(a[:n_bits], b[:n_bits], p, rng)
-    bits_a, bits_b = repair_exit_bits(bits_a, rng), repair_exit_bits(bits_b, rng)
-    freq_a, freq_b = crossover_genes(a[n_bits:], b[n_bits:], p, rng)
-    return bits_a + freq_a, bits_b + freq_b
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """n uniforms in [0, 1) from one rng.getrandbits(64 * n) draw: its
+    little-endian 64-bit words in order, each cut to its top 53 bits and
+    scaled by 2**-53."""
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
+                          dtype="<u8")
+    return (words >> 11) * 2.0**-53
 
 
-def mutate_candidate(c: Candidate, n_bits: int, device: DeviceSpec,
-                     params: VariationParams, rng: random.Random) -> Candidate:
-    """Per-gene mutation of the exit bits, repaired, then of the frequency
-    genes over the device's tables."""
-    p = params.mutation_prob_per_gene
-    bits = repair_exit_bits(mutate_genes(c[:n_bits], (2,) * n_bits, p, rng), rng)
-    sizes = (len(device.compute_freq_ghz),) + (
-        (len(device.emc_freq_ghz),) if device.has_emc else ())
-    return bits + mutate_genes(c[n_bits:], sizes, p, rng)
+def _breed(parents: np.ndarray, places: np.ndarray, population: int,
+           n_bits: int, sizes: np.ndarray, params: VariationParams,
+           rng: random.Random) -> np.ndarray:
+    """`population` children of a mating pool, one candidate per row of
+    `parents` with its place (mating_pool) in `places`, as a matrix.
+
+    Children come in pairs, the last pair's second child dropped when
+    `population` is odd.  One block of uniforms serves the generation, cut
+    at fixed offsets into:
+    - per parent, `tournament_size` pool slots floor(u * pool size); the
+      drawn slot with the lowest place wins, the first of a pair's two
+      tournaments picking parent a;
+    - per pair and gene, a uniform crossover swap when u < crossover_prob;
+    - per child and gene, a mutation when u < mutation_prob_per_gene, and
+      the mutated gene's new value floor(u * sizes[gene]);
+    - per child, the repair of an all-zero exit pattern: the bit at
+      floor(u * n_bits) is set.
+    `sizes` holds each gene's domain size (gene_sizes)."""
+    pairs = -(-population // 2)
+    n_genes = len(sizes)
+    t = params.tournament_size
+    draws, swaps, mutations, values, repairs = np.split(
+        uniforms(rng, 2 * pairs * t + pairs * n_genes
+                 + 2 * population * n_genes + population),
+        np.cumsum([2 * pairs * t, pairs * n_genes, population * n_genes,
+                   population * n_genes]))
+    slots = (draws.reshape(2 * pairs, t) * len(parents)).astype(np.intp)
+    winners = slots[np.arange(2 * pairs), places[slots].argmin(axis=1)]
+    a, b = parents[winners[0::2]], parents[winners[1::2]]
+    swap = swaps.reshape(pairs, n_genes) < params.crossover_prob
+    children = np.stack([np.where(swap, b, a), np.where(swap, a, b)], axis=1
+                        ).reshape(2 * pairs, n_genes)[:population]
+    mutate = mutations.reshape(population, n_genes) < params.mutation_prob_per_gene
+    children = np.where(mutate, (values.reshape(population, n_genes) * sizes
+                                 ).astype(children.dtype), children)
+    return _repaired(children, n_bits, repairs)
+
+
+def _repaired(rows: np.ndarray, n_bits: int, u: np.ndarray) -> np.ndarray:
+    """The rows, each whose exit bits are all zero with its bit
+    floor(u[row] * n_bits) set."""
+    empty = np.flatnonzero(~rows[:, :n_bits].any(axis=1))
+    rows[empty, (u[empty] * n_bits).astype(np.intp)] = 1
+    return rows
+
+
+def _sample(n: int, n_bits: int, sizes: np.ndarray,
+            rng: random.Random) -> np.ndarray:
+    """n uniform candidates from one block of uniforms: each gene
+    floor(u * sizes[gene]), so each exit bit is set with probability 1/2,
+    then the repair of each all-zero exit pattern."""
+    cut = n * len(sizes)
+    u = uniforms(rng, cut + n)
+    genes = (u[:cut].reshape(n, len(sizes)) * sizes).astype(np.intp)
+    return _repaired(genes, n_bits, u[cut:])
+
+
+def _first_generation(population: int, n_bits: int, device: DeviceSpec,
+                      sizes: np.ndarray, space_size: int,
+                      rng: random.Random) -> np.ndarray:
+    """The first generation, as moea.initial_population seeds one: a space
+    of at most `population` candidates whole, in enumerate_candidates
+    order; a larger one with distinct samples, drawn in blocks of as many
+    as there are empty slots, at most 64 per slot in all.  Any slot still
+    empty takes a plain (possibly repeated) sample."""
+    if space_size <= population:
+        rows = np.array(enumerate_candidates(n_bits, device))
+    else:
+        distinct: dict[tuple, None] = {}
+        drawn = 0
+        while len(distinct) < population and drawn < 64 * population:
+            block = _sample(min(population - len(distinct),
+                                64 * population - drawn), n_bits, sizes, rng)
+            drawn += len(block)
+            distinct.update(dict.fromkeys(map(tuple, block.tolist())))
+        rows = np.array(list(distinct)).reshape(-1, len(sizes))
+    return np.concatenate([rows, _sample(population - len(rows), n_bits,
+                                         sizes, rng)])
 
 
 # Candidates evaluated per block: bounds the temporaries of an exhaustive
@@ -158,12 +219,13 @@ class DynamicScores:
 class _DynamicEvaluator:
     """Per-backbone context that evaluates candidates as a batch.
 
-    A batch is P gene tuples: their first L genes form a P x L indicator
-    matrix (one column per admissible exit position), and the rest of each
-    is its frequency setting.  Every value comes from the per-exit
-    definition's operations in the same order: running sums are masked
-    cumulative sums along the layer axis (never pairwise sums), the best
-    earlier fraction is a running maximum, and powers are taken with
+    A batch is a P x G gene matrix, one candidate per row: its first L
+    columns form the indicator matrix (one column per admissible exit
+    position), and the rest are its frequency setting, priced through a
+    table the backend builds once per evaluator.  Every value comes from the
+    per-exit definition's operations in the same order: running sums are
+    masked cumulative sums along the layer axis (never pairwise sums), the
+    best earlier fraction is a running maximum, and powers are taken with
     Python's pow, so each score equals that of a per-candidate loop bit for
     bit."""
 
@@ -179,6 +241,7 @@ class _DynamicEvaluator:
         if len(profile.correct_fractions) < len(positions):
             raise ValueError("exit profile does not cover the backbone's exits")
         self.n_cols = len(positions)
+        self.sizes = gene_sizes(self.n_cols, device)
         self.prefix_flops = np.array([cum_flops[p] for p in positions])
         self.prefix_bytes = np.array([cum_bytes[p] for p in positions])
         self.exit_overhead = np.array(
@@ -193,30 +256,25 @@ class _DynamicEvaluator:
             for v in self.best_values.tolist()])
         self.device = device
         self.backend = backend
+        self.prices = backend.price_table(device)
         self.static = static
         self.gamma = gamma
 
-    def evaluate_batch(self, candidates: Sequence[Candidate]) -> DynamicScores:
-        n = self.n_cols
-        if set(map(len, candidates)) != {n + 1 + self.device.has_emc}:
+    def evaluate_batch(self, candidates: np.ndarray) -> DynamicScores:
+        """The scores of the rows of a gene matrix; a matrix of the wrong
+        width or a gene outside its domain raises ValueError."""
+        if candidates.ndim != 2 or candidates.shape[1] != len(self.sizes):
             raise ValueError("exit genome is not conditioned on this backbone")
-        # The distinct settings, in order of first occurrence.
-        index: dict[tuple[int, ...], int] = {}
-        which = np.array([index.setdefault(c[n:], len(index)) for c in candidates])
-        settings = list(index)
-        blocks = [self._score(candidates[i:i + _BLOCK_ROWS], settings,
-                              which[i:i + _BLOCK_ROWS])
+        if ((candidates < 0) | (candidates >= self.sizes)).any():
+            raise ValueError("gene index outside its domain")
+        blocks = [self._score(candidates[i:i + _BLOCK_ROWS])
                   for i in range(0, len(candidates), _BLOCK_ROWS)]
         return DynamicScores(np.concatenate([b.means for b in blocks]),
                              np.concatenate([b.n_exits for b in blocks]))
 
-    def _score(self, rows: Sequence[tuple[int, ...]],
-               settings: Sequence[tuple[int, ...]],
-               which: np.ndarray) -> DynamicScores:
-        """Scores of the exit bits rows[i][:n_cols] at settings[which[i]],
-        each setting given as its frequency genes."""
-        sel = np.frombuffer(b"".join([bytes(r[:self.n_cols]) for r in rows]),
-                            dtype=np.uint8).reshape(len(rows), self.n_cols).astype(bool)
+    def _score(self, rows: np.ndarray) -> DynamicScores:
+        """Scores of the candidates of a gene matrix."""
+        sel = rows[:, :self.n_cols] != 0
         k = sel.sum(axis=1)
         if not k.all():
             raise ZeroDivisionError("exit genome samples no exit")
@@ -231,8 +289,9 @@ class _DynamicEvaluator:
         if bad.any():
             raise ValueError("workload must be finite" if not finite[bad.argmax()]
                              else "workload must be nonnegative")
+        codes = setting_codes(self.device, rows[:, self.n_cols:])
         latency, energy = self.backend.latency_energy_batch(
-            flops, bytes_, which[np.nonzero(sel)[0]], self.device, settings)
+            flops, bytes_, codes[np.nonzero(sel)[0]], self.prices)
 
         # Best fraction among the sampled exits strictly before each one,
         # from 0; fmax skips a NaN as max() does.
@@ -273,8 +332,8 @@ def dynamic_fitness(b: BackboneGenome, x: ExitGenome, f: DvfsGenome,
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static, gamma)
     if len(x.indicators) != ev.n_cols:
         raise ValueError("exit genome is not conditioned on this backbone")
-    return ev._score([x.indicators], [frequency_genes(device, f)],
-                     np.zeros(1, dtype=int)).score(0)
+    return ev.evaluate_batch(
+        np.array([x.indicators + frequency_genes(device, f)])).score(0)
 
 
 def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
@@ -326,10 +385,11 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     """NSGA-II loop over (exits, frequencies) for one backbone, whose exit
     profile and static score the caller supplies.
 
-    Candidates are gene tuples from sampling to the result, and no genome
-    object is built.  The archive accumulates the rank-0 set across every
-    generation and is pruned to a mutually non-dominated set after each
-    one.  Its keys are the candidates and its payloads (their generation's
+    Each generation is one gene matrix, bred by _breed from one block of
+    uniforms and evaluated as a whole, and no genome object is built.  The
+    archive accumulates the rank-0 set across every generation and is
+    pruned to a mutually non-dominated set after each one.  Its keys are
+    the candidates as gene tuples and its payloads (their generation's
     scores, their row in them); the result gathers those rows into one
     DynamicScores.  When the whole inner space fits in one population, the
     first generation is all of it, from enumerate_candidates.
@@ -340,30 +400,27 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
 
     archive = ParetoArchive(OBJECTIVE_DIRECTIONS[config.objective_mode])
     n_evals = 0
-    candidates = initial_population(
-        config.population, n_inner_candidates(b, space, device),
-        lambda: enumerate_candidates(n_bits, device),
-        lambda r: sample_candidate(n_bits, device, r), lambda c: c, rng)
+    population = _first_generation(
+        config.population, n_bits, device, ev.sizes,
+        n_inner_candidates(b, space, device), rng)
     for gen in range(config.generations):
         if gen > 0:
-            candidates = breed(
-                parents, places, config.population,
-                lambda x, y, r: crossover_candidates(x, y, n_bits, variation, r),
-                lambda c, r: mutate_candidate(c, n_bits, device, variation, r),
-                variation, rng)
-        scores = ev.evaluate_batch(candidates)
-        n_evals += len(candidates)
+            population = _breed(parents, places, config.population, n_bits,
+                                ev.sizes, variation, rng)
+        scores = ev.evaluate_batch(population)
+        n_evals += len(population)
         values, directions = ioe_objective_matrix(
             scores, config.objective_mode, config.gamma)
         ranks, crowding = rank_rows(values, directions)
-        front = np.flatnonzero(ranks == 0).tolist()
-        archive.merge_batch([candidates[i] for i in front],
-                            [(scores, i) for i in front], values[front])
+        front = np.flatnonzero(ranks == 0)
+        archive.merge_batch(list(map(tuple, population[front].tolist())),
+                            [(scores, i) for i in front.tolist()],
+                            values[front])
         if on_generation is not None:
             on_generation(gen, archive)
-        keep = max(1, math.ceil(config.keep_fraction * len(candidates)))
-        pool, places = mating_pool(ranks, crowding, keep)
-        parents = [candidates[i] for i in pool]
+        keep = max(1, math.ceil(config.keep_fraction * len(population)))
+        pool, pool_places = mating_pool(ranks, crowding, keep)
+        parents, places = population[pool], np.array(pool_places)
     payloads = archive.payloads
     scores = DynamicScores(np.array([s.means[i] for s, i in payloads]),
                            np.array([s.n_exits[i] for s, i in payloads]))

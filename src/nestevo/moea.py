@@ -266,6 +266,7 @@ class ParetoArchive:
         self.payloads: list[Any] = []
         self.values = np.zeros((0, len(self.directions)))
         self._mat = self.values
+        self._live: set = set()  # the keys, as a set
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -306,11 +307,11 @@ class ParetoArchive:
                 f"{values.shape} matrix does not fit {len(self.directions)} "
                 "objectives")
         require_finite(values)
-        seen = set(self.keys)
+        batch: set = set()
         fresh = []
         for i, key in enumerate(keys):
-            if key not in seen:
-                seen.add(key)
+            if key not in self._live and key not in batch:
+                batch.add(key)
                 fresh.append(i)
         if not fresh:
             return
@@ -322,7 +323,12 @@ class ParetoArchive:
         kept = np.flatnonzero(keep).tolist()
         all_keys = self.keys + [keys[i] for i in fresh]
         all_payloads = self.payloads + [payloads[i] for i in fresh]
+        n = len(self.keys)
+        self._live.difference_update(
+            self.keys[i] for i in np.flatnonzero(~keep[:n]).tolist())
         self.keys = [all_keys[i] for i in kept]
+        # The fresh entries kept come last.
+        self._live.update(self.keys[len(kept) - int(keep[n:].sum()):])
         self.payloads = [all_payloads[i] for i in kept]
         self.values = np.concatenate([self.values, raw])[keep]
         self._mat = union[keep]

@@ -195,24 +195,49 @@ def _compile_row() -> tuple[str, tuple[int, ...]]:
 _ROW, _ROW_ORDER = _compile_row()
 
 
+def _spell_column(values: Sequence) -> tuple[Sequence[str], Sequence[str]]:
+    """The JSON and CSV texts of a column of values, each spelled once: a
+    column of plain floats or plain ints by their repr, one of plain
+    strings that need no CSV quoting as they are, any other one value by
+    value (_spell).  A column that repeats one object, as a visit's
+    backbone and static fields do, is spelled once."""
+    if len(values) > 1 and len(set(map(id, values))) == 1:
+        json_texts, csv_texts = _spell(values[0])
+        return [json_texts] * len(values), [csv_texts] * len(values)
+    kinds = set(map(type, values))
+    if kinds == {float} or kinds == {int}:
+        texts = list(map(kinds.pop().__repr__, values))
+        if _NON_FINITE.keys().isdisjoint(texts):
+            return texts, texts
+        return [_NON_FINITE.get(t, t) for t in texts], texts
+    if kinds == {str} and _CSV_SPECIAL.isdisjoint("".join(values)):
+        return list(map(encode_basestring_ascii, values)), values
+    spelled = list(map(_spell, values))
+    return [j for j, _ in spelled], [c for _, c in spelled]
+
+
 def render_rows(rows: Sequence[Sequence], objectives: Sequence[float]
                 ) -> list[Row]:
     """The rows of one visit, from their fields in _FIELDS order and the
     visit's combined objectives.  A JSON text is the row as json.dumps(doc,
     indent=2, sort_keys=True) writes it one level below "final"; a line is
     the row as csv.writer(lineterminator="\\n") writes it.  Each value is
-    spelled once for both, and the objectives once per visit."""
-    spelled_objectives = _json_block(
-        "[", [_spell(v)[0] for v in objectives], "]")
+    spelled once for both, column by column, and the objectives once."""
+    if not rows:
+        return []
+    columns = list(zip(*rows))
+    spelled = list(map(_spell_column, columns))
+    json_columns = [texts for texts, _ in spelled]
+    json_columns.append([_json_block(
+        "[", [_spell(v)[0] for v in objectives], "]")] * len(rows))
+    texts = [_ROW % parts
+             for parts in zip(*[json_columns[i] for i in _ROW_ORDER])]
+    lines = [",".join(parts) + "\n" for parts in zip(*[c for _, c in spelled])]
+    keys = []
     head = b_key = None
-    out = []
-    for values in rows:
-        json_texts, csv_texts = zip(*map(_spell, values))
-        json_texts += (spelled_objectives,)
-        if values[:2] != head:
-            head = values[:2]
+    for key in zip(*columns[:6]):
+        if key[:2] != head:
+            head = key[:2]
             b_key = BackboneGenome(head[0], _blocks_from_str(head[1])).key()
-        out.append(((b_key,) + tuple(values[2:6]),
-                    _ROW % tuple([json_texts[i] for i in _ROW_ORDER]),
-                    ",".join(csv_texts) + "\n"))
-    return out
+        keys.append((b_key,) + key[2:])
+    return list(zip(keys, texts, lines))

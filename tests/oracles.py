@@ -18,11 +18,10 @@ front.csv rows (built on nestevo.rows' row reader) are definitions only
 the tests use.  The object enumerators and samplers (enumerate_exit_genomes,
 enumerate_dvfs, sample_dvfs, with candidate_genes to flatten a pair) are
 the genome-object code both engines ran before they sampled and enumerated
-gene tuples; enumerate_candidates and sample_candidate must give the same
-tuples in the same order from the same draws.  The
-object variation operators are the per-genome mutation and crossover the
-package ran before both engines bred flat tuples of gene indices; the gene
-operators must make the same children from the same draws.  The
+gene tuples; enumerate_candidates must give the same tuples in the same
+order.  The backbone variation operators are the per-genome mutation and
+crossover the outer engine ran before it bred flat tuples of gene indices;
+the gene operators must make the same children from the same draws.  The
 regrouping helpers at the end give the package's matrix API (rank_rows,
 nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
 ObjectiveVectors the tests are written in; they convert and regroup, and
@@ -50,6 +49,7 @@ from nestevo.evaluator import (
     SyntheticHardwareModel,
     TableHardwareModel,
     Workload,
+    _table_key,
     frequency_genes,
     hw_latency_energy,
     layer_workloads,
@@ -65,8 +65,6 @@ from nestevo.genome import (
     VariationParams,
     _repair_backbone,
     indicator_length,
-    repair_exit_bits,
-    sample_frequency_genes,
 )
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
 from nestevo.metrics import Front, _hv2d, _hv3d
@@ -316,7 +314,9 @@ def table_lookup(table: HardwareTable, device: str, f_c: float,
     """One table query: a bisection over the key's sorted buckets, an exact
     hit read as stored, a clamp at either end, and log-linear interpolation
     in Python floats between the two buckets around the query."""
-    rows = table._rows[table._key(device, f_c, f_m)]
+    rows = table._rows.get(_table_key(device, f_c, f_m))
+    if not rows:
+        raise KeyError(f"no table rows for device={device!r} f_c={f_c} f_m={f_m}")
     q = math.log10(flops)
     xs = [r[0] for r in rows]
     i = bisect_left(xs, q)
@@ -623,7 +623,13 @@ def fraction_at(profile: ExitProfile, position: int) -> float:
 
 
 def sample_dvfs(device: DeviceSpec, rng: random.Random) -> DvfsGenome:
-    return DvfsGenome(device.name, *sample_frequency_genes(device, rng))
+    """A uniform setting; on a device with a memory clock the emc index is
+    drawn first."""
+    if device.has_emc:
+        emc = rng.randrange(len(device.emc_freq_ghz))
+        return DvfsGenome(device.name, rng.randrange(len(device.compute_freq_ghz)),
+                          emc)
+    return DvfsGenome(device.name, rng.randrange(len(device.compute_freq_ghz)))
 
 
 def enumerate_exit_genomes(b: BackboneGenome,
@@ -667,24 +673,6 @@ def mutate_backbone(b: BackboneGenome, space: SearchSpaceSpec,
     return _repair_backbone(BackboneGenome(res, blocks), space, rng)
 
 
-def mutate_exit(x: ExitGenome, params: VariationParams,
-                rng: random.Random) -> ExitGenome:
-    p = params.mutation_prob_per_gene
-    bits = [rng.randrange(2) if rng.random() < p else bit for bit in x.indicators]
-    return ExitGenome(repair_exit_bits(tuple(bits), rng))
-
-
-def mutate_dvfs(f: DvfsGenome, device: DeviceSpec, params: VariationParams,
-                rng: random.Random) -> DvfsGenome:
-    p = params.mutation_prob_per_gene
-    compute = (rng.randrange(len(device.compute_freq_ghz))
-               if rng.random() < p else f.compute_idx)
-    emc = f.emc_idx
-    if device.has_emc and rng.random() < p:
-        emc = rng.randrange(len(device.emc_freq_ghz))
-    return DvfsGenome(f.device, compute, emc)
-
-
 def _swap(a, b, prob: float, rng: random.Random):
     return (b, a) if rng.random() < prob else (a, b)
 
@@ -707,37 +695,6 @@ def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
     child_a = _repair_backbone(BackboneGenome(res_a, tuple(blocks_a)), space, rng)
     child_b = _repair_backbone(BackboneGenome(res_b, tuple(blocks_b)), space, rng)
     return child_a, child_b
-
-
-def crossover_exit(parent_a: ExitGenome, parent_b: ExitGenome,
-                   params: VariationParams,
-                   rng: random.Random) -> tuple[ExitGenome, ExitGenome]:
-    if len(parent_a.indicators) != len(parent_b.indicators):
-        raise ValueError("exit genomes have different lengths")
-    p = params.crossover_prob
-    draw = rng.random
-    bits_a, bits_b = [], []
-    for ba, bb in zip(parent_a.indicators, parent_b.indicators):
-        if draw() < p:
-            ba, bb = bb, ba
-        bits_a.append(ba)
-        bits_b.append(bb)
-    return (ExitGenome(repair_exit_bits(tuple(bits_a), rng)),
-            ExitGenome(repair_exit_bits(tuple(bits_b), rng)))
-
-
-def crossover_dvfs(parent_a: DvfsGenome, parent_b: DvfsGenome,
-                   params: VariationParams,
-                   rng: random.Random) -> tuple[DvfsGenome, DvfsGenome]:
-    if parent_a.device != parent_b.device:
-        raise ValueError("dvfs genomes belong to different devices")
-    p = params.crossover_prob
-    c_a, c_b = _swap(parent_a.compute_idx, parent_b.compute_idx, p, rng)
-    e_a, e_b = parent_a.emc_idx, parent_b.emc_idx
-    if e_a is not None and e_b is not None:
-        e_a, e_b = _swap(e_a, e_b, p, rng)
-    return (DvfsGenome(parent_a.device, c_a, e_a),
-            DvfsGenome(parent_b.device, c_b, e_b))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from nestevo.evaluator import (
     exit_profile,
     frequency_genes,
     hw_latency_energy,
+    setting_codes,
 )
 from nestevo.genome import (
     DeviceSpec,
@@ -158,9 +159,9 @@ FULL_TABLE = TableHardwareModel(tabulate(FULL_DEVICES,
 
 
 def genes(candidates):
-    """(ExitGenome, DvfsGenome) pairs as the gene tuples evaluate_batch
+    """(ExitGenome, DvfsGenome) pairs as the gene matrix evaluate_batch
     takes."""
-    return [candidate_genes(x, f) for x, f in candidates]
+    return np.array([candidate_genes(x, f) for x, f in candidates])
 
 
 def falling(profile: ExitProfile) -> ExitProfile:
@@ -254,9 +255,10 @@ def test_table_batch_lookup_equals_scalar(device, queries):
     settings_ = [setting(device, i) for i in range(6)]
     rows = np.array([i for i, _ in queries])
     flops = np.array([v for _, v in queries])
+    codes = setting_codes(device, np.array(
+        [frequency_genes(device, f) for f in settings_]))
     lat, energy = TABLE.latency_energy_batch(
-        flops, np.zeros(len(flops)), rows, device,
-        [frequency_genes(device, f) for f in settings_])
+        flops, np.zeros(len(flops)), codes[rows], TABLE.price_table(device))
     expected = [reference_latency_energy(TABLE, Workload(v, 0.0), device,
                                          settings_[i])
                 for i, v in queries]
@@ -413,11 +415,16 @@ class InfiniteAtSetting:
         lat, energy = hw_latency_energy(w, device, f, HW)
         return lat, math.inf if f.compute_idx == self.compute_idx else energy
 
-    def latency_energy_batch(self, flops, bytes_, rows, device, settings):
-        lat, energy = SYNTHETIC.latency_energy_batch(flops, bytes_, rows,
-                                                     device, settings)
-        bad = np.array([f[0] == self.compute_idx for f in settings])
-        return lat, np.where(bad[rows], math.inf, energy)
+    def price_table(self, device):
+        # A device without a memory clock: a setting's code is its compute
+        # index.
+        assert not device.has_emc
+        return SYNTHETIC.price_table(device)
+
+    def latency_energy_batch(self, flops, bytes_, codes, prices):
+        lat, energy = SYNTHETIC.latency_energy_batch(flops, bytes_, codes,
+                                                     prices)
+        return lat, np.where(codes == self.compute_idx, math.inf, energy)
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,11 +455,34 @@ def test_wrong_length_genome_raises(delta):
     static = eval_static(b, SPACE, PLAIN, SYNTHETIC, SurrogateParams(), 0)
     n_cols = indicator_length(b, SPACE)
     wrong = ExitGenome((1,) * (n_cols + delta))
-    candidates = [(sample_exit_genome(b, SPACE, rng), DvfsGenome("plain", 0)),
-                  (wrong, DvfsGenome("plain", 1))]
+    # A batch is one matrix: every row has the wrong width, or the batch is
+    # not a matrix of rows.
+    candidates = [(wrong, DvfsGenome("plain", 0)), (wrong, DvfsGenome("plain", 1))]
     ev = _DynamicEvaluator(b, SPACE, PLAIN, SYNTHETIC, HW, profile, static, 1.0)
     with pytest.raises(ValueError, match="not conditioned on this backbone"):
         ev.evaluate_batch(genes(candidates))
+    right = candidate_genes(sample_exit_genome(b, SPACE, rng),
+                            DvfsGenome("plain", 0))
+    with pytest.raises(ValueError, match="not conditioned on this backbone"):
+        ev.evaluate_batch(np.array(right))
     with pytest.raises(ValueError, match="not conditioned on this backbone"):
         dynamic_fitness(b, wrong, DvfsGenome("plain", 0), profile, static, SPACE,
                         PLAIN, SYNTHETIC, HW, 1.0)
+
+
+@pytest.mark.parametrize("gene, value", [(0, 2), (0, -1), (-2, 3), (-1, 2),
+                                         (-1, -1)])
+def test_gene_outside_its_domain_raises(gene, value):
+    # EMC has 3 compute and 2 emc levels: a setting code is compute * 2 +
+    # emc, so an emc index of 2 would otherwise price the next compute level.
+    rng = random.Random(5)
+    b = sample_backbone(SPACE, rng)
+    profile = exit_profile(b, SPACE, SurrogateParams(), 0)
+    static = eval_static(b, SPACE, EMC, SYNTHETIC, SurrogateParams(), 0)
+    ev = _DynamicEvaluator(b, SPACE, EMC, SYNTHETIC, HW, profile, static, 1.0)
+    rows = genes([(sample_exit_genome(b, SPACE, rng), sample_dvfs(EMC, rng))
+                  for _ in range(3)])
+    ev.evaluate_batch(rows)
+    rows[1, gene] = value
+    with pytest.raises(ValueError, match="gene index outside its domain"):
+        ev.evaluate_batch(rows)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from nestevo.genome import (
     total_layers,
     validate_backbone,
 )
-from nestevo.ioe import crossover_candidates, mutate_candidate
+from nestevo.ioe import _breed, gene_sizes, uniforms
 from oracles import (
     candidate_genes,
     enumerate_dvfs,
@@ -38,6 +39,16 @@ from oracles import (
     sampled_positions,
 )
 from tests.conftest import EMC_DEVICE, TOY_DEVICE
+
+
+def breed_rows(parents, n_bits, device, params, rng, population=None, places=None):
+    """_breed on a mating pool given as gene tuples, places in pool order
+    unless given; the children as tuples."""
+    pool = np.array(parents)
+    places = np.arange(len(pool)) if places is None else np.array(places)
+    children = _breed(pool, places, population or len(pool), n_bits,
+                      gene_sizes(n_bits, device), params, rng)
+    return [tuple(c) for c in children.tolist()]
 
 
 class TestSpaceValidation:
@@ -189,7 +200,9 @@ class TestMutation:
         c = candidate_genes(sample_exit_genome(b, full_space, rng),
                             sample_dvfs(EMC_DEVICE, rng))
         n_bits = indicator_length(b, full_space)
-        assert mutate_candidate(c, n_bits, EMC_DEVICE, params, rng) == c
+        no_swap = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0)
+        assert breed_rows([c], n_bits, EMC_DEVICE, no_swap, rng,
+                          population=7) == [c] * 7
 
     def test_prob_one_kernel_uniform(self, full_space):
         params = VariationParams(mutation_prob_per_gene=1.0)
@@ -207,9 +220,9 @@ class TestMutation:
     def test_exit_length_one_keeps_a_bit(self):
         params = VariationParams(mutation_prob_per_gene=1.0)
         rng = random.Random(13)
-        c = (1, 0)
-        for _ in range(100):
-            assert mutate_candidate(c, 1, TOY_DEVICE, params, rng)[0] == 1
+        children = breed_rows([(1, 0)], 1, TOY_DEVICE, params, rng,
+                              population=100)
+        assert [c[0] for c in children] == [1] * 100
 
     def test_input_not_modified(self, full_space, rng):
         params = VariationParams(mutation_prob_per_gene=1.0)
@@ -236,7 +249,7 @@ class TestCrossover:
     def test_exit_child_bits_from_parents(self):
         # Parents share a set bit so repair can never fire, making the
         # per-bit membership check exact.
-        params = VariationParams(crossover_prob=0.5)
+        params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.5)
         rng = random.Random(17)
         for _ in range(1000):
             bits_a = [rng.randrange(2) for _ in range(7)]
@@ -245,8 +258,7 @@ class TestCrossover:
             bits_a[shared] = bits_b[shared] = 1
             pa = tuple(bits_a) + (rng.randrange(3), rng.randrange(2))
             pb = tuple(bits_b) + (rng.randrange(3), rng.randrange(2))
-            ca, cb = crossover_candidates(pa, pb, 7, params, rng)
-            for child in (ca, cb):
+            for child in breed_rows([pa, pb], 7, EMC_DEVICE, params, rng):
                 for i, gene in enumerate(child):
                     assert gene in (pa[i], pb[i])
 
@@ -261,11 +273,20 @@ class TestCrossover:
             crossover_backbone(pa, pb, SearchSpaceSpec(), VariationParams(), rng)
 
     def test_dvfs_swap(self, rng):
-        params = VariationParams(crossover_prob=1.0)
+        # Every gene swaps, the frequency genes too: a pair of children is
+        # its two tournament winners, second first.
+        params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=1.0)
         pa = candidate_genes(ExitGenome((1, 0)), DvfsGenome("emc-dev", 0, 1))
         pb = candidate_genes(ExitGenome((0, 1)), DvfsGenome("emc-dev", 2, 0))
-        ca, cb = crossover_candidates(pa, pb, 2, params, rng)
-        assert ca == pb and cb == pa
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        children = breed_rows([pa, pb], 2, EMC_DEVICE, params, rng,
+                              population=40)
+        draws = uniforms(twin, 40 * 2)[:40 * 2].reshape(40, 2)
+        winners = [[pa, pb][min(int(u * 2) for u in d)] for d in draws]
+        assert children[0::2] == winners[1::2]
+        assert children[1::2] == winners[0::2]
+        assert {pa, pb} <= set(children)
 
 
 class TestGeneOperators:
@@ -294,33 +315,186 @@ def _twins(seed: int) -> tuple[random.Random, random.Random]:
 PROBS = st.sampled_from([0.0, 0.1, 0.5, 1.0])
 
 
+# ---------------------------------------------------------------------------
+# Inner breeding: one block of uniforms per generation (ioe._breed)
+
+
+class FixedBits:
+    """A stand-in for random.Random whose getrandbits returns one integer."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def getrandbits(self, k):
+        assert 0 <= self.value < 2**k
+        return self.value
+
+
+def test_uniforms_decode_by_hand():
+    # Word i is bits 64i..64i+63 of the draw; its top 53 bits over 2**53.
+    words = [2**64 - 1, 1 << 11, (1 << 11) - 1, 1 << 63]
+    value = sum(w << (64 * i) for i, w in enumerate(words))
+    assert uniforms(FixedBits(value), 4).tolist() == [
+        (2**53 - 1) / 2**53, 2**-53, 0.0, 0.5]
+    assert uniforms(FixedBits(0), 0).tolist() == []
+    # The stdlib stream at a fixed seed, by hand from its first 192 bits.
+    x = random.Random(2024).getrandbits(192)
+    by_hand = [(((x >> (64 * i)) & (2**64 - 1)) >> 11) / 2**53
+               for i in range(3)]
+    got = uniforms(random.Random(2024), 3).tolist()
+    assert got == by_hand
+    assert got == [0.18170603701614085, 0.5783528230917323, 0.20020173590251966]
+
+
+def twin_of(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def block_parts(rng, population, n_genes, t):
+    """The block _breed draws for one generation, cut at its documented
+    offsets: tournament draws (one row of t per parent), swap draws (one row
+    per pair), mutation and new-value draws (one row per child), repair
+    draws (one per child)."""
+    pairs = -(-population // 2)
+    counts = [2 * pairs * t, pairs * n_genes, population * n_genes,
+              population * n_genes, population]
+    parts = np.split(uniforms(rng, sum(counts)), np.cumsum(counts)[:-1])
+    return (parts[0].reshape(2 * pairs, t), parts[1].reshape(pairs, n_genes),
+            parts[2].reshape(population, n_genes),
+            parts[3].reshape(population, n_genes), parts[4])
+
+
+@st.composite
+def pools(draw):
+    """(pool, places, n_bits, device, params, population) with sparse exit
+    bits, so that children with no exit set are common."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_bits = draw(st.integers(1, 41))
+    device = draw(st.sampled_from([EMC_DEVICE, TOY_DEVICE]))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    sizes = gene_sizes(n_bits, device).tolist()
+    k = draw(st.integers(1, 6))
+    pool = [tuple(int(rng.random() < density) for _ in range(n_bits))
+            + tuple(rng.randrange(n) for n in sizes[n_bits:]) for _ in range(k)]
+    params = VariationParams(mutation_prob_per_gene=draw(PROBS),
+                             crossover_prob=draw(PROBS),
+                             tournament_size=draw(st.integers(1, 3)))
+    return (pool, rng.sample(range(k), k), n_bits, device, params,
+            draw(st.integers(1, 9)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 41), st.sampled_from([EMC_DEVICE, TOY_DEVICE]), PROBS,
-       PROBS, st.sampled_from([0.0, 0.1, 0.5]), st.integers(0, 2**32))
-def test_inner_breeding_matches_object_operators(n_bits, device, p_cross, p_mut,
-                                                 density, seed):
-    """Crossover then mutation of each child, as the inner engine breeds,
-    against the object operators: the same children from the same draws.
-    Sparse parents may have no exit set, so that repair fires."""
-    params = VariationParams(mutation_prob_per_gene=p_mut, crossover_prob=p_cross)
+@given(pools(), st.integers(0, 2**32))
+def test_bred_children_follow_the_block(case, seed):
+    """A per-gene reference of the documented block layout."""
+    pool, places, n_bits, device, params, population = case
+    sizes = gene_sizes(n_bits, device).tolist()
     rng = random.Random(seed)
-    parents = [(ExitGenome(tuple(int(rng.random() < density)
-                                 for _ in range(n_bits))),
-                sample_dvfs(device, rng)) for _ in range(2)]
-    old, new = _twins(seed)
-    (xa, xb), (fa, fb) = (oracles.crossover_exit(parents[0][0], parents[1][0],
-                                                 params, old),
-                          oracles.crossover_dvfs(parents[0][1], parents[1][1],
-                                                 params, old))
-    children = crossover_candidates(*(candidate_genes(*p) for p in parents),
-                                    n_bits, params, new)
-    assert children == (candidate_genes(xa, fa), candidate_genes(xb, fb))
-    assert new.getstate() == old.getstate()
-    for (x, f), c in zip(((xa, fa), (xb, fb)), children):
-        expected = candidate_genes(oracles.mutate_exit(x, params, old),
-                                   oracles.mutate_dvfs(f, device, params, old))
-        assert mutate_candidate(c, n_bits, device, params, new) == expected
-        assert new.getstate() == old.getstate()
+    draws, swaps, mutations, values, repairs = block_parts(
+        twin_of(rng), population, len(sizes), params.tournament_size)
+    children = breed_rows(pool, n_bits, device, params, rng, population, places)
+    winners = [min((int(u * len(pool)) for u in d), key=places.__getitem__)
+               for d in draws.tolist()]
+    for i, child in enumerate(children):
+        a, b = pool[winners[i - i % 2]], pool[winners[i - i % 2 + 1]]
+        if i % 2:
+            a, b = b, a
+        expected = [b[g] if swaps[i // 2, g] < params.crossover_prob else a[g]
+                    for g in range(len(sizes))]
+        for g, n in enumerate(sizes):
+            if mutations[i, g] < params.mutation_prob_per_gene:
+                expected[g] = int(values[i, g] * n)
+        if not any(expected[:n_bits]):
+            expected[int(repairs[i] * n_bits)] = 1
+        assert child == tuple(expected)
+    assert len(children) == population
+    assert rng.getstate() == twin_of(rng).getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools(), st.integers(0, 2**32))
+def test_child_genes_come_from_parents_unless_mutated(case, seed):
+    pool, places, n_bits, device, params, population = case
+    rng = random.Random(seed)
+    _, _, mutations, _, repairs = block_parts(
+        twin_of(rng), population, n_bits + 1 + device.has_emc,
+        params.tournament_size)
+    children = breed_rows(pool, n_bits, device, params, rng, population, places)
+    for i, child in enumerate(children):
+        repaired = (sum(child[:n_bits]) == 1
+                    and child[int(repairs[i] * n_bits)] == 1)
+        for g, gene in enumerate(child):
+            if mutations[i, g] < params.mutation_prob_per_gene:
+                continue
+            if repaired and g == int(repairs[i] * n_bits):
+                continue
+            assert gene in {p[g] for p in pool}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools(), st.integers(0, 2**32))
+def test_repair_leaves_an_exit(case, seed):
+    pool, places, n_bits, device, params, population = case
+    # Parents without an exit, and every gene redrawn half the time.
+    pool = [(0,) * n_bits + p[n_bits:] for p in pool]
+    params = VariationParams(mutation_prob_per_gene=0.5,
+                             crossover_prob=params.crossover_prob)
+    for child in breed_rows(pool, n_bits, device, params, random.Random(seed),
+                            population, places):
+        assert 1 in child[:n_bits]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tournament_winner_has_the_lowest_place(seed):
+    # Without variation each child is its tournament's winner.
+    rng = random.Random(seed)
+    pool = enumerate_candidates(2, EMC_DEVICE)[:7]
+    places = rng.sample(range(7), 7)
+    params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0,
+                             tournament_size=3)
+    draws = block_parts(twin_of(rng), 200, 4, 3)[0]
+    children = breed_rows(pool, 2, EMC_DEVICE, params, rng, 200, places)
+    for d, child in zip(draws.tolist(), children):
+        best = min(places[int(u * 7)] for u in d)
+        assert places[pool.index(child)] == best
+
+
+def within(count, n, p, sigmas=5.0):
+    return abs(count - n * p) <= sigmas * math.sqrt(n * p * (1 - p)) + 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [0.1, 0.3])
+def test_swap_and_mutation_rates_within_binomial_bounds(seed, p):
+    n_bits, device = 20, EMC_DEVICE
+    sizes = gene_sizes(n_bits, device).tolist()
+    rng = random.Random(seed)
+    # Mutation: one parent; a redrawn gene changes with p * (1 - 1/size).
+    parent = (1,) * n_bits + (0, 0)
+    params = VariationParams(mutation_prob_per_gene=p, crossover_prob=0.0)
+    children = breed_rows([parent], n_bits, device, params, rng, 500)
+    for g, n in enumerate(sizes):
+        changed = sum(c[g] != parent[g] for c in children)
+        assert within(changed, len(children), p * (1 - 1 / n))
+    # Swaps: two parents that differ in every gene, one draw per
+    # tournament; a pair of distinct winners shows every swap.
+    pa = tuple(i % 2 for i in range(n_bits)) + (0, 0)
+    pb = tuple(1 - i % 2 for i in range(n_bits)) + (2, 1)
+    params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=p,
+                             tournament_size=1)
+    draws = block_parts(twin_of(rng), 500, len(sizes), 1)[0]
+    children = breed_rows([pa, pb], n_bits, device, params, rng, 500)
+    winners = [int(u * 2) for u in draws[:, 0].tolist()]
+    swapped = trials = 0
+    for j in range(250):
+        x, y = (pa, pb)[winners[2 * j]], (pa, pb)[winners[2 * j + 1]]
+        if x == y:
+            continue
+        trials += len(sizes)
+        swapped += sum(c == yg for c, yg in zip(children[2 * j], y))
+    assert trials > 0 and within(swapped, trials, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -383,11 +557,11 @@ class TestDeterminismAndInvariants:
                 b = mutate_backbone(b, small_space, params, rng)
                 c = sample_exit_genome(b, small_space, rng).indicators + c[n:]
             elif op == 2:
-                c = mutate_candidate(c, n, device, params, rng)
+                c = breed_rows([c], n, device, params, rng)[0]
             elif op == 3:
                 c2 = candidate_genes(sample_exit_genome(b, small_space, rng),
                                      sample_dvfs(device, rng))
-                c, _ = crossover_candidates(c, c2, n, params, rng)
+                c = breed_rows([c, c2], n, device, params, rng)[0]
             else:
                 sizes = (len(device.compute_freq_ghz), len(device.emc_freq_ghz))
                 c = c[:n] + mutate_genes(c[n:], sizes,

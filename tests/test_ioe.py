@@ -30,9 +30,12 @@ from nestevo.genome import (
 )
 from nestevo.ioe import (
     IoeConfig,
+    _first_generation,
+    _sample,
     dynamic_fitness,
+    gene_sizes,
     run_ioe,
-    sample_candidate,
+    uniforms,
 )
 from nestevo.metrics import Front, hypervolume
 from nestevo.moea import Direction
@@ -394,17 +397,41 @@ class TestRunIoe:
 
 @settings(max_examples=200, deadline=None)
 @given(n_bits=st.integers(1, 41), emc=st.booleans(),
-       seed=st.integers(0, 2**32), draws=st.integers(1, 4))
-def test_sampled_candidates_match_object_samplers(n_bits, emc, seed, draws):
-    # Same draws in the same order: n bits, the repair, emc, then compute.
-    space = SearchSpaceSpec(n_block=1, depth_domain=(n_bits + 5,),
-                            device_specs=default_devices())
-    b = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),))
-    device = space.device("agx-volta-gpu" if emc else "carmel-cpu")
-    assert device.has_emc == emc
+       seed=st.integers(0, 2**32), n=st.integers(0, 9))
+def test_sampled_candidates_follow_the_block(n_bits, emc, seed, n):
+    # One block: n rows of genes floor(u * size), then one repair draw per
+    # row; a row without an exit gets the bit floor(u * n_bits).
+    device = next(d for d in default_devices() if d.has_emc == emc)
+    sizes = gene_sizes(n_bits, device)
     ours, theirs = random.Random(seed), random.Random(seed)
-    for _ in range(draws):
-        assert sample_candidate(n_bits, device, ours) == candidate_genes(
-            sample_exit_genome(b, space, theirs), sample_dvfs(device, theirs))
-        assert ours.getstate() == theirs.getstate()
+    got = _sample(n, n_bits, sizes, ours).tolist()
+    u = uniforms(theirs, n * len(sizes) + n).tolist()
+    assert ours.getstate() == theirs.getstate()
+    for i, row in enumerate(got):
+        genes = [int(v * size) for v, size in
+                 zip(u[i * len(sizes):(i + 1) * len(sizes)], sizes.tolist())]
+        if not any(genes[:n_bits]):
+            genes[int(u[n * len(sizes) + i] * n_bits)] = 1
+        assert row == genes
+        assert 1 in row[:n_bits]
+
+
+@pytest.mark.parametrize("population", [1, 5, 100])
+@pytest.mark.parametrize("n_bits, device", [(1, QUAD_DEVICE), (2, QUAD_DEVICE),
+                                            (8, QUAD_DEVICE)])
+def test_first_generation(population, n_bits, device):
+    # A space of at most `population` candidates comes whole, in
+    # enumeration order, then samples; a larger one as distinct samples.
+    from nestevo.genome import enumerate_candidates
+    space = enumerate_candidates(n_bits, device)
+    sizes = gene_sizes(n_bits, device)
+    rows = [tuple(r) for r in _first_generation(
+        population, n_bits, device, sizes, len(space),
+        random.Random(population)).tolist()]
+    assert len(rows) == population
+    assert set(rows) <= set(space)
+    if len(space) <= population:
+        assert rows[:len(space)] == space
+    else:
+        assert len(set(rows)) == population
 
