@@ -261,14 +261,19 @@ def exit_profile(b: BackboneGenome, space: SearchSpaceSpec,
 
 def frequency_genes(device: DeviceSpec, f: DvfsGenome) -> tuple[int, ...]:
     """f as the frequency genes of a setting on `device`: (compute_idx,), or
-    (compute_idx, emc_idx) on a device with a memory clock."""
+    (compute_idx, emc_idx) on a device with a memory clock.  An index
+    outside its table raises ValueError: a setting code would not."""
     if f.device != device.name:
         raise ValueError(f"dvfs genome targets {f.device!r}, device is {device.name!r}")
-    if not device.has_emc:
-        return (f.compute_idx,)
-    if f.emc_idx is None:
-        raise ValueError(f"{device.name} needs an emc index")
-    return f.compute_idx, f.emc_idx
+    genes: tuple[int, ...] = (f.compute_idx,)
+    if device.has_emc:
+        if f.emc_idx is None:
+            raise ValueError(f"{device.name} needs an emc index")
+        genes += (f.emc_idx,)
+    tables = (device.compute_freq_ghz, device.emc_freq_ghz)
+    if not all(0 <= g < len(t) for g, t in zip(genes, tables)):
+        raise ValueError(f"{device.name}: frequency index out of range in {f!r}")
+    return genes
 
 
 def resolved_frequencies(device: DeviceSpec,

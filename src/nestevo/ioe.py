@@ -6,9 +6,11 @@ product of the exit's correct-classification fraction, its energy and latency
 relative to the static backbone at default frequencies, and a dissimilarity
 regularizer that discounts exits whose predecessors already classify well.
 
-A candidate is a tuple of gene indices from sampling to the result: the
-result holds the archive's candidates and their scores as one matrix
-(IoeResult), and readers decode fields from those arrays.
+A generation is one matrix of gene indices, a candidate per row, sampled
+and bred from one block of uniforms per generation and evaluated as a
+whole.  The archive keys its candidates as gene tuples; the result holds
+them and their scores as one matrix (IoeResult), and readers decode fields
+from those arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .genome import (
 from .moea import (
     Direction,
     ParetoArchive,
+    initial_population,
     mating_pool,
     rank_rows,
     require_finite,
@@ -173,29 +176,6 @@ def _sample(n: int, n_bits: int, sizes: np.ndarray,
     u = uniforms(rng, cut + n)
     genes = (u[:cut].reshape(n, len(sizes)) * sizes).astype(np.intp)
     return _repaired(genes, n_bits, u[cut:])
-
-
-def _first_generation(population: int, n_bits: int, device: DeviceSpec,
-                      sizes: np.ndarray, space_size: int,
-                      rng: random.Random) -> np.ndarray:
-    """The first generation, as moea.initial_population seeds one: a space
-    of at most `population` candidates whole, in enumerate_candidates
-    order; a larger one with distinct samples, drawn in blocks of as many
-    as there are empty slots, at most 64 per slot in all.  Any slot still
-    empty takes a plain (possibly repeated) sample."""
-    if space_size <= population:
-        rows = np.array(enumerate_candidates(n_bits, device))
-    else:
-        distinct: dict[tuple, None] = {}
-        drawn = 0
-        while len(distinct) < population and drawn < 64 * population:
-            block = _sample(min(population - len(distinct),
-                                64 * population - drawn), n_bits, sizes, rng)
-            drawn += len(block)
-            distinct.update(dict.fromkeys(map(tuple, block.tolist())))
-        rows = np.array(list(distinct)).reshape(-1, len(sizes))
-    return np.concatenate([rows, _sample(population - len(rows), n_bits,
-                                         sizes, rng)])
 
 
 # Candidates evaluated per block: bounds the temporaries of an exhaustive
@@ -400,9 +380,11 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
 
     archive = ParetoArchive(OBJECTIVE_DIRECTIONS[config.objective_mode])
     n_evals = 0
-    population = _first_generation(
-        config.population, n_bits, device, ev.sizes,
-        n_inner_candidates(b, space, device), rng)
+    population = np.array(initial_population(
+        config.population, n_inner_candidates(b, space, device),
+        lambda: enumerate_candidates(n_bits, device),
+        lambda r, n: list(map(tuple, _sample(n, n_bits, ev.sizes, r).tolist())),
+        lambda c: c, rng))
     for gen in range(config.generations):
         if gen > 0:
             population = _breed(parents, places, config.population, n_bits,

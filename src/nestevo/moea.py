@@ -196,15 +196,15 @@ def tournament_select(places: Sequence[int], params: VariationParams,
 
 def initial_population(population: int, space_size: int,
                        enumerate_all: Callable[[], Iterable[T]],
-                       sample: Callable[[random.Random], T],
+                       sample: Callable[[random.Random, int], Sequence[T]],
                        key: Callable[[T], Hashable],
                        rng: random.Random) -> list[T]:
-    """First generation of `population` genomes.
+    """First generation of `population` genomes; sample(rng, n) draws n.
 
     A space of at most `population` genomes is seeded exhaustively, in
     enumeration order.  A larger one gets distinct samples, at most 64
-    attempts per slot.  Any slot still empty takes a plain (possibly
-    repeated) sample."""
+    attempts per slot, drawn as many at a time as there are empty slots.
+    Any slot still empty takes a plain (possibly repeated) sample."""
     out: list[T] = []
     if space_size <= population:
         out.extend(enumerate_all())
@@ -212,14 +212,15 @@ def initial_population(population: int, space_size: int,
         seen: set[Hashable] = set()
         attempts = 0
         while len(out) < population and attempts < 64 * population:
-            attempts += 1
-            member = sample(rng)
-            k = key(member)
-            if k not in seen:
-                seen.add(k)
-                out.append(member)
-    while len(out) < population:
-        out.append(sample(rng))
+            block = sample(rng, min(population - len(out),
+                                    64 * population - attempts))
+            attempts += len(block)
+            for member in block:
+                k = key(member)
+                if k not in seen:
+                    seen.add(k)
+                    out.append(member)
+    out.extend(sample(rng, max(0, population - len(out))))
     return out[:population]
 
 
@@ -255,9 +256,10 @@ class ParetoArchive:
     Entries are kept in insertion order (deterministic across runs) as
     parallel `keys` and `payloads` lists and a raw objective matrix `values`
     whose columns carry `directions`, with its normalized copy alongside, row
-    for row.  A new entry is dropped if an existing entry dominates it or
-    carries the same key; otherwise it displaces every entry it dominates.
-    Entries with equal vectors but distinct keys are all retained.
+    for row, and the keys also as a set that each merge updates.  A new
+    entry is dropped if an existing entry dominates it or carries the same
+    key; otherwise it displaces every entry it dominates.  Entries with
+    equal vectors but distinct keys are all retained.
     """
 
     def __init__(self, directions: Sequence[Direction]) -> None:
@@ -266,7 +268,7 @@ class ParetoArchive:
         self.payloads: list[Any] = []
         self.values = np.zeros((0, len(self.directions)))
         self._mat = self.values
-        self._live: set = set()  # the keys, as a set
+        self._live: set = set()
 
     def __len__(self) -> int:
         return len(self.keys)

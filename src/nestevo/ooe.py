@@ -328,7 +328,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         population = initial_population(
             config.population, space.n_backbones(),
             lambda: enumerate_backbones(space),
-            lambda r: sample_backbone(space, r),
+            lambda r, n: [sample_backbone(space, r) for _ in range(n)],
             BackboneGenome.key, rng)
     else:
         rng = random.Random()

@@ -486,3 +486,13 @@ def test_gene_outside_its_domain_raises(gene, value):
     rows[1, gene] = value
     with pytest.raises(ValueError, match="gene index outside its domain"):
         ev.evaluate_batch(rows)
+
+
+@pytest.mark.parametrize("f", [DvfsGenome("emc", 0, 2), DvfsGenome("emc", 2, 0),
+                               DvfsGenome("emc", -1, 0), DvfsGenome("plain", 3)])
+def test_one_row_setting_outside_its_table_raises(f):
+    # EMC's setting (0, 2) would otherwise be priced as its code 2, (1, 0).
+    device = EMC if f.device == "emc" else PLAIN
+    for backend in (SYNTHETIC, ONE_ROW_TABLE):
+        with pytest.raises(ValueError, match="frequency index out of range"):
+            backend.latency_energy(Workload(100.0, 1.0), device, f)

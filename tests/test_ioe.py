@@ -30,7 +30,6 @@ from nestevo.genome import (
 )
 from nestevo.ioe import (
     IoeConfig,
-    _first_generation,
     _sample,
     dynamic_fitness,
     gene_sizes,
@@ -414,24 +413,4 @@ def test_sampled_candidates_follow_the_block(n_bits, emc, seed, n):
             genes[int(u[n * len(sizes) + i] * n_bits)] = 1
         assert row == genes
         assert 1 in row[:n_bits]
-
-
-@pytest.mark.parametrize("population", [1, 5, 100])
-@pytest.mark.parametrize("n_bits, device", [(1, QUAD_DEVICE), (2, QUAD_DEVICE),
-                                            (8, QUAD_DEVICE)])
-def test_first_generation(population, n_bits, device):
-    # A space of at most `population` candidates comes whole, in
-    # enumeration order, then samples; a larger one as distinct samples.
-    from nestevo.genome import enumerate_candidates
-    space = enumerate_candidates(n_bits, device)
-    sizes = gene_sizes(n_bits, device)
-    rows = [tuple(r) for r in _first_generation(
-        population, n_bits, device, sizes, len(space),
-        random.Random(population)).tolist()]
-    assert len(rows) == population
-    assert set(rows) <= set(space)
-    if len(space) <= population:
-        assert rows[:len(space)] == space
-    else:
-        assert len(set(rows)) == population
 

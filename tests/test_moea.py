@@ -325,11 +325,17 @@ def test_selection_matches_object_oracle(population, tournament_size,
     assert rng.getstate() == ref.getstate()
 
 
+def one_at_a_time(draw):
+    """A sampler of n genomes that draws them one by one."""
+    return lambda rng, n: [draw(rng) for _ in range(n)]
+
+
 class TestInitialPopulation:
     def test_space_that_fits_is_enumerated_then_sampled(self):
         rng = random.Random(5)
         out = initial_population(5, 3, lambda: ["c", "a", "b"],
-                                 lambda r: r.randrange(100), str, rng)
+                                 one_at_a_time(lambda r: r.randrange(100)),
+                                 str, rng)
         ref = random.Random(5)
         assert out == ["c", "a", "b", ref.randrange(100), ref.randrange(100)]
         assert rng.getstate() == ref.getstate()
@@ -337,7 +343,8 @@ class TestInitialPopulation:
     def test_exact_fit_draws_nothing(self):
         rng = random.Random(5)
         out = initial_population(3, 3, lambda: iter("xyz"),
-                                 lambda r: r.randrange(100), str, rng)
+                                 one_at_a_time(lambda r: r.randrange(100)),
+                                 str, rng)
         assert out == ["x", "y", "z"]
         assert rng.getstate() == random.Random(5).getstate()
 
@@ -348,7 +355,8 @@ class TestInitialPopulation:
 
         rng = random.Random(9)
         out = initial_population(6, 50, enumerate_all,
-                                 lambda r: r.randrange(50), lambda m: m % 7, rng)
+                                 one_at_a_time(lambda r: r.randrange(50)),
+                                 lambda m: m % 7, rng)
         ref = random.Random(9)
         expected = []
         while len(expected) < 6:
@@ -363,7 +371,8 @@ class TestInitialPopulation:
         # Only 3 distinct genomes can be drawn: after 64 attempts per slot
         # the two empty slots take plain, repeated samples.
         rng = random.Random(2)
-        out = initial_population(5, 10, lambda: [], lambda r: r.randrange(3),
+        out = initial_population(5, 10, lambda: [],
+                                 one_at_a_time(lambda r: r.randrange(3)),
                                  lambda m: m, rng)
         ref = random.Random(2)
         capped = [ref.randrange(3) for _ in range(64 * 5)]
