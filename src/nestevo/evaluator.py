@@ -308,8 +308,8 @@ class HardwareBackend(Protocol):
 
     def price_table(self, device: DeviceSpec) -> Any:
         """What latency_energy_batch needs to price every frequency setting
-        of `device`, indexed by setting code (see setting_codes).  A caller
-        builds it once per device and passes it to every batch."""
+        of `device`, indexed by setting code (see setting_codes).  A
+        device's prices never change, so a backend builds them once."""
         ...
 
     def latency_energy_batch(self, flops: np.ndarray, bytes_: np.ndarray,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -201,8 +201,8 @@ class _DynamicEvaluator:
 
     A batch is a P x G gene matrix, one candidate per row: its first L
     columns form the indicator matrix (one column per admissible exit
-    position), and the rest are its frequency setting, priced through a
-    table the backend builds once per evaluator.  Every value comes from the
+    position), and the rest are its frequency setting, priced from the
+    backend's price_table for the device.  Every value comes from the
     per-exit definition's operations in the same order: running sums are
     masked cumulative sums along the layer axis (never pairwise sums), the
     best earlier fraction is a running maximum, and powers are taken with
@@ -365,14 +365,15 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     """NSGA-II loop over (exits, frequencies) for one backbone, whose exit
     profile and static score the caller supplies.
 
-    Each generation is one gene matrix, bred by _breed from one block of
-    uniforms and evaluated as a whole, and no genome object is built.  The
-    archive accumulates the rank-0 set across every generation and is
-    pruned to a mutually non-dominated set after each one.  Its keys are
-    the candidates as gene tuples and its payloads (their generation's
-    scores, their row in them); the result gathers those rows into one
-    DynamicScores.  When the whole inner space fits in one population, the
-    first generation is all of it, from enumerate_candidates.
+    Each generation is one gene matrix, sampled (_sample) or bred (_breed)
+    from one block of uniforms and evaluated as a whole, and no genome
+    object is built.  The archive accumulates the rank-0 set across every
+    generation and is pruned to a mutually non-dominated set after each
+    one.  Its keys are the candidates as gene tuples and its payloads
+    (their generation's scores, their row in them); the result gathers
+    those rows into one DynamicScores.  When the whole inner space fits in
+    one population, the first generation is all of it, from
+    enumerate_candidates.
     """
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)

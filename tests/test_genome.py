@@ -282,7 +282,9 @@ class TestCrossover:
         twin.setstate(rng.getstate())
         children = breed_rows([pa, pb], 2, EMC_DEVICE, params, rng,
                               population=40)
-        draws = uniforms(twin, 40 * 2)[:40 * 2].reshape(40, 2)
+        # The block opens with the 40 tournaments' draws (a 64-bit word
+        # stream's prefix is the shorter stream).
+        draws = uniforms(twin, 40 * 2).reshape(40, 2)
         winners = [[pa, pb][min(int(u * 2) for u in d)] for d in draws]
         assert children[0::2] == winners[1::2]
         assert children[1::2] == winners[0::2]

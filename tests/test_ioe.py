@@ -26,7 +26,6 @@ from nestevo.genome import (
     indicator_length,
     n_inner_candidates,
     sample_backbone,
-    sample_exit_genome,
 )
 from nestevo.ioe import (
     IoeConfig,
@@ -40,7 +39,6 @@ from nestevo.metrics import Front, hypervolume
 from nestevo.moea import Direction
 
 from oracles import (
-    candidate_genes,
     dissimilarity,
     dominates,
     enumerate_dvfs,
@@ -49,7 +47,6 @@ from oracles import (
     fraction_at,
     ioe_objectives,
     is_mutually_nondominated,
-    sample_dvfs,
 )
 
 QUAD_DEVICE = DeviceSpec("quad", (0.5, 1.0, 1.5, 2.0), (), default_compute_idx=3)
