@@ -2,7 +2,8 @@
 records, and the final solution set; a flat plot-ready CSV of the front;
 and one checkpoint per generation that holds what the generation changed
 and the state to resume from.  All writes are atomic (temp file + rename),
-and the writers only join the row texts of nestevo.rows.  Checkpoints 1..k
+and the writers stream the row texts of nestevo.rows into the file one by
+one, so no document is ever held whole in memory.  Checkpoints 1..k
 are replayed into the search state after generation k by replay_checkpoints,
 which renders each visit's rows anew from their loaded values.
 """
@@ -14,8 +15,8 @@ import json
 import os
 import random
 from dataclasses import asdict
-from itertools import islice, pairwise
-from typing import Sequence
+from itertools import chain, islice, pairwise
+from typing import Iterable, Sequence
 
 from .ooe import EvalCounters, GenerationRecord, OoeResult, OoeState
 from .rows import FRONT_CSV_COLUMNS, Row, render_rows, row_values
@@ -23,13 +24,21 @@ from .rows import FRONT_CSV_COLUMNS, Row, render_rows, row_values
 SCHEMA_VERSION = 1
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces, in order, to .<name>.tmp beside `path`, then
+    rename it to `path`.  A write that raises removes the temp file and
+    leaves `path` as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
@@ -47,17 +56,27 @@ def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
 _FINAL_MARK = "\x00final\x00"
 
 
+def _json_pieces(doc: dict, final: Sequence[str] | None) -> Iterable[str]:
+    """The text save_json writes, in pieces that never join two rows."""
+    if final is None:
+        yield json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        head, tail = json.dumps(dict(doc, final=_FINAL_MARK), indent=2,
+                                sort_keys=True).split(json.dumps(_FINAL_MARK), 1)
+        yield head + ("[\n    " if final else "[")
+        for i, text in enumerate(final):
+            if i:
+                yield ",\n    "
+            yield text
+        yield ("\n  ]" if final else "]") + tail
+    yield "\n"
+
+
 def save_json(path: str, doc: dict, final: Sequence[str] | None = None) -> None:
     """Write json.dumps(doc, indent=2, sort_keys=True).  With `final`, the
     archive.json texts of rows (rows.render_rows), those rows are the
-    document's "final" list."""
-    if final is None:
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        rows = "[\n    " + ",\n    ".join(final) + "\n  ]" if final else "[]"
-        text = json.dumps(dict(doc, final=_FINAL_MARK), indent=2, sort_keys=True
-                          ).replace(json.dumps(_FINAL_MARK), rows, 1)
-    atomic_write_text(path, text + "\n")
+    document's "final" list, written one by one."""
+    atomic_write(path, _json_pieces(doc, final))
 
 
 def save_checkpoint(path: str, state: OoeState, digest: str) -> None:
@@ -144,9 +163,10 @@ def replay_checkpoints(paths: Sequence[str]) -> OoeState:
         resume["n_visits"], tuple(map(tuple, resume["population"])), rng_state)
 
 
-def write_front_csv(path: str, lines: Sequence[str]) -> None:
-    """Write the front.csv header and the rows' lines (rows.render_rows)."""
-    atomic_write_text(path, ",".join(FRONT_CSV_COLUMNS) + "\n" + "".join(lines))
+def write_front_csv(path: str, lines: Iterable[str]) -> None:
+    """Write the front.csv header and the rows' lines (rows.render_rows),
+    one by one."""
+    atomic_write(path, chain([",".join(FRONT_CSV_COLUMNS) + "\n"], lines))
 
 
 def read_front_csv(path: str) -> list[dict]:

@@ -213,11 +213,11 @@ def _share(fn: Callable[[T], R], items: Sequence[T]
 
 def _serve(fn: Callable[[T], R], items: Sequence[T], read_fds: list[int],
            write_fd: int, parent: int) -> NoReturn:
-    """Body of a forked worker: send _share(fn, items) pickled through its
-    pipe and leave through os._exit, running none of the parent's cleanup.
-    A share that cannot be pickled or sent ends it with status 1, and so
-    does the death of `parent`, seen before each item: nobody would read
-    the results."""
+    """Body of a forked worker: pickle _share(fn, items) into its pipe and
+    leave through os._exit, running none of the parent's cleanup.  A share
+    that cannot be pickled or sent, even after part of it was, ends it with
+    status 1, and so does the death of `parent`, seen before each item:
+    nobody would read the results."""
     status = 1
 
     def unless_orphaned(x: T) -> R:
@@ -230,10 +230,9 @@ def _serve(fn: Callable[[T], R], items: Sequence[T], read_fds: list[int],
         # on a full pipe instead of failing.
         for fd in read_fds:
             os.close(fd)
-        data = pickle.dumps(_share(unless_orphaned, items),
-                            pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as out:
-            out.write(data)
+            pickle.dump(_share(unless_orphaned, items), out,
+                        pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -244,7 +243,8 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     at least one.
 
     This process computes items[0::n]; each of n-1 forked children computes
-    items[w::n] and sends back its results, pickled through a pipe.  The
+    items[w::n] and pickles its results straight into a pipe, which this
+    process unpickles them from: no share is held as one bytes object.  The
     children inherit fn and items, so neither is pickled.  With one CPU, or
     no os.fork, nothing is forked.  Items must not depend on each other, and
     fn must not rely on side effects in this process.  Forking is safe for
@@ -254,8 +254,8 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     Every child is reaped before the call returns or raises, and a child
     whose parent was killed stops before its next item.  An item that
     raises makes the call raise: the exception of the first such item, with
-    its own type.  A child that ends without sending results raises a
-    ChildProcessError naming its exit status."""
+    its own type.  A child that ends without sending all its results raises
+    a ChildProcessError naming its exit status."""
     n = max(1, min(_cpus(), len(items)))
     parent = os.getpid()
     pids: list[int] = []        # unreaped children
@@ -274,8 +274,10 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         shares = [_share(fn, items[0::n])]
         for fd in read_fds:
             with open(fd, "rb", closefd=False) as src:
-                data = src.read()
-            shares.append(pickle.loads(data) if data else None)
+                try:
+                    shares.append(pickle.load(src))
+                except (EOFError, pickle.UnpicklingError):
+                    shares.append(None)  # ended before its share did
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
         pids.clear()
     finally:

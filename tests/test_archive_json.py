@@ -7,12 +7,14 @@ solution object per row."""
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +106,47 @@ def test_archive_document_matches_json_dumps(tmp_path):
         archive_text(doc, entries)
     assert saved_text(tmp_path, doc, None) == \
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_write_leaves_the_earlier_file_and_no_temp_file(tmp_path):
+    doc = {"schema_version": 1, "config_digest": "d" * 64}
+    path = tmp_path / "doc.json"
+    ar.save_json(str(path), doc, texts(ODD_ROWS))
+    before = path.read_bytes()
+    # The write fails after part of the document has been written.
+    with pytest.raises(TypeError):
+        ar.save_json(str(path), doc, texts(ODD_ROWS) + [3])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def traced_peak(write) -> int:
+    """The peak of traced allocation, in bytes, while write() runs."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_archive_document_is_written_without_a_copy(tmp_path):
+    # 16.8 MB of row texts: the writer holds none of it a second time.
+    final = [f'{{"row": {i:5d}, "pad": "{"x" * 820}"}}' for i in range(20_000)]
+    doc = {"schema_version": 1, "config_digest": "a" * 64, "seed": 1}
+    path = tmp_path / "archive.json"
+    assert sum(map(len, final)) >= 16e6
+    assert traced_peak(lambda: ar.save_json(str(path), doc, final)) <= 1e6
+    assert json.loads(path.read_text(encoding="utf-8"))["final"][-1]["row"] \
+        == 19_999
+
+
+def test_front_csv_is_written_without_a_copy(tmp_path):
+    lines = [f"{i:5d},{'y' * 194}\n" for i in range(20_000)]
+    path = tmp_path / "front.csv"
+    assert sum(map(len, lines)) >= 4e6
+    assert traced_peak(lambda: ar.write_front_csv(str(path), lines)) <= 1e6
+    assert path.read_text(encoding="utf-8").endswith(lines[-1])
 
 
 def with_scores(e, mean_dissimilarity, mean_exit_score):

@@ -100,6 +100,24 @@ def test_unpicklable_result_is_an_error(cpus):
     assert_no_children()
 
 
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_share_larger_than_the_pipe_arrives_whole(cpus):
+    # The child's share, items 1 and 3, is 8 MB: it streams through a pipe
+    # that holds far less.
+    results = fork_map(lambda x: str(x) * 4_000_000, range(4))
+    assert results == [str(x) * 4_000_000 for x in range(4)]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_share_cut_off_mid_stream_is_an_error(cpus):
+    # The 3 MB string is sent before pickling fails on the function: what
+    # arrived is not a share.
+    with pytest.raises(ChildProcessError, match="exit status 1"):
+        fork_map(lambda x: ["y" * 3_000_000, lambda: x], range(2))
+    assert_no_children()
+
+
 @pytest.mark.parametrize("cpus", [3], indirect=True)
 def test_interrupt_kills_and_reaps_the_children(cpus):
     # The children would sleep for a minute; an interrupt in the caller's
