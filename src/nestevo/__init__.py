@@ -28,7 +28,6 @@ from .genome import (
     VariationParams,
     admissible_positions,
     sample_backbone,
-    sample_exit_genome,
 )
 from .ioe import DynamicScore, IoeConfig, dynamic_fitness, run_ioe
 from .metrics import Front, hypervolume, hypervolume_mc, ratio_of_dominance
@@ -42,6 +41,6 @@ from .moea import (
     survivor_select,
     tournament_select,
 )
-from .ooe import FinalSolution, OoeConfig, combined_rank, run_ooe, static_rank_and_prune
+from .ooe import OoeConfig, combined_rank, run_ooe, static_rank_and_prune
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ from .genome import (
     SearchSpaceSpec,
     admissible_positions,
     frequency_settings,
+    require_finite_fields,
     validate_backbone,
 )
 
@@ -98,6 +99,7 @@ class HardwareModelParams:
     exit_overhead_fraction: float = 0.05
 
     def __post_init__(self) -> None:
+        require_finite_fields(self, *self.__dataclass_fields__)
         if self.kappa_compute <= 0 or self.kappa_memory <= 0:
             raise ValueError("throughput coefficients must be positive")
         if self.p0 < 0 or self.p1 < 0 or self.p2 < 0:
@@ -117,6 +119,7 @@ class SurrogateParams:
     exit_midpoint: float = 0.35         # relative compute at half correctness
 
     def __post_init__(self) -> None:
+        require_finite_fields(self, *self.__dataclass_fields__)
         if not 0 < self.accuracy_ceiling <= 1:
             raise ValueError("accuracy_ceiling must lie in (0, 1]")
         if self.accuracy_rate <= 0 or self.exit_slope <= 0:
@@ -171,31 +174,10 @@ def layer_workloads(b: BackboneGenome,
     return flops, bytes_
 
 
-def workload_of(b: BackboneGenome, space: SearchSpaceSpec,
-                upto_layer: int | None = None,
-                exit_positions: Sequence[int] = (),
-                exit_overhead_fraction: float = 0.05) -> Workload:
-    """Workload of the prefix through `upto_layer` (None = whole model).
-
-    Each exit listed in `exit_positions` (host layer indices, all <=
-    upto_layer) adds exit_overhead_fraction times its host layer's flops;
-    exits cost no extra memory traffic.
-    """
+def workload_of(b: BackboneGenome, space: SearchSpaceSpec) -> Workload:
+    """Workload of the whole model, without exits."""
     flops, bytes_ = layer_workloads(b, space)
-    n = len(flops)
-    if upto_layer is None:
-        upto_layer = n
-    if upto_layer < 1:
-        raise ValueError("prefix must contain at least one layer")
-    if upto_layer > n:
-        raise ValueError(f"prefix of {upto_layer} layers exceeds model depth {n}")
-    total_flops = running_sums(flops[:upto_layer])[-1]
-    total_bytes = running_sums(bytes_[:upto_layer])[-1]
-    for pos in exit_positions:
-        if not 1 <= pos <= upto_layer:
-            raise ValueError(f"exit position {pos} outside prefix 1..{upto_layer}")
-        total_flops += exit_overhead_fraction * flops[pos - 1]
-    return Workload(total_flops, total_bytes)
+    return Workload(running_sums(flops)[-1], running_sums(bytes_)[-1])
 
 
 def _mid_genome(space: SearchSpaceSpec) -> BackboneGenome:
@@ -459,12 +441,6 @@ class HardwareTable:
                                   ).reshape(-1, 2)
         return out[:, 0], out[:, 1]
 
-    def lookup_batch(self, queries: Sequence[tuple[str, float, float | None]],
-                     which: np.ndarray,
-                     flops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lookup_rows with the queries' rows looked up on this call."""
-        return self.lookup_rows(queries, self.query_rows(queries), which, flops)
-
 
 class TableHardwareModel(HardwareBackend):
     def __init__(self, table: HardwareTable) -> None:
@@ -559,15 +535,3 @@ def hybrid_loss(exit_probs: Sequence[Sequence[float]],
         kd_sum += max(kl, 0.0) * temperature**2
     n_exits = len(exit_probs)
     return LossRecord(nll_sum / n_exits, kd_sum / n_exits)
-
-
-def hybrid_loss_batch(samples: Sequence[tuple[Sequence[Sequence[float]],
-                                              Sequence[float], int]],
-                      temperature: float = 1.0) -> LossRecord:
-    """Average the per-sample records over a batch."""
-    if not samples:
-        raise ValueError("empty batch")
-    records = [hybrid_loss(e, f, y, temperature) for e, f, y in samples]
-    n = len(records)
-    return LossRecord(running_sums(r.nll for r in records)[-1] / n,
-                      running_sums(r.kd for r in records)[-1] / n)

@@ -13,6 +13,7 @@ caller's RNG stream.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -25,6 +26,14 @@ def require_counts(obj: object, *names: str) -> None:
         value = getattr(obj, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite_fields(obj: object, *names: str) -> None:
+    """Raise ValueError unless each named field of `obj` is a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,8 @@ class DeviceSpec:
         if self.default_emc_idx is not None:
             require_counts(self, "default_emc_idx")
         for label, levels in (("compute", self.compute_freq_ghz), ("emc", self.emc_freq_ghz)):
+            if not all(isinstance(f, (int, float)) and math.isfinite(f) for f in levels):
+                raise ValueError(f"{self.name}: {label} frequencies must be finite numbers")
             if any(f <= 0 for f in levels):
                 raise ValueError(f"{self.name}: {label} frequencies must be positive")
             if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -264,28 +275,6 @@ def sample_backbone(space: SearchSpaceSpec, rng: random.Random) -> BackboneGenom
     )
     b = BackboneGenome(rng.randrange(len(space.resolution_domain)), blocks)
     return _repair_backbone(b, space, rng)
-
-
-def repair_exit_bits(bits: tuple[int, ...], rng: random.Random) -> tuple[int, ...]:
-    """The bits, with one uniformly chosen bit set if none is."""
-    if any(bits):
-        return bits
-    i = rng.randrange(len(bits))
-    return bits[:i] + (1,) + bits[i + 1:]
-
-
-def sample_exit_bits(n: int, rng: random.Random) -> tuple[int, ...]:
-    """Bernoulli(0.5) per bit; an all-zero draw gets one uniformly chosen
-    bit forced on."""
-    draw = rng.random
-    return repair_exit_bits(tuple([1 if draw() < 0.5 else 0 for _ in range(n)]),
-                            rng)
-
-
-def sample_exit_genome(b: BackboneGenome, space: SearchSpaceSpec,
-                       rng: random.Random) -> ExitGenome:
-    """One exit bit per admissible position, drawn by sample_exit_bits."""
-    return ExitGenome(sample_exit_bits(indicator_length(b, space), rng))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .genome import (
 from .ioe import DynamicScores, IoeConfig, run_ioe
 from .metrics import Front, hypervolume
 from .moea import (
-    ArchiveEntry,
     Direction,
     ParetoArchive,
     breed,
@@ -58,9 +57,8 @@ from .moea import (
     rank_rows,
     survivor_select,
 )
-from .rows import FinalSolution  # noqa: F401 - re-exported
-from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, Row, read_entries,
-                   render_rows, visit_values)
+from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, Row, render_rows,
+                   visit_values)
 
 
 @dataclass(frozen=True)
@@ -125,23 +123,12 @@ class OoeState:
     def generation(self) -> int:
         return self.snapshots[-1].generation
 
-    @property
-    def entries(self) -> tuple[ArchiveEntry, ...]:
-        """The archive's rows as FinalSolution entries, read on each call."""
-        return read_entries(row for _, rows in self.visits.values()
-                            for row in rows)
-
 
 @dataclass
 class OoeResult:
     rows: tuple[Row, ...]  # the archive's, sorted by key
     snapshots: tuple[GenerationRecord, ...]
     counters: EvalCounters
-
-    @property
-    def entries(self) -> tuple[ArchiveEntry, ...]:
-        """The rows as FinalSolution entries, read on each call."""
-        return read_entries(self.rows)
 
 
 # Reference for the 2-D (effective correctness, energy ratio) summary of an

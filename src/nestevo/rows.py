@@ -3,37 +3,23 @@
 A row is one solution of a backbone visit (one backbone forwarded in one
 generation): its fields in _FIELDS order, and the visit's combined
 objectives.  render_rows makes each row's archive.json text and front.csv
-line, once; the writers in nestevo.archive only join them.  read_entries
-reads rows back as ArchiveEntry objects with FinalSolution payloads, for
-library callers and tests: the search itself builds neither.
+line, once; the writers in nestevo.archive only join them.  No command
+builds a solution object, so _FIELDS and render_rows are the one schema of
+an archived solution (the tests read rows back into objects in
+tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .evaluator import StaticScore
-from .genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
-from .ioe import DynamicScore
-from .moea import ArchiveEntry, Direction, ObjectiveVector
+from .genome import BackboneGenome, BlockGenes
+from .moea import Direction
 
 STATIC_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
 COMBINED_DIRECTIONS = STATIC_DIRECTIONS + (Direction.MAXIMIZE,)
-
-
-@dataclass(frozen=True)
-class FinalSolution:
-    backbone: BackboneGenome
-    exits: ExitGenome
-    dvfs: DvfsGenome
-    static_score: StaticScore
-    dynamic_score: DynamicScore
-
-    def key(self) -> tuple:
-        return (self.backbone.key(), self.exits.key()) + self.dvfs.key()
 
 
 Row = tuple[tuple, str, str]  # key, archive.json text, front.csv line
@@ -88,32 +74,6 @@ def row_values(doc: dict) -> tuple:
     """A loaded archive.json row's fields in _FIELDS order."""
     return tuple((doc if section is None else doc[section])[name]
                  for _, section, name in _FIELDS)
-
-
-def solution_from_values(values: Sequence) -> FinalSolution:
-    """The solution whose fields in _FIELDS order are `values`."""
-    (resolution, blocks, bits, device, compute, emc, acc, latency, energy,
-     correct, energy_ratio, latency_ratio, dissimilarity, n_exits,
-     exit_score) = values
-    return FinalSolution(
-        BackboneGenome(resolution, _blocks_from_str(blocks)),
-        ExitGenome(tuple(int(c) for c in bits)),
-        DvfsGenome(device, compute, emc),
-        StaticScore(acc, latency, energy),
-        DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
-                     dissimilarity, n_exits),
-    )
-
-
-def read_entries(rows: Iterable[Row]) -> tuple[ArchiveEntry, ...]:
-    """Rows read back from their archive.json texts as FinalSolution entries."""
-    entries = []
-    for key, text, _ in rows:
-        doc = json.loads(text)
-        entries.append(ArchiveEntry(key, solution_from_values(row_values(doc)),
-                                    ObjectiveVector(tuple(doc["objectives"]),
-                                                    COMBINED_DIRECTIONS)))
-    return tuple(entries)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

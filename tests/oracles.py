@@ -13,19 +13,23 @@ are the per-ObjectiveVector code the package ran before metrics and the
 outer engine took objective matrices.  The scalar hardware costs
 (hw_latency_energy and a bisecting table lookup) price one workload at a
 time, independently of the backends' batch path.  The per-exit primitives,
-the one-item archive merge and the readers of a whole archive.json and of
-front.csv rows (built on nestevo.rows' row reader) are definitions only
-the tests use.  The object enumerators and samplers (enumerate_exit_genomes,
-enumerate_dvfs, sample_dvfs, with candidate_genes to flatten a pair) are
-the genome-object code both engines ran before they sampled and enumerated
-gene tuples; enumerate_candidates must give the same tuples in the same
-order.  The backbone variation operators are the per-genome mutation and
-crossover the outer engine ran before it bred flat tuples of gene indices;
-the gene operators must make the same children from the same draws.  The
-regrouping helpers at the end give the package's matrix API (rank_rows,
-nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
-ObjectiveVectors the tests are written in; they convert and regroup, and
-rank nothing themselves.
+the one-item archive merge and the archive readers are definitions only the
+tests use.  The readers (FinalSolution, solution_from_values, read_entries,
+state_rows, and those of a whole archive.json and of front.csv rows) left
+the package because no command reads a row back into objects: the search
+renders rows from nestevo.rows' field table and only writes them.  The
+object enumerators and samplers (enumerate_exit_genomes, enumerate_dvfs,
+sample_dvfs, sample_exit_genome, with candidate_genes to flatten a pair)
+are the genome-object code both engines ran before they sampled and
+enumerated gene tuples; enumerate_candidates must give the same tuples in
+the same order.  sample_exit_genome draws what the package's
+sample_exit_bits and repair_exit_bits drew, in one function.  The backbone
+variation operators are the per-genome mutation and crossover the outer
+engine ran before it bred flat tuples of gene indices; the gene operators
+must make the same children from the same draws.  The regrouping helpers at
+the end give the package's matrix API (rank_rows, nondominated_rows,
+ParetoArchive.merge_batch, Front) the lists of ObjectiveVectors the tests
+are written in; they convert and regroup, and rank nothing themselves.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -69,6 +73,7 @@ from nestevo.genome import (
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
 from nestevo.metrics import Front, _hv2d, _hv3d
 from nestevo.moea import (
+    ArchiveEntry,
     Direction,
     ObjectiveVector,
     ParetoArchive,
@@ -79,17 +84,18 @@ from nestevo.moea import (
 from nestevo.ooe import (
     COMBINED_DIRECTIONS,
     EvalCounters,
-    FinalSolution,
     GenerationRecord,
     OoeResult,
+    OoeState,
 )
 from nestevo.rows import (
     FRONT_CSV_COLUMNS,
     _FIELDS,
+    Row,
+    _blocks_from_str,
     _blocks_str,
     render_rows,
     row_values,
-    solution_from_values,
 )
 
 
@@ -493,6 +499,46 @@ def front_csv_text(entries) -> str:
 # Archive readers
 
 
+@dataclass(frozen=True)
+class FinalSolution:
+    """One archived solution as objects, read back from its row."""
+
+    backbone: BackboneGenome
+    exits: ExitGenome
+    dvfs: DvfsGenome
+    static_score: StaticScore
+    dynamic_score: DynamicScore
+
+    def key(self) -> tuple:
+        return (self.backbone.key(), self.exits.key()) + self.dvfs.key()
+
+
+def solution_from_values(values: Sequence) -> FinalSolution:
+    """The solution whose fields in _FIELDS order are `values`."""
+    (resolution, blocks, bits, device, compute, emc, acc, latency, energy,
+     correct, energy_ratio, latency_ratio, dissimilarity, n_exits,
+     exit_score) = values
+    return FinalSolution(
+        BackboneGenome(resolution, _blocks_from_str(blocks)),
+        ExitGenome(tuple(int(c) for c in bits)),
+        DvfsGenome(device, compute, emc),
+        StaticScore(acc, latency, energy),
+        DynamicScore(exit_score, correct, energy_ratio, latency_ratio,
+                     dissimilarity, n_exits),
+    )
+
+
+def read_entries(rows: Iterable[Row]) -> tuple[ArchiveEntry, ...]:
+    """Rows read back from their archive.json texts as FinalSolution entries."""
+    return tuple(ArchiveEntry(key, *solution_from_dict(json.loads(text)))
+                 for key, text, _ in rows)
+
+
+def state_rows(state: OoeState) -> Iterator[Row]:
+    """The rows of a search state's live visits, in archive order."""
+    return (row for _, rows in state.visits.values() for row in rows)
+
+
 def _emc_idx(text: str) -> int | None:
     return None if text == "" else int(text)
 
@@ -630,6 +676,17 @@ def sample_dvfs(device: DeviceSpec, rng: random.Random) -> DvfsGenome:
         return DvfsGenome(device.name, rng.randrange(len(device.compute_freq_ghz)),
                           emc)
     return DvfsGenome(device.name, rng.randrange(len(device.compute_freq_ghz)))
+
+
+def sample_exit_genome(b: BackboneGenome, space: SearchSpaceSpec,
+                       rng: random.Random) -> ExitGenome:
+    """Bernoulli(0.5) per admissible exit position; an all-zero draw gets
+    one uniformly chosen bit forced on."""
+    bits = [1 if rng.random() < 0.5 else 0
+            for _ in range(indicator_length(b, space))]
+    if not any(bits):
+        bits[rng.randrange(len(bits))] = 1
+    return ExitGenome(tuple(bits))
 
 
 def enumerate_exit_genomes(b: BackboneGenome,

@@ -35,7 +35,6 @@ from nestevo.genome import (
     SearchSpaceSpec,
     VariationParams,
     sample_backbone,
-    sample_exit_genome,
 )
 from nestevo.ioe import IoeConfig, dynamic_fitness
 from nestevo.metrics import hypervolume, ratio_of_dominance
@@ -51,6 +50,7 @@ from oracles import (
     front_points,
     merge_nondominated,
     sample_dvfs,
+    sample_exit_genome,
     to_front,
 )
 

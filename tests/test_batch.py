@@ -34,7 +34,6 @@ from nestevo.genome import (
     SearchSpaceSpec,
     indicator_length,
     sample_backbone,
-    sample_exit_genome,
 )
 from nestevo.ioe import (
     _DynamicEvaluator,
@@ -55,6 +54,7 @@ from oracles import (
     rank_population,
     reference_latency_energy,
     sample_dvfs,
+    sample_exit_genome,
     table_lookup,
 )
 
@@ -271,24 +271,25 @@ def test_table_batch_exact_hits_duplicates_and_domain_errors():
     rows.append(("z", 1.0, None, 2.0, 0.0, 1.0))
     rows.append(("z", 1.0, None, 4.0, 3.0, 1.0))
     table = HardwareTable(rows)
-    flops = np.array([100.0, 1000.0, 5e4, 10.0, 1e6, 300.0, 2e4])
-    got = table.lookup_batch([("d", 1.0, None)], np.zeros(len(flops), dtype=int),
-                             flops)
-    expected = [table_lookup(table, "d", 1.0, None, v) for v in flops.tolist()]
+
+    def lookup_rows(query, flops):
+        queries = [query]
+        return table.lookup_rows(queries, table.query_rows(queries),
+                                 np.zeros(len(flops), dtype=int),
+                                 np.array(flops))
+
+    flops = [100.0, 1000.0, 5e4, 10.0, 1e6, 300.0, 2e4]
+    got = lookup_rows(("d", 1.0, None), flops)
+    expected = [table_lookup(table, "d", 1.0, None, v) for v in flops]
     assert list(zip(*(a.tolist() for a in got))) == expected
     # Zero latency: exact hits and clamps read it; interpolation raises.
-    assert table.lookup_batch([("z", 1.0, None)], np.zeros(2, dtype=int),
-                              np.array([100.0, 1.0])
-                              )[0].tolist() == [0.0, 0.0]
+    assert lookup_rows(("z", 1.0, None), [100.0, 1.0])[0].tolist() == [0.0, 0.0]
     for lookup in (lambda: table_lookup(table, "z", 1.0, None, 1000.0),
-                   lambda: table.lookup_batch([("z", 1.0, None)],
-                                              np.zeros(1, dtype=int),
-                                              np.array([1000.0]))):
+                   lambda: lookup_rows(("z", 1.0, None), [1000.0])):
         with pytest.raises(ValueError, match="math domain error"):
             lookup()
     with pytest.raises(KeyError):
-        table.lookup_batch([("d", 2.0, None)], np.zeros(1, dtype=int),
-                           np.array([100.0]))
+        lookup_rows(("d", 2.0, None), [100.0])
 
 
 # One-row latency_energy against the scalar references.  The table has
@@ -380,7 +381,15 @@ def test_bad_workload_raises_on_both_paths(width, overhead, message):
     b = sample_backbone(space, random.Random(0))
     profile = ExitProfile((5, 6), (0.2, 0.4), 0.5)
     static = StaticScore(0.5, 1.0, 1.0)
-    hw = HardwareModelParams(exit_overhead_fraction=overhead)
+    if math.isfinite(overhead):
+        hw = HardwareModelParams(exit_overhead_fraction=overhead)
+    else:
+        # A config refuses an infinite overhead; set past that check, it
+        # must still meet the evaluators' own workload check.
+        with pytest.raises(ValueError, match="must be a finite number"):
+            HardwareModelParams(exit_overhead_fraction=overhead)
+        hw = HardwareModelParams()
+        object.__setattr__(hw, "exit_overhead_fraction", overhead)
     candidates = [(ExitGenome((0, 1)), DvfsGenome("plain", 1)),
                   (ExitGenome((1, 1)), DvfsGenome("plain", 0))]
     for path in both_paths(b, space, PLAIN, SyntheticHardwareModel(hw), hw,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 import yaml
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 
 from nestevo import archive as ar
 from nestevo.cli import main
-from nestevo.config import ConfigError, config_digest, load_config
+from nestevo.config import ConfigError, config_digest, load_config, parse_config
 from nestevo.rows import render_rows
 
 from oracles import (
@@ -140,6 +141,52 @@ class TestConfigLoading:
         assert res.exit_code == 1
         assert "Error: invalid config" in res.output
         assert not (tmp_path / "out").exists()
+
+    # A non-finite number used to pass every bound it was checked against
+    # (or had none, as exit_midpoint): NaN noise wrote an archive with every
+    # acc at 0.02, an infinite exit_midpoint one with every mean_correct at
+    # 0.0, and a NaN kappa_compute ended in the inner engine's traceback.
+    NUMBERS = ["kappa_compute", "kappa_memory", "p0", "p1", "p2",
+               "exit_overhead_fraction", "accuracy_ceiling", "accuracy_rate",
+               "noise_scale", "exit_slope", "exit_midpoint",
+               "compute_freq_ghz", "emc_freq_ghz"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", NUMBERS)
+    def test_non_finite_number_rejected(self, name, value):
+        doc = json.loads(json.dumps(TOY_DOC))
+        if name.endswith("_freq_ghz"):
+            doc["space"]["devices"] = [{
+                "name": "toy-dev", "compute_freq_ghz": [0.5, 1.0],
+                "emc_freq_ghz": [0.4, 0.8], "default_compute_idx": 1,
+                "default_emc_idx": 1}]
+            doc["space"]["devices"][0][name][1] = value
+        else:
+            doc["evaluator"] = {name: value}
+        with pytest.raises(ConfigError, match="must be (a )?finite"):
+            parse_config(doc)
+
+    def test_number_read_as_text_is_named(self):
+        # PyYAML reads 1.0e7, without a sign in the exponent, as a string.
+        doc = dict(json.loads(json.dumps(TOY_DOC)),
+                   evaluator=yaml.safe_load("kappa_compute: 1.0e7"))
+        with pytest.raises(ConfigError, match="kappa_compute must be a finite "
+                                              "number, got '1.0e7'"):
+            parse_config(doc)
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["space"]["devices"][0]["compute_freq_ghz"] = [0.5, "1.0"]
+        with pytest.raises(ConfigError, match="toy-dev: compute frequencies "
+                                              "must be finite numbers"):
+            parse_config(doc)
+
+    def test_non_finite_number_refused_before_search(self, tmp_path, runner):
+        path = write_toy_config(tmp_path, evaluator={"noise_scale": math.nan})
+        assert "noise_scale: .nan" in path.read_text(encoding="utf-8")
+        res = runner.invoke(main, ["search", "--config", str(path)])
+        assert res.exit_code == 1
+        assert ("Error: invalid config: noise_scale must be a finite number"
+                in res.output)
+        assert not (tmp_path / "out" / "archive.json").exists()
 
     # A domain value that is not a positive integer used to fail mid-search
     # (a zero depth divides by zero, a fractional one indexes a list, a

@@ -19,7 +19,6 @@ from nestevo.evaluator import (
     exit_profile,
     hw_latency_energy,
     hybrid_loss,
-    hybrid_loss_batch,
     layer_workloads,
     reference_flops,
     running_sums,
@@ -47,12 +46,12 @@ def single_block_space(**kwargs):
 class TestWorkload:
     def test_single_block_prefix_hand_values(self):
         # One block: d=2, w=16, e=1, k=3, r=32.  Block flops 2*16*1*9*1 = 288,
-        # block bytes 4*2*16*1 = 128; one layer carries half of each.
+        # block bytes 4*2*16*1 = 128, and the block is the whole model.
         space = single_block_space()
         b = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),))
-        w = workload_of(b, space, upto_layer=1)
-        assert w.flops == pytest.approx(144.0, abs=1e-12)
-        assert w.bytes == pytest.approx(64.0, abs=1e-12)
+        w = workload_of(b, space)
+        assert w.flops == pytest.approx(288.0, abs=1e-12)
+        assert w.bytes == pytest.approx(128.0, abs=1e-12)
 
     def test_full_model_is_block_sum(self, full_space):
         rng = random.Random(0)
@@ -63,43 +62,12 @@ class TestWorkload:
             assert w.flops == pytest.approx(sum(flops), rel=1e-12)
             assert w.bytes == pytest.approx(sum(byts), rel=1e-12)
 
-    def test_prefix_monotone_in_length(self, full_space):
-        rng = random.Random(1)
-        for _ in range(1000):
-            b = sample_backbone(full_space, rng)
-            n = total_layers(b, full_space)
-            prev = workload_of(b, full_space, 1)
-            for layer in range(2, n + 1):
-                cur = workload_of(b, full_space, layer)
-                assert cur.flops >= prev.flops
-                assert cur.bytes >= prev.bytes
-                prev = cur
-
-    def test_exit_overhead_adds_host_layer_share(self):
-        space = single_block_space()
-        b = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),))
-        bare = workload_of(b, space, 2)
-        with_exit = workload_of(b, space, 2, exit_positions=(1,),
-                                exit_overhead_fraction=0.05)
-        assert with_exit.flops == pytest.approx(bare.flops + 0.05 * 144.0, abs=1e-12)
-        assert with_exit.bytes == bare.bytes
-
     def test_running_sums_add_left_to_right(self):
         # Compensated summation (sum() from Python 3.12 on) gives 1.0.
         assert running_sums([1e16, 1.0, -1e16]) == [0.0, 1e16, 1e16, 0.0]
         assert running_sums([1e16, 1.0, -1e16])[-1] == 0.0
         assert running_sums([]) == [0.0]
         assert math.copysign(1.0, running_sums([-0.0])[-1]) == 1.0
-
-    def test_prefix_bounds(self):
-        space = single_block_space()
-        b = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),))
-        with pytest.raises(ValueError):
-            workload_of(b, space, 0)
-        with pytest.raises(ValueError):
-            workload_of(b, space, 3)
-        with pytest.raises(ValueError):
-            workload_of(b, space, 1, exit_positions=(2,))
 
 
 class TestAccuracySurrogate:
@@ -295,10 +263,11 @@ class TestEvalStatic:
 
 
 def lookup(table, device, f_c, f_m, flops):
-    """One query through HardwareTable.lookup_batch, as Python floats."""
-    latency, energy = table.lookup_batch([(device, f_c, f_m)],
-                                         np.zeros(1, dtype=int),
-                                         np.array([flops], dtype=float))
+    """One query through HardwareTable.lookup_rows, as Python floats."""
+    queries = [(device, f_c, f_m)]
+    latency, energy = table.lookup_rows(queries, table.query_rows(queries),
+                                        np.zeros(1, dtype=int),
+                                        np.array([flops], dtype=float))
     return float(latency[0]), float(energy[0])
 
 
@@ -422,12 +391,6 @@ class TestHybridLoss:
         rec = hybrid_loss([exit_p], final_p, label=0, temperature=t)
         assert rec.nll == pytest.approx(nll, abs=1e-12)
         assert rec.kd == pytest.approx(kd, abs=1e-12)
-
-    def test_batch_averages_samples(self):
-        s1 = ([[0.5, 0.5]], [0.5, 0.5], 0)
-        s2 = ([[0.0, 1.0]], [0.0, 1.0], 1)
-        rec = hybrid_loss_batch([s1, s2])
-        assert rec.nll == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from nestevo.genome import (
     mutate_genes,
     n_inner_candidates,
     sample_backbone,
-    sample_exit_genome,
     total_layers,
     validate_backbone,
 )
@@ -36,6 +35,7 @@ from oracles import (
     enumerate_dvfs,
     enumerate_exit_genomes,
     sample_dvfs,
+    sample_exit_genome,
     sampled_positions,
 )
 from tests.conftest import EMC_DEVICE, TOY_DEVICE

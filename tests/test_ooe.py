@@ -33,7 +33,13 @@ from nestevo.ooe import (
     static_rank_and_prune,
 )
 
-from oracles import enumerate_dvfs, enumerate_exit_genomes, ioe_objectives
+from oracles import (
+    enumerate_dvfs,
+    enumerate_exit_genomes,
+    ioe_objectives,
+    read_entries,
+    state_rows,
+)
 
 HW = HardwareModelParams()
 SUR = SurrogateParams()
@@ -200,7 +206,7 @@ class TestRunOoe:
         result = run_ooe(toy_space, device, backend, HW, SUR, config,
                          VariationParams())
         truth = bilevel_truth_keys(toy_space, device, backend, seed=11)
-        archive_keys = {e.payload.key() for e in result.entries}
+        archive_keys = {e.payload.key() for e in read_entries(result.rows)}
         assert archive_keys == truth
 
     def test_enumerate_truth_matches_inline_oracle(self, toy_space):
@@ -234,7 +240,7 @@ class TestRunOoe:
             result = run_ooe(toy_space, device, backend, HW, SUR,
                              exhaustive_config(seed), VariationParams())
             truth = bilevel_truth_keys(toy_space, device, backend, seed=seed)
-            assert {e.payload.key() for e in result.entries} == truth
+            assert {e.payload.key() for e in read_entries(result.rows)} == truth
 
     def test_deterministic_given_seed(self, toy_space):
         device = toy_space.device("toy-dev")
@@ -246,7 +252,8 @@ class TestRunOoe:
         def run():
             result = run_ooe(toy_space, device, backend, HW, SUR, config,
                              VariationParams())
-            return [(e.key, e.vector.values) for e in result.entries]
+            return [(e.key, e.vector.values)
+                    for e in read_entries(result.rows)]
 
         assert run() == run()
 
@@ -255,7 +262,7 @@ class TestRunOoe:
         backend = SyntheticHardwareModel(HW)
         result = run_ooe(toy_space, device, backend, HW, SUR,
                          exhaustive_config(seed=41), VariationParams())
-        for e in result.entries:
+        for e in read_entries(result.rows):
             sol = e.payload
             assert len(sol.exits.indicators) == indicator_length(
                 sol.backbone, toy_space)
@@ -270,7 +277,8 @@ class TestRunOoe:
         history = []
 
         def on_gen(state):
-            history.append([e.vector for e in state.entries])
+            history.append([e.vector
+                            for e in read_entries(state_rows(state))])
 
         run_ooe(toy_space, device, backend, HW, SUR, config, VariationParams(),
                 on_generation=on_gen)

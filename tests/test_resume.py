@@ -22,10 +22,9 @@ import nestevo.ooe as ooe
 from nestevo import archive as ar
 from nestevo.cli import main, run_search
 from nestevo.config import load_config, parse_config
-from nestevo.rows import read_entries
 
 import test_identity
-from oracles import archive_text, solution_to_dict
+from oracles import archive_text, read_entries, solution_to_dict, state_rows
 from test_cli import write_toy_config
 
 
@@ -119,7 +118,8 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
 
         def wrapper(state):
             inner_cb(state)
-            states.append((state, archive_text({}, state.entries)))
+            entries = read_entries(state_rows(state))
+            states.append((state, archive_text({}, entries)))
 
         kwargs["on_generation"] = wrapper
         return original(*args, **kwargs)
@@ -141,7 +141,7 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
             for v in state.added for e in read_entries(state.visits[v][1])])
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         replayed = ar.replay_checkpoints(paths[:k])
-        assert archive_text({}, replayed.entries) == archive
+        assert archive_text({}, read_entries(state_rows(replayed))) == archive
         assert list(replayed.visits) == list(state.visits)
         assert [len(rows) for _, rows in replayed.visits.values()] == \
             [len(rows) for _, rows in state.visits.values()]
