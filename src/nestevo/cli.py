@@ -234,6 +234,10 @@ def metrics(front_a: str, front_b: str, objectives: tuple[str, ...],
             report_path: str | None) -> None:
     """Hypervolume and ratio-of-dominance comparison of two front CSVs."""
     objs = _parse_objectives(objectives)
+    if len(objs) not in (2, 3) and mc_samples == 0:
+        raise click.ClickException(
+            f"exact hypervolume supports 2 or 3 objectives, got {len(objs)}; "
+            "give --mc-samples for a Monte Carlo estimate")
     ref = None
     try:
         if reference is not None:

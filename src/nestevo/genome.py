@@ -29,10 +29,12 @@ def require_counts(obj: object, *names: str) -> None:
 
 
 def require_finite_fields(obj: object, *names: str) -> None:
-    """Raise ValueError unless each named field of `obj` is a finite number."""
+    """Raise ValueError unless each named field of `obj` is a finite number;
+    a bool is not a number."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -199,6 +201,7 @@ class VariationParams:
 
     def __post_init__(self) -> None:
         require_counts(self, "tournament_size")
+        require_finite_fields(self, "mutation_prob_per_gene", "crossover_prob")
         for p in (self.mutation_prob_per_gene, self.crossover_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")

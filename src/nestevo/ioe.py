@@ -1,5 +1,5 @@
 """Inner optimization engine: for a frozen backbone, evolve (exit placement,
-frequency setting) pairs and return the Pareto archive of the best pairings.
+frequency setting) pairs and return the Pareto front of the best pairings.
 
 The dynamic fitness of a candidate averages, over its sampled exits, the
 product of the exit's correct-classification fraction, its energy and latency
@@ -8,9 +8,9 @@ regularizer that discounts exits whose predecessors already classify well.
 
 A generation is one matrix of gene indices, a candidate per row, sampled
 and bred from one block of uniforms per generation and evaluated as a
-whole.  The archive keys its candidates as gene tuples; the result holds
-them and their scores as one matrix (IoeResult), and readers decode fields
-from those arrays.
+whole.  The result holds the front's candidates as gene tuples and their
+scores as one matrix (IoeResult), and readers decode fields from those
+arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,12 +43,13 @@ from .genome import (
     indicator_length,
     n_inner_candidates,
     require_counts,
+    require_finite_fields,
 )
 from .moea import (
     Direction,
-    ParetoArchive,
     initial_population,
     mating_pool,
+    nondominated_rows,
     rank_rows,
     require_finite,
 )
@@ -92,16 +92,18 @@ class IoeConfig:
                 f"generations*population = {self.generations * self.population} "
                 f"exceeds the inner budget {self.budget}"
             )
-        if not self.gamma >= 0:
+        # NaN is not nonnegative; infinity is, but is not finite.
+        if isinstance(self.gamma, (int, float)) and not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
+        require_finite_fields(self, "gamma", "keep_fraction")
         if not 0 < self.keep_fraction <= 1:
             raise ValueError("keep_fraction must lie in (0, 1]")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"objective_mode must be one of {OBJECTIVE_MODES}")
 
 
-# An inner candidate, and its inner-archive key: its exit bits, then its
-# compute frequency index, then its emc index if the device has a memory clock.
+# An inner candidate: its exit bits, then its compute frequency index, then
+# its emc index if the device has a memory clock.
 Candidate = tuple[int, ...]
 
 
@@ -337,7 +339,7 @@ def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
 
 @dataclass
 class IoeResult:
-    """An inner archive: its candidates in archive order, their scores as
+    """An inner front: its candidates in run_ioe's order, their scores as
     rows of one matrix, and the number of candidates evaluated."""
 
     solutions: tuple[Candidate, ...]
@@ -359,28 +361,25 @@ class IoeResult:
 def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
             backend: HardwareBackend, hw: HardwareModelParams,
             config: IoeConfig, variation: VariationParams, rng: random.Random,
-            profile: ExitProfile, static: StaticScore,
-            on_generation: Callable[[int, ParetoArchive], None] | None = None,
-            ) -> IoeResult:
+            profile: ExitProfile, static: StaticScore) -> IoeResult:
     """NSGA-II loop over (exits, frequencies) for one backbone, whose exit
     profile and static score the caller supplies.
 
     Each generation is one gene matrix, sampled (_sample) or bred (_breed)
     from one block of uniforms and evaluated as a whole, and no genome
-    object is built.  The archive accumulates the rank-0 set across every
-    generation and is pruned to a mutually non-dominated set after each
-    one.  Its keys are the candidates as gene tuples and its payloads
-    (their generation's scores, their row in them); the result gathers
-    those rows into one DynamicScores.  When the whole inner space fits in
-    one population, the first generation is all of it, from
-    enumerate_candidates.
+    object is built.  When the whole inner space fits in one population,
+    the first generation is all of it, from enumerate_candidates.
+
+    The result is the non-dominated set of every generation's rank-0 rows
+    in order of appearance, a repeated candidate only where it first
+    appears: as a candidate's scores depend on its genes alone, this is the
+    archive a merge after each generation would end with.
     """
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)
     n_bits = ev.n_cols
 
-    archive = ParetoArchive(OBJECTIVE_DIRECTIONS[config.objective_mode])
-    n_evals = 0
+    fronts = []  # per generation: rank-0 genes, objectives, means, n_exits
     population = np.array(initial_population(
         config.population, n_inner_candidates(b, space, device),
         lambda: enumerate_candidates(n_bits, device),
@@ -391,20 +390,20 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
             population = _breed(parents, places, config.population, n_bits,
                                 ev.sizes, variation, rng)
         scores = ev.evaluate_batch(population)
-        n_evals += len(population)
         values, directions = ioe_objective_matrix(
             scores, config.objective_mode, config.gamma)
         ranks, crowding = rank_rows(values, directions)
-        front = np.flatnonzero(ranks == 0)
-        archive.merge_batch(list(map(tuple, population[front].tolist())),
-                            [(scores, i) for i in front.tolist()],
-                            values[front])
-        if on_generation is not None:
-            on_generation(gen, archive)
+        front = ranks == 0
+        fronts.append((population[front], values[front], scores.means[front],
+                       scores.n_exits[front]))
         keep = max(1, math.ceil(config.keep_fraction * len(population)))
         pool, pool_places = mating_pool(ranks, crowding, keep)
         parents, places = population[pool], np.array(pool_places)
-    payloads = archive.payloads
-    scores = DynamicScores(np.array([s.means[i] for s, i in payloads]),
-                           np.array([s.n_exits[i] for s, i in payloads]))
-    return IoeResult(tuple(archive.keys), scores, n_evals)
+    genes, values, means, n_exits = map(np.concatenate, zip(*fronts))
+    first: dict[bytes, int] = {}
+    for i in np.flatnonzero(nondominated_rows(values, directions)).tolist():
+        first.setdefault(genes[i].tobytes(), i)
+    kept = list(first.values())
+    return IoeResult(tuple(map(tuple, genes[kept].tolist())),
+                     DynamicScores(means[kept], n_exits[kept]),
+                     config.generations * config.population)

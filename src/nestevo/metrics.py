@@ -188,15 +188,12 @@ class MetricsReport:
 
 def compare_fronts(a: Front, b: Front, mc_samples: int = 0,
                    mc_seed: int = 0) -> MetricsReport:
-    """Hypervolumes (exact when 2-D/3-D, Monte Carlo above) and both ratios
-    of dominance."""
-    dim = len(a.directions)
-    if dim <= 3 and mc_samples == 0:
+    """Hypervolumes, exact (2-D and 3-D only) when `mc_samples` is 0 and
+    Monte Carlo estimates otherwise, and both ratios of dominance."""
+    if mc_samples == 0:
         hv_a, hv_b = hypervolume(a), hypervolume(b)
         se_a = se_b = 0.0
     else:
-        if mc_samples <= 0:
-            raise ValueError("mc_samples required for >3 objectives")
         hv_a, se_a = hypervolume_mc(a, mc_samples, mc_seed)
         hv_b, se_b = hypervolume_mc(b, mc_samples, mc_seed + 1)
     return MetricsReport(hv_a, hv_b, ratio_of_dominance(a, b),

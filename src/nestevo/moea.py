@@ -1,9 +1,9 @@
 """Generic NSGA-II machinery over raw objective matrices whose columns carry
 per-coordinate directions.
 
-Pareto dominance, fast non-dominated sorting, crowding distance, survivor and
-tournament selection, the initial sampler and breeder that both engines call,
-and an elitist non-dominated archive that holds objective matrices.
+Pareto dominance, the sort-first front filter, non-dominated sorting,
+crowding distance, survivor and tournament selection, the initial sampler
+and breeder both engines call, and the outer engine's elitist archive.
 Everything here is pure and deterministic: the same inputs (and RNG stream)
 always produce the same outputs, so search runs are reproducible bit for
 bit.
@@ -158,11 +158,30 @@ def _dominated_by(cands: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dominated
 
 
+_SWEEP_ROWS = 256  # rows per block of the sweep in `nondominated_rows`
+
+
 def nondominated_rows(values: np.ndarray,
                       directions: Sequence[Direction]) -> np.ndarray:
-    """Per row of a raw objective matrix: True iff no other row dominates it."""
+    """Per row of a raw objective matrix: True iff no other row dominates it.
+
+    The sort-first sweep of Kung, Luccio & Preparata (J. ACM 22(4), 1975):
+    in descending lexicographic order only earlier rows can dominate a row,
+    and by transitivity a kept one does if any does.  Each block of sorted
+    rows is checked against the rows kept so far, then its survivors against
+    each other.  Equal rows do not dominate each other: all are kept."""
     mat = _normalize(values, directions)
-    return ~_dominated_by(mat, mat)
+    order = np.lexsort(-mat.T[::-1])
+    keep = np.zeros(len(mat), dtype=bool)
+    kept = mat[:0]
+    for start in range(0, len(mat), _SWEEP_ROWS):
+        block = order[start:start + _SWEEP_ROWS]
+        rows = mat[block]
+        alive = ~_dominated_by(rows, kept)
+        alive[alive] = ~_dominated_by(rows[alive], rows[alive])
+        keep[block] = alive
+        kept = np.concatenate([kept, rows[alive]])
+    return keep
 
 
 def survivor_select(ranks: np.ndarray, crowding: np.ndarray, k: int) -> list[int]:
@@ -256,10 +275,10 @@ class ParetoArchive:
     Entries are kept in insertion order (deterministic across runs) as
     parallel `keys` and `payloads` lists and a raw objective matrix `values`
     whose columns carry `directions`, with its normalized copy alongside, row
-    for row, and the keys also as a set that each merge updates.  A new
-    entry is dropped if an existing entry dominates it or carries the same
-    key; otherwise it displaces every entry it dominates.  Entries with
-    equal vectors but distinct keys are all retained.
+    for row.  A new entry is dropped if an existing entry dominates it;
+    otherwise it displaces every entry it dominates.  Entries with equal
+    vectors are all retained.  Keys are not compared: the caller gives each
+    entry its own.
     """
 
     def __init__(self, directions: Sequence[Direction]) -> None:
@@ -268,7 +287,6 @@ class ParetoArchive:
         self.payloads: list[Any] = []
         self.values = np.zeros((0, len(self.directions)))
         self._mat = self.values
-        self._live: set = set()
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -286,20 +304,11 @@ class ParetoArchive:
         """Bulk-merge new candidates: row i of the raw matrix `values` is the
         objective vector of `keys[i]` and `payloads[i]`.
 
-        Keys are deduplicated first: an item is dropped if its key is live in
-        the archive or appeared earlier in the batch, and the first occurrence
-        wins even if it is later dominated.  The union of the existing entries
-        and the surviving items is then cut to its non-dominated subset:
-        existing entries first, then fresh ones, each in order.
-
-        This is not a sequence of one-item merges when a key repeats within
-        the batch: for [("x", (0, 0)), ("y", (1, 1)), ("x", (2, 2))] (both
-        maximized) the batch keeps [y], while one-item merges keep
-        [x (2, 2)].
-
-        The entries are mutually non-dominated, so only two checks are made:
-        existing rows against the fresh rows, and fresh rows against the
-        union.  A matrix of the wrong shape or with a non-finite value
+        The union of the existing entries and the new ones is cut to its
+        non-dominated subset: existing entries first, then new ones, each in
+        order.  The entries are mutually non-dominated, so only two checks
+        are made: existing rows against the new rows, and new rows against
+        the union.  A matrix of the wrong shape or with a non-finite value
         raises ValueError."""
         values = np.asarray(values, dtype=float)
         if (values.shape != (len(keys), len(self.directions))
@@ -309,28 +318,13 @@ class ParetoArchive:
                 f"{values.shape} matrix does not fit {len(self.directions)} "
                 "objectives")
         require_finite(values)
-        batch: set = set()
-        fresh = []
-        for i, key in enumerate(keys):
-            if key not in self._live and key not in batch:
-                batch.add(key)
-                fresh.append(i)
-        if not fresh:
-            return
-        raw = values[fresh]
-        rows = _normalize(raw, self.directions)
+        rows = _normalize(values, self.directions)
         union = np.concatenate([self._mat, rows])
         keep = np.concatenate([~_dominated_by(self._mat, rows),
                                ~_dominated_by(rows, union)])
         kept = np.flatnonzero(keep).tolist()
-        all_keys = self.keys + [keys[i] for i in fresh]
-        all_payloads = self.payloads + [payloads[i] for i in fresh]
-        n = len(self.keys)
-        self._live.difference_update(
-            self.keys[i] for i in np.flatnonzero(~keep[:n]).tolist())
-        self.keys = [all_keys[i] for i in kept]
-        # The fresh entries kept come last.
-        self._live.update(self.keys[len(kept) - int(keep[n:].sum()):])
-        self.payloads = [all_payloads[i] for i in kept]
-        self.values = np.concatenate([self.values, raw])[keep]
+        keys, payloads = self.keys + list(keys), self.payloads + list(payloads)
+        self.keys = [keys[i] for i in kept]
+        self.payloads = [payloads[i] for i in kept]
+        self.values = np.concatenate([self.values, values])[keep]
         self._mat = union[keep]

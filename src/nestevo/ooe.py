@@ -44,6 +44,7 @@ from .genome import (
     enumerate_backbones,
     mutate_backbone,
     require_counts,
+    require_finite_fields,
     sample_backbone,
 )
 from .ioe import DynamicScores, IoeConfig, run_ioe
@@ -79,6 +80,7 @@ class OoeConfig:
                 f"generations*population = {self.generations * self.population} "
                 f"exceeds the outer budget {self.budget}"
             )
+        require_finite_fields(self, "prune_fraction")
         if not 0 < self.prune_fraction <= 1:
             raise ValueError("prune_fraction must lie in (0, 1]")
 
@@ -132,7 +134,7 @@ class OoeResult:
 
 
 # Reference for the 2-D (effective correctness, energy ratio) summary of an
-# inner archive: zero correctness, break-even energy.  Archive members costing
+# inner front: zero correctness, break-even energy.  Front members costing
 # more than the static backbone fall outside the box and contribute nothing.
 SUMMARY_REFERENCE = (0.0, 1.0)
 SUMMARY_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE)
@@ -152,10 +154,10 @@ def static_rank_and_prune(
 
 
 def ioe_front_hypervolume(scores: DynamicScores, gamma: float) -> float:
-    """2-D hypervolume summary of an inner archive's scores over (effective
+    """2-D hypervolume summary of an inner front's scores over (effective
     correctness, energy ratio) against the fixed (0, 1) reference."""
     if not len(scores.means):
-        raise ValueError("inner archive is empty")
+        raise ValueError("inner front is empty")
     points = np.array([(m[1] * m[4]**gamma, m[2])
                        for m in scores.means.tolist()])
     return hypervolume(Front(points[points[:, 1] <= SUMMARY_REFERENCE[1]],

@@ -14,7 +14,11 @@ outer engine took objective matrices.  The scalar hardware costs
 (hw_latency_energy and a bisecting table lookup) price one workload at a
 time, independently of the backends' batch path.  The per-exit primitives,
 the one-item archive merge and the archive readers are definitions only the
-tests use.  The readers (FinalSolution, solution_from_values, read_entries,
+tests use.  The front filters are the all-pairs mask nondominated_rows
+computed before its sort-first sweep, and the inner archive run_ioe merged
+after every generation before it kept its rank-0 rows and filtered them
+once (UnionMaskArchive, with the key rule the outer archive no longer has).
+The readers (FinalSolution, solution_from_values, read_entries,
 state_rows, and those of a whole archive.json and of front.csv rows) left
 the package because no command reads a row back into objects: the search
 renders rows from nestevo.rows' field table and only writes them.  The
@@ -236,9 +240,8 @@ def object_ratio_of_dominance(a: ObjectFront, b: ObjectFront) -> float:
 
 
 def add(archive: ParetoArchive, key, payload, vector: ObjectiveVector) -> bool:
-    """Merge one candidate; True iff it entered the archive."""
-    if any(e.key == key for e in archive.entries):
-        return False
+    """Merge one candidate under a key of its own; True iff it entered the
+    archive."""
     merge(archive, [(key, payload, vector)])
     return any(e.key == key for e in archive.entries)
 
@@ -493,6 +496,59 @@ def front_csv_text(entries) -> str:
     for e in sorted(entries, key=lambda e: e.key):
         writer.writerow(dict(zip(FRONT_CSV_COLUMNS, solution_values(e.payload))))
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Front filters
+
+
+def all_pairs_nondominated(values: np.ndarray,
+                           directions: Sequence[Direction]) -> np.ndarray:
+    """nondominated_rows by one comparison of every row with every row."""
+    maximize = np.array([d is Direction.MAXIMIZE for d in directions])
+    mat = np.where(maximize, values, -values)
+    ge = (mat[:, None, :] >= mat[None, :, :]).all(axis=-1)
+    gt = (mat[:, None, :] > mat[None, :, :]).any(axis=-1)
+    return ~(ge & gt).any(axis=0)
+
+
+class UnionMaskArchive:
+    """The inner archive run_ioe kept before it filtered its rank-0 rows
+    once per run.  merge_batch drops an item whose key is live or appeared
+    earlier in the batch (the first occurrence wins), then masks the whole
+    union of existing and fresh entries with all_pairs_nondominated; add is
+    the pairwise loop."""
+
+    def __init__(self):
+        self.entries: list[ArchiveEntry] = []
+
+    def keys(self) -> set:
+        return {e.key for e in self.entries}
+
+    def add(self, key, payload, vector: ObjectiveVector) -> bool:
+        if key in self.keys():
+            return False
+        if any(dominates(e.vector, vector) for e in self.entries):
+            return False
+        self.entries = [e for e in self.entries
+                        if not dominates(vector, e.vector)]
+        self.entries.append(ArchiveEntry(key, payload, vector))
+        return True
+
+    def merge_batch(self, items) -> None:
+        """Merge (key, payload, ObjectiveVector) items."""
+        fresh = []
+        seen = self.keys()
+        for key, payload, vector in items:
+            if key in seen:
+                continue
+            seen.add(key)
+            fresh.append(ArchiveEntry(key, payload, vector))
+        if not fresh:
+            return
+        combined = self.entries + fresh
+        mask = all_pairs_nondominated(*_columns([e.vector for e in combined]))
+        self.entries = [e for e, keep in zip(combined, mask.tolist()) if keep]
 
 
 # ---------------------------------------------------------------------------

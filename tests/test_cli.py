@@ -263,6 +263,40 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="gamma must be nonnegative"):
             load_config(str(path))
 
+    # An infinite gamma used to run, and wrote an archive whose combined
+    # hypervolumes all read 0.0; a number PyYAML reads as text failed on a
+    # comparison that named no field.
+    @pytest.mark.parametrize("section, name", [
+        ("ioe", "gamma"), ("ioe", "keep_fraction"), ("ooe", "prune_fraction"),
+        ("variation", "mutation_prob_per_gene"), ("variation", "crossover_prob"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, "5e-1", True])
+    def test_engine_number_must_be_finite(self, section, name, value):
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc.setdefault(section, {})[name] = value
+        message = ("gamma must be nonnegative" if value == -math.inf
+                   and name == "gamma" else f"{name} must be a finite number")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("line, message", [
+        ("gamma: .inf", "gamma must be a finite number, got inf"),
+        # PyYAML reads 5e-1, without a dot, as a string.
+        ("keep_fraction: 5e-1",
+         "keep_fraction must be a finite number, got '5e-1'"),
+    ])
+    def test_ioe_number_refused_before_search(self, tmp_path, runner, line,
+                                              message):
+        name = line.split(":")[0]
+        path = write_toy_config(tmp_path, ioe={name: "X"})
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            f"{name}: X", line), encoding="utf-8")
+        assert line in path.read_text(encoding="utf-8")
+        res = runner.invoke(main, ["search", "--config", str(path)])
+        assert res.exit_code == 1
+        assert f"Error: invalid config: {message}" in res.output
+        assert not (tmp_path / "out" / "archive.json").exists()
+
     def test_digest_changes_with_seed_only(self, tmp_path):
         p1 = write_toy_config(tmp_path)
         cfg_a = load_config(str(p1))
@@ -644,6 +678,18 @@ class TestMetricsCommand:
         assert ("Error: the box from the reference (-1e+308, 1e+308) to the "
                 "front's upper corner has no finite volume") in res.output
 
+    def test_one_objective_needs_mc_samples(self, tmp_path, runner):
+        path = self.hand_front(tmp_path / "f.csv")
+        args = ["metrics", path, path, "--objective", "mean_correct:max",
+                "--reference", "0"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert ("Error: exact hypervolume supports 2 or 3 objectives, got 1; "
+                "give --mc-samples for a Monte Carlo estimate") in res.output
+        res = runner.invoke(main, args + ["--mc-samples", "100"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["hv_a"] == 0.5
+
     def test_negative_mc_samples_rejected(self, tmp_path, runner):
         path = self.hand_front(tmp_path / "f.csv")
         res = runner.invoke(main, ["metrics", path, path, "--reference", "0,1",
@@ -700,7 +746,7 @@ class TestAblateCommand:
             assert arm["archive_size"] >= 1
             assert arm["exit_fraction_spread"] >= 0.0
 
-    @pytest.mark.parametrize("gammas", ["0,x", "-1", "nan"])
+    @pytest.mark.parametrize("gammas", ["0,x", "-1", "nan", "inf"])
     def test_malformed_gammas(self, tmp_path, runner, gammas):
         cfg = write_toy_config(tmp_path)
         res = runner.invoke(main, ["ablate-dissim", "--config", str(cfg),

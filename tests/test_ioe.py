@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,17 +29,21 @@ from nestevo.genome import (
     sample_backbone,
 )
 from nestevo.ioe import (
+    OBJECTIVE_DIRECTIONS,
     IoeConfig,
+    _DynamicEvaluator,
     _sample,
     dynamic_fitness,
     gene_sizes,
+    ioe_objective_matrix,
     run_ioe,
     uniforms,
 )
 from nestevo.metrics import Front, hypervolume
-from nestevo.moea import Direction
+from nestevo.moea import Direction, ObjectiveVector
 
 from oracles import (
+    UnionMaskArchive,
     dissimilarity,
     dominates,
     enumerate_dvfs,
@@ -46,7 +51,6 @@ from oracles import (
     exit_score,
     fraction_at,
     ioe_objectives,
-    is_mutually_nondominated,
 )
 
 QUAD_DEVICE = DeviceSpec("quad", (0.5, 1.0, 1.5, 2.0), (), default_compute_idx=3)
@@ -254,6 +258,67 @@ def exhaustive_inner_front(b, space, device, backend, hw, profile, static,
     return keys
 
 
+def run_with_oracle(monkeypatch, *args, **kwargs):
+    """run_ioe(*args, **kwargs), with every population it evaluates also
+    merged into a UnionMaskArchive (the inner archive run_ioe kept before):
+    keys are gene tuples, payloads the scores' bytes.  Asserts that the
+    result is that archive's final state, with the evaluation count, and
+    returns the result and the archive's entries after each generation."""
+    config = args[5]
+    oracle = UnionMaskArchive()
+    history = []
+    evaluated = []
+    evaluate = _DynamicEvaluator.evaluate_batch
+
+    def feeding(self, candidates):
+        scores = evaluate(self, candidates)
+        values, directions = ioe_objective_matrix(
+            scores, config.objective_mode, config.gamma)
+        oracle.merge_batch([
+            (tuple(genes), (means.tobytes(), n.tobytes()),
+             ObjectiveVector(tuple(row), directions))
+            for genes, means, n, row in zip(candidates.tolist(), scores.means,
+                                            scores.n_exits, values.tolist())])
+        history.append(list(oracle.entries))
+        evaluated.append(len(candidates))
+        return scores
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_DynamicEvaluator, "evaluate_batch", feeding)
+        result = run_ioe(*args, **kwargs)
+    assert result.solutions == tuple(e.key for e in oracle.entries)
+    assert [(means.tobytes(), n.tobytes()) for means, n in
+            zip(result.scores.means, result.scores.n_exits)] == [
+        e.payload for e in oracle.entries]
+    assert result.n_dynamic_evals == sum(evaluated)
+    return result, history
+
+
+@pytest.mark.parametrize("mode", ["vector", "scalar"])
+@pytest.mark.parametrize("seed", range(20))
+def test_result_is_the_merged_archive(full_space, toy_space, monkeypatch,
+                                      mode, seed):
+    # An odd population on a backbone of the default space, and the toy
+    # backbone whose 12 candidates the first generation enumerates whole.
+    hw = HardwareModelParams()
+    backend = SyntheticHardwareModel(hw)
+    sur = SurrogateParams()
+    rng = random.Random(seed)
+    for space, b, device, config in [
+            (full_space, sample_backbone(full_space, rng),
+             full_space.device("agx-volta-gpu"),
+             IoeConfig(generations=8, population=31, budget=248,
+                       objective_mode=mode)),
+            (toy_space, toy_backbone(toy_space, 7), QUAD_DEVICE,
+             IoeConfig(generations=3, population=13, budget=39,
+                       objective_mode=mode))]:
+        run_with_oracle(monkeypatch, b, space, device, backend, hw, config,
+                        VariationParams(), rng,
+                        profile=exit_profile(b, space, sur, seed=0),
+                        static=eval_static(b, space, device, backend, sur,
+                                           seed=0))
+
+
 class TestRunIoe:
     def _setup(self, toy_space):
         b = toy_backbone(toy_space, 7)
@@ -289,19 +354,19 @@ class TestRunIoe:
                                           config.objective_mode)
         assert solution_keys(result, device) == expected
 
-    def test_fixed_seed_reproducible(self, toy_space):
+    def test_fixed_seed_reproducible(self, toy_space, monkeypatch):
         b, device, hw, backend, static, profile = self._setup(toy_space)
         config = IoeConfig(generations=4, population=8, budget=32)
 
         def run(seed):
-            """The archive's keys after each generation, then the result."""
-            history = []
-            result = run_ioe(b, toy_space, device, backend, hw, config,
-                             VariationParams(), random.Random(seed),
-                             profile=profile, static=static,
-                             on_generation=lambda gen, archive: history.append(
-                                 sorted(e.key for e in archive.entries)))
-            return (history, result.solutions, result.scores.means.tolist(),
+            """The oracle archive's keys after each generation, then the
+            result."""
+            result, history = run_with_oracle(
+                monkeypatch, b, toy_space, device, backend, hw, config,
+                VariationParams(), random.Random(seed), profile=profile,
+                static=static)
+            return ([sorted(e.key for e in entries) for entries in history],
+                    result.solutions, result.scores.means.tolist(),
                     result.scores.n_exits.tolist())
 
         assert run(42) == run(42)
@@ -309,32 +374,28 @@ class TestRunIoe:
         # and so the first generation's archive.
         assert run(42)[0][0] != run(43)[0][0]
 
-    def test_archive_nondominated_every_generation(self, toy_space):
+    def test_archive_nondominated_every_generation(self, toy_space,
+                                                   monkeypatch):
         b, device, hw, backend, static, profile = self._setup(toy_space)
         config = IoeConfig(generations=5, population=6, budget=30)
-        checks = []
+        _, history = run_with_oracle(
+            monkeypatch, b, toy_space, device, backend, hw, config,
+            VariationParams(), random.Random(1), profile=profile, static=static)
+        assert len(history) == 5
+        assert all(not any(dominates(p.vector, q.vector)
+                           for p in entries for q in entries)
+                   for entries in history)
 
-        def on_gen(gen, archive):
-            checks.append(is_mutually_nondominated(archive))
-
-        run_ioe(b, toy_space, device, backend, hw, config, VariationParams(),
-                random.Random(1), profile=profile, static=static,
-                on_generation=on_gen)
-        assert len(checks) == 5
-        assert all(checks)
-
-    def test_archive_hypervolume_nondecreasing(self, toy_space):
+    def test_archive_hypervolume_nondecreasing(self, toy_space, monkeypatch):
         b, device, hw, backend, static, profile = self._setup(toy_space)
         config = IoeConfig(generations=6, population=6, budget=36)
-        volumes = []
-
-        def on_gen(gen, archive):
-            volumes.append(hypervolume(Front(archive.values, archive.directions,
-                                             (0.0, 50.0, 50.0))))
-
-        run_ioe(b, toy_space, device, backend, hw, config, VariationParams(),
-                random.Random(2), profile=profile, static=static,
-                on_generation=on_gen)
+        _, history = run_with_oracle(
+            monkeypatch, b, toy_space, device, backend, hw, config,
+            VariationParams(), random.Random(2), profile=profile, static=static)
+        volumes = [hypervolume(Front(np.array([e.vector.values for e in entries]),
+                                     OBJECTIVE_DIRECTIONS["vector"],
+                                     (0.0, 50.0, 50.0)))
+                   for entries in history]
         assert all(a <= b + 1e-12 for a, b in zip(volumes, volumes[1:]))
 
     def test_genome_objects_only_at_the_ends(self, full_space, toy_space,

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nestevo import moea
 from nestevo.genome import VariationParams
 from nestevo.moea import (
     Direction,
@@ -15,6 +17,7 @@ from nestevo.moea import (
     breed,
     initial_population,
     mating_pool,
+    nondominated_rows,
     survivor_select,
     tournament_select,
 )
@@ -22,6 +25,7 @@ from nestevo.moea import (
 from oracles import (
     RankedPopulation,
     add,
+    all_pairs_nondominated,
     crowding_distance,
     dominates,
     fast_nondominated_sort,
@@ -469,12 +473,6 @@ class TestParetoArchive:
         add(a, "y", "y", vec(1, 1))
         assert len(a) == 2
 
-    def test_key_collision_ignored(self):
-        a = ParetoArchive((MAX, MAX))
-        add(a, "x", "x", vec(1, 1))
-        assert not add(a, "x", "x", vec(5, 5))
-        assert len(a) == 1
-
     def test_merge_batch_equals_sequential_adds(self):
         rng = random.Random(31)
         items = [(i, i, vec(*(rng.randint(0, 5) for _ in range(3))))
@@ -510,3 +508,41 @@ class TestParetoArchive:
         gt = (mat[:, None, :] > mat[None, :, :]).any(-1)
         expected = [bool(x) for x in ~((ge & gt).any(axis=0))]
         assert nondominated_mask(pop) == expected
+
+
+# Ties, signed zeros, the smallest subnormal and the largest magnitudes.
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, 1e308, -1e308)
+column_directions = st.lists(st.sampled_from((MAX, MIN)), min_size=1,
+                             max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(column_directions.flatmap(lambda dirs: st.tuples(
+           st.just(tuple(dirs)),
+           st.lists(st.tuples(*[st.one_of(st.sampled_from(SPECIAL),
+                                           st.floats(-1e308, 1e308))
+                                 for _ in dirs]), max_size=40))),
+       st.sampled_from((1, 2, 3, 7, 256)))
+def test_sweep_matches_all_pairs(case, block):
+    # Block sizes of a few rows put every list on both sides of several
+    # block boundaries.
+    directions, rows = case
+    values = np.array(rows, dtype=float).reshape(len(rows), len(directions))
+    with mock.patch.object(moea, "_SWEEP_ROWS", block):
+        got = nondominated_rows(values, directions)
+    assert got.tolist() == all_pairs_nondominated(values, directions).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(column_directions, st.integers(0, 2**32 - 1),
+       st.integers(moea._SWEEP_ROWS - 3, 2 * moea._SWEEP_ROWS + 3),
+       st.booleans())
+def test_sweep_matches_all_pairs_across_real_blocks(directions, seed, n, grid):
+    # A small grid of special values makes ties and duplicates; uniform
+    # values make a front of few rows.
+    gen = np.random.default_rng(seed)
+    shape = (n, len(directions))
+    values = (gen.choice(SPECIAL, shape) if grid
+              else gen.uniform(-1.0, 1.0, shape) * 1e308)
+    assert (nondominated_rows(values, directions).tolist()
+            == all_pairs_nondominated(values, directions).tolist())
