@@ -39,7 +39,6 @@ from .moea import (
     nondominated_rows,
     rank_rows,
     survivor_select,
-    tournament_select,
 )
 from .ooe import OoeConfig, combined_rank, run_ooe, static_rank_and_prune
 

@@ -21,7 +21,9 @@ from typing import Iterable, Sequence
 from .ooe import EvalCounters, GenerationRecord, OoeResult, OoeState
 from .rows import FRONT_CSV_COLUMNS, Row, render_rows, row_values
 
-SCHEMA_VERSION = 1
+# Raised when a checkpoint of the previous version would resume into another
+# run: at 2 the outer engine began to breed through ioe._breed.
+SCHEMA_VERSION = 2
 
 
 def atomic_write(path: str, pieces: Iterable[str]) -> None:
@@ -115,18 +117,22 @@ def _visit(visit: int, docs: Sequence[dict]) -> tuple[tuple, tuple[Row, ...]]:
 
 def replay_checkpoints(paths: Sequence[str]) -> OoeState:
     """The search state after generation k, rebuilt from the checkpoints of
-    generations 1..k, given in order.  A checkpoint that holds another
-    generation, no resume state, row counts that do not add up to its rows,
-    visit numbers that are not increasing from the previous checkpoint's
-    visit count up to its own, an evicted visit that is not live, rows of
-    one visit that differ in backbone, static score or objectives, or an RNG
-    state that random.Random refuses raises ValueError."""
+    generations 1..k, given in order.  A checkpoint whose schema_version is
+    not SCHEMA_VERSION, or that holds another generation, no resume state,
+    row counts that do not add up to its rows, visit numbers that are not
+    increasing from the previous checkpoint's visit count up to its own, an
+    evicted visit that is not live, rows of one visit that differ in
+    backbone, static score or objectives, or an RNG state that
+    random.Random refuses raises ValueError."""
     visits: dict[int, tuple[tuple, tuple[Row, ...]]] = {}
     snapshots = []
     numbered = 0  # visits numbered before the checkpoint's generation
     for gen, path in enumerate(paths, 1):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"{path} has schema_version "
+                             f"{doc.get('schema_version')}, not {SCHEMA_VERSION}")
         if doc.get("generation") != gen:
             raise ValueError(f"the checkpoint of generation {gen} is missing: "
                              f"{path} holds generation {doc.get('generation')}")

@@ -4,9 +4,10 @@ Three subspaces are searched: backbone architectures (resolution plus
 per-block depth/width/kernel/expand choices), early-exit placements
 (an indicator bit per admissible layer), and per-device frequency settings.
 All encodings are index-based so the value domains can be swapped in config
-without touching any operator.  The two variation operators work on flat
-tuples of gene indices, whatever genome the tuple encodes.  Genomes are
-immutable; operators never touch their inputs and draw exclusively from the
+without touching any operator.  Variation is not here: both engines breed
+matrices of gene indices through nestevo.ioe._breed, the outer one with a
+row per backbone key() and each gene's domain size from backbone_sizes.
+Genomes are immutable; sampling and repair draw exclusively from the
 caller's RNG stream.
 """
 
@@ -246,10 +247,12 @@ def indicator_length(b: BackboneGenome, space: SearchSpaceSpec) -> int:
 # Sampling and repair
 
 
-def _repair_backbone(b: BackboneGenome, space: SearchSpaceSpec,
-                     rng: random.Random) -> BackboneGenome:
-    # Re-draw the shallowest growable block upward until the genome admits
-    # at least one exit.  Strictly-increasing redraws guarantee termination.
+def repair_backbone(b: BackboneGenome, space: SearchSpaceSpec,
+                    rng: random.Random) -> BackboneGenome:
+    """`b`, or, when it is too shallow to host an exit, `b` with its
+    shallowest growable block redrawn deeper (rng.choice) until it can; a
+    backbone deep enough draws nothing.  Strictly increasing redraws
+    guarantee termination."""
     blocks = list(b.blocks)
     need = space.exit_min_position + 1
     while sum(space.depth_domain[blk.depth_idx] for blk in blocks) < need:
@@ -277,58 +280,25 @@ def sample_backbone(space: SearchSpaceSpec, rng: random.Random) -> BackboneGenom
         for _ in range(space.n_block)
     )
     b = BackboneGenome(rng.randrange(len(space.resolution_domain)), blocks)
-    return _repair_backbone(b, space, rng)
+    return repair_backbone(b, space, rng)
 
 
 # ---------------------------------------------------------------------------
-# Variation on flat tuples of gene indices: a backbone's key(), or an inner
-# candidate's exit bits followed by its frequency indices.
+# Backbones as gene rows: a backbone's key() is its resolution gene, then
+# each block's depth, width, kernel and expand genes.
 
 
-def crossover_genes(a: Sequence[int], b: Sequence[int], prob: float,
-                    rng: random.Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Uniform crossover: one draw per gene, and the parents swap the gene
-    when the draw is below `prob`."""
-    if len(a) != len(b):
-        raise ValueError(f"parents have {len(a)} and {len(b)} genes")
-    draw = rng.random
-    child_a, child_b = list(a), list(b)
-    for i in range(len(child_a)):
-        if draw() < prob:
-            child_a[i], child_b[i] = child_b[i], child_a[i]
-    return tuple(child_a), tuple(child_b)
-
-
-def mutate_genes(genes: Sequence[int], sizes: Sequence[int], prob: float,
-                 rng: random.Random) -> tuple[int, ...]:
-    """One draw per gene; a draw below `prob` redraws the gene uniformly
-    from its domain of `sizes[i]` values."""
-    draw, redraw = rng.random, rng.randrange
-    return tuple([redraw(n) if draw() < prob else g
-                  for g, n in zip(genes, sizes, strict=True)])
+def backbone_sizes(space: SearchSpaceSpec) -> tuple[int, ...]:
+    """The domain size of each gene of a backbone's key()."""
+    block = (len(space.depth_domain), len(space.width_domain),
+             len(space.kernel_domain), len(space.expand_domain))
+    return (len(space.resolution_domain),) + block * space.n_block
 
 
 def backbone_of_key(genes: Sequence[int]) -> BackboneGenome:
     """The backbone whose key() is `genes`."""
     return BackboneGenome(genes[0], tuple(BlockGenes(*genes[i:i + 4])
                                           for i in range(1, len(genes), 4)))
-
-
-def mutate_backbone(b: BackboneGenome, space: SearchSpaceSpec,
-                    params: VariationParams, rng: random.Random) -> BackboneGenome:
-    block = (len(space.depth_domain), len(space.width_domain),
-             len(space.kernel_domain), len(space.expand_domain))
-    sizes = (len(space.resolution_domain),) + block * len(b.blocks)
-    genes = mutate_genes(b.key(), sizes, params.mutation_prob_per_gene, rng)
-    return _repair_backbone(backbone_of_key(genes), space, rng)
-
-
-def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
-                       space: SearchSpaceSpec, params: VariationParams,
-                       rng: random.Random) -> tuple[BackboneGenome, BackboneGenome]:
-    children = crossover_genes(parent_a.key(), parent_b.key(),
-                               params.crossover_prob, rng)
-    return tuple(_repair_backbone(backbone_of_key(g), space, rng) for g in children)
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,12 @@ def uniforms(rng: random.Random, n: int) -> np.ndarray:
 
 
 def _breed(parents: np.ndarray, places: np.ndarray, population: int,
-           n_bits: int, sizes: np.ndarray, params: VariationParams,
-           rng: random.Random) -> np.ndarray:
-    """`population` children of a mating pool, one candidate per row of
-    `parents` with its place (mating_pool) in `places`, as a matrix.
+           sizes: np.ndarray, params: VariationParams,
+           rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """`population` children of a mating pool, one genome per row of
+    `parents` with its place (mating_pool) in `places`, as a matrix, and a
+    repair uniform per child: both engines breed here, the inner one
+    candidates and the outer one backbone keys.
 
     Children come in pairs, the last pair's second child dropped when
     `population` is odd.  One block of uniforms serves the generation, cut
@@ -138,9 +140,9 @@ def _breed(parents: np.ndarray, places: np.ndarray, population: int,
     - per pair and gene, a uniform crossover swap when u < crossover_prob;
     - per child and gene, a mutation when u < mutation_prob_per_gene, and
       the mutated gene's new value floor(u * sizes[gene]);
-    - per child, the repair of an all-zero exit pattern: the bit at
-      floor(u * n_bits) is set.
-    `sizes` holds each gene's domain size (gene_sizes)."""
+    - per child, a uniform handed back for the caller's repair (the inner
+      engine's _repaired).
+    `sizes` holds each gene's domain size (gene_sizes, backbone_sizes)."""
     pairs = -(-population // 2)
     n_genes = len(sizes)
     t = params.tournament_size
@@ -158,7 +160,7 @@ def _breed(parents: np.ndarray, places: np.ndarray, population: int,
     mutate = mutations.reshape(population, n_genes) < params.mutation_prob_per_gene
     children = np.where(mutate, (values.reshape(population, n_genes) * sizes
                                  ).astype(children.dtype), children)
-    return _repaired(children, n_bits, repairs)
+    return children, repairs
 
 
 def _repaired(rows: np.ndarray, n_bits: int, u: np.ndarray) -> np.ndarray:
@@ -387,8 +389,9 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         lambda c: c, rng))
     for gen in range(config.generations):
         if gen > 0:
-            population = _breed(parents, places, config.population, n_bits,
-                                ev.sizes, variation, rng)
+            children, repairs = _breed(parents, places, config.population,
+                                       ev.sizes, variation, rng)
+            population = _repaired(children, n_bits, repairs)
         scores = ev.evaluate_batch(population)
         values, directions = ioe_objective_matrix(
             scores, config.objective_mode, config.gamma)

@@ -2,8 +2,9 @@
 per-coordinate directions.
 
 Pareto dominance, the sort-first front filter, non-dominated sorting,
-crowding distance, survivor and tournament selection, the initial sampler
-and breeder both engines call, and the outer engine's elitist archive.
+crowding distance, survivor selection and the mating pool, the initial
+sampler both engines call, and the outer engine's elitist archive.  Both
+engines breed through nestevo.ioe._breed.
 Everything here is pure and deterministic: the same inputs (and RNG stream)
 always produce the same outputs, so search runs are reproducible bit for
 bit.
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
-
-from .genome import VariationParams
 
 T = TypeVar("T")
 
@@ -203,16 +202,6 @@ def mating_pool(ranks: np.ndarray, crowding: np.ndarray,
     return pool, [place[row] for row in pool]
 
 
-def tournament_select(places: Sequence[int], params: VariationParams,
-                      rng: random.Random) -> int:
-    """Draw `tournament_size` slots of a mating pool uniformly (with
-    replacement); the winner is the slot with the lowest place."""
-    if len(places) == 0:
-        raise ValueError("cannot run a tournament on an empty population")
-    draws = [rng.randrange(len(places)) for _ in range(params.tournament_size)]
-    return min(draws, key=places.__getitem__)
-
-
 def initial_population(population: int, space_size: int,
                        enumerate_all: Callable[[], Iterable[T]],
                        sample: Callable[[random.Random, int], Sequence[T]],
@@ -241,25 +230,6 @@ def initial_population(population: int, space_size: int,
                     out.append(member)
     out.extend(sample(rng, max(0, population - len(out))))
     return out[:population]
-
-
-def breed(members: Sequence[T], places: Sequence[int], population: int,
-          crossover: Callable[[T, T, random.Random], tuple[T, T]],
-          mutate: Callable[[T, random.Random], T],
-          params: VariationParams, rng: random.Random) -> list[T]:
-    """`population` children: two tournaments on the mating pool `members`
-    (whose places come from mating_pool) pick the parents, `crossover` makes
-    two children and each is mutated in turn.  When `population` is odd the
-    last pair's second child is dropped unmutated."""
-    children: list[T] = []
-    while len(children) < population:
-        pa = members[tournament_select(places, params, rng)]
-        pb = members[tournament_select(places, params, rng)]
-        ca, cb = crossover(pa, pb, rng)
-        children.append(mutate(ca, rng))
-        if len(children) < population:
-            children.append(mutate(cb, rng))
-    return children
 
 
 @dataclass(frozen=True)

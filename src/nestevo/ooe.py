@@ -40,19 +40,18 @@ from .genome import (
     SearchSpaceSpec,
     VariationParams,
     backbone_of_key,
-    crossover_backbone,
+    backbone_sizes,
     enumerate_backbones,
-    mutate_backbone,
+    repair_backbone,
     require_counts,
     require_finite_fields,
     sample_backbone,
 )
-from .ioe import DynamicScores, IoeConfig, run_ioe
+from .ioe import DynamicScores, IoeConfig, _breed, run_ioe
 from .metrics import Front, hypervolume
 from .moea import (
     Direction,
     ParetoArchive,
-    breed,
     initial_population,
     mating_pool,
     rank_rows,
@@ -397,11 +396,16 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         if gen < config.generations:
             pool, places = mating_pool(ranks, crowding,
                                        min(config.population, len(ranks)))
-            population = breed(
-                [forwarded[i] for i in pool], places, config.population,
-                lambda a, b, r: crossover_backbone(a, b, space, variation, r),
-                lambda c, r: mutate_backbone(c, space, variation, r),
-                variation, rng)
+            # The inner engine's breeding on backbone keys; its repair
+            # uniforms fit exit bits, not blocks, and go unused.  A child
+            # too shallow to host an exit is repaired from rng afterwards,
+            # in child order.
+            children, _ = _breed(
+                np.array([forwarded[i].key() for i in pool]), np.array(places),
+                config.population, np.array(backbone_sizes(space)), variation,
+                rng)
+            population = [repair_backbone(backbone_of_key(genes), space, rng)
+                          for genes in children.tolist()]
         else:
             population = []
         if on_generation is not None:

@@ -5,9 +5,8 @@ whole-array numpy (or, for 3-D hypervolume, stopped filtering each slice
 before its 2-D sweep, or, for the output files, rendered rows from a
 template); a fast path must equal its oracle exactly (==, or byte for byte),
 not within a tolerance, because the arithmetic is kept in the same order.
-The selection layer (RankedPopulation and the survivor, tournament and
-breeding functions over it) is the object API selection ran on before it
-took rank and crowding arrays.  The object twins (dominates, normalized,
+The selection layer (RankedPopulation and survivor_select over it) is the
+object API selection ran on before it took rank and crowding arrays.  The object twins (dominates, normalized,
 ioe_objectives and ObjectFront with its hypervolume and ratio of dominance)
 are the per-ObjectiveVector code the package ran before metrics and the
 outer engine took objective matrices.  The scalar hardware costs
@@ -27,13 +26,11 @@ sample_dvfs, sample_exit_genome, with candidate_genes to flatten a pair)
 are the genome-object code both engines ran before they sampled and
 enumerated gene tuples; enumerate_candidates must give the same tuples in
 the same order.  sample_exit_genome draws what the package's
-sample_exit_bits and repair_exit_bits drew, in one function.  The backbone
-variation operators are the per-genome mutation and crossover the outer
-engine ran before it bred flat tuples of gene indices; the gene operators
-must make the same children from the same draws.  The regrouping helpers at
-the end give the package's matrix API (rank_rows, nondominated_rows,
-ParetoArchive.merge_batch, Front) the lists of ObjectiveVectors the tests
-are written in; they convert and regroup, and rank nothing themselves.
+sample_exit_bits and repair_exit_bits drew, in one function.  The
+regrouping helpers at the end give the package's matrix API (rank_rows,
+nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
+ObjectiveVectors the tests are written in; they convert and regroup, and
+rank nothing themselves.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,8 +67,6 @@ from nestevo.genome import (
     DvfsGenome,
     ExitGenome,
     SearchSpaceSpec,
-    VariationParams,
-    _repair_backbone,
     indicator_length,
 )
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
@@ -637,8 +632,6 @@ def front_solution_from_row(row: dict) -> FinalSolution:
 # ---------------------------------------------------------------------------
 # Selection on annotated populations
 
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class RankedPopulation:
@@ -673,35 +666,6 @@ def survivor_select(ranked: RankedPopulation, k: int) -> list[int]:
         raise ValueError(f"cannot select {k} from population of {len(ranked)}")
     order = sorted(range(len(ranked)), key=lambda i: _selection_key(ranked, i))
     return [ranked.ids[i] for i in order[:k]]
-
-
-def tournament_select(ranked: RankedPopulation, params: VariationParams,
-                      rng: random.Random) -> int:
-    """Id of the lexicographic best of `tournament_size` uniform draws (with
-    replacement)."""
-    if len(ranked) == 0:
-        raise ValueError("cannot run a tournament on an empty population")
-    draws = [rng.randrange(len(ranked)) for _ in range(params.tournament_size)]
-    best = min(draws, key=lambda i: _selection_key(ranked, i))
-    return ranked.ids[best]
-
-
-def breed(pool: RankedPopulation, members: Sequence[T], population: int,
-          crossover: Callable[[T, T, random.Random], tuple[T, T]],
-          mutate: Callable[[T, random.Random], T],
-          params: VariationParams, rng: random.Random) -> list[T]:
-    """Children of two tournaments on `pool` (whose ids index `members`)
-    each, crossed and mutated in turn; an odd population drops the last
-    pair's second child unmutated."""
-    children: list[T] = []
-    while len(children) < population:
-        pa = members[tournament_select(pool, params, rng)]
-        pb = members[tournament_select(pool, params, rng)]
-        ca, cb = crossover(pa, pb, rng)
-        children.append(mutate(ca, rng))
-        if len(children) < population:
-            children.append(mutate(cb, rng))
-    return children
 
 
 # ---------------------------------------------------------------------------
@@ -760,54 +724,6 @@ def enumerate_dvfs(device: DeviceSpec) -> Iterator[DvfsGenome]:
     for c in range(len(device.compute_freq_ghz)):
         for e in emc_range:
             yield DvfsGenome(device.name, c, e)
-
-
-# ---------------------------------------------------------------------------
-# Object variation operators
-
-
-def mutate_backbone(b: BackboneGenome, space: SearchSpaceSpec,
-                    params: VariationParams, rng: random.Random) -> BackboneGenome:
-    p = params.mutation_prob_per_gene
-
-    def maybe(idx: int, domain_len: int) -> int:
-        return rng.randrange(domain_len) if rng.random() < p else idx
-
-    res = maybe(b.resolution_idx, len(space.resolution_domain))
-    blocks = tuple(
-        BlockGenes(
-            maybe(blk.depth_idx, len(space.depth_domain)),
-            maybe(blk.width_idx, len(space.width_domain)),
-            maybe(blk.kernel_idx, len(space.kernel_domain)),
-            maybe(blk.expand_idx, len(space.expand_domain)),
-        )
-        for blk in b.blocks
-    )
-    return _repair_backbone(BackboneGenome(res, blocks), space, rng)
-
-
-def _swap(a, b, prob: float, rng: random.Random):
-    return (b, a) if rng.random() < prob else (a, b)
-
-
-def crossover_backbone(parent_a: BackboneGenome, parent_b: BackboneGenome,
-                       space: SearchSpaceSpec, params: VariationParams,
-                       rng: random.Random) -> tuple[BackboneGenome, BackboneGenome]:
-    if len(parent_a.blocks) != len(parent_b.blocks):
-        raise ValueError("parents have different block counts")
-    p = params.crossover_prob
-    res_a, res_b = _swap(parent_a.resolution_idx, parent_b.resolution_idx, p, rng)
-    blocks_a, blocks_b = [], []
-    for blk_a, blk_b in zip(parent_a.blocks, parent_b.blocks):
-        d = _swap(blk_a.depth_idx, blk_b.depth_idx, p, rng)
-        w = _swap(blk_a.width_idx, blk_b.width_idx, p, rng)
-        k = _swap(blk_a.kernel_idx, blk_b.kernel_idx, p, rng)
-        e = _swap(blk_a.expand_idx, blk_b.expand_idx, p, rng)
-        blocks_a.append(BlockGenes(d[0], w[0], k[0], e[0]))
-        blocks_b.append(BlockGenes(d[1], w[1], k[1], e[1]))
-    child_a = _repair_backbone(BackboneGenome(res_a, tuple(blocks_a)), space, rng)
-    child_b = _repair_backbone(BackboneGenome(res_b, tuple(blocks_b)), space, rng)
-    return child_a, child_b
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,7 @@ class TestSearchCommand:
         doc = json.loads((out / "archive.json").read_text())
         rows = ar.read_front_csv(str(out / "front.csv"))
         assert len(rows) == len(doc["final"])
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == ar.SCHEMA_VERSION
 
     def test_checkpoint_per_generation(self, tmp_path, runner):
         cfg = write_toy_config(tmp_path)

@@ -1,7 +1,8 @@
-"""No dead definitions in src/: every module-level function and class, and
-every public method, of src/nestevo is referred to somewhere in src/ or
-perfbench/ other than at its own definition.  Code that only the tests call
-belongs in tests/oracles.py.
+"""No dead definitions in src/ or in tests/oracles.py: every module-level
+function and class, and every public method, of src/nestevo is referred to
+somewhere in src/ or perfbench/ other than at its own definition, and every
+one of tests/oracles.py somewhere in tests/.  Code that only the tests call
+belongs in tests/oracles.py, and an oracle that no test uses is removed.
 
 A reference is an identifier read from the syntax tree: a name, an
 attribute, an imported name, or a word of a string that is not a docstring
@@ -16,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nestevo"
+TESTS = ROOT / "tests"
 
 ALLOWED = {
     # Acceptance criterion 4 (tests/test_acceptance.py) checks it, and the
@@ -27,8 +29,8 @@ ALLOWED = {
 }
 
 
-def _trees():
-    for folder in (PACKAGE, ROOT / "perfbench"):
+def _trees(folders):
+    for folder in folders:
         for path in sorted(folder.glob("*.py")):
             yield path, ast.parse(path.read_text(encoding="utf-8"))
 
@@ -47,9 +49,9 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return ids
 
 
-def _references() -> set[str]:
+def _references(*folders: Path) -> set[str]:
     refs: set[str] = set()
-    for path, tree in _trees():
+    for path, tree in _trees(folders):
         skip = _docstrings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -70,11 +72,11 @@ def _is_command(node: ast.AST) -> bool:
                for d in getattr(node, "decorator_list", ()))
 
 
-def _definitions():
+def _definitions(paths):
     """(module, qualified name, name) of each module-level function and
-    class and each public method in src/nestevo."""
+    class and each public method in the modules at `paths`."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, defs) or _is_command(node):
                 continue
@@ -86,12 +88,20 @@ def _definitions():
 
 
 def test_every_definition_in_src_is_reached():
-    refs = _references()
-    dead = [f"{module}.{qualname}" for module, qualname, name in _definitions()
+    refs = _references(PACKAGE, ROOT / "perfbench")
+    dead = [f"{module}.{qualname}" for module, qualname, name
+            in _definitions(sorted(PACKAGE.glob("*.py")))
             if name not in refs and name not in ALLOWED]
     assert dead == []
 
 
+def test_every_oracle_is_used_by_a_test():
+    refs = _references(TESTS)
+    dead = [f"{module}.{qualname}" for module, qualname, name
+            in _definitions([TESTS / "oracles.py"]) if name not in refs]
+    assert dead == []
+
+
 def test_allowlist_names_live_definitions():
-    names = {name for _, _, name in _definitions()}
+    names = {name for _, _, name in _definitions(sorted(PACKAGE.glob("*.py")))}
     assert ALLOWED <= names

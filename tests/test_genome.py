@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
+import nestevo.ooe as ooe
 from nestevo.config import default_devices
+from nestevo.evaluator import (HardwareModelParams, SurrogateParams,
+                               SyntheticHardwareModel)
 from nestevo.genome import (
     BackboneGenome,
     BlockGenes,
@@ -17,19 +19,19 @@ from nestevo.genome import (
     SearchSpaceSpec,
     VariationParams,
     admissible_positions,
-    crossover_backbone,
-    crossover_genes,
+    backbone_of_key,
+    backbone_sizes,
     enumerate_backbones,
     enumerate_candidates,
     indicator_length,
-    mutate_backbone,
-    mutate_genes,
     n_inner_candidates,
+    repair_backbone,
     sample_backbone,
     total_layers,
     validate_backbone,
 )
-from nestevo.ioe import _breed, gene_sizes, uniforms
+from nestevo.ioe import IoeConfig, _breed, _repaired, gene_sizes, uniforms
+from nestevo.ooe import OoeConfig, run_ooe
 from oracles import (
     candidate_genes,
     enumerate_dvfs,
@@ -42,13 +44,25 @@ from tests.conftest import EMC_DEVICE, TOY_DEVICE
 
 
 def breed_rows(parents, n_bits, device, params, rng, population=None, places=None):
-    """_breed on a mating pool given as gene tuples, places in pool order
-    unless given; the children as tuples."""
+    """The inner engine's breeding on a mating pool given as gene tuples,
+    places in pool order unless given: _breed, then _repaired; the children
+    as tuples."""
     pool = np.array(parents)
     places = np.arange(len(pool)) if places is None else np.array(places)
-    children = _breed(pool, places, population or len(pool), n_bits,
-                      gene_sizes(n_bits, device), params, rng)
-    return [tuple(c) for c in children.tolist()]
+    children, repairs = _breed(pool, places, population or len(pool),
+                               gene_sizes(n_bits, device), params, rng)
+    return [tuple(c) for c in _repaired(children, n_bits, repairs).tolist()]
+
+
+def breed_backbones(parents, space, params, rng, population=None):
+    """The outer engine's breeding on a mating pool of backbones, places in
+    pool order: _breed on their keys, then repair_backbone on each child in
+    order."""
+    children, _ = _breed(np.array([b.key() for b in parents]),
+                         np.arange(len(parents)), population or len(parents),
+                         np.array(backbone_sizes(space)), params, rng)
+    return [repair_backbone(backbone_of_key(genes), space, rng)
+            for genes in children.tolist()]
 
 
 class TestSpaceValidation:
@@ -196,7 +210,7 @@ class TestMutation:
     def test_prob_zero_is_identity(self, full_space, rng):
         params = VariationParams(mutation_prob_per_gene=0.0)
         b = sample_backbone(full_space, rng)
-        assert mutate_backbone(b, full_space, params, rng) == b
+        assert breed_backbones([b], full_space, params, rng, population=7) == [b] * 7
         c = candidate_genes(sample_exit_genome(b, full_space, rng),
                             sample_dvfs(EMC_DEVICE, rng))
         n_bits = indicator_length(b, full_space)
@@ -210,9 +224,8 @@ class TestMutation:
         base = sample_backbone(full_space, rng)
         n = 10_000
         counts = {0: 0, 1: 0}
-        for _ in range(n):
-            counts[mutate_backbone(base, full_space, params, rng)
-                   .blocks[0].kernel_idx] += 1
+        for child in breed_backbones([base], full_space, params, rng, n):
+            counts[child.blocks[0].kernel_idx] += 1
         sigma = math.sqrt(n / 4)
         for idx in (0, 1):
             assert abs(counts[idx] - n / 2) <= 5 * sigma
@@ -225,26 +238,29 @@ class TestMutation:
         assert [c[0] for c in children] == [1] * 100
 
     def test_input_not_modified(self, full_space, rng):
-        params = VariationParams(mutation_prob_per_gene=1.0)
-        b = sample_backbone(full_space, rng)
-        snapshot = b.key()
-        mutate_backbone(b, full_space, params, rng)
-        assert b.key() == snapshot
+        params = VariationParams(mutation_prob_per_gene=1.0, crossover_prob=1.0)
+        pool = np.array([sample_backbone(full_space, rng).key()
+                         for _ in range(4)])
+        places = np.array([2, 0, 3, 1])
+        snapshot = pool.copy(), places.copy()
+        _breed(pool, places, 9, np.array(backbone_sizes(full_space)), params, rng)
+        assert (pool == snapshot[0]).all() and (places == snapshot[1]).all()
 
 
 class TestCrossover:
     def test_prob_zero_children_equal_parents(self, full_space, rng):
-        params = VariationParams(crossover_prob=0.0)
-        pa = sample_backbone(full_space, rng)
-        pb = sample_backbone(full_space, rng)
-        ca, cb = crossover_backbone(pa, pb, full_space, params, rng)
-        assert ca == pa and cb == pb
+        # Without variation each child is its own tournament's winner.
+        params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0)
+        parents = [sample_backbone(full_space, rng) for _ in range(2)]
+        draws = uniforms(twin_of(rng), 20 * 2).reshape(20, 2)
+        children = breed_backbones(parents, full_space, params, rng, 20)
+        assert children == [parents[min(int(u * 2) for u in d)]
+                            for d in draws.tolist()]
 
     def test_identical_parents_fixed_point(self, full_space, rng):
-        params = VariationParams(crossover_prob=1.0)
+        params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=1.0)
         p = sample_backbone(full_space, rng)
-        ca, cb = crossover_backbone(p, p, full_space, params, rng)
-        assert ca == p and cb == p
+        assert breed_backbones([p, p], full_space, params, rng, 9) == [p] * 9
 
     def test_exit_child_bits_from_parents(self):
         # Parents share a set bit so repair can never fire, making the
@@ -261,16 +277,6 @@ class TestCrossover:
             for child in breed_rows([pa, pb], 7, EMC_DEVICE, params, rng):
                 for i, gene in enumerate(child):
                     assert gene in (pa[i], pb[i])
-
-    def test_mismatched_lengths_raise(self, rng):
-        with pytest.raises(ValueError):
-            crossover_genes((1, 0), (1, 0, 1), 0.5, rng)
-        with pytest.raises(ValueError):
-            mutate_genes((1, 0), (2, 2, 2), 0.5, rng)
-        pa = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),) * 2)
-        pb = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),) * 3)
-        with pytest.raises(ValueError):
-            crossover_backbone(pa, pb, SearchSpaceSpec(), VariationParams(), rng)
 
     def test_dvfs_swap(self, rng):
         # Every gene swaps, the frequency genes too: a pair of children is
@@ -292,26 +298,20 @@ class TestCrossover:
 
 
 class TestGeneOperators:
-    def test_prob_zero_is_identity(self):
-        rng = random.Random(19)
-        a, b = (0, 1, 2, 3, 1), (4, 0, 2, 1, 0)
-        assert crossover_genes(a, b, 0.0, rng) == (a, b)
-        assert mutate_genes(a, (5,) * 5, 0.0, rng) == a
-
-    def test_prob_one_redraws_every_gene(self):
-        # One random() and one randrange() per gene, in gene order.
-        sizes = (2, 7, 3, 5)
-        rng, replay = random.Random(29), random.Random(29)
-        expected = []
-        for n in sizes:
-            replay.random()
-            expected.append(replay.randrange(n))
-        assert mutate_genes((0, 0, 0, 0), sizes, 1.0, rng) == tuple(expected)
-        assert rng.getstate() == replay.getstate()
-
-
-def _twins(seed: int) -> tuple[random.Random, random.Random]:
-    return random.Random(seed), random.Random(seed)
+    def test_prob_one_redraws_every_gene(self, full_space):
+        # Each gene of each child is its block value times the gene's domain
+        # size from backbone_sizes, floored; the rng moves past the block.
+        sizes = backbone_sizes(full_space)
+        assert sizes == (4,) + (8, 16, 2, 4) * 7
+        rng = random.Random(29)
+        twin = twin_of(rng)
+        values = block_parts(twin, 5, len(sizes), 2)[3]
+        children, _ = _breed(np.zeros((1, len(sizes)), dtype=np.int64),
+                             np.array([0]), 5, np.array(sizes),
+                             VariationParams(mutation_prob_per_gene=1.0), rng)
+        assert children.tolist() == [[int(u * n) for u, n in zip(row, sizes)]
+                                     for row in values.tolist()]
+        assert rng.getstate() == twin.getstate()
 
 
 PROBS = st.sampled_from([0.0, 0.1, 0.5, 1.0])
@@ -368,6 +368,26 @@ def block_parts(rng, population, n_genes, t):
             parts[3].reshape(population, n_genes), parts[4])
 
 
+def reference_children(pool, places, sizes, params, parts):
+    """Gene by gene, the children that the block cut into `parts`
+    (block_parts) makes of a mating pool, before any repair, as lists."""
+    draws, swaps, mutations, values, _ = parts
+    winners = [min((int(u * len(pool)) for u in d), key=places.__getitem__)
+               for d in draws.tolist()]
+    children = []
+    for i in range(len(mutations)):
+        a, b = pool[winners[i - i % 2]], pool[winners[i - i % 2 + 1]]
+        if i % 2:
+            a, b = b, a
+        genes = [b[g] if swaps[i // 2, g] < params.crossover_prob else a[g]
+                 for g in range(len(sizes))]
+        for g, n in enumerate(sizes):
+            if mutations[i, g] < params.mutation_prob_per_gene:
+                genes[g] = int(values[i, g] * n)
+        children.append(genes)
+    return children
+
+
 @st.composite
 def pools(draw):
     """(pool, places, n_bits, device, params, population) with sparse exit
@@ -394,20 +414,12 @@ def test_bred_children_follow_the_block(case, seed):
     pool, places, n_bits, device, params, population = case
     sizes = gene_sizes(n_bits, device).tolist()
     rng = random.Random(seed)
-    draws, swaps, mutations, values, repairs = block_parts(
-        twin_of(rng), population, len(sizes), params.tournament_size)
+    parts = block_parts(twin_of(rng), population, len(sizes),
+                        params.tournament_size)
     children = breed_rows(pool, n_bits, device, params, rng, population, places)
-    winners = [min((int(u * len(pool)) for u in d), key=places.__getitem__)
-               for d in draws.tolist()]
-    for i, child in enumerate(children):
-        a, b = pool[winners[i - i % 2]], pool[winners[i - i % 2 + 1]]
-        if i % 2:
-            a, b = b, a
-        expected = [b[g] if swaps[i // 2, g] < params.crossover_prob else a[g]
-                    for g in range(len(sizes))]
-        for g, n in enumerate(sizes):
-            if mutations[i, g] < params.mutation_prob_per_gene:
-                expected[g] = int(values[i, g] * n)
+    repairs = parts[4]
+    for i, (child, expected) in enumerate(zip(
+            children, reference_children(pool, places, sizes, params, parts))):
         if not any(expected[:n_bits]):
             expected[int(repairs[i] * n_bits)] = 1
         assert child == tuple(expected)
@@ -499,30 +511,83 @@ def test_swap_and_mutation_rates_within_binomial_bounds(seed, p):
     assert trials > 0 and within(swapped, trials, p)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["small", "full"]), PROBS, PROBS, st.integers(0, 2**32))
-def test_backbone_variation_matches_object_operators(which, p_cross, p_mut, seed):
-    # The small space's shallow blocks make repair fire often.  Its parents
-    # are left unrepaired, so that both children may need repair and the
-    # order of the two repairs shows.
-    space = (SearchSpaceSpec(n_block=2, depth_domain=(1, 2, 3, 4),
-                             exit_min_position=5) if which == "small"
-             else SearchSpaceSpec())
-    params = VariationParams(mutation_prob_per_gene=p_mut, crossover_prob=p_cross)
-    rng = random.Random(seed)
-    if which == "small":
-        pa, pb = (BackboneGenome(0, tuple(BlockGenes(rng.randrange(4), 0, 0, 0)
-                                          for _ in range(2))) for _ in range(2))
-    else:
-        pa, pb = sample_backbone(space, rng), sample_backbone(space, rng)
-    old, new = _twins(seed)
-    children = crossover_backbone(pa, pb, space, params, new)
-    assert children == oracles.crossover_backbone(pa, pb, space, params, old)
-    assert new.getstate() == old.getstate()
-    for child in children:
-        assert (mutate_backbone(child, space, params, new)
-                == oracles.mutate_backbone(child, space, params, old))
-        assert new.getstate() == old.getstate()
+# ---------------------------------------------------------------------------
+# Outer breeding: _breed on backbone keys, then repair_backbone per child
+
+# Blocks of depth 1 to 4 under exit_min_position 5: children too shallow to
+# host an exit are common.
+SHALLOW_SPACE = SearchSpaceSpec(n_block=2, depth_domain=(1, 2, 3, 4),
+                                exit_min_position=5,
+                                device_specs=default_devices())
+
+
+def reference_backbones(pool, places, population, space, params, rng):
+    """Gene by gene from the documented block, the backbones bred from a
+    mating pool of keys, then repair_backbone on each child in child order,
+    drawing from rng after the block; and how many children needed repair."""
+    sizes = backbone_sizes(space)
+    parts = block_parts(rng, population, len(sizes), params.tournament_size)
+    children = [backbone_of_key(genes) for genes in
+                reference_children(pool, places, sizes, params, parts)]
+    shallow = sum(total_layers(c, space) <= space.exit_min_position
+                  for c in children)
+    return [repair_backbone(c, space, rng) for c in children], shallow
+
+
+@pytest.mark.parametrize("seed, population, params", [
+    (0, 12, VariationParams()),
+    (1, 11, VariationParams(mutation_prob_per_gene=0.5, crossover_prob=0.5,
+                            tournament_size=3)),
+    (2, 10, VariationParams(mutation_prob_per_gene=1.0, crossover_prob=1.0,
+                            tournament_size=1)),
+], ids=["default", "odd", "every-gene"])
+def test_outer_breeding_follows_the_block(monkeypatch, seed, population, params):
+    """Each population run_ooe breeds is the per-gene reference of its
+    generation's mating pool, as backbone keys, and the rng then stands
+    where the reference leaves it."""
+    forwarded, pools, calls = [], [], []
+
+    def recording_profile(b, *args):  # once per forwarded backbone, in order
+        forwarded.append(b.key())
+        return exit_profile(b, *args)
+
+    def recording_pool(*args):
+        pools.append(mating_pool(*args))
+        return pools[-1]
+
+    def recording_breed(parents, places, n, sizes, variation, rng):
+        calls.append((parents.tolist(), places.tolist(), n, sizes.tolist(),
+                      variation, twin_of(rng)))
+        return _breed(parents, places, n, sizes, variation, rng)
+
+    exit_profile, mating_pool = ooe.exit_profile, ooe.mating_pool
+    monkeypatch.setattr(ooe, "exit_profile", recording_profile)
+    monkeypatch.setattr(ooe, "mating_pool", recording_pool)
+    monkeypatch.setattr(ooe, "_breed", recording_breed)
+    hw = HardwareModelParams()
+    config = OoeConfig(generations=4, population=population,
+                       prune_fraction=0.5, budget=4 * population,
+                       ioe=IoeConfig(generations=2, population=4, budget=8),
+                       seed=seed)
+    states = []
+    run_ooe(SHALLOW_SPACE, SHALLOW_SPACE.device("agx-volta-gpu"),
+            SyntheticHardwareModel(hw), hw, SurrogateParams(), config, params,
+            on_generation=states.append)
+    assert len(calls) == len(pools) == config.generations - 1
+    k = math.ceil(config.prune_fraction * population)
+    repaired = 0
+    for gen, (pool, places, n, sizes, variation, twin) in enumerate(calls):
+        members = forwarded[gen * k:(gen + 1) * k]
+        assert pool == [list(members[i]) for i in pools[gen][0]]
+        assert places == pools[gen][1]
+        assert (n, variation) == (population, params)
+        assert sizes == [4] + [4, 16, 2, 4] * 2
+        expected, shallow = reference_backbones(pool, places, n, SHALLOW_SPACE,
+                                                params, twin)
+        repaired += shallow
+        assert states[gen].population == tuple(b.key() for b in expected)
+        assert states[gen].rng_state == twin.getstate()
+    assert repaired > 0
 
 
 class TestDeterminismAndInvariants:
@@ -530,50 +595,47 @@ class TestDeterminismAndInvariants:
         def run(seed):
             rng = random.Random(seed)
             params = VariationParams()
+            pool = [sample_backbone(small_space, rng) for _ in range(6)]
             out = []
-            b = sample_backbone(small_space, rng)
             for _ in range(50):
-                b2 = sample_backbone(small_space, rng)
-                b, _ = crossover_backbone(b, b2, small_space, params, rng)
-                b = mutate_backbone(b, small_space, params, rng)
-                out.append(b.key())
+                pool = breed_backbones(pool, small_space, params, rng)
+                out.append([b.key() for b in pool])
             return out
 
         assert run(99) == run(99)
 
     def test_invariant_sweep_100k_operations(self, small_space):
+        # 1,000 generations of 100 backbones, each bred from the last (each
+        # child one crossover, mutation and repair), and of 10 inner
+        # candidates on the first one's exits: every gene stays in its
+        # domain, every backbone can host an exit and every candidate
+        # samples one.
         rng = random.Random(12345)
         params = VariationParams(mutation_prob_per_gene=0.3, crossover_prob=0.5)
-        device = EMC_DEVICE
-        b = sample_backbone(small_space, rng)
-        c = candidate_genes(sample_exit_genome(b, small_space, rng),
-                            sample_dvfs(device, rng))
-        for i in range(100_000):
-            n = indicator_length(b, small_space)
-            op = i % 5
-            if op == 0:
-                b2 = sample_backbone(small_space, rng)
-                b, _ = crossover_backbone(b, b2, small_space, params, rng)
-                c = sample_exit_genome(b, small_space, rng).indicators + c[n:]
-            elif op == 1:
-                b = mutate_backbone(b, small_space, params, rng)
-                c = sample_exit_genome(b, small_space, rng).indicators + c[n:]
-            elif op == 2:
-                c = breed_rows([c], n, device, params, rng)[0]
-            elif op == 3:
-                c2 = candidate_genes(sample_exit_genome(b, small_space, rng),
-                                     sample_dvfs(device, rng))
-                c = breed_rows([c, c2], n, device, params, rng)[0]
-            else:
-                sizes = (len(device.compute_freq_ghz), len(device.emc_freq_ghz))
-                c = c[:n] + mutate_genes(c[n:], sizes,
-                                         params.mutation_prob_per_gene, rng)
-            validate_backbone(b, small_space)
-            n = indicator_length(b, small_space)
-            assert len(c) == n + 2
-            assert set(c[:n]) <= {0, 1} and 1 in c[:n]
-            assert 0 <= c[n] < len(device.compute_freq_ghz)
-            assert 0 <= c[n + 1] < len(device.emc_freq_ghz)
+        sizes = np.array(backbone_sizes(small_space))
+        order = list(range(100))
+        pool = np.array([sample_backbone(small_space, rng).key()
+                         for _ in order])
+        for _ in range(1000):
+            rng.shuffle(order)
+            children, repairs = _breed(pool, np.array(order), 100, sizes,
+                                       params, rng)
+            assert repairs.shape == (100,)
+            assert ((children >= 0) & (children < sizes)).all()
+            bred = [repair_backbone(backbone_of_key(genes), small_space, rng)
+                    for genes in children.tolist()]
+            for b in bred:
+                validate_backbone(b, small_space)
+            pool = np.array([b.key() for b in bred])
+            n = indicator_length(bred[0], small_space)
+            cands = [candidate_genes(sample_exit_genome(bred[0], small_space, rng),
+                                     sample_dvfs(EMC_DEVICE, rng))
+                     for _ in range(2)]
+            for c in breed_rows(cands, n, EMC_DEVICE, params, rng, 10):
+                assert len(c) == n + 2
+                assert set(c[:n]) <= {0, 1} and 1 in c[:n]
+                assert 0 <= c[n] < len(EMC_DEVICE.compute_freq_ghz)
+                assert 0 <= c[n + 1] < len(EMC_DEVICE.emc_freq_ghz)
 
 
 @settings(max_examples=100, deadline=None)

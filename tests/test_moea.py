@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 import oracles
 from nestevo import moea
 from nestevo.genome import VariationParams
+from nestevo.ioe import _breed, uniforms
 from nestevo.moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    breed,
     initial_population,
     mating_pool,
     nondominated_rows,
     survivor_select,
-    tournament_select,
 )
 
 from oracles import (
@@ -232,36 +231,40 @@ def places_of(ranked):
     return places
 
 
+def tournament_winners(places, n, tournament_size, rng):
+    """The winning slots of n tournaments on a mating pool with these
+    places: _breed without variation on a pool whose slot i holds the gene
+    i, so that child i is the winner of tournament i."""
+    params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0,
+                             tournament_size=tournament_size)
+    children, _ = _breed(np.arange(len(places))[:, None], np.array(places), n,
+                         np.array([len(places)]), params, rng)
+    return children[:, 0].tolist()
+
+
 class TestTournament:
     def test_single_member(self):
         ranked = rank_population([0], [vec(1, 1)])
-        params = VariationParams(tournament_size=3)
-        assert tournament_select(places_of(ranked), params,
-                                 random.Random(0)) == 0
+        assert tournament_winners(places_of(ranked), 7, 3,
+                                  random.Random(0)) == [0] * 7
 
     def test_rank0_beats_rank1(self):
         pop = [vec(2, 2), vec(1, 1)]
         ranked = rank_population([0, 1], pop)
-        params = VariationParams(tournament_size=2)
         rng = random.Random(0)
-        # Whenever both members are drawn, rank 0 must win.
-        for _ in range(200):
-            winner = tournament_select(places_of(ranked), params, rng)
-            assert winner in (0, 1)
-        # Force the mixed draw outcome directly.
-        class TwoDraws(random.Random):
-            def __init__(self):
-                super().__init__(0)
-                self.queue = [0, 1]
-            def randrange(self, n):
-                return self.queue.pop(0)
-        assert tournament_select(places_of(ranked), params, TwoDraws()) == 0
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        # The block opens with the tournaments' draws, two per tournament:
+        # member 1 wins only when it is drawn twice.
+        draws = uniforms(twin, 200 * 2).reshape(200, 2)
+        winners = tournament_winners(places_of(ranked), 200, 2, rng)
+        assert winners == [min(int(u * 2) for u in d) for d in draws.tolist()]
+        assert {0, 1} <= set(winners)
 
     def test_empirical_win_rates_match_enumeration(self):
         # 4 members, fronts {a}, {c, d}, {b}; c beats d on the id tiebreak.
         pop = [vec(2, 2), vec(1, 1), vec(2, 1), vec(1, 2)]
         ranked = rank_population([0, 1, 2, 3], pop)
-        params = VariationParams(tournament_size=2)
 
         # Enumerate all 16 ordered with-replacement draws with an
         # independent key ordering: 0 best, then 2, then 3, then 1.
@@ -275,9 +278,8 @@ class TestTournament:
         rng = random.Random(123)
         n = 10_000
         counts = {i: 0 for i in range(4)}
-        places = places_of(ranked)
-        for _ in range(n):
-            counts[tournament_select(places, params, rng)] += 1
+        for winner in tournament_winners(places_of(ranked), n, 2, rng):
+            counts[winner] += 1
         for i in range(4):
             p = expected[i]
             sigma = math.sqrt(p * (1 - p) / n)
@@ -296,10 +298,8 @@ def annotated_populations(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(annotated_populations(), st.integers(1, 4), st.integers(1, 9),
-       st.integers(0, 2**32))
-def test_selection_matches_object_oracle(population, tournament_size,
-                                         n_children, seed):
+@given(annotated_populations())
+def test_selection_matches_object_oracle(population):
     ranks, crowding, k = population
     ranked = RankedPopulation(tuple(range(len(ranks))), tuple(ranks.tolist()),
                               tuple(crowding.tolist()))
@@ -311,22 +311,6 @@ def test_selection_matches_object_oracle(population, tournament_size,
     assert pool == list(sub.ids)
     assert sorted(range(k), key=places.__getitem__) == sorted(
         range(k), key=lambda i: (sub.ranks[i], -sub.crowding[i], sub.ids[i]))
-
-    def crossover(a, b, r):
-        cut = r.randrange(10)
-        return f"{a}{b}{cut}", f"{b}{a}{cut}"
-
-    def mutate(c, r):
-        return f"{c}'{r.randrange(10)}"
-
-    members = [chr(ord("A") + i) for i in range(len(ranks))]
-    params = VariationParams(tournament_size=tournament_size)
-    rng, ref = random.Random(seed), random.Random(seed)
-    children = breed([members[i] for i in pool], places, n_children,
-                     crossover, mutate, params, rng)
-    assert children == oracles.breed(sub, members, n_children, crossover,
-                                     mutate, params, ref)
-    assert rng.getstate() == ref.getstate()
 
 
 def one_at_a_time(draw):
@@ -389,41 +373,31 @@ class TestInitialPopulation:
 
 class TestBreed:
     def test_odd_population_draw_sequence(self):
-        members = ["A", "B", "C", "D"]
         # Pool over members 0, 2 and 3 (member 1 ranks last): its slots
-        # index `parents`.
+        # index the pool's rows.
         pool, places = mating_pool(np.array([1, 2, 0, 0]),
                                    np.array([0.0, 5.0, math.inf, 1.0]), 3)
         assert (pool, places) == ([0, 2, 3], [2, 0, 1])
-        parents = [members[i] for i in pool]
-        params = VariationParams(tournament_size=2)
-        mutated = []
-
-        def crossover(a, b, r):
-            cut = r.randrange(10)
-            return f"{a}{b}{cut}", f"{b}{a}{cut}"
-
-        def mutate(c, r):
-            mutated.append(c)
-            return f"{c}'{r.randrange(10)}"
-
+        params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0,
+                                 tournament_size=2)
+        sizes = np.array([4, 3])
+        rows = np.array([[0, 0], [1, 1], [2, 2], [3, 2]])[pool]
         rng = random.Random(17)
-        children = breed(parents, places, 5, crossover, mutate, params, rng)
-
-        ref = random.Random(17)
-        expected = []
-        for last in (False, False, True):
-            pa = parents[tournament_select(places, params, ref)]
-            pb = parents[tournament_select(places, params, ref)]
-            cut = ref.randrange(10)
-            expected.append(f"{pa}{pb}{cut}'{ref.randrange(10)}")
-            if not last:
-                expected.append(f"{pb}{pa}{cut}'{ref.randrange(10)}")
-        assert children == expected
-        assert rng.getstate() == ref.getstate()
-        # The last pair's second child is dropped before mutation.
-        assert len(mutated) == 5
-        assert mutated == [c.rsplit("'", 1)[0] for c in children]
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        children, repairs = _breed(rows, np.array(places), 5, sizes, params, rng)
+        # Three pairs draw six tournaments; the last pair's second child is
+        # dropped.  Each child is its tournament's winner.
+        draws = uniforms(twin, 3 * 2 * 2).reshape(6, 2)
+        winners = [min((int(u * 3) for u in d), key=places.__getitem__)
+                   for d in draws.tolist()]
+        assert children.tolist() == rows[winners[:5]].tolist()
+        assert repairs.shape == (5,)
+        # The block: 6 * 2 tournament draws, 3 * 2 swap draws, 5 * 2
+        # mutation and 5 * 2 value draws, and 5 repair draws.
+        twin.setstate(random.Random(17).getstate())
+        uniforms(twin, 12 + 6 + 10 + 10 + 5)
+        assert rng.getstate() == twin.getstate()
 
 
 class TestRankPopulation:

@@ -199,6 +199,28 @@ class TestResumeRefusals:
         assert "cannot resume: 4 checkpoints for 3 generations" in res.output
         assert not (out / "archive.json").exists()
 
+    def test_checkpoint_of_another_schema_version(self, tmp_path, runner):
+        # A version-1 checkpoint was bred by the outer engine's own
+        # operators: resumed, it would go on in another random stream and
+        # write bytes that no uninterrupted run writes.
+        cfg, out = toy_run(tmp_path, runner)
+        expected = files(out)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_002.json"
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == ar.SCHEMA_VERSION == 2
+        doc["schema_version"] = 1
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert ("cannot resume: " + str(path) + " has schema_version 1, not 2"
+                in res.output)
+        assert "rerun with --force to start over" in res.output
+        assert not (out / "archive.json").exists()
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
+        assert res.exit_code == 0, res.output
+        assert files(out) == expected
+
     def test_checkpoint_without_resume_state(self, tmp_path, runner):
         # A full-archive checkpoint, as written before checkpoints held the
         # state to resume from: its digest line is intact.
