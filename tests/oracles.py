@@ -62,7 +62,6 @@ from nestevo.evaluator import (
 )
 from nestevo.genome import (
     BackboneGenome,
-    BlockGenes,
     DeviceSpec,
     DvfsGenome,
     ExitGenome,
