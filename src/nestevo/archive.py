@@ -1,11 +1,12 @@
 """Archive persistence: a JSON document with config digest, per-generation
 records, and the final solution set; a flat plot-ready CSV of the front;
-and one checkpoint per generation that holds what the generation changed
-and the state to resume from.  All writes are atomic (temp file + rename),
-and the writers stream the row texts of nestevo.rows into the file one by
-one, so no document is ever held whole in memory.  Checkpoints 1..k
-are replayed into the search state after generation k by replay_checkpoints,
-which renders each visit's rows anew from their loaded values.
+and one checkpoint per generation that holds what the generation changed,
+its rows as their front.csv lines, and the state to resume from.  All
+writes are atomic (temp file + rename), and the writers stream the row
+texts of nestevo.rows into the file one by one, so no document is ever held
+whole in memory.  Checkpoints 1..k are replayed into the search state after
+generation k by replay_checkpoints, which reads each row back from its line
+and renders it anew.
 """
 
 from __future__ import annotations
@@ -16,14 +17,19 @@ import os
 import random
 from dataclasses import asdict
 from itertools import chain, islice, pairwise
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .ooe import EvalCounters, GenerationRecord, OoeResult, OoeState
-from .rows import FRONT_CSV_COLUMNS, Row, render_rows, row_values
+from .rows import (COMBINED_DIRECTIONS, FRONT_CSV_COLUMNS, VISIT_FIELDS, Row,
+                   read_lines, render_rows)
 
 # Raised when a checkpoint of the previous version would resume into another
 # run: at 2 the outer engine began to breed through ioe._breed.
 SCHEMA_VERSION = 2
+# The format of a checkpoint, which archive.json does not share: at 3 its
+# rows became front.csv lines and its objectives one list per visit.
+CHECKPOINT_VERSION = 3
 
 
 def atomic_write(path: str, pieces: Iterable[str]) -> None:
@@ -58,92 +64,115 @@ def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
 _FINAL_MARK = "\x00final\x00"
 
 
-def _json_pieces(doc: dict, final: Sequence[str] | None) -> Iterable[str]:
+def _json_pieces(doc: dict, final: Iterable[str] | None) -> Iterable[str]:
     """The text save_json writes, in pieces that never join two rows."""
     if final is None:
         yield json.dumps(doc, indent=2, sort_keys=True)
     else:
         head, tail = json.dumps(dict(doc, final=_FINAL_MARK), indent=2,
                                 sort_keys=True).split(json.dumps(_FINAL_MARK), 1)
-        yield head + ("[\n    " if final else "[")
+        yield head + "["
+        i = -1
         for i, text in enumerate(final):
-            if i:
-                yield ",\n    "
+            yield ",\n    " if i else "\n    "
             yield text
-        yield ("\n  ]" if final else "]") + tail
+        yield ("\n  ]" if i >= 0 else "]") + tail
     yield "\n"
 
 
-def save_json(path: str, doc: dict, final: Sequence[str] | None = None) -> None:
+def save_json(path: str, doc: dict, final: Iterable[str] | None = None) -> None:
     """Write json.dumps(doc, indent=2, sort_keys=True).  With `final`, the
-    archive.json texts of rows (rows.render_rows), those rows are the
-    document's "final" list, written one by one."""
+    JSON texts of the items of the document's "final" list, such as the
+    archive.json texts of rows (rows.render_rows), those items are written
+    one by one, each as it is drawn from `final`."""
     atomic_write(path, _json_pieces(doc, final))
 
 
 def save_checkpoint(path: str, state: OoeState, digest: str) -> None:
     """Write what the state's generation changed: under "final" the rows of
-    the visits that entered the archive, in visit order, with each visit's
-    number and row count under "visits"; the evicted visits; the
+    the visits that entered the archive, in visit order, each as its
+    front.csv line without the line break; under "visits" each such visit's
+    number, row count and combined objectives; the evicted visits; the
     generation's record; and under "resume" the state the next generation
     starts from."""
-    added = [state.visits[v][1] for v in state.added]
+    added = [state.visits[v] for v in state.added]
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": CHECKPOINT_VERSION,
         "config_digest": digest,
         "generation": state.generation,
         "record": asdict(state.snapshots[-1]),
-        "visits": [[v, len(rows)] for v, rows in zip(state.added, added)],
+        "visits": [[v, len(rows), list(objectives)]
+                   for v, (objectives, rows) in zip(state.added, added)],
         "evicted": state.evicted,
         "resume": {"counters": asdict(state.counters),
                    "n_visits": state.n_visits,
                    "population": state.population,
                    "rng_state": state.rng_state},
     }
-    save_json(path, doc, [text for rows in added for _, text, _ in rows])
+    save_json(path, doc, (encode_basestring_ascii(line[:-1])
+                          for _, rows in added for _, _, line in rows))
 
 
-def _visit(visit: int, docs: Sequence[dict]) -> tuple[tuple, tuple[Row, ...]]:
-    """A visit's objectives and its loaded rows, rendered anew."""
-    shared = [(doc["backbone"], doc["static"], doc["objectives"])
-              for doc in docs]
-    if shared.count(shared[0]) != len(shared):
-        raise ValueError(f"the rows of visit {visit} differ in backbone, "
-                         "static score or objectives")
-    objectives = tuple(docs[0]["objectives"])
-    return objectives, tuple(render_rows([row_values(d) for d in docs],
-                                         objectives))
+def _visit(visit: int, lines: Sequence[str], objectives: Sequence
+           ) -> tuple[tuple, tuple[Row, ...]]:
+    """A visit's objectives and its rows, read back from their front.csv
+    lines and rendered anew."""
+    try:
+        values = read_lines(lines)
+    except ValueError as exc:
+        raise ValueError(f"a row of visit {visit} does not read back: {exc}"
+                         ) from exc
+    if any(len({row[i] for row in values}) != 1 for i in VISIT_FIELDS):
+        raise ValueError(f"the rows of visit {visit} differ in backbone "
+                         "or static score")
+    if not isinstance(objectives, list) or len(objectives) != len(
+            COMBINED_DIRECTIONS) or not all(type(v) in (int, float)
+                                            for v in objectives):
+        raise ValueError(f"visit {visit} has objectives {objectives!r}, not "
+                         f"{len(COMBINED_DIRECTIONS)} numbers")
+    objectives = tuple(objectives)
+    rows = tuple(render_rows(values, objectives))
+    for line, (_, _, rendered) in zip(lines, rows):
+        if rendered != line + "\n":
+            raise ValueError(f"a row of visit {visit} does not read back: "
+                             f"{line!r} renders as {rendered[:-1]!r}")
+    return objectives, rows
 
 
 def replay_checkpoints(paths: Sequence[str]) -> OoeState:
     """The search state after generation k, rebuilt from the checkpoints of
-    generations 1..k, given in order.  A checkpoint whose schema_version is
-    not SCHEMA_VERSION, or that holds another generation, no resume state,
-    row counts that do not add up to its rows, visit numbers that are not
-    increasing from the previous checkpoint's visit count up to its own, an
-    evicted visit that is not live, rows of one visit that differ in
-    backbone, static score or objectives, or an RNG state that
-    random.Random refuses raises ValueError."""
+    generations 1..k, given in order.  Each row is read back from its
+    front.csv line by the types of rows._FIELDS and rendered anew with its
+    visit's objectives, and must render to the line it was read from.  A
+    checkpoint whose schema_version is not CHECKPOINT_VERSION, or that
+    holds another generation, no resume state, row counts that do not add
+    up to its rows, visit numbers that are not increasing from the previous
+    checkpoint's visit count up to its own, an evicted visit that is not
+    live, rows of one visit that differ in backbone or static score, a line
+    that does not read back to itself, a visit's objectives that are not
+    one number per combined objective, or an RNG state that random.Random
+    refuses raises ValueError."""
     visits: dict[int, tuple[tuple, tuple[Row, ...]]] = {}
     snapshots = []
     numbered = 0  # visits numbered before the checkpoint's generation
     for gen, path in enumerate(paths, 1):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("schema_version") != SCHEMA_VERSION:
+        if doc.get("schema_version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path} has schema_version "
-                             f"{doc.get('schema_version')}, not {SCHEMA_VERSION}")
+                             f"{doc.get('schema_version')}, "
+                             f"not {CHECKPOINT_VERSION}")
         if doc.get("generation") != gen:
             raise ValueError(f"the checkpoint of generation {gen} is missing: "
                              f"{path} holds generation {doc.get('generation')}")
         if "resume" not in doc:
             raise ValueError(f"{path} holds no resume state")
-        counts = [count for _, count in doc["visits"]]
+        counts = [count for _, count, _ in doc["visits"]]
         if sum(counts) != len(doc["final"]) or not all(
                 isinstance(c, int) and c > 0 for c in counts):
             raise ValueError(f"{path} lists {len(doc['final'])} rows under "
                              f"final and row counts {counts} under visits")
-        numbers = [v for v, _ in doc["visits"]]
+        numbers = [v for v, _, _ in doc["visits"]]
         n_visits = doc["resume"]["n_visits"]
         # numbered - 1 < first < ... < last < n_visits
         bounds = [numbered - 1, *numbers, n_visits]
@@ -155,9 +184,13 @@ def replay_checkpoints(paths: Sequence[str]) -> OoeState:
             if visits.pop(visit, None) is None:
                 raise ValueError(f"{path} evicts visit {visit}, "
                                  "which is not live")
-        rows = iter(doc["final"])
-        for visit, count in doc["visits"]:
-            visits[visit] = _visit(visit, list(islice(rows, count)))
+        lines = iter(doc["final"])
+        for visit, count, objectives in doc["visits"]:
+            try:
+                visits[visit] = _visit(visit, list(islice(lines, count)),
+                                       objectives)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         snapshots.append(GenerationRecord(**doc["record"]))
     resume = doc["resume"]
     version, internal, gauss = resume["rng_state"]

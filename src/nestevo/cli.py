@@ -216,6 +216,17 @@ def load_front_csv(path: str, objectives: list[tuple[str, Direction]],
                  [d for _, d in objectives], reference)
 
 
+def _report(doc: dict, path: str | None) -> None:
+    """Print a report document as save_json writes it, encoding it once:
+    with `path`, the text written there."""
+    if path is None:
+        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    ar.save_json(path, doc)
+    with open(path, encoding="utf-8") as fh:
+        click.echo(fh.read(), nl=False)
+
+
 @main.command()
 @click.argument("front_a", type=click.Path(exists=True))
 @click.argument("front_b", type=click.Path(exists=True))
@@ -260,9 +271,7 @@ def metrics(front_a: str, front_b: str, objectives: tuple[str, ...],
         "rod_a_over_b": report.rod_a_over_b,
         "rod_b_over_a": report.rod_b_over_a,
     }
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    if report_path:
-        ar.save_json(report_path, doc)
+    _report(doc, report_path)
 
 
 @main.command("ablate-dissim")
@@ -315,9 +324,7 @@ def ablate_dissim(config_path: str, seed: int | None, out: str | None,
             for (ga, gb), value in sorted(report.rod.items())
         ],
     }
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    path = os.path.join(cfg.output_dir, "ablation.json")
-    ar.save_json(path, doc)
+    _report(doc, os.path.join(cfg.output_dir, "ablation.json"))
 
 
 if __name__ == "__main__":

@@ -61,6 +61,12 @@ class DeviceSpec:
                 or "\r" in self.name or "\n" in self.name):
             raise ValueError(f"device name {self.name!r} must be a non-empty "
                              "string without line breaks")
+        # front.csv is UTF-8, which has no spelling for a lone surrogate.
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"device name {self.name!r} is not valid "
+                             "Unicode: UTF-8 cannot encode it") from None
         require_counts(self, "default_compute_idx")
         if self.default_emc_idx is not None:
             require_counts(self, "default_emc_idx")

@@ -3,7 +3,8 @@
 A row is one solution of a backbone visit (one backbone forwarded in one
 generation): its fields in _FIELDS order, and the visit's combined
 objectives.  render_rows makes each row's archive.json text and front.csv
-line, once; the writers in nestevo.archive only join them.  No command
+line, once; the writers in nestevo.archive only join them, and a checkpoint
+stores only the lines, which read_lines reads back into fields.  No command
 builds a solution object, so _FIELDS and render_rows are the one schema of
 an archived solution (the tests read rows back into objects in
 tests/oracles.py).
@@ -11,6 +12,7 @@ tests/oracles.py).
 
 from __future__ import annotations
 
+import csv
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -24,26 +26,32 @@ COMBINED_DIRECTIONS = STATIC_DIRECTIONS + (Direction.MAXIMIZE,)
 
 Row = tuple[tuple, str, str]  # key, archive.json text, front.csv line
 
+
+def _int_or_none(text: str) -> int | None:
+    return None if text == "" else int(text)
+
+
 # The solution schema, one entry per field in front.csv column order: the
-# CSV column, and the field's section of an archive.json row (None: the
-# row's top level) and its name there.  The CSV writer turns None into an
-# empty cell and floats into their repr.
+# CSV column, the field's section of an archive.json row (None: the row's
+# top level) and its name there, and the type that reads the field back
+# from its CSV cell.  The CSV writer turns None into an empty cell and
+# floats into their repr.
 _FIELDS = (
-    ("resolution_idx", "backbone", "resolution_idx"),
-    ("blocks", "backbone", "blocks"),
-    ("exit_bits", None, "exit_bits"),
-    ("device", "dvfs", "device"),
-    ("compute_idx", "dvfs", "compute_idx"),
-    ("emc_idx", "dvfs", "emc_idx"),
-    ("acc", "static", "acc"),
-    ("latency_ms", "static", "latency_ms"),
-    ("energy_mj", "static", "energy_mj"),
-    ("mean_correct", "dynamic", "mean_correct"),
-    ("energy_ratio", "dynamic", "mean_energy_ratio"),
-    ("latency_ratio", "dynamic", "mean_latency_ratio"),
-    ("mean_dissimilarity", "dynamic", "mean_dissimilarity"),
-    ("n_exits", "dynamic", "n_exits"),
-    ("mean_exit_score", "dynamic", "mean_exit_score"),
+    ("resolution_idx", "backbone", "resolution_idx", int),
+    ("blocks", "backbone", "blocks", str),
+    ("exit_bits", None, "exit_bits", str),
+    ("device", "dvfs", "device", str),
+    ("compute_idx", "dvfs", "compute_idx", int),
+    ("emc_idx", "dvfs", "emc_idx", _int_or_none),
+    ("acc", "static", "acc", float),
+    ("latency_ms", "static", "latency_ms", float),
+    ("energy_mj", "static", "energy_mj", float),
+    ("mean_correct", "dynamic", "mean_correct", float),
+    ("energy_ratio", "dynamic", "mean_energy_ratio", float),
+    ("latency_ratio", "dynamic", "mean_latency_ratio", float),
+    ("mean_dissimilarity", "dynamic", "mean_dissimilarity", float),
+    ("n_exits", "dynamic", "n_exits", int),
+    ("mean_exit_score", "dynamic", "mean_exit_score", float),
 )
 
 FRONT_CSV_COLUMNS = tuple(f[0] for f in _FIELDS)
@@ -70,10 +78,40 @@ def visit_values(backbone: BackboneGenome, static: StaticScore,
     return [head + s[:4] + scores + s[5:] + s[4:5] for s in solutions]
 
 
-def row_values(doc: dict) -> tuple:
-    """A loaded archive.json row's fields in _FIELDS order."""
-    return tuple((doc if section is None else doc[section])[name]
-                 for _, section, name in _FIELDS)
+# The fields that every row of one visit shares: its backbone and its
+# static score.
+VISIT_FIELDS = tuple(i for i, f in enumerate(_FIELDS)
+                     if f[1] in ("backbone", "static"))
+
+
+def read_lines(lines: Sequence[str]) -> list[tuple]:
+    """The fields, in _FIELDS order, of front.csv lines given without their
+    line break, each cell read by its field's type.  A column that holds
+    one text on every line is read once, so its rows share one value, as
+    the rows of a visit share their backbone and static score.  A line
+    without one cell per field, or a cell that its type refuses, raises
+    ValueError."""
+    cells = []
+    for line in lines:
+        try:
+            row = next(csv.reader([line]), [])
+        except csv.Error as exc:
+            raise ValueError(f"line {line!r} is not CSV: {exc}") from exc
+        if len(row) != len(_FIELDS):
+            raise ValueError(f"line {line!r} holds {len(row)} cells, "
+                             f"not {len(_FIELDS)}")
+        cells.append(row)
+    columns = []
+    for (column, _, _, read), texts in zip(_FIELDS, zip(*cells)):
+        try:
+            if texts.count(texts[0]) == len(texts):
+                columns.append([read(texts[0])] * len(texts))
+            else:
+                columns.append(list(map(read, texts)))
+        except ValueError as exc:
+            raise ValueError(f"a {column} cell does not read back: {exc}"
+                             ) from exc
+    return list(zip(*columns))
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -132,7 +170,7 @@ def _compile_row() -> tuple[str, tuple[int, ...]]:
     # Per key of a row: None for the objectives, a field's place for a
     # top-level field, a section's (name, place) pairs.
     slots: dict[str, int | list | None] = {"objectives": None}
-    for i, (_, section, name) in enumerate(_FIELDS):
+    for i, (_, section, name, _) in enumerate(_FIELDS):
         if section is None:
             slots[name] = i
         else:

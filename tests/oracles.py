@@ -93,7 +93,6 @@ from nestevo.rows import (
     _blocks_from_str,
     _blocks_str,
     render_rows,
-    row_values,
 )
 
 
@@ -468,7 +467,7 @@ def solution_values(sol) -> tuple:
 def solution_to_dict(sol, vector: ObjectiveVector) -> dict:
     """One archive.json row as a dict."""
     doc: dict = {"objectives": list(vector.values)}
-    for (_, section, name), value in zip(_FIELDS, solution_values(sol)):
+    for (_, section, name, _), value in zip(_FIELDS, solution_values(sol)):
         (doc if section is None else doc.setdefault(section, {}))[name] = value
     return doc
 
@@ -481,15 +480,25 @@ def archive_text(doc: dict, entries) -> str:
     return json.dumps(full, indent=2, sort_keys=True) + "\n"
 
 
+def front_lines(solutions) -> list[str]:
+    """The front.csv lines of `solutions`, in their order, one dict per row
+    through csv.DictWriter."""
+    lines = []
+    for sol in solutions:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=FRONT_CSV_COLUMNS,
+                                lineterminator="\n")
+        writer.writerow(dict(zip(FRONT_CSV_COLUMNS, solution_values(sol))))
+        lines.append(buf.getvalue())
+    return lines
+
+
 def front_csv_text(entries) -> str:
-    """The text of front.csv for `entries`, one dict per row through
-    csv.DictWriter."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=FRONT_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for e in sorted(entries, key=lambda e: e.key):
-        writer.writerow(dict(zip(FRONT_CSV_COLUMNS, solution_values(e.payload))))
-    return buf.getvalue()
+    """The text of front.csv for `entries`: the header and the entries'
+    lines (front_lines) sorted by key."""
+    ordered = sorted(entries, key=lambda e: e.key)
+    return "".join([",".join(FRONT_CSV_COLUMNS) + "\n",
+                    *front_lines(e.payload for e in ordered)])
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +598,10 @@ def state_rows(state: OoeState) -> Iterator[Row]:
     return (row for _, rows in state.visits.values() for row in rows)
 
 
-def _emc_idx(text: str) -> int | None:
-    return None if text == "" else int(text)
-
-
-# The parser of each front.csv column's text, in _FIELDS order.
-_CSV_PARSERS = (int, str, str, str, int, _emc_idx, float, float, float,
-                float, float, float, float, int, float)
+def row_values(doc: dict) -> tuple:
+    """A loaded archive.json row's fields in _FIELDS order."""
+    return tuple((doc if section is None else doc[section])[name]
+                 for _, section, name, _ in _FIELDS)
 
 
 def solution_from_dict(doc: dict) -> tuple[FinalSolution, ObjectiveVector]:
@@ -624,8 +630,7 @@ def load_json(path: str) -> dict:
 def front_solution_from_row(row: dict) -> FinalSolution:
     """One front.csv row (a csv.DictReader dict) as a solution."""
     return solution_from_values(
-        [parse(row[column]) for (column, _, _), parse
-         in zip(_FIELDS, _CSV_PARSERS, strict=True)])
+        [read(row[column]) for column, _, _, read in _FIELDS])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Archive rows rendered from their values (rows.render_rows) and joined
-into archive.json, checkpoints and front.csv, against the oracles in
-tests/oracles.py (one json.dumps of the whole document, one csv.DictWriter
-row per solution): the bytes must be the same.  The search itself builds no
-solution object per row."""
+into archive.json and front.csv, against the oracles in tests/oracles.py
+(one json.dumps of the whole document, one csv.DictWriter row per
+solution): the bytes must be the same.  A row's front.csv line, as a
+checkpoint keeps it, reads back (rows.read_lines) to the same row.  The
+search itself builds no solution object per row."""
 
 import json
 import math
@@ -27,7 +28,7 @@ from nestevo.genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
 from nestevo.ioe import DynamicScore
 from nestevo.moea import ArchiveEntry, ObjectiveVector
 from nestevo.ooe import COMBINED_DIRECTIONS
-from nestevo.rows import render_rows
+from nestevo.rows import read_lines, render_rows
 
 import test_identity
 from oracles import (
@@ -254,10 +255,11 @@ score_float = st.one_of(finite_float, st.sampled_from(
 positive_float = st.one_of(
     st.sampled_from([5e-324, 1e16, 1e-7, 0.1 + 0.2, math.inf, math.nan]),
     st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False))
-# Quotes, separators, escapes, control and non-ASCII characters.
+# Quotes, separators, escapes, control and non-ASCII characters; no lone
+# surrogate, which DeviceSpec refuses since UTF-8 cannot encode it.
 device_name = st.text(st.one_of(
     st.sampled_from('"\',\\%{}\n\r\t\x00\x1f\x7f \u00e9\u2248\U0001d11e'),
-    st.characters()), max_size=6)
+    st.characters(exclude_categories=("Cs",))), max_size=6)
 small_int = st.integers(0, 20)
 
 backbones = st.builds(
@@ -334,3 +336,21 @@ def test_rows_and_front_match_oracles(generations):
             ar.write_front_csv(str(front), [line for _, _, line in rows])
             assert front.read_bytes() == \
                 front_csv_text(entries).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(checkpoint_sequences())
+def test_lines_read_back_to_their_rows(generations):
+    # A checkpoint keeps each row as its front.csv line; read back, the line
+    # renders to the row it came from, JSON text and key included.  An
+    # unquoted \r, which DeviceSpec refuses, is the one cell the CSV reader
+    # cannot read back.
+    for entries in generations:
+        for e in entries:
+            rows = rendered([e])
+            try:
+                values = read_lines([rows[0][2][:-1]])
+            except ValueError as exc:
+                assert "\r" in e.payload.dvfs.device, exc
+                continue
+            assert render_rows(values, e.vector.values) == rows

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -91,7 +92,8 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
-    @pytest.mark.parametrize("name", ["toy\rdev", "toy\ndev", "", 5])
+    @pytest.mark.parametrize("name", ["toy\rdev", "toy\ndev", "", 5,
+                                      "toy\ud800"])
     def test_bad_device_name_rejected(self, tmp_path, name):
         device = {"name": name, "compute_freq_ghz": [0.5, 1.0],
                   "default_compute_idx": 1}
@@ -187,6 +189,21 @@ class TestConfigLoading:
         assert ("Error: invalid config: noise_scale must be a finite number"
                 in res.output)
         assert not (tmp_path / "out" / "archive.json").exists()
+
+    def test_lone_surrogate_device_name_refused_before_search(self, tmp_path,
+                                                              runner):
+        # front.csv is UTF-8, which cannot encode the name: the search used
+        # to run every generation and then fail while writing it.
+        toy = Path(__file__).resolve().parent.parent / "configs" / "toy.yaml"
+        path = tmp_path / "toy.yaml"
+        path.write_text(toy.read_text(encoding="utf-8").replace(
+            "toy-dev", '"toy\\ud800"').replace(
+            "runs/toy", str(tmp_path / "out")), encoding="utf-8")
+        res = runner.invoke(main, ["search", "--config", str(path)])
+        assert res.exit_code == 1
+        assert ("Error: invalid config: device name 'toy\\ud800' is not "
+                "valid Unicode" in res.output)
+        assert not (tmp_path / "out").exists()
 
     # A domain value that is not a positive integer used to fail mid-search
     # (a zero depth divides by zero, a fractional one indexes a list, a
@@ -627,6 +644,8 @@ class TestMetricsCommand:
             "--out", str(out / "report.json"),
         ])
         assert res.exit_code == 0, res.output
+        # What is printed is the text written to the file.
+        assert res.output == (out / "report.json").read_text(encoding="utf-8")
         report = json.loads((out / "report.json").read_text())
         assert report["rod_a_over_b"] == 0.0
         assert report["rod_b_over_a"] == 0.0
@@ -655,6 +674,7 @@ class TestMetricsCommand:
         res = runner.invoke(main, ["metrics", path, path, "--reference", "0,1"])
         assert res.exit_code == 0, res.output
         report = json.loads(res.output)
+        assert res.output == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert report["hv_a"] == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("cell, reference, value", [
@@ -739,7 +759,10 @@ class TestAblateCommand:
         res = runner.invoke(main, ["ablate-dissim", "--config", str(cfg),
                                    "--gammas", "0,1"])
         assert res.exit_code == 0, res.output
-        doc = json.loads((tmp_path / "out" / "ablation.json").read_text())
+        # What is printed is the text written to the file.
+        text = (tmp_path / "out" / "ablation.json").read_text(encoding="utf-8")
+        assert res.output == text
+        doc = json.loads(text)
         assert [arm["gamma"] for arm in doc["arms"]] == [0.0, 1.0]
         assert len(doc["rod"]) == 2  # both directions of the single pair
         for arm in doc["arms"]:

@@ -3,7 +3,9 @@ generation, or killed, and run again writes the bytes of an uninterrupted
 run, replaying checkpoints 1..k rebuilds generation k's archive row for row,
 and a rerun refuses checkpoints it cannot continue from."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import signal
@@ -24,8 +26,8 @@ from nestevo.cli import main, run_search
 from nestevo.config import load_config, parse_config
 
 import test_identity
-from oracles import archive_text, read_entries, solution_to_dict, state_rows
-from test_cli import write_toy_config
+from oracles import archive_text, front_lines, read_entries, state_rows
+from test_cli import TOY_DOC, write_toy_config
 
 
 class Abort(Exception):
@@ -105,9 +107,44 @@ def test_resume_after_any_generation_is_exact(name, cpus, tmp_path,
         assert files(out) == expected, k
 
 
+def test_device_name_that_csv_quotes_resumes_exactly(tmp_path):
+    # The name's cell is CSV-quoted inside a JSON-escaped checkpoint line.
+    name = 'toy,"dev" \u00e9'
+    device = dict(TOY_DOC["space"]["devices"][0], name=name)
+    config = write_toy_config(tmp_path, device=name,
+                              ooe={"generations": 3, "budget": 24},
+                              space={"devices": [device]})
+    cfg = load_config(str(config), out_override=str(tmp_path / "full"))
+    run_search(cfg)
+    expected = files(tmp_path / "full")
+    cell = '"toy,""dev"" \u00e9"'
+    assert cell in (tmp_path / "full" / "front.csv").read_text("utf-8")
+    assert json.dumps(cell)[1:-1] in \
+        (tmp_path / "full" / "checkpoint_gen_001.json").read_text("utf-8")
+    for k in range(1, cfg.ooe.generations + 1):
+        out = tmp_path / f"aborted_{k}"
+        cfg = load_config(str(config), out_override=str(out))
+        run_aborted(cfg, k)
+        run_search(cfg)
+        assert files(out) == expected, k
+
+
+def test_checkpoints_hold_at_most_half_the_archive_bytes(tmp_path):
+    # Each new row is stored once, as its front.csv line, beside one list of
+    # objectives per visit; the archive.json row it renders to is larger.
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
+                       out_override=str(tmp_path))
+    run_search(cfg)
+    checkpoints = sum(p.stat().st_size
+                      for p in tmp_path.glob("checkpoint_gen_*.json"))
+    assert checkpoints <= (tmp_path / "archive.json").stat().st_size / 2
+
+
 def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     # The oracle is the full-archive "final" list the checkpoints held before
-    # they became deltas: one json.dumps of the live run's entries.
+    # they became deltas: one json.dumps of the live run's entries.  Each
+    # checkpoint is checked against its own oracle document: the added
+    # visits' rows as csv.DictWriter lines and their objectives per visit.
     cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
                        out_override=str(tmp_path))
     states = []
@@ -134,11 +171,14 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     assert len(states) == len(paths)
     for k, (state, archive) in enumerate(states, 1):
         # Each checkpoint is one json.dumps of its document, whose rows are
-        # those of the visits the generation added.
+        # the front.csv lines of the visits the generation added.
         text = Path(paths[k - 1]).read_text(encoding="utf-8")
+        added = [state.visits[v] for v in state.added]
         doc = dict(json.loads(text), final=[
-            solution_to_dict(e.payload, e.vector)
-            for v in state.added for e in read_entries(state.visits[v][1])])
+            line[:-1] for _, rows in added for line in front_lines(
+                e.payload for e in read_entries(rows))],
+            visits=[[v, len(rows), list(objectives)]
+                    for v, (objectives, rows) in zip(state.added, added)])
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         replayed = ar.replay_checkpoints(paths[:k])
         assert archive_text({}, read_entries(state_rows(replayed))) == archive
@@ -203,17 +243,28 @@ class TestResumeRefusals:
         # A version-1 checkpoint was bred by the outer engine's own
         # operators: resumed, it would go on in another random stream and
         # write bytes that no uninterrupted run writes.
+        self.refuse_version(tmp_path, runner, 1)
+
+    def test_checkpoint_of_the_archive_schema_version(self, tmp_path, runner):
+        # A version-2 checkpoint holds archive.json rows, which the replay
+        # does not read.
+        self.refuse_version(tmp_path, runner, 2)
+
+    @staticmethod
+    def refuse_version(tmp_path, runner, version: int) -> None:
         cfg, out = toy_run(tmp_path, runner)
         expected = files(out)
+        assert json.loads((out / "archive.json").read_text())[
+            "schema_version"] == ar.SCHEMA_VERSION == 2
         (out / "archive.json").unlink()
         path = out / "checkpoint_gen_002.json"
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == ar.SCHEMA_VERSION == 2
-        doc["schema_version"] = 1
+        assert doc["schema_version"] == ar.CHECKPOINT_VERSION == 3
+        doc["schema_version"] = version
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 1
-        assert ("cannot resume: " + str(path) + " has schema_version 1, not 2"
+        assert (f"cannot resume: {path} has schema_version {version}, not 3"
                 in res.output)
         assert "rerun with --force to start over" in res.output
         assert not (out / "archive.json").exists()
@@ -271,22 +322,76 @@ class TestResumeRefusals:
         assert res.exit_code == 0, res.output
         assert files(out) == expected
 
-    def test_rows_of_one_visit_that_differ(self, tmp_path, runner):
-        cfg, out = toy_run(tmp_path, runner)
-        (out / "archive.json").unlink()
-        path = out / "checkpoint_gen_001.json"
+    @staticmethod
+    def edit_cell(path: Path, column: str, edit) -> int:
+        """Replace one cell of the second row of the checkpoint's first
+        visit that holds more than one row by edit(cell); the visit's
+        number."""
         doc = json.loads(path.read_text())
         first = 0
-        for visit, count in doc["visits"]:
+        for visit, count, _ in doc["visits"]:
             if count > 1:
                 break
             first += count
         assert count > 1
-        doc["final"][first + 1]["static"]["acc"] += 0.5
+        cells = next(csv.reader([doc["final"][first + 1]]))
+        at = ar.FRONT_CSV_COLUMNS.index(column)
+        cells[at:at + 1] = edit(cells[at])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(cells)
+        doc["final"][first + 1] = buf.getvalue()
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return visit
+
+    def test_rows_of_one_visit_that_differ(self, tmp_path, runner):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        visit = self.edit_cell(out / "checkpoint_gen_001.json", "acc",
+                               lambda cell: [repr(float(cell) + 0.5)])
         res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 1
         assert f"the rows of visit {visit} differ" in res.output
+        assert not (out / "archive.json").exists()
+
+    # A value that does not spell itself as it did in the live run would
+    # resume into other bytes: the line it is read from is refused.
+    @pytest.mark.parametrize("column, edit, why", [
+        ("mean_correct", lambda cell: ["0.50"], "renders as"),
+        ("emc_idx", lambda cell: ["1.0"], "emc_idx cell does not read back"),
+        ("n_exits", lambda cell: [], "holds 14 cells, not 15"),
+    ])
+    def test_line_that_does_not_read_back(self, tmp_path, runner, column,
+                                          edit, why):
+        cfg, out = toy_run(tmp_path, runner)
+        expected = files(out)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        visit = self.edit_cell(path, column, edit)
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert (f"cannot resume: {path}: a row of visit {visit} does not "
+                "read back: " in res.output)
+        assert why in res.output
+        assert "rerun with --force to start over" in res.output
+        assert not (out / "archive.json").exists()
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
+        assert res.exit_code == 0, res.output
+        assert files(out) == expected
+
+    @pytest.mark.parametrize("objectives", [[0.5, 1.0, 2.0], "abcd",
+                                            [0.5, 1.0, 2.0, True]])
+    def test_objectives_that_are_not_numbers(self, tmp_path, runner,
+                                             objectives):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        doc["visits"][0][2] = objectives
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert (f"cannot resume: {path}: visit {doc['visits'][0][0]} has "
+                f"objectives {objectives!r}, not 4 numbers") in res.output
         assert not (out / "archive.json").exists()
 
     def test_visit_count_below_its_visits(self, tmp_path, runner):
