@@ -1,10 +1,13 @@
-"""The quality yardstick (tests/yardstick.py) on its smallest backbone: the
-inner engine's recall of the exhaustive inner front is pinned per seed, the
-way test_identity pins bytes.  A change that alters the inner search on
-purpose re-pins these counts once and reports the full yardstick table.
+"""The quality yardstick (tests/yardstick.py) on two backbones: the inner
+engine's recall of the exhaustive inner front is pinned per seed, the way
+test_identity pins bytes.  A change that alters the inner search on purpose
+re-pins these counts once and reports the full yardstick table.
 
-The counts were recorded when the inner engine began to sample and breed
-each generation from one block of uniforms (ioe._breed).
+The L = 4 counts were recorded when the inner engine began to sample and
+breed each generation from one block of uniforms (ioe._breed).  The L = 10
+backbone, whose recall sits near 0.4 where L = 4's sits near 0.9, was
+pinned later on the same stream: a change in survival or variation shows
+there first.
 """
 
 import pytest
@@ -12,10 +15,19 @@ import pytest
 import yardstick
 
 BACKBONE = yardstick.BACKBONES[0]   # 4 exit positions, 1,890 candidates
+LONG_BACKBONE = 190                 # 10 exit positions, 128,898 candidates
 
-# Of the 226 candidates on the exhaustive front, the ones the inner archive
-# holds, per inner seed.
+# Of the candidates on each exhaustive front (226 and 724), the ones the
+# inner search returns, per inner seed.
 PINNED_FOUND = {0: 205, 1: 202, 2: 189, 3: 196, 4: 200}
+PINNED_LONG_FOUND = {0: 304, 1: 271, 2: 284, 3: 303, 4: 292}
+
+
+def check_recall(backbone, seed, found):
+    front = yardstick.truth(backbone)[0]
+    recall, hv3_share, hv2_share = yardstick.measure(backbone, seed)
+    assert round(recall * len(front)) == found
+    assert 0 < hv3_share <= 1 + 1e-12 and 0 < hv2_share <= 1 + 1e-12
 
 
 def test_exhaustive_front_size():
@@ -26,7 +38,15 @@ def test_exhaustive_front_size():
 
 @pytest.mark.parametrize("seed", sorted(PINNED_FOUND))
 def test_recall_per_seed(seed):
-    front = yardstick.truth(BACKBONE)[0]
-    recall, hv3_share, hv2_share = yardstick.measure(BACKBONE, seed)
-    assert round(recall * len(front)) == PINNED_FOUND[seed]
-    assert 0 < hv3_share <= 1 + 1e-12 and 0 < hv2_share <= 1 + 1e-12
+    check_recall(BACKBONE, seed, PINNED_FOUND[seed])
+
+
+def test_long_exhaustive_front_size():
+    front, hv3, hv2 = yardstick.truth(LONG_BACKBONE)
+    assert len(front) == 724
+    assert hv3 > 0 and hv2 > 0
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LONG_FOUND))
+def test_long_recall_per_seed(seed):
+    check_recall(LONG_BACKBONE, seed, PINNED_LONG_FOUND[seed])
