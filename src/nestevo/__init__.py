@@ -35,10 +35,8 @@ from .moea import (
     Direction,
     ObjectiveVector,
     ParetoArchive,
-    mating_pool,
     nondominated_rows,
-    rank_rows,
-    survivor_select,
+    select,
 )
 from .ooe import OoeConfig, combined_rank, run_ooe, static_rank_and_prune
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -24,9 +25,10 @@ from .ablation import run_ablation
 from .config import ConfigError, RunConfig, config_digest, load_config
 from .evaluator import SyntheticHardwareModel, TableHardwareModel
 from .exhaustive import enumerate_truth, space_cardinality
+from .genome import backbone_of_key, backbone_sizes, validate_backbone
 from .metrics import Front, compare_fronts
 from .moea import Direction
-from .ooe import run_ooe
+from .ooe import OoeState, run_ooe
 
 
 def build_backend(cfg: RunConfig):
@@ -79,6 +81,30 @@ def _require_digest(path: str, digest: str) -> None:
         )
 
 
+def _check_resume(state: OoeState, cfg: RunConfig) -> None:
+    """Raise ValueError unless a replayed state can go on as a run of `cfg`:
+    its population holds as many backbones as a generation breeds (none
+    after the last), each the key of a valid backbone of the space, and its
+    counters are those of its generation's record."""
+    size = cfg.ooe.population if state.generation < cfg.ooe.generations else 0
+    if len(state.population) != size:
+        raise ValueError(f"the resume state holds {len(state.population)} "
+                         f"backbones, not {size}")
+    genes = len(backbone_sizes(cfg.space))
+    for key in state.population:
+        try:
+            if len(key) != genes or not all(type(g) is int for g in key):
+                raise ValueError(f"not {genes} integer genes")
+            validate_backbone(backbone_of_key(key), cfg.space)
+        except ValueError as exc:
+            raise ValueError(f"backbone {list(key)}: {exc}") from exc
+    counters = asdict(state.counters)
+    record = asdict(state.snapshots[-1])
+    if any(record[name] != count for name, count in counters.items()):
+        raise ValueError(f"the resume counters {counters} differ from "
+                         f"generation {state.generation}'s record {record}")
+
+
 def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     """Execute the search and write archive.json / front.csv plus one
     checkpoint per completed generation.  Returns the two output paths.
@@ -108,6 +134,7 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
                                  f"{cfg.ooe.generations} generations")
             if checkpoints:
                 start = ar.replay_checkpoints(checkpoints)
+                _check_resume(start, cfg)
         except (ValueError, KeyError, TypeError) as exc:
             raise click.ClickException(
                 f"cannot resume: {exc}; rerun with --force to start over"

@@ -48,10 +48,9 @@ from .genome import (
 from .moea import (
     Direction,
     initial_population,
-    mating_pool,
     nondominated_rows,
-    rank_rows,
     require_finite,
+    select,
 )
 
 # Column directions of the inner objectives, per objective mode.
@@ -123,17 +122,18 @@ def uniforms(rng: random.Random, n: int) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _breed(parents: np.ndarray, places: np.ndarray, population: int,
+def _breed(genes: np.ndarray, best: np.ndarray, population: int,
            sizes: np.ndarray, params: VariationParams,
            rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """`population` children of a mating pool, one genome per row of
-    `parents` with its place (mating_pool) in `places`, as a matrix, and a
+    """`population` children of a generation, one genome per row of `genes`,
+    whose best rows are `best`, best first (moea.select), as a matrix, and a
     repair uniform per child: both engines breed here, the inner one
     candidates and the outer one backbone keys.
 
-    Children come in pairs, the last pair's second child dropped when
-    `population` is odd.  One block of uniforms serves the generation, cut
-    at fixed offsets into:
+    The mating pool holds the best rows in row order, each with its place
+    in `best` (0 is the best).  Children come in pairs, the last pair's
+    second child dropped when `population` is odd.  One block of uniforms
+    serves the generation, cut at fixed offsets into:
     - per parent, `tournament_size` pool slots floor(u * pool size); the
       drawn slot with the lowest place wins, the first of a pair's two
       tournaments picking parent a;
@@ -143,6 +143,7 @@ def _breed(parents: np.ndarray, places: np.ndarray, population: int,
     - per child, a uniform handed back for the caller's repair (the inner
       engine's _repaired).
     `sizes` holds each gene's domain size (gene_sizes, backbone_sizes)."""
+    parents, places = genes[np.sort(best)], np.argsort(best)
     pairs = -(-population // 2)
     n_genes = len(sizes)
     t = params.tournament_size
@@ -387,21 +388,18 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         lambda: enumerate_candidates(n_bits, device),
         lambda r, n: list(map(tuple, _sample(n, n_bits, ev.sizes, r).tolist())),
         lambda c: c, rng))
+    keep = max(1, math.ceil(config.keep_fraction * config.population))
     for gen in range(config.generations):
         if gen > 0:
-            children, repairs = _breed(parents, places, config.population,
+            children, repairs = _breed(population, best, config.population,
                                        ev.sizes, variation, rng)
             population = _repaired(children, n_bits, repairs)
         scores = ev.evaluate_batch(population)
         values, directions = ioe_objective_matrix(
             scores, config.objective_mode, config.gamma)
-        ranks, crowding = rank_rows(values, directions)
-        front = ranks == 0
+        best, front = select(values, directions, keep)
         fronts.append((population[front], values[front], scores.means[front],
                        scores.n_exits[front]))
-        keep = max(1, math.ceil(config.keep_fraction * len(population)))
-        pool, pool_places = mating_pool(ranks, crowding, keep)
-        parents, places = population[pool], np.array(pool_places)
     genes, values, means, n_exits = map(np.concatenate, zip(*fronts))
     first: dict[bytes, int] = {}
     for i in np.flatnonzero(nondominated_rows(values, directions)).tolist():

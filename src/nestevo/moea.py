@@ -1,10 +1,11 @@
 """Generic NSGA-II machinery over raw objective matrices whose columns carry
 per-coordinate directions.
 
-Pareto dominance, the sort-first front filter, non-dominated sorting,
-crowding distance, survivor selection and the mating pool, the initial
-sampler both engines call, and the outer engine's elitist archive.  Both
-engines breed through nestevo.ioe._breed.
+Pareto dominance, the sort-first front filter, selection (select: the
+non-dominated sorting and crowding distance of NSGA-II, giving the rank-0
+rows and the k best rows that pruning and both engines' breeding take), the
+initial sampler both engines call, and the outer engine's elitist archive.
+Both engines breed through nestevo.ioe._breed.
 Everything here is pure and deterministic: the same inputs (and RNG stream)
 always produce the same outputs, so search runs are reproducible bit for
 bit.
@@ -77,21 +78,18 @@ def _normalize(values: np.ndarray, directions: Sequence[Direction]) -> np.ndarra
     return np.where(maximize, values, -values)
 
 
-def _front_ranks(mat: np.ndarray) -> np.ndarray:
-    """Non-domination rank of each row of a normalized matrix: rank 0 is the
-    non-dominated set, each later rank the non-dominated set of the
-    remainder (Deb's domination-count peeling, one front per step)."""
+def _front_ranks(mat: np.ndarray, k: int) -> np.ndarray:
+    """Non-domination rank of the rows of a normalized matrix, peeled until
+    at least k rows have one: rank 0 is the non-dominated set, each later
+    rank the non-dominated set of the remainder (Deb's domination-count
+    peeling, one front per step).  Rows left unpeeled get -1."""
     dom = _dominance(mat, mat)
     remaining = dom.sum(axis=0)
     ranks = np.full(len(mat), -1)
-    unassigned = np.ones(len(mat), dtype=bool)
-    rank = 0
-    while unassigned.any():
-        current = unassigned & (remaining == 0)
-        ranks[current] = rank
-        unassigned &= ~current
+    while (ranks >= 0).sum() < k:
+        current = (ranks < 0) & (remaining == 0)
+        ranks[current] = ranks.max() + 1
         remaining = remaining - dom[current].sum(axis=0)
-        rank += 1
     return ranks
 
 
@@ -127,14 +125,21 @@ def _crowding_by_front(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return dist
 
 
-def rank_rows(values: np.ndarray,
-              directions: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
-    """(non-domination rank, crowding distance) of each row of a raw
-    objective matrix whose columns carry `directions`."""
-    if len(values) == 0:
-        raise ValueError("population is empty")
-    ranks = _front_ranks(_normalize(values, directions))
-    return ranks, _crowding_by_front(values, ranks)
+def select(values: np.ndarray, directions: Sequence[Direction],
+           k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(best, front) of a raw objective matrix whose columns carry
+    `directions`: `best` holds the k best rows, best first, as whole fronts
+    in rank order, the last one split by descending crowding distance and
+    residual ties going to the lower row; `front` is the rank-0 mask.
+
+    Only the fronts that hold the k rows are peeled and crowded: a row's
+    crowding depends on its own front alone."""
+    if not 1 <= k <= len(values):
+        raise ValueError(f"cannot select {k} from population of {len(values)}")
+    ranks = _front_ranks(_normalize(values, directions), k)
+    peeled = np.flatnonzero(ranks >= 0)
+    crowding = _crowding_by_front(values[peeled], ranks[peeled])
+    return peeled[np.lexsort((-crowding, ranks[peeled]))[:k]], ranks == 0
 
 
 # Bound on the elements of one boolean comparison block in `_dominated_by`.
@@ -181,25 +186,6 @@ def nondominated_rows(values: np.ndarray,
         keep[block] = alive
         kept = np.concatenate([kept, rows[alive]])
     return keep
-
-
-def survivor_select(ranks: np.ndarray, crowding: np.ndarray, k: int) -> list[int]:
-    """The `k` best rows, best first: whole fronts in rank order, the last
-    one split by descending crowding distance; residual ties go to the lower
-    row index."""
-    if k > len(ranks):
-        raise ValueError(f"cannot select {k} from population of {len(ranks)}")
-    return np.lexsort((-crowding, ranks))[:k].tolist()
-
-
-def mating_pool(ranks: np.ndarray, crowding: np.ndarray,
-                k: int) -> tuple[list[int], list[int]]:
-    """The rows survivor_select keeps, in row order, and each one's place
-    among them (0 is the best)."""
-    best = survivor_select(ranks, crowding, k)
-    pool = sorted(best)
-    place = {row: i for i, row in enumerate(best)}
-    return pool, [place[row] for row in pool]
 
 
 def initial_population(population: int, space_size: int,

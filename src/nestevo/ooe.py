@@ -49,14 +49,7 @@ from .genome import (
 )
 from .ioe import DynamicScores, IoeConfig, _breed, run_ioe
 from .metrics import Front, hypervolume
-from .moea import (
-    Direction,
-    ParetoArchive,
-    initial_population,
-    mating_pool,
-    rank_rows,
-    survivor_select,
-)
+from .moea import Direction, ParetoArchive, initial_population, select
 from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, Row, render_rows,
                    visit_values)
 
@@ -144,12 +137,9 @@ def static_rank_and_prune(
 ) -> list[int]:
     """Indices of the ceil(prune_fraction * n) best members by non-dominated
     rank, then crowding."""
-    if not statics:
-        raise ValueError("population is empty")
     values = np.array([(s.accuracy, s.latency_ms, s.energy_mj) for s in statics])
-    ranks, crowding = rank_rows(values, STATIC_DIRECTIONS)
     k = max(1, math.ceil(prune_fraction * len(statics)))
-    return survivor_select(ranks, crowding, k)
+    return select(values, STATIC_DIRECTIONS, k)[0].tolist()
 
 
 def ioe_front_hypervolume(scores: DynamicScores, gamma: float) -> float:
@@ -169,10 +159,10 @@ def combined_objectives(static: StaticScore, hv_summary: float) -> tuple[float, 
     return (static.accuracy, static.latency_ms, static.energy_mj, hv_summary)
 
 
-def combined_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Non-domination ranks and crowding distances of backbones whose rows
+def combined_rank(values: np.ndarray, k: int) -> np.ndarray:
+    """The k best backbones, best first (moea.select), of those whose rows
     of `values` are their combined_objectives."""
-    return rank_rows(values, COMBINED_DIRECTIONS)
+    return select(values, COMBINED_DIRECTIONS, k)[0]
 
 
 T = TypeVar("T")
@@ -362,7 +352,6 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         results = fork_map(inner, range(len(forwarded)))
         counters.dynamic_evals += sum(n for n, _, _ in results)
         values = np.array([objectives for _, objectives, _ in results])
-        ranks, crowding = combined_rank(values)
         # One archive entry per backbone visit: its rows are the visit's
         # solutions whose keys are not live yet (the existing row wins).
         visited: list[int] = []  # forwarded indices of this generation's visits
@@ -394,14 +383,13 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             counters.forwarded_backbones,
         ))
         if gen < config.generations:
-            pool, places = mating_pool(ranks, crowding,
-                                       min(config.population, len(ranks)))
             # The inner engine's breeding on backbone keys; its repair
             # uniforms fit exit bits, not blocks, and go unused.  A child
             # too shallow to host an exit is repaired from rng afterwards,
             # in child order.
             children, _ = _breed(
-                np.array([forwarded[i].key() for i in pool]), np.array(places),
+                np.array([b.key() for b in forwarded]),
+                combined_rank(values, min(config.population, len(values))),
                 config.population, np.array(backbone_sizes(space)), variation,
                 rng)
             population = [repair_backbone(backbone_of_key(genes), space, rng)

@@ -5,8 +5,10 @@ whole-array numpy (or, for 3-D hypervolume, stopped filtering each slice
 before its 2-D sweep, or, for the output files, rendered rows from a
 template); a fast path must equal its oracle exactly (==, or byte for byte),
 not within a tolerance, because the arithmetic is kept in the same order.
-The selection layer (RankedPopulation and survivor_select over it) is the
-object API selection ran on before it took rank and crowding arrays.  The object twins (dominates, normalized,
+The selection layer (RankedPopulation, survivor_select and mating_pool
+over it) is the object API selection ran on before it took rank and
+crowding arrays, and rank_rows the full peel those arrays came from before
+moea.select peeled only the fronts it keeps.  The object twins (dominates, normalized,
 ioe_objectives and ObjectFront with its hypervolume and ratio of dominance)
 are the per-ObjectiveVector code the package ran before metrics and the
 outer engine took objective matrices.  The scalar hardware costs
@@ -27,7 +29,7 @@ are the genome-object code both engines ran before they sampled and
 enumerated gene tuples; enumerate_candidates must give the same tuples in
 the same order.  sample_exit_genome draws what the package's
 sample_exit_bits and repair_exit_bits drew, in one function.  The
-regrouping helpers at the end give the package's matrix API (rank_rows,
+regrouping helpers at the end give the matrix API (rank_rows,
 nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
 ObjectiveVectors the tests are written in; they convert and regroup, and
 rank nothing themselves.
@@ -76,8 +78,9 @@ from nestevo.moea import (
     ObjectiveVector,
     ParetoArchive,
     _crowding_by_front,
+    _dominance,
+    _normalize,
     nondominated_rows,
-    rank_rows,
 )
 from nestevo.ooe import (
     COMBINED_DIRECTIONS,
@@ -648,16 +651,6 @@ class RankedPopulation:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def subset(self, keep_ids: Sequence[int]) -> "RankedPopulation":
-        """Restriction to `keep_ids`, preserving the original ranks/crowding."""
-        keep = set(keep_ids)
-        sel = [i for i, cid in enumerate(self.ids) if cid in keep]
-        return RankedPopulation(
-            ids=tuple(self.ids[i] for i in sel),
-            ranks=tuple(self.ranks[i] for i in sel),
-            crowding=tuple(self.crowding[i] for i in sel),
-        )
-
 
 def _selection_key(ranked: RankedPopulation, i: int) -> tuple[int, float, int]:
     # Lower is better: rank ascending, crowding descending, id ascending.
@@ -670,6 +663,36 @@ def survivor_select(ranked: RankedPopulation, k: int) -> list[int]:
         raise ValueError(f"cannot select {k} from population of {len(ranked)}")
     order = sorted(range(len(ranked)), key=lambda i: _selection_key(ranked, i))
     return [ranked.ids[i] for i in order[:k]]
+
+
+def mating_pool(ranked: RankedPopulation, k: int) -> tuple[list[int], list[int]]:
+    """The ids survivor_select keeps, in ascending order, and each one's
+    place among them (0 is the best)."""
+    best = survivor_select(ranked, k)
+    pool = sorted(best)
+    return pool, [best.index(cid) for cid in pool]
+
+
+def rank_rows(values: np.ndarray,
+              directions: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
+    """(non-domination rank, crowding distance) of each row of a raw
+    objective matrix whose columns carry `directions`: every front peeled
+    (Deb's domination-count peeling), then crowded all at once."""
+    if len(values) == 0:
+        raise ValueError("population is empty")
+    mat = _normalize(values, directions)
+    dom = _dominance(mat, mat)
+    remaining = dom.sum(axis=0)
+    ranks = np.full(len(mat), -1)
+    unassigned = np.ones(len(mat), dtype=bool)
+    rank = 0
+    while unassigned.any():
+        current = unassigned & (remaining == 0)
+        ranks[current] = rank
+        unassigned &= ~current
+        remaining = remaining - dom[current].sum(axis=0)
+        rank += 1
+    return ranks, _crowding_by_front(values, ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,11 @@ from tests.conftest import EMC_DEVICE, TOY_DEVICE
 
 def breed_rows(parents, n_bits, device, params, rng, population=None, places=None):
     """The inner engine's breeding on a mating pool given as gene tuples,
-    places in pool order unless given: _breed, then _repaired; the children
-    as tuples."""
+    places in pool order unless given: _breed on the pool's rows ranked by
+    place, then _repaired; the children as tuples."""
     pool = np.array(parents)
-    places = np.arange(len(pool)) if places is None else np.array(places)
-    children, repairs = _breed(pool, places, population or len(pool),
+    best = np.arange(len(pool)) if places is None else np.argsort(places)
+    children, repairs = _breed(pool, best, population or len(pool),
                                gene_sizes(n_bits, device), params, rng)
     return [tuple(c) for c in _repaired(children, n_bits, repairs).tolist()]
 
@@ -241,10 +241,10 @@ class TestMutation:
         params = VariationParams(mutation_prob_per_gene=1.0, crossover_prob=1.0)
         pool = np.array([sample_backbone(full_space, rng).key()
                          for _ in range(4)])
-        places = np.array([2, 0, 3, 1])
-        snapshot = pool.copy(), places.copy()
-        _breed(pool, places, 9, np.array(backbone_sizes(full_space)), params, rng)
-        assert (pool == snapshot[0]).all() and (places == snapshot[1]).all()
+        best = np.array([1, 3, 0, 2])
+        snapshot = pool.copy(), best.copy()
+        _breed(pool, best, 9, np.array(backbone_sizes(full_space)), params, rng)
+        assert (pool == snapshot[0]).all() and (best == snapshot[1]).all()
 
 
 class TestCrossover:
@@ -543,26 +543,27 @@ def reference_backbones(pool, places, population, space, params, rng):
 ], ids=["default", "odd", "every-gene"])
 def test_outer_breeding_follows_the_block(monkeypatch, seed, population, params):
     """Each population run_ooe breeds is the per-gene reference of its
-    generation's mating pool, as backbone keys, and the rng then stands
-    where the reference leaves it."""
-    forwarded, pools, calls = [], [], []
+    generation's mating pool, as backbone keys: the forwarded backbones
+    that combined_rank ranks best, in visit order, each with its place in
+    that ranking.  The rng then stands where the reference leaves it."""
+    forwarded, bests, calls = [], [], []
 
     def recording_profile(b, *args):  # once per forwarded backbone, in order
         forwarded.append(b.key())
         return exit_profile(b, *args)
 
-    def recording_pool(*args):
-        pools.append(mating_pool(*args))
-        return pools[-1]
+    def recording_rank(values, k):
+        bests.append(combined_rank(values, k).tolist())
+        return np.array(bests[-1])
 
-    def recording_breed(parents, places, n, sizes, variation, rng):
-        calls.append((parents.tolist(), places.tolist(), n, sizes.tolist(),
+    def recording_breed(genes, best, n, sizes, variation, rng):
+        calls.append((genes.tolist(), best.tolist(), n, sizes.tolist(),
                       variation, twin_of(rng)))
-        return _breed(parents, places, n, sizes, variation, rng)
+        return _breed(genes, best, n, sizes, variation, rng)
 
-    exit_profile, mating_pool = ooe.exit_profile, ooe.mating_pool
+    exit_profile, combined_rank = ooe.exit_profile, ooe.combined_rank
     monkeypatch.setattr(ooe, "exit_profile", recording_profile)
-    monkeypatch.setattr(ooe, "mating_pool", recording_pool)
+    monkeypatch.setattr(ooe, "combined_rank", recording_rank)
     monkeypatch.setattr(ooe, "_breed", recording_breed)
     hw = HardwareModelParams()
     config = OoeConfig(generations=4, population=population,
@@ -573,13 +574,14 @@ def test_outer_breeding_follows_the_block(monkeypatch, seed, population, params)
     run_ooe(SHALLOW_SPACE, SHALLOW_SPACE.device("agx-volta-gpu"),
             SyntheticHardwareModel(hw), hw, SurrogateParams(), config, params,
             on_generation=states.append)
-    assert len(calls) == len(pools) == config.generations - 1
+    assert len(calls) == len(bests) == config.generations - 1
     k = math.ceil(config.prune_fraction * population)
     repaired = 0
-    for gen, (pool, places, n, sizes, variation, twin) in enumerate(calls):
-        members = forwarded[gen * k:(gen + 1) * k]
-        assert pool == [list(members[i]) for i in pools[gen][0]]
-        assert places == pools[gen][1]
+    for gen, (genes, best, n, sizes, variation, twin) in enumerate(calls):
+        assert genes == [list(key) for key in forwarded[gen * k:(gen + 1) * k]]
+        assert best == bests[gen] and sorted(best) == list(range(k))
+        pool = [genes[i] for i in sorted(best)]
+        places = [best.index(i) for i in sorted(best)]
         assert (n, variation) == (population, params)
         assert sizes == [4] + [4, 16, 2, 4] * 2
         expected, shallow = reference_backbones(pool, places, n, SHALLOW_SPACE,

@@ -16,9 +16,8 @@ from nestevo.moea import (
     ObjectiveVector,
     ParetoArchive,
     initial_population,
-    mating_pool,
     nondominated_rows,
-    survivor_select,
+    select,
 )
 
 from oracles import (
@@ -184,87 +183,76 @@ class TestCrowding:
         assert crowding_distance(front) == [math.inf, 1.0, math.inf]
 
 
-def arrays(ranked):
-    """The rank and crowding arrays of a RankedPopulation."""
-    return np.array(ranked.ranks), np.array(ranked.crowding)
+def best_of(pop, k):
+    """select's k best rows of a population of ObjectiveVectors."""
+    values = np.array([v.values for v in pop], dtype=float)
+    return select(values, pop[0].directions, k)[0].tolist()
 
 
 class TestSurvivorSelect:
-    def _ranked(self, pop):
-        return rank_population(list(range(len(pop))), pop)
-
     def test_k_equals_size_identity_membership(self):
         rng = random.Random(3)
         pop = [random_vec(rng, 2) for _ in range(12)]
-        ranked = self._ranked(pop)
-        assert sorted(survivor_select(*arrays(ranked), 12)) == list(range(12))
+        assert sorted(best_of(pop, 12)) == list(range(12))
 
     def test_k_equals_front0(self):
         pop = [vec(2, 2), vec(1, 1), vec(2, 1), vec(1, 2), vec(3, 3)]
-        ranked = self._ranked(pop)
-        assert set(survivor_select(*arrays(ranked), 1)) == {4}
+        assert best_of(pop, 1) == [4]
 
     def test_partial_front_matches_sort_oracle(self):
         rng = random.Random(5)
         for _ in range(50):
             pop = [vec(*(rng.randint(0, 3) for _ in range(2)))
                    for _ in range(rng.randint(3, 20))]
-            ranked = self._ranked(pop)
+            ranked = rank_population(list(range(len(pop))), pop)
             k = rng.randint(1, len(pop))
             expected = sorted(
                 range(len(pop)),
                 key=lambda i: (ranked.ranks[i], -ranked.crowding[i], i),
             )[:k]
-            assert survivor_select(*arrays(ranked), k) == expected
+            assert best_of(pop, k) == expected
 
     def test_k_too_large_raises(self):
-        ranked = self._ranked([vec(1, 1)])
-        with pytest.raises(ValueError):
-            survivor_select(*arrays(ranked), 2)
+        with pytest.raises(ValueError, match="cannot select 2"):
+            best_of([vec(1, 1)], 2)
+
+    def test_k_zero_raises(self):
+        with pytest.raises(ValueError, match="cannot select 0"):
+            best_of([vec(1, 1), vec(0, 2)], 0)
 
 
-def places_of(ranked):
-    """The places of a whole population taken as its own mating pool; its
-    slots are then its ids."""
-    pool, places = mating_pool(*arrays(ranked), len(ranked))
-    assert pool == list(ranked.ids)
-    return places
-
-
-def tournament_winners(places, n, tournament_size, rng):
-    """The winning slots of n tournaments on a mating pool with these
-    places: _breed without variation on a pool whose slot i holds the gene
-    i, so that child i is the winner of tournament i."""
+def tournament_winners(pop, n, tournament_size, rng):
+    """The winning rows of n tournaments on a whole population taken as its
+    own mating pool: _breed without variation on rows whose row i holds the
+    gene i, so that child i is the winner of tournament i."""
     params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0,
                              tournament_size=tournament_size)
-    children, _ = _breed(np.arange(len(places))[:, None], np.array(places), n,
-                         np.array([len(places)]), params, rng)
+    children, _ = _breed(np.arange(len(pop))[:, None],
+                         np.array(best_of(pop, len(pop))), n,
+                         np.array([len(pop)]), params, rng)
     return children[:, 0].tolist()
 
 
 class TestTournament:
     def test_single_member(self):
-        ranked = rank_population([0], [vec(1, 1)])
-        assert tournament_winners(places_of(ranked), 7, 3,
+        assert tournament_winners([vec(1, 1)], 7, 3,
                                   random.Random(0)) == [0] * 7
 
     def test_rank0_beats_rank1(self):
         pop = [vec(2, 2), vec(1, 1)]
-        ranked = rank_population([0, 1], pop)
         rng = random.Random(0)
         twin = random.Random()
         twin.setstate(rng.getstate())
         # The block opens with the tournaments' draws, two per tournament:
         # member 1 wins only when it is drawn twice.
         draws = uniforms(twin, 200 * 2).reshape(200, 2)
-        winners = tournament_winners(places_of(ranked), 200, 2, rng)
+        winners = tournament_winners(pop, 200, 2, rng)
         assert winners == [min(int(u * 2) for u in d) for d in draws.tolist()]
         assert {0, 1} <= set(winners)
 
     def test_empirical_win_rates_match_enumeration(self):
         # 4 members, fronts {a}, {c, d}, {b}; c beats d on the id tiebreak.
         pop = [vec(2, 2), vec(1, 1), vec(2, 1), vec(1, 2)]
-        ranked = rank_population([0, 1, 2, 3], pop)
 
         # Enumerate all 16 ordered with-replacement draws with an
         # independent key ordering: 0 best, then 2, then 3, then 1.
@@ -278,7 +266,7 @@ class TestTournament:
         rng = random.Random(123)
         n = 10_000
         counts = {i: 0 for i in range(4)}
-        for winner in tournament_winners(places_of(ranked), n, 2, rng):
+        for winner in tournament_winners(pop, n, 2, rng):
             counts[winner] += 1
         for i in range(4):
             p = expected[i]
@@ -286,31 +274,67 @@ class TestTournament:
             assert abs(counts[i] / n - p) <= 5 * sigma
 
 
+# Small grids make tied values, repeated rows and several fronts.
+GRID = (0.0, -0.0, 1.0, 2.0, 1e308, -1e308)
+
+
 @st.composite
-def annotated_populations(draw):
-    """Rank and crowding arrays with tied ranks, 0.0 and +inf crowding, and
-    a selection size from 1 to the population size."""
+def objective_matrices(draw):
+    """A raw objective matrix of 1 to 12 rows on a small grid of values, and
+    its column directions."""
+    directions = tuple(draw(st.lists(st.sampled_from((MAX, MIN)), min_size=1,
+                                     max_size=3)))
     n = draw(st.integers(1, 12))
-    ranks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    crowding = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf]),
-                             min_size=n, max_size=n))
-    return np.array(ranks), np.array(crowding), draw(st.integers(1, n))
+    cells = draw(st.lists(st.sampled_from(GRID), min_size=n * len(directions),
+                          max_size=n * len(directions)))
+    return np.array(cells).reshape(n, len(directions)), directions
+
+
+def full_peel(values, directions):
+    """The rows of a raw objective matrix as a RankedPopulation, every front
+    peeled and crowded (oracles.rank_rows)."""
+    ranks, crowding = oracles.rank_rows(values, directions)
+    return RankedPopulation(tuple(range(len(ranks))), tuple(ranks.tolist()),
+                            tuple(crowding.tolist()))
 
 
 @settings(max_examples=300, deadline=None)
-@given(annotated_populations())
-def test_selection_matches_object_oracle(population):
-    ranks, crowding, k = population
-    ranked = RankedPopulation(tuple(range(len(ranks))), tuple(ranks.tolist()),
-                              tuple(crowding.tolist()))
-    survivors = oracles.survivor_select(ranked, k)
-    assert survivor_select(ranks, crowding, k) == survivors
+@given(objective_matrices())
+def test_selection_matches_object_oracle(matrix):
+    # For every k: the full peel's ranking cut to k rows, whose rank-0 rows
+    # are the sweep's non-dominated ones.
+    values, directions = matrix
+    ranked = full_peel(values, directions)
+    for k in range(1, len(values) + 1):
+        best, front = select(values, directions, k)
+        assert best.tolist() == oracles.survivor_select(ranked, k)
+        assert front.tolist() == [rank == 0 for rank in ranked.ranks]
+        assert front.tolist() == nondominated_rows(values, directions).tolist()
 
-    sub = ranked.subset(survivors)
-    pool, places = mating_pool(ranks, crowding, k)
-    assert pool == list(sub.ids)
-    assert sorted(range(k), key=places.__getitem__) == sorted(
-        range(k), key=lambda i: (sub.ranks[i], -sub.crowding[i], sub.ids[i]))
+
+@settings(max_examples=200, deadline=None)
+@given(objective_matrices(), st.integers(1, 12), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_breeding_pool_is_the_mating_pool(matrix, k, tournament_size, seed):
+    # _breed's pool and places are the old mating pool's: the selected rows
+    # in row order, each with its place among them.  Without variation on
+    # rows whose gene is their row number, each child is its tournament's
+    # winner, drawn from the block's opening draws.
+    values, directions = matrix
+    k = min(k, len(values))
+    pool, places = oracles.mating_pool(full_peel(values, directions), k)
+    params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0,
+                             tournament_size=tournament_size)
+    rng = random.Random(seed)
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    children, _ = _breed(np.arange(len(values))[:, None],
+                         select(values, directions, k)[0], 9,
+                         np.array([len(values)]), params, rng)
+    draws = uniforms(twin, 10 * tournament_size).reshape(10, tournament_size)
+    winners = [pool[min((int(u * k) for u in d), key=places.__getitem__)]
+               for d in draws.tolist()]
+    assert children[:, 0].tolist() == winners[:9]
 
 
 def one_at_a_time(draw):
@@ -373,19 +397,19 @@ class TestInitialPopulation:
 
 class TestBreed:
     def test_odd_population_draw_sequence(self):
-        # Pool over members 0, 2 and 3 (member 1 ranks last): its slots
-        # index the pool's rows.
-        pool, places = mating_pool(np.array([1, 2, 0, 0]),
-                                   np.array([0.0, 5.0, math.inf, 1.0]), 3)
-        assert (pool, places) == ([0, 2, 3], [2, 0, 1])
+        # The best rows 2, 3 and 0 (row 1 ranks last) make the pool
+        # [0, 2, 3] with places [2, 0, 1]: its slots index the pool's rows.
+        best = np.array([2, 3, 0])
+        pool, places = [0, 2, 3], [2, 0, 1]
         params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0,
                                  tournament_size=2)
         sizes = np.array([4, 3])
-        rows = np.array([[0, 0], [1, 1], [2, 2], [3, 2]])[pool]
+        genes = np.array([[0, 0], [1, 1], [2, 2], [3, 2]])
+        rows = genes[pool]
         rng = random.Random(17)
         twin = random.Random()
         twin.setstate(rng.getstate())
-        children, repairs = _breed(rows, np.array(places), 5, sizes, params, rng)
+        children, repairs = _breed(genes, best, 5, sizes, params, rng)
         # Three pairs draw six tournaments; the last pair's second child is
         # dropped.  Each child is its tournament's winner.
         draws = uniforms(twin, 3 * 2 * 2).reshape(6, 2)
@@ -422,14 +446,9 @@ class TestRankPopulation:
 
     def test_subset_preserves_annotations(self):
         pop = [vec(2, 2), vec(1, 1), vec(2, 1)]
-        ranked = rank_population([0, 1, 2], pop)
-        ranks, crowding = arrays(ranked)
-        pool, places = mating_pool(ranks, crowding, 2)
-        assert pool == [0, 2]
-        # Each pool row keeps its place in the whole population's order.
-        order = survivor_select(ranks, crowding, len(pop))
-        for cid, place in zip(pool, places):
-            assert order.index(cid) == place
+        # The k best rows keep their places in the whole population's order.
+        assert best_of(pop, 2) == [0, 2]
+        assert best_of(pop, len(pop))[:2] == [0, 2]
 
 
 class TestParetoArchive:

@@ -164,19 +164,20 @@ class TestCombinedRank:
         hv_strong = ioe_front_hypervolume(scores_of(strong), 1.0)
         hv_weak = ioe_front_hypervolume(scores_of(weak), 1.0)
         assert hv_strong > hv_weak
-        ranks, _ = combined_rank(np.array([
+        # The weak backbone comes first, so no tie goes to the strong one.
+        values = np.array([
             combined_objectives(static, ioe_front_hypervolume(scores_of(sols),
                                                               1.0))
-            for sols in (strong, weak)]))
-        assert ranks[0] == 0
-        assert ranks[1] == 1
+            for sols in (weak, strong)])
+        assert combined_rank(values, 2).tolist() == [1, 0]
+        assert combined_rank(values, 1).tolist() == [1]
 
     def test_single_candidate_rank_zero(self):
-        ranks, _ = combined_rank(np.array([combined_objectives(
+        best = combined_rank(np.array([combined_objectives(
             StaticScore(0.5, 1.0, 1.0),
             ioe_front_hypervolume(scores_of([make_solution(0.5, 0.5)]),
-                                  1.0))]))
-        assert tuple(ranks.tolist()) == (0,)
+                                  1.0))]), 1)
+        assert best.tolist() == [0]
 
     def test_summary_invariant_to_member_order(self):
         sols = [make_solution(0.8, 0.2), make_solution(0.5, 0.1),

@@ -452,6 +452,68 @@ class TestResumeRefusals:
         assert not (out / "archive.json").exists()
 
 
+    @staticmethod
+    def refuse_resume_state(tmp_path, runner, generation, edit, why):
+        """Edit the resume state of checkpoint `generation`, drop the later
+        checkpoints, and expect the rerun to refuse it for `why`; --force
+        then writes the uninterrupted bytes."""
+        cfg, out = toy_run(tmp_path, runner)
+        expected = files(out)
+        (out / "archive.json").unlink()
+        for later in range(generation + 1, 4):
+            (out / f"checkpoint_gen_{later:03d}.json").unlink()
+        path = out / f"checkpoint_gen_{generation:03d}.json"
+        doc = json.loads(path.read_text())
+        edit(doc["resume"])
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert f"cannot resume: {why}" in res.output
+        assert "rerun with --force to start over" in res.output
+        assert not (out / "archive.json").exists()
+        res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
+        assert res.exit_code == 0, res.output
+        assert files(out) == expected
+
+    @pytest.mark.parametrize("key, why", [
+        ([0, 9, 9, 9, 9],
+         "backbone [0, 9, 9, 9, 9]: block gene index out of range"),
+        ([0, 1, 0, 1, 0, 1, 0, 1, 0],
+         "backbone [0, 1, 0, 1, 0, 1, 0, 1, 0]: not 5 integer genes"),
+        ([0, 1, 0, 1, 0, 1], "backbone [0, 1, 0, 1, 0, 1]: not 5 integer genes"),
+        ([0, 1, 0], "backbone [0, 1, 0]: not 5 integer genes"),
+        ([], "backbone []: not 5 integer genes"),
+        ([0, 1, 0, 1, 0.5], "backbone [0, 1, 0, 1, 0.5]: not 5 integer genes"),
+        ([0, 1, 0, 1, True],
+         "backbone [0, 1, 0, 1, True]: not 5 integer genes"),
+    ], ids=["out-of-range", "extra-block", "extra-gene", "short", "empty",
+            "float", "bool"])
+    def test_population_key_outside_the_space(self, tmp_path, runner, key,
+                                              why):
+        def edit(resume):
+            resume["population"][0] = key
+        self.refuse_resume_state(tmp_path, runner, 1, edit, why)
+
+    @pytest.mark.parametrize("generation, size, why", [
+        (1, 7, "the resume state holds 7 backbones, not 8"),
+        (3, 1, "the resume state holds 1 backbones, not 0"),
+    ], ids=["short", "after-the-last"])
+    def test_population_of_the_wrong_size(self, tmp_path, runner, generation,
+                                          size, why):
+        def edit(resume):
+            resume["population"] = ([[0, 1, 0, 1, 0]] * 8)[:size]
+        self.refuse_resume_state(tmp_path, runner, generation, edit, why)
+
+    @pytest.mark.parametrize("counter", ["static_evals", "dynamic_evals",
+                                         "forwarded_backbones"])
+    def test_counters_that_differ_from_the_record(self, tmp_path, runner,
+                                                  counter):
+        def edit(resume):
+            resume["counters"][counter] += 1
+        self.refuse_resume_state(tmp_path, runner, 2, edit,
+                                 "the resume counters ")
+
+
 def test_digest_line_key_sorts_first(tmp_path, runner):
     # The integrity check reads line 2 only: every other top-level key of
     # archive.json and of a checkpoint must sort after config_digest.
