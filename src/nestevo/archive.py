@@ -2,11 +2,12 @@
 records, and the final solution set; a flat plot-ready CSV of the front;
 and one checkpoint per generation that holds what the generation changed,
 its rows as their front.csv lines, and the state to resume from.  All
-writes are atomic (temp file + rename), and the writers stream the row
-texts of nestevo.rows into the file one by one, so no document is ever held
-whole in memory.  Checkpoints 1..k are replayed into the search state after
-generation k by replay_checkpoints, which reads each row back from its line
-and renders it anew.
+writes are atomic (temp file + rename), and the writers stream row texts
+into the file one by one, so no document is ever held whole in memory: a
+row's archive.json text (nestevo.rows.archive_text) is made from its line
+only as it is written.  Checkpoints 1..k are replayed into the search state
+after generation k by replay_checkpoints, which reads each row back from
+its line and renders it anew.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import json
 import os
 import random
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import chain, islice, pairwise
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
@@ -83,7 +84,7 @@ def _json_pieces(doc: dict, final: Iterable[str] | None) -> Iterable[str]:
 def save_json(path: str, doc: dict, final: Iterable[str] | None = None) -> None:
     """Write json.dumps(doc, indent=2, sort_keys=True).  With `final`, the
     JSON texts of the items of the document's "final" list, such as the
-    archive.json texts of rows (rows.render_rows), those items are written
+    archive.json texts of rows (rows.archive_text), those items are written
     one by one, each as it is drawn from `final`."""
     atomic_write(path, _json_pieces(doc, final))
 
@@ -110,13 +111,13 @@ def save_checkpoint(path: str, state: OoeState, digest: str) -> None:
                    "rng_state": state.rng_state},
     }
     save_json(path, doc, (encode_basestring_ascii(line[:-1])
-                          for _, rows in added for _, _, line in rows))
+                          for _, rows in added for _, line in rows))
 
 
 def _visit(visit: int, lines: Sequence[str], objectives: Sequence
            ) -> tuple[tuple, tuple[Row, ...]]:
     """A visit's objectives and its rows, read back from their front.csv
-    lines and rendered anew."""
+    lines and rendered anew (rows.render_rows)."""
     try:
         values = read_lines(lines)
     except ValueError as exc:
@@ -131,12 +132,15 @@ def _visit(visit: int, lines: Sequence[str], objectives: Sequence
         raise ValueError(f"visit {visit} has objectives {objectives!r}, not "
                          f"{len(COMBINED_DIRECTIONS)} numbers")
     objectives = tuple(objectives)
-    rows = tuple(render_rows(values, objectives))
-    for line, (_, _, rendered) in zip(lines, rows):
+    rows = tuple(render_rows(values))
+    for line, (_, rendered) in zip(lines, rows):
         if rendered != line + "\n":
             raise ValueError(f"a row of visit {visit} does not read back: "
                              f"{line!r} renders as {rendered[:-1]!r}")
     return objectives, rows
+
+
+_COUNTERS = tuple(f.name for f in fields(EvalCounters))
 
 
 def replay_checkpoints(paths: Sequence[str]) -> OoeState:
@@ -150,8 +154,10 @@ def replay_checkpoints(paths: Sequence[str]) -> OoeState:
     checkpoint's visit count up to its own, an evicted visit that is not
     live, rows of one visit that differ in backbone or static score, a line
     that does not read back to itself, a visit's objectives that are not
-    one number per combined objective, or an RNG state that random.Random
-    refuses raises ValueError."""
+    one number per combined objective, a record of another generation, one
+    whose archive_size is not the number of rows live after it or whose
+    counters fall below the previous record's, or an RNG state that
+    random.Random refuses raises ValueError."""
     visits: dict[int, tuple[tuple, tuple[Row, ...]]] = {}
     snapshots = []
     numbered = 0  # visits numbered before the checkpoint's generation
@@ -191,7 +197,23 @@ def replay_checkpoints(paths: Sequence[str]) -> OoeState:
                                        objectives)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
-        snapshots.append(GenerationRecord(**doc["record"]))
+        record = GenerationRecord(**doc["record"])
+        if record.generation != gen:
+            raise ValueError(f"{path} records generation {record.generation}"
+                             f", not {gen}")
+        size = sum(len(rows) for _, rows in visits.values())
+        if record.archive_size != size:
+            raise ValueError(f"{path} records archive_size "
+                             f"{record.archive_size}, but {size} rows are "
+                             "live")
+        if snapshots:
+            before, after = asdict(snapshots[-1]), asdict(record)
+            for name in _COUNTERS:
+                if after[name] < before[name]:
+                    raise ValueError(
+                        f"{path} records {name} {after[name]}, below "
+                        f"{before[name]} at generation {gen - 1}")
+        snapshots.append(record)
     resume = doc["resume"]
     version, internal, gauss = resume["rng_state"]
     rng_state = (version, tuple(internal), gauss)

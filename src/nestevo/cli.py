@@ -2,8 +2,9 @@
 
 Subcommands: `search` runs the nested engine and persists the archive,
 writing one checkpoint per generation, and continues an interrupted run of
-the same config from its checkpoints; its archive.json and front.csv join
-the row texts the engine's workers rendered, in the main process;
+the same config from its checkpoints; its front.csv joins the lines the
+engine's workers rendered, and its archive.json spells each row's text from
+its line while the file is written, so no row's JSON text is ever held;
 `enumerate` writes the exhaustive ground-truth front for tiny spaces;
 `metrics` compares two front CSVs (hypervolume and ratio of dominance);
 `ablate-dissim` compares inner-engine runs across regularizer exponents.
@@ -29,6 +30,7 @@ from .genome import backbone_of_key, backbone_sizes, validate_backbone
 from .metrics import Front, compare_fronts
 from .moea import Direction
 from .ooe import OoeState, run_ooe
+from .rows import archive_text
 
 
 def build_backend(cfg: RunConfig):
@@ -154,8 +156,9 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
                      cfg.surrogate, cfg.ooe, cfg.variation,
                      on_generation=checkpoint, start=start)
     ar.save_json(archive_path, ar.archive_header(result, digest, cfg.seed),
-                 [text for _, text, _ in result.rows])
-    ar.write_front_csv(front_path, [line for _, _, line in result.rows])
+                 (archive_text(line, objectives)
+                  for _, line, objectives in result.rows))
+    ar.write_front_csv(front_path, [line for _, line, _ in result.rows])
     return archive_path, front_path
 
 
@@ -215,7 +218,7 @@ def enumerate_cmd(config_path: str, seed: int | None, out: str | None) -> None:
                            cfg.surrogate, cfg.seed, cfg.ooe.ioe.gamma,
                            cfg.ooe.ioe.objective_mode)
     path = os.path.join(cfg.output_dir, "truth_front.csv")
-    ar.write_front_csv(path, [line for _, _, line in rows])
+    ar.write_front_csv(path, [line for _, line in rows])
     click.echo(f"evaluated {card.total} candidates; front: {path}")
 
 

@@ -55,8 +55,9 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
                     backend: HardwareBackend, hw: HardwareModelParams,
                     surrogate: SurrogateParams, seed: int, gamma: float,
                     objective_mode: str = "vector") -> list[Row]:
-    """The true bi-level Pareto front, one row (nestevo.rows) per surviving
-    (backbone, exits, frequencies) triple, sorted by solution key."""
+    """The true bi-level Pareto front, one row (nestevo.rows.render_rows: a
+    key and a front.csv line) per surviving (backbone, exits, frequencies)
+    triple, sorted by solution key."""
     per_backbone = []
     for b in enumerate_backbones(space):
         static = eval_static(b, space, device, backend, surrogate, seed)
@@ -75,9 +76,8 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
 
     outer_mask = nondominated_rows(
         np.array([row for _, _, _, row in per_backbone]), COMBINED_DIRECTIONS)
-    rows = [row for (b, static, inner, objectives), keep
+    rows = [row for (b, static, inner, _), keep
             in zip(per_backbone, outer_mask.tolist()) if keep
             for row in render_rows(
-                visit_values(b, static, inner.solution_fields(device)),
-                objectives)]
+                visit_values(b, static, inner.solution_fields(device)))]
     return sorted(rows, key=itemgetter(0))

@@ -183,6 +183,17 @@ def _sample(n: int, n_bits: int, sizes: np.ndarray,
     return _repaired(genes, n_bits, u[cut:])
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a non-empty float vector, NaNs collapsed into
+    one: the sorted values that differ from their left neighbour.  Unlike
+    np.unique, it does not import numpy.ma."""
+    values = np.sort(values)
+    nan = np.isnan(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = (values[1:] != values[:-1]) & ~(nan[1:] & nan[:-1])
+    return values[keep]
+
+
 # Candidates evaluated per block: bounds the temporaries of an exhaustive
 # enumeration, which evaluates every candidate of a backbone in one call.
 _BLOCK_ROWS = 4096
@@ -235,7 +246,7 @@ class _DynamicEvaluator:
                                   dtype=float)
         # Dissimilarities are 1 - (0 or a fraction): their powers are
         # tabulated once, for the values a valid dissimilarity can take.
-        self.best_values = np.unique(np.append(self.fractions, 0.0))
+        self.best_values = _distinct(np.append(self.fractions, 0.0))
         self.best_powers = np.array([
             (1.0 - v)**gamma if gamma >= 0 and 0.0 <= 1.0 - v <= 1.0 else math.nan
             for v in self.best_values.tolist()])

@@ -11,7 +11,8 @@ non-dominated solution seen so far, so its quality never regresses.
 
 A worker runs a survivor's inner search, computes its combined objectives and
 renders its archive rows (nestevo.rows); the main process handles only row
-keys and texts.
+keys and front.csv lines, and spells each visit's objectives once, for the
+archive.json texts that are made from the lines as that file is written.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .genome import (
 from .ioe import DynamicScores, IoeConfig, _breed, run_ioe
 from .metrics import Front, hypervolume
 from .moea import Direction, ParetoArchive, initial_population, select
-from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, Row, render_rows,
-                   visit_values)
+from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, FinalRow, Row,
+                   objectives_block, render_rows, visit_values)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class OoeState:
 
     The archive is one entry per backbone visit (one backbone forwarded in
     one generation), numbered in visit order: `visits` maps each live visit,
-    in archive order, to its combined objectives and its rows (nestevo.rows).
+    in archive order, to its combined objectives and its rows, each a key
+    and a front.csv line (nestevo.rows.render_rows).
     `population` holds the backbone keys of the next generation, and is
     empty after the last one."""
 
@@ -120,7 +122,9 @@ class OoeState:
 
 @dataclass
 class OoeResult:
-    rows: tuple[Row, ...]  # the archive's, sorted by key
+    # The archive's rows, sorted by key, each with its visit's
+    # objectives_block: what archive.json and front.csv are written from.
+    rows: tuple[FinalRow, ...]
     snapshots: tuple[GenerationRecord, ...]
     counters: EvalCounters
 
@@ -322,7 +326,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             list(start.visits), list(start.visits.values()),
             np.array([objectives for objectives, _ in start.visits.values()]
                      ).reshape(-1, len(COMBINED_DIRECTIONS)))
-    live = {key for _, rows in archive.payloads for key, _, _ in rows}
+    live = {key for _, rows in archive.payloads for key, _ in rows}
 
     for gen in range(len(snapshots) + 1, config.generations + 1):
         statics = [eval_static(b, space, device, backend, surrogate, config.seed)
@@ -346,8 +350,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             objectives = combined_objectives(static, ioe_front_hypervolume(
                 result.scores, config.ioe.gamma))
             return result.n_dynamic_evals, objectives, render_rows(
-                visit_values(b, static, result.solution_fields(device)),
-                objectives)
+                visit_values(b, static, result.solution_fields(device)))
 
         results = fork_map(inner, range(len(forwarded)))
         counters.dynamic_evals += sum(n for n, _, _ in results)
@@ -376,7 +379,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         # The keys of visits that left the archive, or never entered it, are
         # free again.
         for v in left:
-            live.difference_update(key for key, _, _ in merged[v][1])
+            live.difference_update(key for key, _ in merged[v][1])
 
         snapshots.append(GenerationRecord(
             gen, len(live), counters.static_evals, counters.dynamic_evals,
@@ -404,7 +407,9 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                 tuple(snapshots), replace(counters), n_visits,
                 tuple(b.key() for b in population), rng.getstate()))
 
-    return OoeResult(
-        tuple(sorted((row for _, rows in archive.payloads for row in rows),
-                     key=itemgetter(0))),
-        tuple(snapshots), counters)
+    final = []
+    for objectives, rows in archive.payloads:
+        block = objectives_block(objectives)
+        final += [(key, line, block) for key, line in rows]
+    return OoeResult(tuple(sorted(final, key=itemgetter(0))),
+                     tuple(snapshots), counters)

@@ -2,18 +2,22 @@
 
 A row is one solution of a backbone visit (one backbone forwarded in one
 generation): its fields in _FIELDS order, and the visit's combined
-objectives.  render_rows makes each row's archive.json text and front.csv
-line, once; the writers in nestevo.archive only join them, and a checkpoint
-stores only the lines, which read_lines reads back into fields.  No command
-builds a solution object, so _FIELDS and render_rows are the one schema of
-an archived solution (the tests read rows back into objects in
+objectives.  render_rows spells each row once, as its front.csv line, and
+that line is the only form a row takes until the outputs are written: a
+checkpoint stores it, read_lines reads it back into fields, and
+archive_text spells the row's archive.json text from it, with the visit's
+objectives_block, while archive.json is being written.  No command builds a
+solution object, so _FIELDS and render_rows are the one schema of an
+archived solution (the tests read rows back into objects in
 tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .evaluator import StaticScore
@@ -24,7 +28,10 @@ STATIC_DIRECTIONS = (Direction.MAXIMIZE, Direction.MINIMIZE, Direction.MINIMIZE)
 COMBINED_DIRECTIONS = STATIC_DIRECTIONS + (Direction.MAXIMIZE,)
 
 
-Row = tuple[tuple, str, str]  # key, archive.json text, front.csv line
+Row = tuple[tuple, str]  # key, front.csv line
+# A row of the final archive: key, front.csv line, its visit's
+# objectives_block.
+FinalRow = tuple[tuple, str, str]
 
 
 def _int_or_none(text: str) -> int | None:
@@ -114,34 +121,63 @@ def read_lines(lines: Sequence[str]) -> list[tuple]:
     return list(zip(*columns))
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CSV_SPECIAL = frozenset(',"\n')
 
 
-def _spell(v) -> tuple[str, str]:
-    """A scalar's text as json.dumps spells it (bools before ints, as it
-    checks) and as csv.writer spells it in a QUOTE_MINIMAL field: floats by
-    their repr, None as an empty field, and a string quoted only when it
-    holds a comma, a quote or a \\n (with lineterminator "\\n" the writer
-    leaves a bare \\r unquoted)."""
+def _spell(v) -> str:
+    """A scalar's text as csv.writer spells it in a QUOTE_MINIMAL field:
+    floats by their repr, None as an empty field, and a string quoted only
+    when it holds a comma, a quote or a \\n (with lineterminator "\\n" the
+    writer leaves a bare \\r unquoted).  A value of any other type, which
+    archive.json could not hold, raises TypeError."""
     if isinstance(v, float):
-        text = float.__repr__(v)
-        return _NON_FINITE.get(text, text), text
+        return float.__repr__(v)
     if isinstance(v, str):
-        quoted = not _CSV_SPECIAL.isdisjoint(v)
-        return encode_basestring_ascii(v), (
-            '"' + v.replace('"', '""') + '"' if quoted else v)
+        if _CSV_SPECIAL.isdisjoint(v):
+            return v
+        return '"' + v.replace('"', '""') + '"'
     if v is None:
-        return "null", ""
-    if v is True:
-        return "true", "True"
-    if v is False:
-        return "false", "False"
+        return ""
     if isinstance(v, int):
-        text = int.__repr__(v)
-        return text, text
+        return str(v) if isinstance(v, bool) else int.__repr__(v)
     raise TypeError(f"Object of type {type(v).__name__} "
                     "is not JSON serializable")
+
+
+def _spell_column(values: Sequence) -> Sequence[str]:
+    """The CSV texts of a column of values, each spelled once: a column of
+    plain floats or plain ints by their repr, one of plain strings that
+    need no quoting as they are, any other one value by value (_spell).  A
+    column that repeats one object, as a visit's backbone and static fields
+    do, is spelled once."""
+    if len(values) > 1 and len(set(map(id, values))) == 1:
+        return [_spell(values[0])] * len(values)
+    kinds = set(map(type, values))
+    if kinds == {float} or kinds == {int}:
+        return list(map(kinds.pop().__repr__, values))
+    if kinds == {str} and _CSV_SPECIAL.isdisjoint("".join(values)):
+        return values
+    return list(map(_spell, values))
+
+
+def render_rows(rows: Sequence[Sequence]) -> list[Row]:
+    """The keys and front.csv lines of the rows of one visit, from their
+    fields in _FIELDS order.  A line is the row as
+    csv.writer(lineterminator="\\n") writes it; each value is spelled once,
+    column by column."""
+    if not rows:
+        return []
+    columns = list(zip(*rows))
+    lines = [",".join(parts) + "\n"
+             for parts in zip(*map(_spell_column, columns))]
+    keys = []
+    head = b_key = None
+    for key in zip(*columns[:6]):
+        if key[:2] != head:
+            head = key[:2]
+            b_key = BackboneGenome(head[0], _blocks_from_str(head[1])).key()
+        keys.append((b_key,) + key[2:])
+    return list(zip(keys, lines))
 
 
 # A row sits one level below "final": its keys are indented by 6 spaces and
@@ -191,51 +227,31 @@ def _compile_row() -> tuple[str, tuple[int, ...]]:
 
 
 _ROW, _ROW_ORDER = _compile_row()
+_TEMPLATE_ORDER = itemgetter(*_ROW_ORDER)
+# Per field: whether its cell holds a string, which JSON quotes.  Any other
+# cell is a number's repr (or a bool's) or empty, and JSON spells it the
+# same but for these texts.
+_STRING_CELLS = tuple(read is str for _, _, _, read in _FIELDS)
+_JSON_OF_CELL = {"": "null", "nan": "NaN", "inf": "Infinity",
+                 "-inf": "-Infinity", "True": "true", "False": "false"}
 
 
-def _spell_column(values: Sequence) -> tuple[Sequence[str], Sequence[str]]:
-    """The JSON and CSV texts of a column of values, each spelled once: a
-    column of plain floats or plain ints by their repr, one of plain
-    strings that need no CSV quoting as they are, any other one value by
-    value (_spell).  A column that repeats one object, as a visit's
-    backbone and static fields do, is spelled once."""
-    if len(values) > 1 and len(set(map(id, values))) == 1:
-        json_texts, csv_texts = _spell(values[0])
-        return [json_texts] * len(values), [csv_texts] * len(values)
-    kinds = set(map(type, values))
-    if kinds == {float} or kinds == {int}:
-        texts = list(map(kinds.pop().__repr__, values))
-        if _NON_FINITE.keys().isdisjoint(texts):
-            return texts, texts
-        return [_NON_FINITE.get(t, t) for t in texts], texts
-    if kinds == {str} and _CSV_SPECIAL.isdisjoint("".join(values)):
-        return list(map(encode_basestring_ascii, values)), values
-    spelled = list(map(_spell, values))
-    return [j for j, _ in spelled], [c for _, c in spelled]
+def objectives_block(objectives: Sequence[float]) -> str:
+    """The "objectives" value of the archive.json rows of a visit whose
+    combined objectives are `objectives`, as json.dumps(doc, indent=2)
+    writes it in a row."""
+    return json.dumps(list(objectives), indent=2).replace("\n", _ROW_INDENT)
 
 
-def render_rows(rows: Sequence[Sequence], objectives: Sequence[float]
-                ) -> list[Row]:
-    """The rows of one visit, from their fields in _FIELDS order and the
-    visit's combined objectives.  A JSON text is the row as json.dumps(doc,
-    indent=2, sort_keys=True) writes it one level below "final"; a line is
-    the row as csv.writer(lineterminator="\\n") writes it.  Each value is
-    spelled once for both, column by column, and the objectives once."""
-    if not rows:
-        return []
-    columns = list(zip(*rows))
-    spelled = list(map(_spell_column, columns))
-    json_columns = [texts for texts, _ in spelled]
-    json_columns.append([_json_block(
-        "[", [_spell(v)[0] for v in objectives], "]")] * len(rows))
-    texts = [_ROW % parts
-             for parts in zip(*[json_columns[i] for i in _ROW_ORDER])]
-    lines = [",".join(parts) + "\n" for parts in zip(*[c for _, c in spelled])]
-    keys = []
-    head = b_key = None
-    for key in zip(*columns[:6]):
-        if key[:2] != head:
-            head = key[:2]
-            b_key = BackboneGenome(head[0], _blocks_from_str(head[1])).key()
-        keys.append((b_key,) + key[2:])
-    return list(zip(keys, texts, lines))
+def archive_text(line: str, objectives: str) -> str:
+    """The archive.json text of the row whose front.csv line (with its line
+    break) is `line` and whose visit's objectives_block is `objectives`: the
+    row as json.dumps(doc, indent=2, sort_keys=True) writes it one level
+    below "final"."""
+    cells = (next(csv.reader([line[:-1]])) if '"' in line
+             else line[:-1].split(","))
+    cells = [encode_basestring_ascii(cell) if quoted
+             else _JSON_OF_CELL.get(cell, cell)
+             for cell, quoted in zip(cells, _STRING_CELLS)]
+    cells.append(objectives)
+    return _ROW % _TEMPLATE_ORDER(cells)

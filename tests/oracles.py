@@ -22,7 +22,10 @@ once (UnionMaskArchive, with the key rule the outer archive no longer has).
 The readers (FinalSolution, solution_from_values, read_entries,
 state_rows, and those of a whole archive.json and of front.csv rows) left
 the package because no command reads a row back into objects: the search
-renders rows from nestevo.rows' field table and only writes them.  The
+renders rows from nestevo.rows' field table and only writes them.  row_text
+spells a row's archive.json text from its values, as the workers did before
+rows travelled as front.csv lines only; rows.archive_text must spell the
+same text from the line.  The
 object enumerators and samplers (enumerate_exit_genomes, enumerate_dvfs,
 sample_dvfs, sample_exit_genome, with candidate_genes to flatten a pair)
 are the genome-object code both engines ran before they sampled and
@@ -92,11 +95,17 @@ from nestevo.ooe import (
 from nestevo.rows import (
     FRONT_CSV_COLUMNS,
     _FIELDS,
+    _ROW,
+    _ROW_ORDER,
+    FinalRow,
     Row,
     _blocks_from_str,
     _blocks_str,
+    _json_block,
+    objectives_block,
     render_rows,
 )
+from nestevo.rows import archive_text as row_archive_text
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +599,38 @@ def solution_from_values(values: Sequence) -> FinalSolution:
     )
 
 
-def read_entries(rows: Iterable[Row]) -> tuple[ArchiveEntry, ...]:
-    """Rows read back from their archive.json texts as FinalSolution entries."""
-    return tuple(ArchiveEntry(key, *solution_from_dict(json.loads(text)))
-                 for key, text, _ in rows)
+def read_entries(rows: Iterable[FinalRow]) -> tuple[ArchiveEntry, ...]:
+    """Final rows read back, as FinalSolution entries, from the archive.json
+    texts that rows.archive_text spells from them."""
+    return tuple(
+        ArchiveEntry(key, *solution_from_dict(json.loads(
+            row_archive_text(line, objectives))))
+        for key, line, objectives in rows)
 
 
-def state_rows(state: OoeState) -> Iterator[Row]:
-    """The rows of a search state's live visits, in archive order."""
-    return (row for _, rows in state.visits.values() for row in rows)
+def final_rows(objectives: Sequence[float], rows: Iterable[Row]
+               ) -> list[FinalRow]:
+    """The rows of a visit with the given combined objectives, each with the
+    visit's objectives_block, as a search result holds them."""
+    block = objectives_block(objectives)
+    return [(key, line, block) for key, line in rows]
+
+
+def state_rows(state: OoeState) -> Iterator[FinalRow]:
+    """The rows of a search state's live visits, in archive order, each with
+    its visit's objectives_block."""
+    return (row for objectives, rows in state.visits.values()
+            for row in final_rows(objectives, rows))
+
+
+def row_text(values: Sequence, objectives: Sequence[float]) -> str:
+    """The archive.json text of a row from its fields in _FIELDS order and
+    its visit's objectives, each value spelled by json.dumps into the row
+    template: the render the workers made before rows travelled as
+    front.csv lines only."""
+    slots = [json.dumps(v) for v in values]
+    slots.append(_json_block("[", [json.dumps(v) for v in objectives], "]"))
+    return _ROW % tuple(slots[i] for i in _ROW_ORDER)
 
 
 def row_values(doc: dict) -> tuple:
@@ -619,7 +651,7 @@ def archive_doc_result(doc: dict) -> OoeResult:
     rows = []
     for sol_doc in doc["final"]:
         sol, vector = solution_from_dict(sol_doc)
-        rows += render_rows([solution_values(sol)], vector.values)
+        rows += final_rows(vector.values, render_rows([solution_values(sol)]))
     counters = EvalCounters(**doc["counters"])
     snapshots = tuple(GenerationRecord(**g) for g in doc["generations"])
     return OoeResult(tuple(rows), snapshots, counters)

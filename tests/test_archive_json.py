@@ -1,12 +1,16 @@
-"""Archive rows rendered from their values (rows.render_rows) and joined
-into archive.json and front.csv, against the oracles in tests/oracles.py
-(one json.dumps of the whole document, one csv.DictWriter row per
-solution): the bytes must be the same.  A row's front.csv line, as a
+"""Archive rows rendered from their values as front.csv lines
+(rows.render_rows), spelled from those lines as archive.json texts
+(rows.archive_text), and joined into archive.json and front.csv, against
+the oracles in tests/oracles.py (one json.dumps of the whole document, one
+csv.DictWriter row per solution, the row template filled by json.dumps of
+each value): the bytes must be the same.  A row's front.csv line, as a
 checkpoint keeps it, reads back (rows.read_lines) to the same row.  The
-search itself builds no solution object per row."""
+search itself builds no solution object per row, and holds no row's JSON
+text."""
 
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -21,14 +25,15 @@ from hypothesis import strategies as st
 
 import nestevo.ooe as ooe
 from nestevo import archive as ar
-from nestevo.cli import run_search
+from nestevo.cli import build_backend, run_search
 from nestevo.config import parse_config
 from nestevo.evaluator import StaticScore
 from nestevo.genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
 from nestevo.ioe import DynamicScore
 from nestevo.moea import ArchiveEntry, ObjectiveVector
 from nestevo.ooe import COMBINED_DIRECTIONS
-from nestevo.rows import read_lines, render_rows
+from nestevo.rows import (_blocks_str, archive_text as row_archive_text,
+                          objectives_block, read_lines, render_rows)
 
 import test_identity
 from oracles import (
@@ -37,6 +42,7 @@ from oracles import (
     front_csv_text,
     front_solution_from_row,
     read_entries,
+    row_text,
     solution_from_dict,
     solution_values,
 )
@@ -55,24 +61,31 @@ def entry(bits, compute_idx, emc_idx, hv, device="dev"):
 
 
 def rendered(entries) -> list:
-    """The entries' rows through render_rows, sorted by key: one call per
-    run of entries that share one vector object, as a visit's rows do."""
+    """The entries' final rows (key, line, objectives block) through
+    render_rows, sorted by key: one call per run of entries that share one
+    vector object, as a visit's rows do.  Each line's archive.json text is
+    that of the row_text oracle."""
     rows = []
     for _, visit in groupby(entries, key=lambda e: id(e.vector)):
         visit = list(visit)
-        got = render_rows([solution_values(e.payload) for e in visit],
-                          visit[0].vector.values)
-        assert [key for key, _, _ in got] == [e.key for e in visit]
-        rows += got
+        values = [solution_values(e.payload) for e in visit]
+        got = render_rows(values)
+        assert [key for key, _ in got] == [e.key for e in visit]
+        block = objectives_block(visit[0].vector.values)
+        for (_, line), v in zip(got, values):
+            assert row_archive_text(line, block) == \
+                row_text(v, visit[0].vector.values)
+        rows += [(key, line, block) for key, line in got]
     return sorted(rows, key=itemgetter(0))
 
 
 def texts(entries) -> list[str]:
-    return [text for _, text, _ in rendered(entries)]
+    return [row_archive_text(line, block)
+            for _, line, block in rendered(entries)]
 
 
 def lines(entries) -> list[str]:
-    return [line for _, _, line in rendered(entries)]
+    return [line for _, line, _ in rendered(entries)]
 
 
 def saved_text(tmp_path, doc, final):
@@ -141,6 +154,32 @@ def test_archive_document_is_written_without_a_copy(tmp_path):
     assert traced_peak(lambda: ar.save_json(str(path), doc, final)) <= 1e6
     assert json.loads(path.read_text(encoding="utf-8"))["final"][-1]["row"] \
         == 19_999
+
+
+def test_archive_document_is_written_from_lines_without_a_copy(tmp_path):
+    # As the search writes it: 20,000 rows held as front.csv lines (8 MB),
+    # whose archive.json texts (19 MB) exist one at a time, as written.
+    visits = [ODD_ROWS[:2], ODD_ROWS[2:]]
+    padded = [[replace(e.payload, dvfs=replace(e.payload.dvfs,
+                                               device="x" * 300 + str(i)))
+               for e in visit] for i, visit in enumerate(visits)]
+    rows = [(line, objectives_block(visit[0].vector.values))
+            for visit, sols in zip(visits, padded)
+            for _, line in render_rows([solution_values(s) for s in sols])]
+    rows = [rows[i % len(rows)] for i in range(20_000)]
+    doc = {"schema_version": 1, "config_digest": "a" * 64, "seed": 1}
+    path = tmp_path / "archive.json"
+    assert sum(len(line) for line, _ in rows) >= 8e6
+
+    def write():
+        ar.save_json(str(path), doc, (row_archive_text(line, block)
+                                      for line, block in rows))
+
+    assert traced_peak(write) <= 1e6
+    assert path.stat().st_size >= 16e6
+    final = json.loads(path.read_text(encoding="utf-8"))["final"]
+    assert len(final) == 20_000
+    assert final[-1]["dvfs"]["device"] == "x" * 300 + "1"
 
 
 def test_front_csv_is_written_without_a_copy(tmp_path):
@@ -214,7 +253,7 @@ def test_csv_rows_round_trip(tmp_path):
     assert sols == [e.payload for e in sorted(ODD_ROWS, key=lambda e: e.key)]
     ar.write_front_csv(str(second), [
         line for sol in sols
-        for _, _, line in render_rows([solution_values(sol)], ())])
+        for _, line in render_rows([solution_values(sol)])])
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -330,10 +369,11 @@ def test_rows_and_front_match_oracles(generations):
             doc["generation"] = gen
             rows = rendered(entries)
             path = Path(tmp, "checkpoint.json")
-            ar.save_json(str(path), doc, [text for _, text, _ in rows])
+            ar.save_json(str(path), doc, (row_archive_text(line, block)
+                                          for _, line, block in rows))
             assert path.read_bytes() == archive_text(doc, entries).encode()
             front = Path(tmp, "front.csv")
-            ar.write_front_csv(str(front), [line for _, _, line in rows])
+            ar.write_front_csv(str(front), [line for _, line, _ in rows])
             assert front.read_bytes() == \
                 front_csv_text(entries).encode("utf-8")
 
@@ -342,15 +382,98 @@ def test_rows_and_front_match_oracles(generations):
 @given(checkpoint_sequences())
 def test_lines_read_back_to_their_rows(generations):
     # A checkpoint keeps each row as its front.csv line; read back, the line
-    # renders to the row it came from, JSON text and key included.  An
+    # renders to the row it came from, key included.  An
     # unquoted \r, which DeviceSpec refuses, is the one cell the CSV reader
     # cannot read back.
     for entries in generations:
         for e in entries:
             rows = rendered([e])
             try:
-                values = read_lines([rows[0][2][:-1]])
+                values = read_lines([rows[0][1][:-1]])
             except ValueError as exc:
                 assert "\r" in e.payload.dvfs.device, exc
                 continue
-            assert render_rows(values, e.vector.values) == rows
+            assert render_rows(values) == [row[:2] for row in rows]
+
+
+# Field values as the search never makes them but a row may hold: device
+# names with separators, quotes, line breaks, non-ASCII text or nothing,
+# ints beyond 64 bits, no memory clock, and non-finite scores.
+odd_device = st.one_of(device_name, st.sampled_from(
+    ["", ",", '"', '""', "a,b", 'say "hi"', "line\nbreak", "car\rriage",
+     'both\r"', "dév,ÅGX", "\u2248\n\r,\""]))
+big_int = st.one_of(small_int, st.integers(-2**70, 2**70))
+
+
+@st.composite
+def visit_values(draw):
+    """The fields, in _FIELDS order, of the rows of one visit: one backbone
+    and static score, and for each row its own exits, setting and scores."""
+    b = draw(backbones)
+    static = draw(static_scores)
+    head = (b.resolution_idx, _blocks_str(b))
+    scores = (static.accuracy, static.latency_ms, static.energy_mj)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        bits = "".join(map(str, draw(exit_genomes).indicators))
+        setting = (draw(odd_device), draw(big_int),
+                   draw(st.one_of(st.none(), big_int)))
+        dynamic = draw(st.tuples(*(score_float,) * 4))
+        rows.append(head + (bits,) + setting + scores + dynamic
+                    + (draw(big_int), draw(score_float)))
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(visit_values(), st.tuples(*(score_float,) * 4))
+def test_archive_text_matches_the_template_render(rows, objectives):
+    # Each row's archive.json text, spelled from its front.csv line, is the
+    # text the row template held when every value was spelled by json.dumps.
+    block = objectives_block(objectives)
+    for (_, line), values in zip(render_rows(rows), rows):
+        assert row_archive_text(line, block) == row_text(values, objectives)
+
+
+def test_archive_json_rows_are_spelled_as_they_are_written(tmp_path,
+                                                          monkeypatch):
+    # run_search hands save_json an iterator of row texts, each made as the
+    # writer draws it, never a list of them; so do the checkpoints.
+    handed = []
+    save = ar.save_json
+
+    def recording(path, doc, final=None):
+        handed.append(os.path.basename(path))
+        assert final is None or iter(final) is final, path
+        save(path, doc, final)
+
+    monkeypatch.setattr(ar, "save_json", recording)
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
+                       out_override=str(tmp_path))
+    run_search(cfg)
+    assert handed[-1] == "archive.json"
+    assert test_identity.digests(tmp_path) == \
+        test_identity.PINNED["small-default"]
+
+
+def test_rows_travel_without_their_json_text(tmp_path):
+    # From the workers to the final write a row is its key and front.csv
+    # line; the result adds its visit's objectives block, spelled once per
+    # visit.  No row's archive.json text is held.
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
+                       out_override=str(tmp_path))
+    states = []
+    result = ooe.run_ooe(cfg.space, cfg.device_spec(), build_backend(cfg),
+                         cfg.hw, cfg.surrogate, cfg.ooe, cfg.variation,
+                         on_generation=states.append)
+    for state in states:
+        for rows in (rows for _, rows in state.visits.values()):
+            assert all(len(row) == 2 for row in rows)
+            assert render_rows(read_lines([line[:-1] for _, line in rows])) \
+                == list(rows)
+    live = states[-1].visits.values()
+    assert [row[:2] for row in result.rows] == \
+        sorted(row for _, rows in live for row in rows)
+    assert all(len(row) == 3 for row in result.rows)
+    assert {block for _, _, block in result.rows} == \
+        {objectives_block(objectives) for objectives, _ in live}
+    assert len({id(block) for _, _, block in result.rows}) == len(live)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from nestevo import archive as ar
 from nestevo.cli import main
 from nestevo.config import ConfigError, config_digest, load_config, parse_config
-from nestevo.rows import render_rows
+from nestevo.rows import archive_text, render_rows
 
 from oracles import (
     archive_doc_result,
@@ -542,7 +542,8 @@ class TestSearchCommand:
         result = archive_doc_result(doc)
         ar.save_json(str(out / "archive2.json"),
                      ar.archive_header(result, doc["config_digest"], doc["seed"]),
-                     [text for _, text, _ in result.rows])
+                     [archive_text(line, objectives)
+                      for _, line, objectives in result.rows])
         assert (out / "archive2.json").read_bytes() == \
             (out / "archive.json").read_bytes()
 
@@ -555,8 +556,7 @@ class TestSearchCommand:
         lines = []
         for row in rows:
             sol = front_solution_from_row(row)
-            lines += [line for _, _, line
-                      in render_rows([solution_values(sol)], ())]
+            lines += [line for _, line in render_rows([solution_values(sol)])]
         ar.write_front_csv(str(out / "front2.csv"), lines)
         assert (out / "front.csv").read_bytes() == (out / "front2.csv").read_bytes()
 

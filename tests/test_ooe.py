@@ -215,7 +215,7 @@ class TestRunOoe:
         backend = SyntheticHardwareModel(HW)
         rows = enumerate_truth(toy_space, device, backend, HW, SUR,
                                seed=11, gamma=1.0)
-        assert {key for key, _, _ in rows} == bilevel_truth_keys(
+        assert {key for key, _ in rows} == bilevel_truth_keys(
             toy_space, device, backend, seed=11)
 
     def test_enumerate_truth_builds_genomes_only_for_statics(self,

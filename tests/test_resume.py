@@ -26,7 +26,8 @@ from nestevo.cli import main, run_search
 from nestevo.config import load_config, parse_config
 
 import test_identity
-from oracles import archive_text, front_lines, read_entries, state_rows
+from oracles import (archive_text, final_rows, front_lines, read_entries,
+                     state_rows)
 from test_cli import TOY_DOC, write_toy_config
 
 
@@ -175,8 +176,9 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
         text = Path(paths[k - 1]).read_text(encoding="utf-8")
         added = [state.visits[v] for v in state.added]
         doc = dict(json.loads(text), final=[
-            line[:-1] for _, rows in added for line in front_lines(
-                e.payload for e in read_entries(rows))],
+            line[:-1] for objectives, rows in added
+            for line in front_lines(e.payload for e in read_entries(
+                final_rows(objectives, rows)))],
             visits=[[v, len(rows), list(objectives)]
                     for v, (objectives, rows) in zip(state.added, added)])
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -189,7 +191,7 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
         # As in the live run, a visit's rows share one backbone, static
         # score and objective vector.
         for objectives, rows in replayed.visits.values():
-            entries = read_entries(rows)
+            entries = read_entries(final_rows(objectives, rows))
             first = entries[0].payload
             assert all(e.payload.backbone == first.backbone
                        and e.payload.static_score == first.static_score
@@ -321,6 +323,60 @@ class TestResumeRefusals:
         res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
         assert res.exit_code == 0, res.output
         assert files(out) == expected
+
+    @staticmethod
+    def edit_record(path: Path, name: str, edit) -> None:
+        doc = json.loads(path.read_text())
+        doc["record"][name] = edit(doc["record"][name])
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    def test_archive_size_that_is_not_the_live_row_count(self, tmp_path,
+                                                         runner):
+        # Replayed as it stands, the record would be written into
+        # archive.json's generations.
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        self.edit_record(out / "checkpoint_gen_002.json", "archive_size",
+                         lambda n: n + 5)
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "checkpoint_gen_002.json records archive_size" in res.output
+        assert res.output.rstrip().endswith(
+            "rerun with --force to start over")
+        assert "cannot resume" in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_record_of_another_generation(self, tmp_path, runner):
+        # The last checkpoint's record names the generation the run resumes
+        # after.
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        self.edit_record(out / "checkpoint_gen_003.json", "generation",
+                         lambda n: 7)
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "checkpoint_gen_003.json records generation 7, not 3" \
+            in res.output
+        assert "cannot resume" in res.output
+        assert res.output.rstrip().endswith(
+            "rerun with --force to start over")
+        assert not (out / "archive.json").exists()
+
+    @pytest.mark.parametrize("name", ["static_evals", "dynamic_evals",
+                                      "forwarded_backbones"])
+    def test_counters_that_decrease(self, tmp_path, runner, name):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        first = json.loads((out / "checkpoint_gen_001.json").read_text())
+        self.edit_record(out / "checkpoint_gen_002.json", name,
+                         lambda n: first["record"][name] - 1)
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert f"checkpoint_gen_002.json records {name}" in res.output
+        assert "cannot resume" in res.output
+        assert res.output.rstrip().endswith(
+            "rerun with --force to start over")
+        assert not (out / "archive.json").exists()
 
     @staticmethod
     def edit_cell(path: Path, column: str, edit) -> int:
