@@ -18,6 +18,11 @@ digest held.  The toy search sees its whole space either way: only its
 archive.json's schema_version line changed (1 to 2, since a checkpoint of
 the old stream must not be resumed), and its front.csv held.
 
+The truth_front.csv that `nestevo enumerate` writes is pinned too, for the
+toy space and for a space whose backbones hold several thousand candidates
+each, recorded before the exhaustive front came to be filtered block by
+block.
+
 A speed-up must keep these digests; a change that alters results on purpose
 re-pins them and says why.  The benchmark's own output checks
 (perfbench/workloads.py) must find no problem in any of these outputs.
@@ -71,6 +76,17 @@ ABLATE_DOC = {
     "ablate": {"backbone_seed": 3},
 }
 ABLATE_GAMMAS = "0,0.5,1,2"
+
+# An enumerable space on the default space's device, which has a memory
+# clock: 4 backbones with 5 or 6 exit positions, 3,906 or 7,938 candidates
+# each.
+ENUMERATE_DOC = {
+    "seed": 11,
+    "device": "agx-volta-gpu",
+    "space": {"n_block": 1, "resolution": [32], "depth": [10, 11],
+              "width": [16, 32], "kernel": [3], "expand": [1],
+              "exit_min_position": 5},
+}
 TABLE_BUCKETS = tuple(10.0 ** (6 + k / 8) for k in range(17))
 
 PINNED = {
@@ -95,6 +111,14 @@ PINNED = {
     "ablate-table": {
         "ablation.json":
             "92ca9c76df4ef2fc68162f995ad424e8314150378dabeebca5ac0d60daea31c5",
+    },
+    "enumerate-toy": {
+        "truth_front.csv":
+            "3258efa1d983b94f62cbed312f5bcdc8d65a3a7e8c4521eb5c36ba7a2d125ecd",
+    },
+    "enumerate": {
+        "truth_front.csv":
+            "00e12a7329772ba8650417b0225af6c28c666bc7920ac074c7a84f673ff8c364",
     },
 }
 
@@ -239,3 +263,23 @@ def test_ablate_table_digests(tmp_path):
     inp = bench.Input(0, ABLATE_DOC["seed"], str(config),
                       {"ioe": ABLATE_DOC["ioe"]})
     assert bench.check_ablate(workload, inp, str(out)).problems == []
+
+
+def test_enumerate_toy_digest(tmp_path):
+    res = CliRunner().invoke(main, ["enumerate", "--config",
+                                    str(CONFIGS / "toy.yaml"),
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert digests(tmp_path, ("truth_front.csv",)) == PINNED["enumerate-toy"]
+
+
+def test_enumerate_digest(tmp_path):
+    config = tmp_path / "enumerate.yaml"
+    config.write_text(yaml.safe_dump(
+        dict(ENUMERATE_DOC, output_dir=str(tmp_path / "out"))),
+        encoding="utf-8")
+    res = CliRunner().invoke(main, ["enumerate", "--config", str(config)])
+    assert res.exit_code == 0, res.output
+    out = tmp_path / "out"
+    assert digests(out, ("truth_front.csv",)) == PINNED["enumerate"]
+    assert len((out / "truth_front.csv").read_text().splitlines()) == 1 + 308

@@ -43,10 +43,11 @@ from nestevo.ooe import ioe_front_hypervolume
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
 # Backbone seeds with 4, 4, 5, 5, 6 and 6 exit positions, the first such
-# seeds of the default space, then seeds with 8 and 10.  Their inner spaces
-# hold 1,890, 3,906, 7,938, 32,130 and 128,898 candidates, all larger than
-# one population of 100; the last two exceed the inner budget of 3,500.
-BACKBONES = (21346, 57351, 63752, 111074, 7530, 32542, 450, 190)
+# seeds of the default space, then seeds with 8, 10 and 12.  Their inner
+# spaces hold 1,890, 3,906, 7,938, 32,130, 128,898 and 515,970 candidates,
+# all larger than one population of 100; all but the first exceed the
+# inner budget of 3,500.
+BACKBONES = (21346, 57351, 63752, 111074, 7530, 32542, 450, 190, 678)
 INNER_SEEDS = tuple(range(10))
 
 # Zero weighted correctness, the static backbone's energy and twice its
