@@ -34,11 +34,18 @@ from .rows import archive_text
 
 
 def build_backend(cfg: RunConfig):
-    if cfg.backend == "table":
-        if not os.path.exists(cfg.table_csv or ""):
-            raise ConfigError(f"lookup table not found: {cfg.table_csv}")
-        return TableHardwareModel.from_csv(cfg.table_csv)
-    return SyntheticHardwareModel(cfg.hw)
+    if cfg.backend != "table":
+        return SyntheticHardwareModel(cfg.hw)
+    try:
+        backend = TableHardwareModel.from_csv(cfg.table_csv)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"lookup table {cfg.table_csv}: {exc}") from exc
+    queries, rows = backend.price_table(cfg.device_spec())
+    if (rows < 0).any():
+        device, f_c, f_m = queries[rows.argmin()]
+        raise ConfigError(f"lookup table {cfg.table_csv} has no rows for "
+                          f"device={device!r} f_c={f_c} f_m={f_m}")
+    return backend
 
 
 def _load(config_path: str, seed: int | None, out: str | None) -> RunConfig:
@@ -204,10 +211,10 @@ def search(config_path: str, seed: int | None, out: str | None,
 def enumerate_cmd(config_path: str, seed: int | None, out: str | None) -> None:
     """Exhaustively evaluate every candidate and write the true front."""
     cfg = _load(config_path, seed, out)
-    card = space_cardinality(cfg.space, cfg.device_spec())
-    if card.total > cfg.enumerate_cap:
+    total = space_cardinality(cfg.space, cfg.device_spec())
+    if total > cfg.enumerate_cap:
         raise click.ClickException(
-            f"search space holds {card.total} (backbone, exits, frequency) "
+            f"search space holds {total} (backbone, exits, frequency) "
             f"candidates, above the enumeration cap {cfg.enumerate_cap}"
         )
     try:
@@ -219,7 +226,7 @@ def enumerate_cmd(config_path: str, seed: int | None, out: str | None) -> None:
                            cfg.ooe.ioe.objective_mode)
     path = os.path.join(cfg.output_dir, "truth_front.csv")
     ar.write_front_csv(path, [line for _, line in rows])
-    click.echo(f"evaluated {card.total} candidates; front: {path}")
+    click.echo(f"evaluated {total} candidates; front: {path}")
 
 
 def _parse_objectives(specs: tuple[str, ...]) -> list[tuple[str, Direction]]:

@@ -385,7 +385,7 @@ class HardwareTable:
     @classmethod
     def from_csv(cls, path: str) -> "HardwareTable":
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")
             missing = set(TABLE_CSV_COLUMNS) - set(reader.fieldnames or ())
             if missing:
                 raise ValueError(f"lookup table missing columns: {sorted(missing)}")

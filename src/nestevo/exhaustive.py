@@ -8,7 +8,6 @@ that the evolutionary engine is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -24,31 +23,41 @@ from .genome import (
     DeviceSpec,
     SearchSpaceSpec,
     enumerate_backbones,
-    enumerate_candidates,
+    n_inner_candidates,
 )
-from .ioe import (DynamicScores, IoeResult, _DynamicEvaluator,
+from .ioe import (IoeResult, _DynamicEvaluator, enumerated, inner_front,
                   ioe_objective_matrix)
 from .moea import nondominated_rows
 from .ooe import COMBINED_DIRECTIONS, combined_objectives, ioe_front_hypervolume
 from .rows import Row, render_rows, visit_values
 
 
-@dataclass(frozen=True)
-class SpaceCardinality:
-    n_backbones: int
-    max_exit_patterns: int
-    n_dvfs: int
-
-    @property
-    def total(self) -> int:
-        return self.n_backbones * self.max_exit_patterns * self.n_dvfs
+def space_cardinality(space: SearchSpaceSpec, device: DeviceSpec) -> int:
+    """A bound on the triples: every backbone as deep as the deepest."""
+    max_bits = space.n_block * max(space.depth_domain) - space.exit_min_position
+    return space.n_backbones() * n_inner_candidates(max_bits, device)
 
 
-def space_cardinality(space: SearchSpaceSpec, device: DeviceSpec) -> SpaceCardinality:
-    max_layers = space.n_block * max(space.depth_domain)
-    max_patterns = 2 ** (max_layers - space.exit_min_position) - 1
-    n_dvfs = len(device.compute_freq_ghz) * max(1, len(device.emc_freq_ghz))
-    return SpaceCardinality(space.n_backbones(), max_patterns, n_dvfs)
+# Candidates evaluated and filtered at a time, which bounds the temporaries.
+_BLOCK_ROWS = 4096
+
+
+def exact_inner_front(ev: _DynamicEvaluator, objective_mode: str) -> IoeResult:
+    """The exact inner front of ev's backbone, in enumeration order: each
+    block of candidates (ioe.enumerated) filtered alone, then the blocks'
+    survivors together (ioe.inner_front), as the front of a union lies in
+    the union of its parts' fronts (Kung, Luccio & Preparata, 1975)."""
+    places = range(n_inner_candidates(ev.n_cols, ev.device))
+    parts = []
+    for i in places[::_BLOCK_ROWS]:
+        genes = enumerated(ev.n_cols, ev.device, places[i:i + _BLOCK_ROWS])
+        scores = ev.evaluate_batch(genes)
+        values, directions = ioe_objective_matrix(scores, objective_mode,
+                                                  ev.gamma)
+        keep = nondominated_rows(values, directions)
+        parts.append((genes[keep], values[keep], scores.means[keep],
+                      scores.n_exits[keep]))
+    return inner_front(parts, directions, len(places))
 
 
 def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
@@ -62,15 +71,9 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
     for b in enumerate_backbones(space):
         static = eval_static(b, space, device, backend, surrogate, seed)
         profile = exit_profile(b, space, surrogate, seed)
-        ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
-                               gamma)
-        candidates = np.array(enumerate_candidates(ev.n_cols, device))
-        scores = ev.evaluate_batch(candidates)
-        values, directions = ioe_objective_matrix(scores, objective_mode, gamma)
-        keep = np.flatnonzero(nondominated_rows(values, directions))
-        inner = IoeResult(tuple(map(tuple, candidates[keep].tolist())),
-                          DynamicScores(scores.means[keep], scores.n_exits[keep]),
-                          len(candidates))
+        inner = exact_inner_front(
+            _DynamicEvaluator(b, space, device, backend, hw, profile, static,
+                              gamma), objective_mode)
         hv = ioe_front_hypervolume(inner.scores, gamma)
         per_backbone.append((b, static, inner, combined_objectives(static, hv)))
 

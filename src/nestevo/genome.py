@@ -310,7 +310,7 @@ def backbone_of_key(genes: Sequence[int]) -> BackboneGenome:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (tiny spaces only; used by the oracle front and by
 # initial-population seeding when the whole subspace fits in one
-# population): backbones as genomes, inner candidates as gene tuples
+# population): backbones as genomes, frequency settings as gene tuples
 
 
 def enumerate_backbones(space: SearchSpaceSpec) -> Iterator[BackboneGenome]:
@@ -333,18 +333,5 @@ def frequency_settings(device: DeviceSpec) -> list[tuple[int, ...]]:
         *([range(len(device.emc_freq_ghz))] if device.has_emc else [])))
 
 
-def enumerate_candidates(n_bits: int, device: DeviceSpec) -> list[tuple[int, ...]]:
-    """Every inner candidate of `n_bits` exit bits on `device`, as gene
-    tuples: the exit patterns with a set bit in counting order, each
-    followed by every frequency setting in code order."""
-    settings = frequency_settings(device)
-    return [bits + setting
-            for bits in itertools.product((0, 1), repeat=n_bits) if any(bits)
-            for setting in settings]
-
-
-def n_inner_candidates(b: BackboneGenome, space: SearchSpaceSpec,
-                       device: DeviceSpec) -> int:
-    n_patterns = 2 ** indicator_length(b, space) - 1
-    n_freq = len(device.compute_freq_ghz) * max(1, len(device.emc_freq_ghz))
-    return n_patterns * n_freq
+def n_inner_candidates(n_bits: int, device: DeviceSpec) -> int:
+    return (2 ** n_bits - 1) * len(frequency_settings(device))

@@ -39,7 +39,6 @@ from .genome import (
     SearchSpaceSpec,
     VariationParams,
     bits_key,
-    enumerate_candidates,
     indicator_length,
     n_inner_candidates,
     require_counts,
@@ -111,6 +110,16 @@ def gene_sizes(n_bits: int, device: DeviceSpec) -> np.ndarray:
     the compute table's, then the emc table's if the device has one."""
     return np.array((2,) * n_bits + (len(device.compute_freq_ghz),) + (
         (len(device.emc_freq_ghz),) if device.has_emc else ()))
+
+
+def enumerated(n_bits: int, device: DeviceSpec, rows: range) -> np.ndarray:
+    """Places `rows` of the inner candidates of `n_bits` exit bits on
+    `device` as a gene matrix: exit patterns with a set bit in counting
+    order, each with every setting in code order (a count over gene_sizes)."""
+    sizes = gene_sizes(n_bits, device)
+    n_settings = math.prod(sizes[n_bits:].tolist())
+    places = np.arange(rows.start, rows.stop, rows.step) + n_settings
+    return np.stack(np.unravel_index(places, sizes), axis=1)
 
 
 def uniforms(rng: random.Random, n: int) -> np.ndarray:
@@ -194,11 +203,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-# Candidates evaluated per block: bounds the temporaries of an exhaustive
-# enumeration, which evaluates every candidate of a backbone in one call.
-_BLOCK_ROWS = 4096
-
-
 @dataclass(frozen=True)
 class DynamicScores:
     """The DynamicScore of each candidate of a batch, as columns: `means`
@@ -257,20 +261,14 @@ class _DynamicEvaluator:
         self.gamma = gamma
 
     def evaluate_batch(self, candidates: np.ndarray) -> DynamicScores:
-        """The scores of the rows of a gene matrix; a matrix of the wrong
-        width or a gene outside its domain raises ValueError."""
+        """The scores of the rows of a gene matrix, in one pass whose
+        temporaries grow with the rows; a matrix of the wrong width or a
+        gene outside its domain raises ValueError."""
         if candidates.ndim != 2 or candidates.shape[1] != len(self.sizes):
             raise ValueError("exit genome is not conditioned on this backbone")
         if ((candidates < 0) | (candidates >= self.sizes)).any():
             raise ValueError("gene index outside its domain")
-        blocks = [self._score(candidates[i:i + _BLOCK_ROWS])
-                  for i in range(0, len(candidates), _BLOCK_ROWS)]
-        return DynamicScores(np.concatenate([b.means for b in blocks]),
-                             np.concatenate([b.n_exits for b in blocks]))
-
-    def _score(self, rows: np.ndarray) -> DynamicScores:
-        """Scores of the candidates of a gene matrix."""
-        sel = rows[:, :self.n_cols] != 0
+        sel = candidates[:, :self.n_cols] != 0
         k = sel.sum(axis=1)
         if not k.all():
             raise ZeroDivisionError("exit genome samples no exit")
@@ -285,7 +283,7 @@ class _DynamicEvaluator:
         if bad.any():
             raise ValueError("workload must be finite" if not finite[bad.argmax()]
                              else "workload must be nonnegative")
-        codes = setting_codes(self.device, rows[:, self.n_cols:])
+        codes = setting_codes(self.device, candidates[:, self.n_cols:])
         latency, energy = self.backend.latency_energy_batch(
             flops, bytes_, codes[np.nonzero(sel)[0]], self.prices)
 
@@ -353,8 +351,8 @@ def ioe_objective_matrix(scores: DynamicScores, mode: str, gamma: float
 
 @dataclass
 class IoeResult:
-    """An inner front: its candidates in run_ioe's order, their scores as
-    rows of one matrix, and the number of candidates evaluated."""
+    """An inner front: its candidates in inner_front's order, their scores
+    as rows of one matrix, and the number of candidates evaluated."""
 
     solutions: tuple[Candidate, ...]
     scores: DynamicScores
@@ -372,6 +370,20 @@ class IoeResult:
                                        self.scores.n_exits.tolist())]
 
 
+def inner_front(parts: list[tuple[np.ndarray, ...]],
+                directions: tuple[Direction, ...], n_evals: int) -> IoeResult:
+    """The rows of parts (genes, objectives, means, n_exits) no row
+    dominates, in order, a repeated gene row only where it first appears:
+    run_ioe and exhaustive.exact_inner_front both end here."""
+    genes, values, means, n_exits = map(np.concatenate, zip(*parts))
+    first: dict[bytes, int] = {}
+    for i in np.flatnonzero(nondominated_rows(values, directions)).tolist():
+        first.setdefault(genes[i].tobytes(), i)
+    kept = list(first.values())
+    return IoeResult(tuple(map(tuple, genes[kept].tolist())),
+                     DynamicScores(means[kept], n_exits[kept]), n_evals)
+
+
 def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
             backend: HardwareBackend, hw: HardwareModelParams,
             config: IoeConfig, variation: VariationParams, rng: random.Random,
@@ -382,21 +394,20 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
     Each generation is one gene matrix, sampled (_sample) or bred (_breed)
     from one block of uniforms and evaluated as a whole, and no genome
     object is built.  When the whole inner space fits in one population,
-    the first generation is all of it, from enumerate_candidates.
+    the first generation is all of it, from enumerated.
 
-    The result is the non-dominated set of every generation's rank-0 rows
-    in order of appearance, a repeated candidate only where it first
-    appears: as a candidate's scores depend on its genes alone, this is the
-    archive a merge after each generation would end with.
+    The result is the inner front (inner_front) of every generation's
+    rank-0 rows: as a candidate's scores depend on its genes alone, this is
+    the archive a merge after each generation would end with.
     """
     ev = _DynamicEvaluator(b, space, device, backend, hw, profile, static,
                            config.gamma)
     n_bits = ev.n_cols
 
     fronts = []  # per generation: rank-0 genes, objectives, means, n_exits
+    size = n_inner_candidates(n_bits, device)
     population = np.array(initial_population(
-        config.population, n_inner_candidates(b, space, device),
-        lambda: enumerate_candidates(n_bits, device),
+        config.population, size, lambda: enumerated(n_bits, device, range(size)),
         lambda r, n: list(map(tuple, _sample(n, n_bits, ev.sizes, r).tolist())),
         lambda c: c, rng))
     keep = max(1, math.ceil(config.keep_fraction * config.population))
@@ -411,11 +422,5 @@ def run_ioe(b: BackboneGenome, space: SearchSpaceSpec, device: DeviceSpec,
         best, front = select(values, directions, keep)
         fronts.append((population[front], values[front], scores.means[front],
                        scores.n_exits[front]))
-    genes, values, means, n_exits = map(np.concatenate, zip(*fronts))
-    first: dict[bytes, int] = {}
-    for i in np.flatnonzero(nondominated_rows(values, directions)).tolist():
-        first.setdefault(genes[i].tobytes(), i)
-    kept = list(first.values())
-    return IoeResult(tuple(map(tuple, genes[kept].tolist())),
-                     DynamicScores(means[kept], n_exits[kept]),
-                     config.generations * config.population)
+    return inner_front(fronts, directions,
+                       config.generations * config.population)

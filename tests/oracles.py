@@ -29,8 +29,8 @@ same text from the line.  The
 object enumerators and samplers (enumerate_exit_genomes, enumerate_dvfs,
 sample_dvfs, sample_exit_genome, with candidate_genes to flatten a pair)
 are the genome-object code both engines ran before they sampled and
-enumerated gene tuples; enumerate_candidates must give the same tuples in
-the same order.  sample_exit_genome draws what the package's
+enumerated gene rows; ioe.enumerated must give the same rows in the same
+order.  sample_exit_genome draws what the package's
 sample_exit_bits and repair_exit_bits drew, in one function.  The
 regrouping helpers at the end give the matrix API (rank_rows,
 nondominated_rows, ParetoArchive.merge_batch, Front) the lists of

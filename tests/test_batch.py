@@ -27,23 +27,30 @@ from nestevo.evaluator import (
     hw_latency_energy,
     setting_codes,
 )
+import nestevo.exhaustive as exhaustive
 from nestevo.genome import (
+    BackboneGenome,
+    BlockGenes,
     DeviceSpec,
     DvfsGenome,
     ExitGenome,
     SearchSpaceSpec,
     indicator_length,
+    n_inner_candidates,
     sample_backbone,
 )
 from nestevo.ioe import (
+    OBJECTIVE_MODES,
     _DynamicEvaluator,
     dynamic_fitness,
+    enumerated,
     ioe_objective_matrix,
 )
 from nestevo.moea import Direction, ObjectiveVector
 
 from oracles import (
     ScalarDynamicEvaluator,
+    all_pairs_nondominated,
     candidate_genes,
     crowding_distance,
     fast_nondominated_sort,
@@ -223,21 +230,31 @@ def test_batch_evaluator_equals_scalar_oracle(batch, mode):
     assert directions == vectors[0].directions
 
 
-def test_evaluation_blocks_concatenate(monkeypatch):
-    import nestevo.ioe as ioe
-
-    rng = random.Random(3)
-    b = sample_backbone(SPACE, rng)
+def test_exact_inner_front_blocks(monkeypatch):
+    # Filtering block by block, then the blocks' survivors, keeps the front
+    # of a one-shot evaluation filtered at once, in enumeration order.
+    b = BackboneGenome(1, (BlockGenes(2, 1, 1, 1),) * 2)   # 5 exit bits
+    n_bits = indicator_length(b, SPACE)
     profile = exit_profile(b, SPACE, SurrogateParams(), 0)
-    static = eval_static(b, SPACE, EMC, SYNTHETIC, SurrogateParams(), 0)
-    candidates = [(sample_exit_genome(b, SPACE, rng), sample_dvfs(EMC, rng))
-                  for _ in range(23)]
-    ev = _DynamicEvaluator(b, SPACE, EMC, SYNTHETIC, HW, profile, static, 1.0)
-    whole = ev.evaluate_batch(genes(candidates))
-    monkeypatch.setattr(ioe, "_BLOCK_ROWS", 5)
-    blocks = ev.evaluate_batch(genes(candidates))
-    assert blocks.means.tolist() == whole.means.tolist()
-    assert blocks.n_exits.tolist() == whole.n_exits.tolist()
+    for device, backend in ((EMC, SYNTHETIC), (PLAIN, TABLE)):
+        static = eval_static(b, SPACE, device, backend, SurrogateParams(), 0)
+        ev = _DynamicEvaluator(b, SPACE, device, backend, HW, profile, static,
+                               1.0)
+        n = n_inner_candidates(n_bits, device)
+        assert n >= 3 * 5
+        rows = enumerated(n_bits, device, range(n))
+        whole = ev.evaluate_batch(rows)
+        for mode in OBJECTIVE_MODES:
+            keep = all_pairs_nondominated(
+                *ioe_objective_matrix(whole, mode, 1.0))
+            for block_rows in (1, 5, n):
+                monkeypatch.setattr(exhaustive, "_BLOCK_ROWS", block_rows)
+                front = exhaustive.exact_inner_front(ev, mode)
+                assert front.solutions == tuple(map(tuple, rows[keep].tolist()))
+                assert front.scores.means.tolist() == whole.means[keep].tolist()
+                assert (front.scores.n_exits.tolist()
+                        == whole.n_exits[keep].tolist())
+                assert front.n_dynamic_evals == n
 
 
 def setting(device, i):

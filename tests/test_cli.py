@@ -339,6 +339,29 @@ def write_table_config(tmp_path):
     return cfg, table
 
 
+def table_without_fast_rows():
+    # No row for the 1.0 GHz setting of toy-dev.
+    return "".join(line for line in TOY_TABLE.splitlines(keepends=True)
+                   if ",1.0,," not in line)
+
+
+def table_with_a_cell(cell):
+    header, first, *rest = TOY_TABLE.splitlines(keepends=True)
+    fields = first.split(",")
+    fields[4] = cell
+    return "".join([header, ",".join(fields)] + rest)
+
+
+BAD_TABLES = {
+    "missing-setting": (table_without_fast_rows(),
+                        "has no rows for device='toy-dev' f_c=1.0 f_m=None"),
+    "unreadable-cell": (table_with_a_cell("abc"),
+                        "could not convert string to float: 'abc'"),
+    "short-row": (TOY_TABLE + "toy-dev,3.0,0.5\n",
+                  "could not convert string to float: ''"),
+}
+
+
 def edit_one_byte(path):
     data = bytearray(path.read_bytes())
     i = data.rindex(b"1")
@@ -372,6 +395,24 @@ class TestTableDigest:
         assert "different config" in res.output
         res = runner.invoke(main, args + ["--force"])
         assert res.exit_code == 0, res.output
+
+
+class TestBadTable:
+    @pytest.mark.parametrize("command", ["search", "enumerate",
+                                         "ablate-dissim"])
+    @pytest.mark.parametrize("table_name", sorted(BAD_TABLES))
+    def test_refused_before_any_output(self, tmp_path, runner, command,
+                                       table_name):
+        text, message = BAD_TABLES[table_name]
+        cfg_path, table = write_table_config(tmp_path)
+        table.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, [command, "--config", str(cfg_path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"Error: lookup table {table}" in res.output
+        assert message in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestSearchCommand:

@@ -22,7 +22,6 @@ from nestevo.genome import (
     backbone_of_key,
     backbone_sizes,
     enumerate_backbones,
-    enumerate_candidates,
     indicator_length,
     n_inner_candidates,
     repair_backbone,
@@ -30,7 +29,8 @@ from nestevo.genome import (
     total_layers,
     validate_backbone,
 )
-from nestevo.ioe import IoeConfig, _breed, _repaired, gene_sizes, uniforms
+from nestevo.ioe import (IoeConfig, _breed, _repaired, enumerated, gene_sizes,
+                         uniforms)
 from nestevo.ooe import OoeConfig, run_ooe
 from oracles import (
     candidate_genes,
@@ -464,7 +464,7 @@ def test_repair_leaves_an_exit(case, seed):
 def test_tournament_winner_has_the_lowest_place(seed):
     # Without variation each child is its tournament's winner.
     rng = random.Random(seed)
-    pool = enumerate_candidates(2, EMC_DEVICE)[:7]
+    pool = list(map(tuple, enumerated(2, EMC_DEVICE, range(7)).tolist()))
     places = rng.sample(range(7), 7)
     params = VariationParams(mutation_prob_per_gene=0.0, crossover_prob=0.0,
                              tournament_size=3)
@@ -649,9 +649,25 @@ def test_enumerated_candidates_match_object_enumeration(n_bits, device):
                             device_specs=default_devices())
     b = BackboneGenome(0, (BlockGenes(0, 0, 0, 0),))
     assert indicator_length(b, space) == n_bits
-    assert enumerate_candidates(n_bits, device) == [
+    rows = enumerated(n_bits, device, range(n_inner_candidates(n_bits, device)))
+    assert rows.dtype == np.int64
+    assert list(map(tuple, rows.tolist())) == [
         candidate_genes(x, f) for x in enumerate_exit_genomes(b, space)
         for f in enumerate_dvfs(device)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_bits=st.integers(1, 8), device=st.sampled_from(default_devices()),
+       data=st.data())
+def test_enumerated_window_is_its_slice(n_bits, device, data):
+    n = n_inner_candidates(n_bits, device)
+    start = data.draw(st.integers(0, n), label="start")
+    stop = data.draw(st.integers(start, n), label="stop")
+    step = data.draw(st.integers(1, 5), label="step")
+    whole = enumerated(n_bits, device, range(n))
+    window = enumerated(n_bits, device, range(start, stop, step))
+    assert window.shape == (len(range(start, stop, step)), whole.shape[1])
+    assert window.tolist() == whole[start:stop:step].tolist()
 
 
 class TestEnumeration:
@@ -669,5 +685,6 @@ class TestEnumeration:
 
     def test_inner_candidate_count(self, toy_space):
         b = BackboneGenome(0, (BlockGenes(1, 0, 0, 0),))
-        assert n_inner_candidates(b, toy_space, TOY_DEVICE) == 6
-        assert n_inner_candidates(b, toy_space, EMC_DEVICE) == 18
+        n_bits = indicator_length(b, toy_space)
+        assert n_inner_candidates(n_bits, TOY_DEVICE) == 6
+        assert n_inner_candidates(n_bits, EMC_DEVICE) == 18

@@ -435,7 +435,8 @@ class TestRunIoe:
             assert genome_objects == []
             assert len(result.solutions) == len(result.scores.means) > 0
         assert indicator_length(one, one_block) == 3
-        assert n_inner_candidates(b, toy_space, QUAD_DEVICE) == 12
+        assert n_inner_candidates(indicator_length(b, toy_space),
+                                  QUAD_DEVICE) == 12
 
     def test_budget_invariant_enforced(self):
         with pytest.raises(ValueError):

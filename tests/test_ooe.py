@@ -20,6 +20,7 @@ from nestevo.genome import (
     VariationParams,
     enumerate_backbones,
     indicator_length,
+    n_inner_candidates,
 )
 from nestevo.ioe import DynamicScores, IoeConfig, dynamic_fitness
 from nestevo.moea import Direction, ObjectiveVector
@@ -321,8 +322,9 @@ class TestRunOoe:
             OoeConfig(**{field: value})
 
     def test_space_cardinality(self, toy_space):
-        card = space_cardinality(toy_space, toy_space.device("toy-dev"))
-        assert card.n_backbones == 8
-        assert card.max_exit_patterns == 3
-        assert card.n_dvfs == 2
-        assert card.total == 48
+        # 8 backbones, each counted with the deepest's 2 exit bits: 3
+        # patterns times 2 settings.
+        device = toy_space.device("toy-dev")
+        assert toy_space.n_backbones() == 8
+        assert n_inner_candidates(2, device) == 3 * 2
+        assert space_cardinality(toy_space, device) == 48

@@ -32,12 +32,11 @@ import numpy as np
 from nestevo.cli import build_backend
 from nestevo.config import RunConfig, load_config
 from nestevo.evaluator import eval_static, exit_profile
-from nestevo.genome import (BackboneGenome, enumerate_candidates,
-                            indicator_length, sample_backbone)
-from nestevo.ioe import (OBJECTIVE_DIRECTIONS, DynamicScores,
-                         _DynamicEvaluator, ioe_objective_matrix, run_ioe)
+from nestevo.exhaustive import exact_inner_front
+from nestevo.genome import BackboneGenome, indicator_length, sample_backbone
+from nestevo.ioe import (OBJECTIVE_DIRECTIONS, _DynamicEvaluator,
+                         ioe_objective_matrix, run_ioe)
 from nestevo.metrics import Front, hypervolume
-from nestevo.moea import nondominated_rows
 from nestevo.ooe import ioe_front_hypervolume
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -95,14 +94,11 @@ def truth(seed: int) -> tuple[frozenset, float, float]:
     hypervolume and its 2-D summary."""
     c = case(seed)
     gamma = c.cfg.ooe.ioe.gamma
-    ev = _DynamicEvaluator(*c.args, c.profile, c.static, gamma)
-    candidates = np.array(enumerate_candidates(ev.n_cols, c.args[2]))
-    scores = ev.evaluate_batch(candidates)
-    values, directions = ioe_objective_matrix(scores, "vector", gamma)
-    keep = np.flatnonzero(nondominated_rows(values, directions))
-    front = frozenset(map(tuple, candidates[keep].tolist()))
-    return (front, hv3(values[keep]), ioe_front_hypervolume(
-        DynamicScores(scores.means[keep], scores.n_exits[keep]), gamma))
+    result = exact_inner_front(
+        _DynamicEvaluator(*c.args, c.profile, c.static, gamma), "vector")
+    values, _ = ioe_objective_matrix(result.scores, "vector", gamma)
+    return (frozenset(result.solutions), hv3(values),
+            ioe_front_hypervolume(result.scores, gamma))
 
 
 def measure(seed: int, inner_seed: int) -> tuple[float, float, float]:
@@ -113,7 +109,7 @@ def measure(seed: int, inner_seed: int) -> tuple[float, float, float]:
     result = run_ioe(*c.args, ioe, c.cfg.variation, random.Random(inner_seed),
                      profile=c.profile, static=c.static)
     values, _ = ioe_objective_matrix(result.scores, "vector", ioe.gamma)
-    found = front.intersection(map(tuple, result.solutions))
+    found = front.intersection(result.solutions)
     return (len(found) / len(front), hv3(values) / hv3_truth,
             ioe_front_hypervolume(result.scores, ioe.gamma) / hv2_truth)
 
