@@ -1,13 +1,14 @@
 """Archive persistence: a JSON document with config digest, per-generation
 records, and the final solution set; a flat plot-ready CSV of the front;
 and one checkpoint per generation that holds what the generation changed,
-its rows as their front.csv lines, and the state to resume from.  All
-writes are atomic (temp file + rename), and the writers stream row texts
-into the file one by one, so no document is ever held whole in memory: a
-row's archive.json text (nestevo.rows.archive_text) is made from its line
-only as it is written.  Checkpoints 1..k are replayed into the search state
-after generation k by replay_checkpoints, which reads each row back from
-its line and renders it anew.
+its rows as their genes only, and the state to resume from.  All writes are
+atomic (temp file + rename), and the writers stream row texts into the file
+one by one, so no document is ever held whole in memory: a row's
+archive.json text (nestevo.rows.archive_text) is made from its line only as
+it is written.  Checkpoints 1..k are replayed into the search state after
+generation k by replay_checkpoints, which evaluates each visit's stored
+genes again and renders its rows anew (ooe.visit_rows): a row is fixed by
+its backbone, its genes and the config, which the config digest guards.
 """
 
 from __future__ import annotations
@@ -16,21 +17,29 @@ import csv
 import json
 import os
 import random
+import re
 from dataclasses import asdict, fields
 from itertools import chain, islice, pairwise
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
-from .ooe import EvalCounters, GenerationRecord, OoeResult, OoeState
-from .rows import (COMBINED_DIRECTIONS, FRONT_CSV_COLUMNS, VISIT_FIELDS, Row,
-                   read_lines, render_rows)
+import numpy as np
+
+from .config import RunConfig
+from .evaluator import HardwareBackend, eval_static, exit_profile
+from .genome import DeviceSpec, backbone_in_space
+from .ioe import IoeResult, _DynamicEvaluator
+from .ooe import (EvalCounters, GenerationRecord, OoeResult, OoeState,
+                  visit_rows)
+from .rows import COMBINED_DIRECTIONS, FRONT_CSV_COLUMNS, Row
 
 # Raised when a checkpoint of the previous version would resume into another
 # run: at 2 the outer engine began to breed through ioe._breed.
 SCHEMA_VERSION = 2
 # The format of a checkpoint, which archive.json does not share: at 3 its
-# rows became front.csv lines and its objectives one list per visit.
-CHECKPOINT_VERSION = 3
+# objectives became one list per visit, and at 4 its rows their genes, each
+# visit's backbone key stored once.
+CHECKPOINT_VERSION = 4
 
 
 def atomic_write(path: str, pieces: Iterable[str]) -> None:
@@ -89,11 +98,18 @@ def save_json(path: str, doc: dict, final: Iterable[str] | None = None) -> None:
     atomic_write(path, _json_pieces(doc, final))
 
 
+def _genes_text(key: tuple) -> str:
+    """A row's genes, as a checkpoint stores them: exit_bits,compute_idx,
+    emc_idx from its key, the emc cell empty without a memory clock."""
+    _, bits, _, compute, emc = key
+    return f"{bits},{compute},{'' if emc is None else emc}"
+
+
 def save_checkpoint(path: str, state: OoeState, digest: str) -> None:
     """Write what the state's generation changed: under "final" the rows of
-    the visits that entered the archive, in visit order, each as its
-    front.csv line without the line break; under "visits" each such visit's
-    number, row count and combined objectives; the evicted visits; the
+    the visits that entered the archive, in visit order, each as its genes
+    (_genes_text); under "visits" each such visit's number, row count,
+    combined objectives and backbone key; the evicted visits; the
     generation's record; and under "resume" the state the next generation
     starts from."""
     added = [state.visits[v] for v in state.added]
@@ -102,7 +118,7 @@ def save_checkpoint(path: str, state: OoeState, digest: str) -> None:
         "config_digest": digest,
         "generation": state.generation,
         "record": asdict(state.snapshots[-1]),
-        "visits": [[v, len(rows), list(objectives)]
+        "visits": [[v, len(rows), list(objectives), list(rows[0][0][0])]
                    for v, (objectives, rows) in zip(state.added, added)],
         "evicted": state.evicted,
         "resume": {"counters": asdict(state.counters),
@@ -110,55 +126,86 @@ def save_checkpoint(path: str, state: OoeState, digest: str) -> None:
                    "population": state.population,
                    "rng_state": state.rng_state},
     }
-    save_json(path, doc, (encode_basestring_ascii(line[:-1])
-                          for _, rows in added for _, line in rows))
+    save_json(path, doc, (encode_basestring_ascii(_genes_text(key))
+                          for _, rows in added for key, _ in rows))
 
 
-def _visit(visit: int, lines: Sequence[str], objectives: Sequence
-           ) -> tuple[tuple, tuple[Row, ...]]:
-    """A visit's objectives and its rows, read back from their front.csv
-    lines and rendered anew (rows.render_rows)."""
+# A row's genes as _genes_text spells them; the emc cell may be empty.
+_GENES = re.compile(r"([01]+),(0|[1-9][0-9]*),((?:0|[1-9][0-9]*)?)")
+
+
+def _visit_rows(visit: int, key, texts: Sequence, cfg: RunConfig,
+                device: DeviceSpec, backend: HardwareBackend
+                ) -> tuple[Row, ...]:
+    """The rows of a visit of the backbone whose key() is `key`, from their
+    genes (_genes_text), as the live run rendered them (ooe.visit_rows):
+    the backbone is scored again (eval_static, exit_profile) and so are
+    the stored rows, only they, as evaluate_batch scores each row alone."""
+    b = backbone_in_space(key, cfg.space)
+    static = eval_static(b, cfg.space, device, backend, cfg.surrogate,
+                         cfg.ooe.seed)
+    ev = _DynamicEvaluator(
+        b, cfg.space, device, backend, cfg.hw,
+        exit_profile(b, cfg.space, cfg.surrogate, cfg.ooe.seed), static,
+        cfg.ooe.ioe.gamma)
+    bits, settings = [], []
+    for text in texts:
+        match = _GENES.fullmatch(text) if isinstance(text, str) else None
+        if (match is None or len(match[1]) != ev.n_cols
+                or bool(match[3]) != device.has_emc):
+            raise ValueError(
+                f"a row of visit {visit} holds genes {text!r}, not "
+                f"{ev.n_cols} exit bits, a compute_idx and "
+                f"{'an' if device.has_emc else 'no'} emc_idx")
+        exits, compute, emc = match.groups()
+        bits.append(exits)
+        settings.append((int(compute), int(emc)) if emc else (int(compute),))
     try:
-        values = read_lines(lines)
-    except ValueError as exc:
-        raise ValueError(f"a row of visit {visit} does not read back: {exc}"
+        genes = np.concatenate([
+            np.frombuffer("".join(bits).encode(), np.uint8).reshape(
+                len(bits), ev.n_cols) - ord("0"),
+            np.array(settings, dtype=np.int64)], axis=1)
+        scores = ev.evaluate_batch(genes)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"a row of visit {visit} does not evaluate: {exc}"
                          ) from exc
-    if any(len({row[i] for row in values}) != 1 for i in VISIT_FIELDS):
-        raise ValueError(f"the rows of visit {visit} differ in backbone "
-                         "or static score")
+    return tuple(visit_rows(b, static, IoeResult(
+        tuple(map(tuple, genes.tolist())), scores, len(genes)), device))
+
+
+def _objectives(visit: int, objectives) -> tuple[float, ...]:
+    """A visit's combined objectives as a checkpoint lists them: one number
+    per combined objective, or ValueError."""
     if not isinstance(objectives, list) or len(objectives) != len(
             COMBINED_DIRECTIONS) or not all(type(v) in (int, float)
                                             for v in objectives):
         raise ValueError(f"visit {visit} has objectives {objectives!r}, not "
                          f"{len(COMBINED_DIRECTIONS)} numbers")
-    objectives = tuple(objectives)
-    rows = tuple(render_rows(values))
-    for line, (_, rendered) in zip(lines, rows):
-        if rendered != line + "\n":
-            raise ValueError(f"a row of visit {visit} does not read back: "
-                             f"{line!r} renders as {rendered[:-1]!r}")
-    return objectives, rows
+    return tuple(objectives)
 
 
 _COUNTERS = tuple(f.name for f in fields(EvalCounters))
 
 
-def replay_checkpoints(paths: Sequence[str]) -> OoeState:
-    """The search state after generation k, rebuilt from the checkpoints of
-    generations 1..k, given in order.  Each row is read back from its
-    front.csv line by the types of rows._FIELDS and rendered anew with its
-    visit's objectives, and must render to the line it was read from.  A
-    checkpoint whose schema_version is not CHECKPOINT_VERSION, or that
-    holds another generation, no resume state, row counts that do not add
-    up to its rows, visit numbers that are not increasing from the previous
-    checkpoint's visit count up to its own, an evicted visit that is not
-    live, rows of one visit that differ in backbone or static score, a line
-    that does not read back to itself, a visit's objectives that are not
-    one number per combined objective, a record of another generation, one
-    whose archive_size is not the number of rows live after it or whose
-    counters fall below the previous record's, or an RNG state that
-    random.Random refuses raises ValueError."""
+def replay_checkpoints(paths: Sequence[str], cfg: RunConfig,
+                       backend: HardwareBackend) -> OoeState:
+    """The search state after generation k of a run of `cfg` on `backend`,
+    rebuilt from the checkpoints of generations 1..k, given in order.  Each
+    visit's rows are rebuilt from their genes (_visit_rows).  A checkpoint
+    whose schema_version is not CHECKPOINT_VERSION, or that holds another
+    generation, no resume state, row counts that do not add up to its rows,
+    visit numbers that are not increasing from the previous checkpoint's
+    visit count up to its own, an evicted visit that is not live, a
+    backbone key that is not one of the space's, a row whose genes are not
+    those of its backbone or that sets no exit bit, a row whose key is
+    already live, a visit's objectives that are not one number per
+    combined objective, a record of another generation, one whose
+    archive_size is not the number of rows live after it or whose counters
+    fall below the previous record's, or an RNG state that random.Random
+    refuses raises ValueError."""
+    device = cfg.device_spec()
     visits: dict[int, tuple[tuple, tuple[Row, ...]]] = {}
+    live: set[tuple] = set()  # the keys of the live visits' rows
     snapshots = []
     numbered = 0  # visits numbered before the checkpoint's generation
     for gen, path in enumerate(paths, 1):
@@ -173,12 +220,12 @@ def replay_checkpoints(paths: Sequence[str]) -> OoeState:
                              f"{path} holds generation {doc.get('generation')}")
         if "resume" not in doc:
             raise ValueError(f"{path} holds no resume state")
-        counts = [count for _, count, _ in doc["visits"]]
+        counts = [count for _, count, _, _ in doc["visits"]]
         if sum(counts) != len(doc["final"]) or not all(
                 isinstance(c, int) and c > 0 for c in counts):
             raise ValueError(f"{path} lists {len(doc['final'])} rows under "
                              f"final and row counts {counts} under visits")
-        numbers = [v for v, _, _ in doc["visits"]]
+        numbers = [v for v, _, _, _ in doc["visits"]]
         n_visits = doc["resume"]["n_visits"]
         # numbered - 1 < first < ... < last < n_visits
         bounds = [numbered - 1, *numbers, n_visits]
@@ -187,25 +234,35 @@ def replay_checkpoints(paths: Sequence[str]) -> OoeState:
                              f"from {numbered} and below {n_visits}")
         numbered = n_visits
         for visit in doc["evicted"]:
-            if visits.pop(visit, None) is None:
+            if visit not in visits:
                 raise ValueError(f"{path} evicts visit {visit}, "
                                  "which is not live")
-        lines = iter(doc["final"])
-        for visit, count, objectives in doc["visits"]:
+        texts = iter(doc["final"])
+        # As in the live run, a new row's key may be held by no row that
+        # was live before the generation, evicted ones included.
+        for visit, count, objectives, key in doc["visits"]:
             try:
-                visits[visit] = _visit(visit, list(islice(lines, count)),
-                                       objectives)
+                objectives = _objectives(visit, objectives)
+                rows = _visit_rows(visit, key, list(islice(texts, count)),
+                                   cfg, device, backend)
+                for row_key, _ in rows:
+                    if row_key in live:
+                        raise ValueError(f"a row of visit {visit} repeats "
+                                         f"the live key {row_key}")
+                    live.add(row_key)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
+            visits[visit] = objectives, rows
+        for visit in doc["evicted"]:
+            live.difference_update(key for key, _ in visits.pop(visit)[1])
         record = GenerationRecord(**doc["record"])
         if record.generation != gen:
             raise ValueError(f"{path} records generation {record.generation}"
                              f", not {gen}")
-        size = sum(len(rows) for _, rows in visits.values())
-        if record.archive_size != size:
+        if record.archive_size != len(live):
             raise ValueError(f"{path} records archive_size "
-                             f"{record.archive_size}, but {size} rows are "
-                             "live")
+                             f"{record.archive_size}, but {len(live)} rows "
+                             "are live")
         if snapshots:
             before, after = asdict(snapshots[-1]), asdict(record)
             for name in _COUNTERS:

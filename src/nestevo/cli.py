@@ -26,7 +26,7 @@ from .ablation import run_ablation
 from .config import ConfigError, RunConfig, config_digest, load_config
 from .evaluator import SyntheticHardwareModel, TableHardwareModel
 from .exhaustive import enumerate_truth, space_cardinality
-from .genome import backbone_of_key, backbone_sizes, validate_backbone
+from .genome import backbone_in_space
 from .metrics import Front, compare_fronts
 from .moea import Direction
 from .ooe import OoeState, run_ooe
@@ -99,14 +99,8 @@ def _check_resume(state: OoeState, cfg: RunConfig) -> None:
     if len(state.population) != size:
         raise ValueError(f"the resume state holds {len(state.population)} "
                          f"backbones, not {size}")
-    genes = len(backbone_sizes(cfg.space))
     for key in state.population:
-        try:
-            if len(key) != genes or not all(type(g) is int for g in key):
-                raise ValueError(f"not {genes} integer genes")
-            validate_backbone(backbone_of_key(key), cfg.space)
-        except ValueError as exc:
-            raise ValueError(f"backbone {list(key)}: {exc}") from exc
+        backbone_in_space(list(key), cfg.space)
     counters = asdict(state.counters)
     record = asdict(state.snapshots[-1])
     if any(record[name] != count for name, count in counters.items()):
@@ -121,11 +115,13 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
     The output directory must not hold another config's run: its
     archive.json, or without one its newest checkpoint, must carry this
     config's digest.  Its checkpoints of generations 1..k, each of which
-    must carry this config's digest, are then replayed and the run goes on
-    from generation k + 1; the outputs are those of an uninterrupted run.
+    must carry this config's digest, are then replayed, each stored row
+    evaluated again on this config's backend, and the run goes on from
+    generation k + 1; the outputs are those of an uninterrupted run.
     With `force` the earlier outputs are removed instead and the run starts
     from generation 1."""
     digest = config_digest(cfg)
+    backend = build_backend(cfg)
     out_dir = cfg.output_dir
     archive_path = os.path.join(out_dir, "archive.json")
     front_path = os.path.join(out_dir, "front.csv")
@@ -142,13 +138,12 @@ def run_search(cfg: RunConfig, force: bool = False) -> tuple[str, str]:
                 raise ValueError(f"{len(checkpoints)} checkpoints for "
                                  f"{cfg.ooe.generations} generations")
             if checkpoints:
-                start = ar.replay_checkpoints(checkpoints)
+                start = ar.replay_checkpoints(checkpoints, cfg, backend)
                 _check_resume(start, cfg)
         except (ValueError, KeyError, TypeError) as exc:
             raise click.ClickException(
                 f"cannot resume: {exc}; rerun with --force to start over"
             ) from exc
-    backend = build_backend(cfg)
     if force:
         for path in [archive_path, front_path] + checkpoints:
             if os.path.exists(path):
@@ -221,12 +216,12 @@ def enumerate_cmd(config_path: str, seed: int | None, out: str | None) -> None:
         backend = build_backend(cfg)
     except ConfigError as exc:
         raise click.ClickException(str(exc)) from exc
-    rows = enumerate_truth(cfg.space, cfg.device_spec(), backend, cfg.hw,
-                           cfg.surrogate, cfg.seed, cfg.ooe.ioe.gamma,
-                           cfg.ooe.ioe.objective_mode)
+    rows, evaluated = enumerate_truth(
+        cfg.space, cfg.device_spec(), backend, cfg.hw, cfg.surrogate, cfg.seed,
+        cfg.ooe.ioe.gamma, cfg.ooe.ioe.objective_mode)
     path = os.path.join(cfg.output_dir, "truth_front.csv")
     ar.write_front_csv(path, [line for _, line in rows])
-    click.echo(f"evaluated {total} candidates; front: {path}")
+    click.echo(f"evaluated {evaluated} candidates; front: {path}")
 
 
 def _parse_objectives(specs: tuple[str, ...]) -> list[tuple[str, Direction]]:

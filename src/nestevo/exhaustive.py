@@ -28,8 +28,9 @@ from .genome import (
 from .ioe import (IoeResult, _DynamicEvaluator, enumerated, inner_front,
                   ioe_objective_matrix)
 from .moea import nondominated_rows
-from .ooe import COMBINED_DIRECTIONS, combined_objectives, ioe_front_hypervolume
-from .rows import Row, render_rows, visit_values
+from .ooe import (COMBINED_DIRECTIONS, combined_objectives,
+                  ioe_front_hypervolume, visit_rows)
+from .rows import Row
 
 
 def space_cardinality(space: SearchSpaceSpec, device: DeviceSpec) -> int:
@@ -63,10 +64,10 @@ def exact_inner_front(ev: _DynamicEvaluator, objective_mode: str) -> IoeResult:
 def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
                     backend: HardwareBackend, hw: HardwareModelParams,
                     surrogate: SurrogateParams, seed: int, gamma: float,
-                    objective_mode: str = "vector") -> list[Row]:
-    """The true bi-level Pareto front, one row (nestevo.rows.render_rows: a
-    key and a front.csv line) per surviving (backbone, exits, frequencies)
-    triple, sorted by solution key."""
+                    objective_mode: str = "vector") -> tuple[list[Row], int]:
+    """The true bi-level Pareto front, one row (ooe.visit_rows: a key and a
+    front.csv line) per surviving (backbone, exits, frequencies) triple,
+    sorted by solution key, and the number of candidates evaluated."""
     per_backbone = []
     for b in enumerate_backbones(space):
         static = eval_static(b, space, device, backend, surrogate, seed)
@@ -81,6 +82,6 @@ def enumerate_truth(space: SearchSpaceSpec, device: DeviceSpec,
         np.array([row for _, _, _, row in per_backbone]), COMBINED_DIRECTIONS)
     rows = [row for (b, static, inner, _), keep
             in zip(per_backbone, outer_mask.tolist()) if keep
-            for row in render_rows(
-                visit_values(b, static, inner.solution_fields(device)))]
-    return sorted(rows, key=itemgetter(0))
+            for row in visit_rows(b, static, inner, device)]
+    return (sorted(rows, key=itemgetter(0)),
+            sum(inner.n_dynamic_evals for _, _, inner, _ in per_backbone))

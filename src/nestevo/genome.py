@@ -307,6 +307,21 @@ def backbone_of_key(genes: Sequence[int]) -> BackboneGenome:
                                           for i in range(1, len(genes), 4)))
 
 
+def backbone_in_space(key, space: SearchSpaceSpec) -> BackboneGenome:
+    """The backbone whose key() is `key`, as read back from a file; a key
+    that is not that of a valid backbone of `space` raises ValueError."""
+    n_genes = len(backbone_sizes(space))
+    try:
+        if not (isinstance(key, (list, tuple)) and len(key) == n_genes
+                and all(type(g) is int for g in key)):
+            raise ValueError(f"not {n_genes} integer genes")
+        b = backbone_of_key(key)
+        validate_backbone(b, space)
+    except ValueError as exc:
+        raise ValueError(f"backbone {key}: {exc}") from exc
+    return b
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (tiny spaces only; used by the oracle front and by
 # initial-population seeding when the whole subspace fits in one

@@ -10,8 +10,9 @@ the mating pool for the next generation.  The archive keeps every mutually
 non-dominated solution seen so far, so its quality never regresses.
 
 A worker runs a survivor's inner search, computes its combined objectives and
-renders its archive rows (nestevo.rows); the main process handles only row
-keys and front.csv lines, and spells each visit's objectives once, for the
+renders its archive rows (visit_rows, which the exhaustive oracle and the
+checkpoint replay call too); the main process handles only row keys and
+front.csv lines, and spells each visit's objectives once, for the
 archive.json texts that are made from the lines as that file is written.
 """
 
@@ -48,7 +49,7 @@ from .genome import (
     require_finite_fields,
     sample_backbone,
 )
-from .ioe import DynamicScores, IoeConfig, _breed, run_ioe
+from .ioe import DynamicScores, IoeConfig, IoeResult, _breed, run_ioe
 from .metrics import Front, hypervolume
 from .moea import Direction, ParetoArchive, initial_population, select
 from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, FinalRow, Row,
@@ -161,6 +162,15 @@ def combined_objectives(static: StaticScore, hv_summary: float) -> tuple[float, 
     """A backbone's row in the combined ranking: its static objectives and
     its inner-front hypervolume, columns carrying COMBINED_DIRECTIONS."""
     return (static.accuracy, static.latency_ms, static.energy_mj, hv_summary)
+
+
+def visit_rows(b: BackboneGenome, static: StaticScore, result: IoeResult,
+               device: DeviceSpec) -> list[Row]:
+    """The keys and front.csv lines of the solutions of `result`, an inner
+    front of backbone `b` whose static score is `static`: the rows of a
+    visit, as a worker renders them, exhaustive.enumerate_truth writes them
+    and the checkpoint replay rebuilds them."""
+    return render_rows(visit_values(b, static, result.solution_fields(device)))
 
 
 def combined_rank(values: np.ndarray, k: int) -> np.ndarray:
@@ -349,8 +359,8 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
                              profile=profiles[i], static=static)
             objectives = combined_objectives(static, ioe_front_hypervolume(
                 result.scores, config.ioe.gamma))
-            return result.n_dynamic_evals, objectives, render_rows(
-                visit_values(b, static, result.solution_fields(device)))
+            return (result.n_dynamic_evals, objectives,
+                    visit_rows(b, static, result, device))
 
         results = fork_map(inner, range(len(forwarded)))
         counters.dynamic_evals += sum(n for n, _, _ in results)

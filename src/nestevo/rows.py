@@ -3,13 +3,13 @@
 A row is one solution of a backbone visit (one backbone forwarded in one
 generation): its fields in _FIELDS order, and the visit's combined
 objectives.  render_rows spells each row once, as its front.csv line, and
-that line is the only form a row takes until the outputs are written: a
-checkpoint stores it, read_lines reads it back into fields, and
+that line is the only form a row takes until the outputs are written:
 archive_text spells the row's archive.json text from it, with the visit's
-objectives_block, while archive.json is being written.  No command builds a
-solution object, so _FIELDS and render_rows are the one schema of an
-archived solution (the tests read rows back into objects in
-tests/oracles.py).
+objectives_block, while archive.json is being written.  A checkpoint stores
+only a row's genes, from which the replay renders the line anew.  No
+command builds a solution object or reads a line back, so _FIELDS and
+render_rows are the one schema of an archived solution (the tests read rows
+back into fields and objects in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -83,42 +83,6 @@ def visit_values(backbone: BackboneGenome, static: StaticScore,
     # A solution's DynamicScore fields lead with mean_exit_score, which
     # _FIELDS puts last.
     return [head + s[:4] + scores + s[5:] + s[4:5] for s in solutions]
-
-
-# The fields that every row of one visit shares: its backbone and its
-# static score.
-VISIT_FIELDS = tuple(i for i, f in enumerate(_FIELDS)
-                     if f[1] in ("backbone", "static"))
-
-
-def read_lines(lines: Sequence[str]) -> list[tuple]:
-    """The fields, in _FIELDS order, of front.csv lines given without their
-    line break, each cell read by its field's type.  A column that holds
-    one text on every line is read once, so its rows share one value, as
-    the rows of a visit share their backbone and static score.  A line
-    without one cell per field, or a cell that its type refuses, raises
-    ValueError."""
-    cells = []
-    for line in lines:
-        try:
-            row = next(csv.reader([line]), [])
-        except csv.Error as exc:
-            raise ValueError(f"line {line!r} is not CSV: {exc}") from exc
-        if len(row) != len(_FIELDS):
-            raise ValueError(f"line {line!r} holds {len(row)} cells, "
-                             f"not {len(_FIELDS)}")
-        cells.append(row)
-    columns = []
-    for (column, _, _, read), texts in zip(_FIELDS, zip(*cells)):
-        try:
-            if texts.count(texts[0]) == len(texts):
-                columns.append([read(texts[0])] * len(texts))
-            else:
-                columns.append(list(map(read, texts)))
-        except ValueError as exc:
-            raise ValueError(f"a {column} cell does not read back: {exc}"
-                             ) from exc
-    return list(zip(*columns))
 
 
 _CSV_SPECIAL = frozenset(',"\n')

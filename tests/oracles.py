@@ -22,7 +22,10 @@ once (UnionMaskArchive, with the key rule the outer archive no longer has).
 The readers (FinalSolution, solution_from_values, read_entries,
 state_rows, and those of a whole archive.json and of front.csv rows) left
 the package because no command reads a row back into objects: the search
-renders rows from nestevo.rows' field table and only writes them.  row_text
+renders rows from nestevo.rows' field table and only writes them.
+read_lines, which reads front.csv lines back into fields, and
+VISIT_FIELDS left it when checkpoints began to store a row's genes in
+place of its line.  row_text
 spells a row's archive.json text from its values, as the workers did before
 rows travelled as front.csv lines only; rows.archive_text must spell the
 same text from the line.  The
@@ -666,6 +669,42 @@ def front_solution_from_row(row: dict) -> FinalSolution:
     """One front.csv row (a csv.DictReader dict) as a solution."""
     return solution_from_values(
         [read(row[column]) for column, _, _, read in _FIELDS])
+
+
+# The fields that every row of one visit shares: its backbone and its
+# static score.
+VISIT_FIELDS = tuple(i for i, f in enumerate(_FIELDS)
+                     if f[1] in ("backbone", "static"))
+
+
+def read_lines(lines: Sequence[str]) -> list[tuple]:
+    """The fields, in _FIELDS order, of front.csv lines given without their
+    line break, each cell read by its field's type.  A column that holds
+    one text on every line is read once, so its rows share one value, as
+    the rows of a visit share their backbone and static score.  A line
+    without one cell per field, or a cell that its type refuses, raises
+    ValueError."""
+    cells = []
+    for line in lines:
+        try:
+            row = next(csv.reader([line]), [])
+        except csv.Error as exc:
+            raise ValueError(f"line {line!r} is not CSV: {exc}") from exc
+        if len(row) != len(_FIELDS):
+            raise ValueError(f"line {line!r} holds {len(row)} cells, "
+                             f"not {len(_FIELDS)}")
+        cells.append(row)
+    columns = []
+    for (column, _, _, read), texts in zip(_FIELDS, zip(*cells)):
+        try:
+            if texts.count(texts[0]) == len(texts):
+                columns.append([read(texts[0])] * len(texts))
+            else:
+                columns.append(list(map(read, texts)))
+        except ValueError as exc:
+            raise ValueError(f"a {column} cell does not read back: {exc}"
+                             ) from exc
+    return list(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 (rows.archive_text), and joined into archive.json and front.csv, against
 the oracles in tests/oracles.py (one json.dumps of the whole document, one
 csv.DictWriter row per solution, the row template filled by json.dumps of
-each value): the bytes must be the same.  A row's front.csv line, as a
-checkpoint keeps it, reads back (rows.read_lines) to the same row.  The
-search itself builds no solution object per row, and holds no row's JSON
-text."""
+each value): the bytes must be the same.  A row's front.csv line reads
+back (oracles.read_lines) to the same row.  The search itself builds no
+solution object per row, and holds no row's JSON text."""
 
 import json
 import math
@@ -33,7 +32,7 @@ from nestevo.ioe import DynamicScore
 from nestevo.moea import ArchiveEntry, ObjectiveVector
 from nestevo.ooe import COMBINED_DIRECTIONS
 from nestevo.rows import (_blocks_str, archive_text as row_archive_text,
-                          objectives_block, read_lines, render_rows)
+                          objectives_block, render_rows)
 
 import test_identity
 from oracles import (
@@ -42,6 +41,7 @@ from oracles import (
     front_csv_text,
     front_solution_from_row,
     read_entries,
+    read_lines,
     row_text,
     solution_from_dict,
     solution_values,
@@ -381,8 +381,8 @@ def test_rows_and_front_match_oracles(generations):
 @settings(max_examples=300, deadline=None)
 @given(checkpoint_sequences())
 def test_lines_read_back_to_their_rows(generations):
-    # A checkpoint keeps each row as its front.csv line; read back, the line
-    # renders to the row it came from, key included.  An
+    # Read back, a row's front.csv line renders to the row it came from, key
+    # included.  An
     # unquoted \r, which DeviceSpec refuses, is the one cell the CSV reader
     # cannot read back.
     for entries in generations:

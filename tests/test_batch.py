@@ -230,6 +230,30 @@ def test_batch_evaluator_equals_scalar_oracle(batch, mode):
     assert directions == vectors[0].directions
 
 
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("mode", OBJECTIVE_MODES)
+@given(batch=batches(), data=st.data())
+def test_rows_score_alike_in_any_subset_of_their_batch(table, mode, batch,
+                                                       data):
+    # A checkpoint replay evaluates only the rows a visit kept, in their
+    # order: each must score, bit for bit, as in the generation it came from.
+    b, space, device, _, profile, static, gamma, candidates = batch
+    backend = (TABLE if space is SPACE else FULL_TABLE) if table else SYNTHETIC
+    ev = _DynamicEvaluator(b, space, device, backend, HW, profile, static,
+                           gamma)
+    rows = genes(candidates)
+    whole = ev.evaluate_batch(rows)
+    whole_values, _ = ioe_objective_matrix(whole, mode, gamma)
+    order = data.draw(st.permutations(range(len(rows))))
+    pick = order[:data.draw(st.integers(1, len(rows)))]
+    part = ev.evaluate_batch(rows[pick])
+    values, _ = ioe_objective_matrix(part, mode, gamma)
+    assert part.means.tobytes() == whole.means[pick].tobytes()
+    assert part.n_exits.tobytes() == whole.n_exits[pick].tobytes()
+    assert values.tobytes() == whole_values[pick].tobytes()
+
+
 def test_exact_inner_front_blocks(monkeypatch):
     # Filtering block by block, then the blocks' survivors, keeps the front
     # of a one-shot evaluation filtered at once, in enumeration order.

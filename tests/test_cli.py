@@ -646,7 +646,9 @@ class TestEnumerateCommand:
         out = tmp_path / "out"
         res = runner.invoke(main, ["enumerate", "--config", str(cfg)])
         assert res.exit_code == 0, res.output
-        assert "48" in res.output  # 8 backbones * 3 patterns * 2 levels
+        # 4 backbones of 1 exit bit and 4 of 2, each pattern at 2 levels:
+        # 4 * 1 * 2 + 4 * 3 * 2, not the cap's bound of 8 * 3 * 2 = 48.
+        assert "evaluated 32 candidates" in res.output
         rows = ar.read_front_csv(str(out / "truth_front.csv"))
         assert rows
 

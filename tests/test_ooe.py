@@ -214,10 +214,16 @@ class TestRunOoe:
     def test_enumerate_truth_matches_inline_oracle(self, toy_space):
         device = toy_space.device("toy-dev")
         backend = SyntheticHardwareModel(HW)
-        rows = enumerate_truth(toy_space, device, backend, HW, SUR,
-                               seed=11, gamma=1.0)
+        rows, evaluated = enumerate_truth(toy_space, device, backend, HW,
+                                          SUR, seed=11, gamma=1.0)
         assert {key for key, _ in rows} == bilevel_truth_keys(
             toy_space, device, backend, seed=11)
+        # Every candidate of every backbone, not the bound of
+        # space_cardinality, which counts each as deep as the deepest.
+        assert evaluated == sum(
+            n_inner_candidates(indicator_length(b, toy_space), device)
+            for b in enumerate_backbones(toy_space))
+        assert evaluated < space_cardinality(toy_space, device)
 
     def test_enumerate_truth_builds_genomes_only_for_statics(self,
                                                              genome_objects):
@@ -229,9 +235,9 @@ class TestRunOoe:
         n_backbones = len(list(enumerate_backbones(cfg.space)))
         default = default_dvfs(device)
         genome_objects.clear()
-        rows = enumerate_truth(cfg.space, device, SyntheticHardwareModel(cfg.hw),
-                               cfg.hw, cfg.surrogate, cfg.seed,
-                               cfg.ooe.ioe.gamma)
+        rows, _ = enumerate_truth(cfg.space, device,
+                                  SyntheticHardwareModel(cfg.hw), cfg.hw,
+                                  cfg.surrogate, cfg.seed, cfg.ooe.ioe.gamma)
         assert rows
         assert genome_objects == [default] * n_backbones
 

@@ -3,15 +3,14 @@ generation, or killed, and run again writes the bytes of an uninterrupted
 run, replaying checkpoints 1..k rebuilds generation k's archive row for row,
 and a rerun refuses checkpoints it cannot continue from."""
 
-import csv
 import hashlib
-import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -22,12 +21,12 @@ import nestevo
 import nestevo.cli as cli_mod
 import nestevo.ooe as ooe
 from nestevo import archive as ar
-from nestevo.cli import main, run_search
+from nestevo.cli import build_backend, main, run_search
 from nestevo.config import load_config, parse_config
 
 import test_identity
-from oracles import (archive_text, final_rows, front_lines, read_entries,
-                     state_rows)
+from oracles import (VISIT_FIELDS, archive_text, final_rows, read_entries,
+                     read_lines, state_rows)
 from test_cli import TOY_DOC, write_toy_config
 
 
@@ -120,7 +119,8 @@ def test_device_name_that_csv_quotes_resumes_exactly(tmp_path):
     expected = files(tmp_path / "full")
     cell = '"toy,""dev"" \u00e9"'
     assert cell in (tmp_path / "full" / "front.csv").read_text("utf-8")
-    assert json.dumps(cell)[1:-1] in \
+    # A checkpoint stores genes only: the replay spells the cell anew.
+    assert "toy," not in \
         (tmp_path / "full" / "checkpoint_gen_001.json").read_text("utf-8")
     for k in range(1, cfg.ooe.generations + 1):
         out = tmp_path / f"aborted_{k}"
@@ -131,21 +131,24 @@ def test_device_name_that_csv_quotes_resumes_exactly(tmp_path):
 
 
 def test_checkpoints_hold_at_most_half_the_archive_bytes(tmp_path):
-    # Each new row is stored once, as its front.csv line, beside one list of
-    # objectives per visit; the archive.json row it renders to is larger.
+    # Each new row is stored once, as its genes, beside one list of
+    # objectives and one backbone key per visit: with the resume state, at
+    # most a sixth of the archive.json bytes (rows stored as their front.csv
+    # lines took over two fifths).
     cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
                        out_override=str(tmp_path))
     run_search(cfg)
     checkpoints = sum(p.stat().st_size
                       for p in tmp_path.glob("checkpoint_gen_*.json"))
-    assert checkpoints <= (tmp_path / "archive.json").stat().st_size / 2
+    assert checkpoints <= (tmp_path / "archive.json").stat().st_size / 6
 
 
 def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     # The oracle is the full-archive "final" list the checkpoints held before
     # they became deltas: one json.dumps of the live run's entries.  Each
     # checkpoint is checked against its own oracle document: the added
-    # visits' rows as csv.DictWriter lines and their objectives per visit.
+    # visits' rows as the genes of their solution objects, and per visit its
+    # objectives and backbone key.
     cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
                        out_override=str(tmp_path))
     states = []
@@ -172,17 +175,20 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     assert len(states) == len(paths)
     for k, (state, archive) in enumerate(states, 1):
         # Each checkpoint is one json.dumps of its document, whose rows are
-        # the front.csv lines of the visits the generation added.
+        # the genes of the visits the generation added.
         text = Path(paths[k - 1]).read_text(encoding="utf-8")
-        added = [state.visits[v] for v in state.added]
+        added = [read_entries(final_rows(*state.visits[v]))
+                 for v in state.added]
         doc = dict(json.loads(text), final=[
-            line[:-1] for objectives, rows in added
-            for line in front_lines(e.payload for e in read_entries(
-                final_rows(objectives, rows)))],
-            visits=[[v, len(rows), list(objectives)]
-                    for v, (objectives, rows) in zip(state.added, added)])
+            "".join(map(str, e.payload.exits.indicators)) + ","
+            + ",".join("" if g is None else str(g)
+                       for g in e.payload.dvfs.key()[1:])
+            for entries in added for e in entries],
+            visits=[[v, len(entries), list(entries[0].vector.values),
+                     list(entries[0].payload.backbone.key())]
+                    for v, entries in zip(state.added, added)])
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        replayed = ar.replay_checkpoints(paths[:k])
+        replayed = ar.replay_checkpoints(paths[:k], cfg, build_backend(cfg))
         assert archive_text({}, read_entries(state_rows(replayed))) == archive
         assert list(replayed.visits) == list(state.visits)
         assert [len(rows) for _, rows in replayed.visits.values()] == \
@@ -191,17 +197,70 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
         # As in the live run, a visit's rows share one backbone, static
         # score and objective vector.
         for objectives, rows in replayed.visits.values():
+            values = read_lines([line[:-1] for _, line in rows])
+            assert all(len({row[i] for row in values}) == 1
+                       for i in VISIT_FIELDS)
             entries = read_entries(final_rows(objectives, rows))
-            first = entries[0].payload
-            assert all(e.payload.backbone == first.backbone
-                       and e.payload.static_score == first.static_score
-                       and e.vector.values == objectives for e in entries)
+            assert all(e.vector.values == objectives for e in entries)
         for name in ("added", "evicted", "snapshots", "counters", "n_visits",
                      "population", "rng_state"):
             assert getattr(replayed, name) == getattr(state, name), (k, name)
     # The run exercises evictions and several new visits per generation.
     assert any(state.evicted for state, _ in states)
     assert all(len(state.added) > 1 for state, _ in states)
+
+
+def test_resume_over_visits_that_ceded_keys(tmp_path, monkeypatch):
+    # Inner runs of 3 candidates a generation leave a revisited backbone with
+    # a front that overlaps its live one: the new visit keeps only the keys
+    # that are not live yet, a strict subset of its front.  Its checkpoint
+    # holds just those rows; the replay must rebuild them, and the resumed
+    # run write the uninterrupted bytes.
+    monkeypatch.setattr(ooe, "_cpus", lambda: 1)
+    device = dict(TOY_DOC["space"]["devices"][0],
+                  compute_freq_ghz=[0.5, 1.0, 1.5])
+    config = write_toy_config(
+        tmp_path, seed=1, space={"devices": [device]},
+        ooe={"generations": 3, "budget": 24},
+        ioe={"generations": 2, "population": 3, "budget": 6})
+    cfg = load_config(str(config), out_override=str(tmp_path / "full"))
+    fronts, states = [], []
+    visit_rows, save_checkpoint = ooe.visit_rows, ar.save_checkpoint
+
+    def recording_rows(*args):
+        rows = visit_rows(*args)
+        fronts.append(set(rows))
+        return rows
+
+    def recording_checkpoint(path, state, digest):
+        states.append((state, len(fronts)))
+        save_checkpoint(path, state, digest)
+
+    monkeypatch.setattr(ooe, "visit_rows", recording_rows)
+    monkeypatch.setattr(ar, "save_checkpoint", recording_checkpoint)
+    run_search(cfg)
+    monkeypatch.setattr(ooe, "visit_rows", visit_rows)
+    monkeypatch.setattr(ar, "save_checkpoint", save_checkpoint)
+    expected = files(tmp_path / "full")
+    paths = [str(tmp_path / "full" / f"checkpoint_gen_{g:03d}.json")
+             for g in range(1, cfg.ooe.generations + 1)]
+    backend = build_backend(cfg)
+    ceded = []  # the generations that added a visit which ceded keys
+    start = 0
+    for k, (state, end) in enumerate(states, 1):
+        generation, start = fronts[start:end], end
+        ceded += [k for v in state.added
+                  if any(set(state.visits[v][1]) < front
+                         for front in generation)]
+        assert ar.replay_checkpoints(paths[:k], cfg, backend).visits == \
+            state.visits
+    assert ceded
+    for k in sorted(set(ceded)):
+        out = tmp_path / f"aborted_{k}"
+        cfg = load_config(str(config), out_override=str(out))
+        run_aborted(cfg, k)
+        run_search(cfg)
+        assert files(out) == expected, k
 
 
 @pytest.fixture
@@ -252,6 +311,11 @@ class TestResumeRefusals:
         # does not read.
         self.refuse_version(tmp_path, runner, 2)
 
+    def test_checkpoint_of_the_line_schema_version(self, tmp_path, runner):
+        # A version-3 checkpoint holds each row as its front.csv line, which
+        # the replay no longer reads back.
+        self.refuse_version(tmp_path, runner, 3)
+
     @staticmethod
     def refuse_version(tmp_path, runner, version: int) -> None:
         cfg, out = toy_run(tmp_path, runner)
@@ -261,12 +325,12 @@ class TestResumeRefusals:
         (out / "archive.json").unlink()
         path = out / "checkpoint_gen_002.json"
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == ar.CHECKPOINT_VERSION == 3
+        assert doc["schema_version"] == ar.CHECKPOINT_VERSION == 4
         doc["schema_version"] = version
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 1
-        assert (f"cannot resume: {path} has schema_version {version}, not 3"
+        assert (f"cannot resume: {path} has schema_version {version}, not 4"
                 in res.output)
         assert "rerun with --force to start over" in res.output
         assert not (out / "archive.json").exists()
@@ -379,60 +443,125 @@ class TestResumeRefusals:
         assert not (out / "archive.json").exists()
 
     @staticmethod
-    def edit_cell(path: Path, column: str, edit) -> int:
-        """Replace one cell of the second row of the checkpoint's first
-        visit that holds more than one row by edit(cell); the visit's
+    def edit_genes(path: Path, edit) -> int:
+        """Replace the genes of the second row of the checkpoint's first
+        visit that holds more than one row by edit(genes); the visit's
         number."""
         doc = json.loads(path.read_text())
         first = 0
-        for visit, count, _ in doc["visits"]:
+        for visit, count, _, _ in doc["visits"]:
             if count > 1:
                 break
             first += count
         assert count > 1
-        cells = next(csv.reader([doc["final"][first + 1]]))
-        at = ar.FRONT_CSV_COLUMNS.index(column)
-        cells[at:at + 1] = edit(cells[at])
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow(cells)
-        doc["final"][first + 1] = buf.getvalue()
+        doc["final"][first + 1] = edit(doc["final"][first + 1])
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return visit
 
     def test_rows_of_one_visit_that_differ(self, tmp_path, runner):
+        # A visit's backbone is stored once: a row one exit bit longer than
+        # its visit's others is not a row of that backbone.
         cfg, out = toy_run(tmp_path, runner)
         (out / "archive.json").unlink()
-        visit = self.edit_cell(out / "checkpoint_gen_001.json", "acc",
-                               lambda cell: [repr(float(cell) + 0.5)])
+        visit = self.edit_genes(out / "checkpoint_gen_001.json",
+                                lambda genes: "1" + genes)
         res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 1
-        assert f"the rows of visit {visit} differ" in res.output
+        assert f"a row of visit {visit} holds genes '1" in res.output
+        assert "exit bits, a compute_idx and no emc_idx" in res.output
         assert not (out / "archive.json").exists()
 
-    # A value that does not spell itself as it did in the live run would
-    # resume into other bytes: the line it is read from is refused.
-    @pytest.mark.parametrize("column, edit, why", [
-        ("mean_correct", lambda cell: ["0.50"], "renders as"),
-        ("emc_idx", lambda cell: ["1.0"], "emc_idx cell does not read back"),
-        ("n_exits", lambda cell: [], "holds 14 cells, not 15"),
-    ])
-    def test_line_that_does_not_read_back(self, tmp_path, runner, column,
-                                          edit, why):
+    # Genes that are not those of a row the live run could have written are
+    # refused, never evaluated into other bytes or a traceback.
+    @pytest.mark.parametrize("edit, why", [
+        (lambda genes: genes + "1.0", "holds genes"),
+        (lambda genes: genes[:-1], "holds genes"),
+        (lambda genes: genes.replace(",", ",0", 1), "holds genes"),
+        (lambda genes: genes.replace("1", "2", 1), "holds genes"),
+        (lambda genes: genes.split(",")[0] + ",7,",
+         "does not evaluate: gene index outside its domain"),
+        (lambda genes: genes.split(",")[0] + "," + "9" * 30 + ",",
+         "does not evaluate: "),
+        (lambda genes: genes.replace("1", "0"),
+         "does not evaluate: exit genome samples no exit"),
+    ], ids=["emc-float", "no-emc-cell", "leading-zero", "bit-2",
+            "compute-outside", "compute-huge", "no-exit-bit"])
+    def test_genes_that_do_not_read_back(self, tmp_path, runner, edit, why):
         cfg, out = toy_run(tmp_path, runner)
         expected = files(out)
         (out / "archive.json").unlink()
         path = out / "checkpoint_gen_001.json"
-        visit = self.edit_cell(path, column, edit)
+        visit = self.edit_genes(path, edit)
         res = runner.invoke(main, ["search", "--config", str(cfg)])
         assert res.exit_code == 1
-        assert (f"cannot resume: {path}: a row of visit {visit} does not "
-                "read back: " in res.output)
+        assert f"cannot resume: {path}: a row of visit {visit} " in res.output
         assert why in res.output
         assert "rerun with --force to start over" in res.output
+        assert "Traceback" not in res.output
         assert not (out / "archive.json").exists()
         res = runner.invoke(main, ["search", "--config", str(cfg), "--force"])
         assert res.exit_code == 0, res.output
         assert files(out) == expected
+
+    def test_row_repeated_within_its_visit(self, tmp_path, runner):
+        # A live run never holds one key twice: resumed, the repeat would be
+        # written as a second front.csv row.
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        for later in (2, 3):
+            (out / f"checkpoint_gen_{later:03d}.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        visit = doc["visits"][0][0]
+        doc["final"].insert(0, doc["final"][0])
+        doc["visits"][0][1] += 1
+        doc["record"]["archive_size"] += 1
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert (f"cannot resume: {path}: a row of visit {visit} repeats the "
+                "live key ") in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_row_whose_key_another_visit_holds(self, tmp_path, runner):
+        # Two visits of one generation that share a backbone and a row: the
+        # later one's row takes a key that is already live.
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        texts = iter(doc["final"])
+        genes = [set(islice(texts, count)) for _, count, _, _ in doc["visits"]]
+        a, b = next((a, b) for b in range(len(genes)) for a in range(b)
+                    if genes[a] & genes[b])
+        doc["visits"][b][3] = doc["visits"][a][3]
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert (f"cannot resume: {path}: a row of visit {doc['visits'][b][0]} "
+                "repeats the live key ") in res.output
+        assert not (out / "archive.json").exists()
+
+    @pytest.mark.parametrize("key, why", [
+        ([0, 9, 9, 9, 9], "backbone [0, 9, 9, 9, 9]: block gene index out of "
+         "range"),
+        ([0, 1, 0, 1], "backbone [0, 1, 0, 1]: not 5 integer genes"),
+        ("abcde", "backbone abcde: not 5 integer genes"),
+        (None, "backbone None: not 5 integer genes"),
+    ], ids=["out-of-range", "short", "text", "null"])
+    def test_visit_backbone_outside_the_space(self, tmp_path, runner, key,
+                                              why):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        doc["visits"][0][3] = key
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert f"cannot resume: {path}: {why}" in res.output
+        assert "Traceback" not in res.output
+        assert not (out / "archive.json").exists()
 
     @pytest.mark.parametrize("objectives", [[0.5, 1.0, 2.0], "abcd",
                                             [0.5, 1.0, 2.0, True]])
