@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import RunConfig
 from .evaluator import HardwareBackend, eval_static, exit_profile
-from .genome import DeviceSpec, backbone_in_space
+from .genome import backbone_in_space
 from .ioe import IoeResult, _DynamicEvaluator
 from .ooe import (EvalCounters, GenerationRecord, OoeResult, OoeState,
                   visit_rows)
@@ -135,12 +135,12 @@ _GENES = re.compile(r"([01]+),(0|[1-9][0-9]*),((?:0|[1-9][0-9]*)?)")
 
 
 def _visit_rows(visit: int, key, texts: Sequence, cfg: RunConfig,
-                device: DeviceSpec, backend: HardwareBackend
-                ) -> tuple[Row, ...]:
+                backend: HardwareBackend) -> tuple[Row, ...]:
     """The rows of a visit of the backbone whose key() is `key`, from their
     genes (_genes_text), as the live run rendered them (ooe.visit_rows):
     the backbone is scored again (eval_static, exit_profile) and so are
     the stored rows, only they, as evaluate_batch scores each row alone."""
+    device = cfg.device_spec()
     b = backbone_in_space(key, cfg.space)
     static = eval_static(b, cfg.space, device, backend, cfg.surrogate,
                          cfg.ooe.seed)
@@ -203,7 +203,6 @@ def replay_checkpoints(paths: Sequence[str], cfg: RunConfig,
     archive_size is not the number of rows live after it or whose counters
     fall below the previous record's, or an RNG state that random.Random
     refuses raises ValueError."""
-    device = cfg.device_spec()
     visits: dict[int, tuple[tuple, tuple[Row, ...]]] = {}
     live: set[tuple] = set()  # the keys of the live visits' rows
     snapshots = []
@@ -237,14 +236,13 @@ def replay_checkpoints(paths: Sequence[str], cfg: RunConfig,
             if visit not in visits:
                 raise ValueError(f"{path} evicts visit {visit}, "
                                  "which is not live")
+            live.difference_update(key for key, _ in visits.pop(visit)[1])
         texts = iter(doc["final"])
-        # As in the live run, a new row's key may be held by no row that
-        # was live before the generation, evicted ones included.
         for visit, count, objectives, key in doc["visits"]:
             try:
                 objectives = _objectives(visit, objectives)
                 rows = _visit_rows(visit, key, list(islice(texts, count)),
-                                   cfg, device, backend)
+                                   cfg, backend)
                 for row_key, _ in rows:
                     if row_key in live:
                         raise ValueError(f"a row of visit {visit} repeats "
@@ -253,8 +251,6 @@ def replay_checkpoints(paths: Sequence[str], cfg: RunConfig,
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
             visits[visit] = objectives, rows
-        for visit in doc["evicted"]:
-            live.difference_update(key for key, _ in visits.pop(visit)[1])
         record = GenerationRecord(**doc["record"])
         if record.generation != gen:
             raise ValueError(f"{path} records generation {record.generation}"

@@ -209,7 +209,7 @@ def enumerate_cmd(config_path: str, seed: int | None, out: str | None) -> None:
     total = space_cardinality(cfg.space, cfg.device_spec())
     if total > cfg.enumerate_cap:
         raise click.ClickException(
-            f"search space holds {total} (backbone, exits, frequency) "
+            f"search space holds up to {total} (backbone, exits, frequency) "
             f"candidates, above the enumeration cap {cfg.enumerate_cap}"
         )
     try:
