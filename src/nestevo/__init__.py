@@ -31,13 +31,7 @@ from .genome import (
 )
 from .ioe import DynamicScore, IoeConfig, dynamic_fitness, run_ioe
 from .metrics import Front, hypervolume, hypervolume_mc, ratio_of_dominance
-from .moea import (
-    Direction,
-    ObjectiveVector,
-    ParetoArchive,
-    nondominated_rows,
-    select,
-)
+from .moea import Direction, nondominated_rows, select
 from .ooe import OoeConfig, combined_rank, run_ooe, static_rank_and_prune
 
 __version__ = "0.1.0"

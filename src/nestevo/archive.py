@@ -30,7 +30,7 @@ from .evaluator import HardwareBackend, eval_static, exit_profile
 from .genome import backbone_in_space
 from .ioe import IoeResult, _DynamicEvaluator
 from .ooe import (EvalCounters, GenerationRecord, OoeResult, OoeState,
-                  visit_rows)
+                  merge_visits, visit_rows)
 from .rows import COMBINED_DIRECTIONS, FRONT_CSV_COLUMNS, Row
 
 # Raised when a checkpoint of the previous version would resume into another
@@ -198,9 +198,10 @@ def replay_checkpoints(paths: Sequence[str], cfg: RunConfig,
     visit count up to its own, an evicted visit that is not live, a
     backbone key that is not one of the space's, a row whose genes are not
     those of its backbone or that sets no exit bit, a row whose key is
-    already live, a visit's objectives that are not one number per
-    combined objective, a record of another generation, one whose
-    archive_size is not the number of rows live after it or whose counters
+    already live, a visit's objectives that are not one finite number per
+    combined objective, evictions other than the visits that merging the
+    added ones into the live ones drops (ooe.merge_visits) or an added visit
+    that it drops, a record of another generation, one whose archive_size is not the number of rows live after it or whose counters
     fall below the previous record's, or an RNG state that random.Random
     refuses raises ValueError."""
     visits: dict[int, tuple[tuple, tuple[Row, ...]]] = {}
@@ -208,6 +209,7 @@ def replay_checkpoints(paths: Sequence[str], cfg: RunConfig,
     snapshots = []
     numbered = 0  # visits numbered before the checkpoint's generation
     for gen, path in enumerate(paths, 1):
+        before = dict(visits)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("schema_version") != CHECKPOINT_VERSION:
@@ -251,6 +253,14 @@ def replay_checkpoints(paths: Sequence[str], cfg: RunConfig,
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
             visits[visit] = objectives, rows
+        try:
+            merged = merge_visits(before, {v: visits[v] for v in numbers})
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if list(merged) != list(visits):
+            dropped = [v for v in chain(before, numbers) if v not in merged]
+            raise ValueError(f"{path} evicts visits {doc['evicted']}, but the "
+                             f"merge of its visits' objectives drops {dropped}")
         record = GenerationRecord(**doc["record"])
         if record.generation != gen:
             raise ValueError(f"{path} records generation {record.generation}"

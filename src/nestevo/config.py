@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
+import numpy as np
 import yaml
 
-from .evaluator import HardwareModelParams, SurrogateParams
+from .evaluator import HardwareModelParams, SurrogateParams, SyntheticHardwareModel
 from .genome import (BackboneGenome, BlockGenes, DeviceSpec, SearchSpaceSpec,
                      VariationParams, require_counts)
 from .ioe import IoeConfig
@@ -139,7 +140,20 @@ def _parse_space(node: dict) -> SearchSpaceSpec:
             kwargs[key] = value
         else:
             raise ConfigError(f"unknown space key {key!r}")
-    return SearchSpaceSpec(**kwargs)
+    space = SearchSpaceSpec(**kwargs)
+    # The evaluator builds per-layer lists; no edge model comes near 10,000.
+    if (layers := space.n_block * max(space.depth_domain)) > 10_000:
+        raise ConfigError("space.depth: space.n_block x max(space.depth) = "
+                          f"{layers} layers, more than 10000")
+    return space
+
+
+def _finite_prices(device: DeviceSpec, hw: HardwareModelParams) -> bool:
+    """Whether the device's synthetic price table under `hw` is finite."""
+    try:
+        return bool(np.isfinite(SyntheticHardwareModel(hw).price_table(device)).all())
+    except OverflowError:  # f_c**3 of a huge frequency
+        return False
 
 
 def _parse_backbone(node: Any) -> BackboneGenome:
@@ -182,6 +196,15 @@ def parse_config(doc: dict, *, seed_override: int | None = None,
         if ev:
             raise ConfigError(f"unknown evaluator keys {sorted(ev)}")
         hw = HardwareModelParams(**hw_node)
+        for i, d in enumerate(space.device_specs):
+            # Prices grow with both clocks: a table not finite even at the
+            # lowest compute level blames the emc.
+            low = replace(d, compute_freq_ghz=d.compute_freq_ghz[:1], default_compute_idx=0)
+            if not _finite_prices(d, hw):
+                key = ("emc_freq_ghz" if d.has_emc and not _finite_prices(low, hw)
+                       else "compute_freq_ghz")
+                raise ConfigError(f"space.devices[{i}] ({d.name!r}): {key} prices "
+                                  "to a throughput or power that is not finite")
         surrogate = SurrogateParams(**sur_node)
 
         ioe_node = _expect_mapping(doc.get("ioe"), "ioe")

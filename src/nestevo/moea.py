@@ -1,11 +1,11 @@
 """Generic NSGA-II machinery over raw objective matrices whose columns carry
 per-coordinate directions.
 
-Pareto dominance, the sort-first front filter, selection (select: the
+Pareto dominance, the sort-first front filter (nondominated_rows: the inner
+front and the outer archive merge, ooe.merge_visits), selection (select: the
 non-dominated sorting and crowding distance of NSGA-II, giving the rank-0
-rows and the k best rows that pruning and both engines' breeding take), the
-initial sampler both engines call, and the outer engine's elitist archive.
-Both engines breed through nestevo.ioe._breed.
+rows and the k best rows that pruning and both engines' breeding take), and
+the initial sampler both engines call.  Both breed through ioe._breed.
 Everything here is pure and deterministic: the same inputs (and RNG stream)
 always produce the same outputs, so search runs are reproducible bit for
 bit.
@@ -16,8 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,27 +26,6 @@ T = TypeVar("T")
 class Direction(enum.Enum):
     MAXIMIZE = "max"
     MINIMIZE = "min"
-
-
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """Fixed-length real vector, each coordinate tagged Maximize or Minimize."""
-
-    values: tuple[float, ...]
-    directions: tuple[Direction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.directions):
-            raise ValueError(
-                f"objective vector has {len(self.values)} values but "
-                f"{len(self.directions)} directions"
-            )
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"objective value {v!r} is not finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _dominance(rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -216,71 +194,3 @@ def initial_population(population: int, space_size: int,
                     out.append(member)
     out.extend(sample(rng, max(0, population - len(out))))
     return out[:population]
-
-
-@dataclass(frozen=True)
-class ArchiveEntry:
-    key: Any
-    payload: Any
-    vector: ObjectiveVector
-
-
-class ParetoArchive:
-    """Elitist accumulation of mutually non-dominated candidates.
-
-    Entries are kept in insertion order (deterministic across runs) as
-    parallel `keys` and `payloads` lists and a raw objective matrix `values`
-    whose columns carry `directions`, with its normalized copy alongside, row
-    for row.  A new entry is dropped if an existing entry dominates it;
-    otherwise it displaces every entry it dominates.  Entries with equal
-    vectors are all retained.  Keys are not compared: the caller gives each
-    entry its own.
-    """
-
-    def __init__(self, directions: Sequence[Direction]) -> None:
-        self.directions = tuple(directions)
-        self.keys: list[Any] = []
-        self.payloads: list[Any] = []
-        self.values = np.zeros((0, len(self.directions)))
-        self._mat = self.values
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @property
-    def entries(self) -> tuple[ArchiveEntry, ...]:
-        """The entries as objects, built on each call."""
-        return tuple(
-            ArchiveEntry(key, payload, ObjectiveVector(tuple(row), self.directions))
-            for key, payload, row in zip(self.keys, self.payloads,
-                                         self.values.tolist()))
-
-    def merge_batch(self, keys: Sequence[Any], payloads: Sequence[Any],
-                    values: np.ndarray) -> None:
-        """Bulk-merge new candidates: row i of the raw matrix `values` is the
-        objective vector of `keys[i]` and `payloads[i]`.
-
-        The union of the existing entries and the new ones is cut to its
-        non-dominated subset: existing entries first, then new ones, each in
-        order.  The entries are mutually non-dominated, so only two checks
-        are made: existing rows against the new rows, and new rows against
-        the union.  A matrix of the wrong shape or with a non-finite value
-        raises ValueError."""
-        values = np.asarray(values, dtype=float)
-        if (values.shape != (len(keys), len(self.directions))
-                or len(payloads) != len(keys)):
-            raise ValueError(
-                f"batch of {len(keys)} keys, {len(payloads)} payloads and a "
-                f"{values.shape} matrix does not fit {len(self.directions)} "
-                "objectives")
-        require_finite(values)
-        rows = _normalize(values, self.directions)
-        union = np.concatenate([self._mat, rows])
-        keep = np.concatenate([~_dominated_by(self._mat, rows),
-                               ~_dominated_by(rows, union)])
-        kept = np.flatnonzero(keep).tolist()
-        keys, payloads = self.keys + list(keys), self.payloads + list(payloads)
-        self.keys = [keys[i] for i in kept]
-        self.payloads = [payloads[i] for i in kept]
-        self.values = np.concatenate([self.values, values])[keep]
-        self._mat = union[keep]

@@ -7,7 +7,7 @@ energy at default frequencies), keep the best `prune_fraction` by
 non-dominated rank and crowding, run one inner search per survivor, then rank
 the survivors on (accuracy, latency, energy, inner-front hypervolume) to pick
 the mating pool for the next generation.  The archive keeps every mutually
-non-dominated solution seen so far, so its quality never regresses.
+non-dominated visit seen so far (merge_visits): its quality never regresses.
 
 A worker runs a survivor's inner search, computes its combined objectives and
 renders its archive rows (visit_rows, which the exhaustive oracle and the
@@ -51,9 +51,12 @@ from .genome import (
 )
 from .ioe import DynamicScores, IoeConfig, IoeResult, _breed, run_ioe
 from .metrics import Front, hypervolume
-from .moea import Direction, ParetoArchive, initial_population, select
+from .moea import (Direction, initial_population, nondominated_rows,
+                   require_finite, select)
 from .rows import (COMBINED_DIRECTIONS, STATIC_DIRECTIONS, FinalRow, Row,
                    objectives_block, render_rows, visit_values)
+
+Visit = tuple[tuple[float, ...], tuple[Row, ...]]  # combined objectives, rows
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class OoeState:
     `population` holds the backbone keys of the next generation, and is
     empty after the last one."""
 
-    visits: dict[int, tuple[tuple[float, ...], tuple[Row, ...]]]
+    visits: dict[int, Visit]
     added: tuple[int, ...]    # visits that entered the archive in this generation
     evicted: tuple[int, ...]  # visits that left it
     snapshots: tuple[GenerationRecord, ...]  # one per generation so far
@@ -171,6 +174,20 @@ def visit_rows(b: BackboneGenome, static: StaticScore, result: IoeResult,
     visit, as a worker renders them, exhaustive.enumerate_truth writes them
     and the checkpoint replay rebuilds them."""
     return render_rows(visit_values(b, static, result.solution_fields(device)))
+
+
+def merge_visits(visits: dict[int, Visit], new: dict[int, Visit]
+                 ) -> dict[int, Visit]:
+    """A new archive: the live `visits`, then the `new` ones (numbered apart),
+    in order, cut by one moea.nondominated_rows call to those whose combined
+    objectives no other's dominate, equal ones all kept.  Objectives that are
+    not one finite number per combined objective raise ValueError."""
+    union = {**visits, **new}
+    values = np.array([objectives for objectives, _ in union.values()],
+                      dtype=float).reshape(len(union), len(COMBINED_DIRECTIONS))
+    require_finite(values)
+    keep = nondominated_rows(values, COMBINED_DIRECTIONS).tolist()
+    return {v: visit for (v, visit), k in zip(union.items(), keep) if k}
 
 
 def combined_rank(values: np.ndarray, k: int) -> np.ndarray:
@@ -312,8 +329,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
     the state after generation k as `start`, the run goes on from generation
     k + 1 and returns what the run that handed out that state returns: each
     inner search is a function of its seed, drawn from the restored stream."""
-    # Keys: visit numbers; payloads: (combined objectives, rows).
-    archive = ParetoArchive(COMBINED_DIRECTIONS)
+    visits: dict[int, Visit] = {} if start is None else dict(start.visits)
     if start is None:
         rng = random.Random(config.seed)
         counters = EvalCounters()
@@ -331,12 +347,7 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         n_visits = start.n_visits
         snapshots = list(start.snapshots)
         population = [backbone_of_key(k) for k in start.population]
-        # The live visits are mutually non-dominated: the merge keeps them all.
-        archive.merge_batch(
-            list(start.visits), list(start.visits.values()),
-            np.array([objectives for objectives, _ in start.visits.values()]
-                     ).reshape(-1, len(COMBINED_DIRECTIONS)))
-    live = {key for _, rows in archive.payloads for key, _ in rows}
+    live = {key for _, rows in visits.values() for key, _ in rows}
 
     for gen in range(len(snapshots) + 1, config.generations + 1):
         statics = [eval_static(b, space, device, backend, surrogate, config.seed)
@@ -367,29 +378,23 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
         values = np.array([objectives for _, objectives, _ in results])
         # One archive entry per backbone visit: its rows are the visit's
         # solutions whose keys are not live yet (the existing row wins).
-        visited: list[int] = []  # forwarded indices of this generation's visits
-        payloads = []
-        for i, (_, objectives, rows) in enumerate(results):
+        new: dict[int, Visit] = {}
+        for _, objectives, rows in results:
             kept = []
             for row in rows:
                 if row[0] not in live:
                     live.add(row[0])
                     kept.append(row)
             if kept:
-                visited.append(i)
-                payloads.append((objectives, tuple(kept)))
-        first_new = n_visits
-        n_visits += len(visited)
-        merged = dict(zip(archive.keys, archive.payloads))
-        merged.update(zip(range(first_new, n_visits), payloads))
-        archive.merge_batch(range(first_new, n_visits), payloads,
-                            values[visited])
-        kept_visits = set(archive.keys)
-        left = [v for v in merged if v not in kept_visits]
+                new[n_visits + len(new)] = objectives, tuple(kept)
+        n_visits += len(new)
+        union = {**visits, **new}
+        visits = merge_visits(visits, new)
+        left = [v for v in union if v not in visits]
         # The keys of visits that left the archive, or never entered it, are
         # free again.
         for v in left:
-            live.difference_update(key for key, _ in merged[v][1])
+            live.difference_update(key for key, _ in union[v][1])
 
         snapshots.append(GenerationRecord(
             gen, len(live), counters.static_evals, counters.dynamic_evals,
@@ -411,14 +416,13 @@ def run_ooe(space: SearchSpaceSpec, device: DeviceSpec, backend: HardwareBackend
             population = []
         if on_generation is not None:
             on_generation(OoeState(
-                dict(zip(archive.keys, archive.payloads)),
-                tuple(v for v in archive.keys if v >= first_new),
-                tuple(v for v in left if v < first_new),
+                visits, tuple(v for v in visits if v in new),
+                tuple(v for v in left if v not in new),
                 tuple(snapshots), replace(counters), n_visits,
                 tuple(b.key() for b in population), rng.getstate()))
 
     final = []
-    for objectives, rows in archive.payloads:
+    for objectives, rows in visits.values():
         block = objectives_block(objectives)
         final += [(key, line, block) for key, line in rows]
     return OoeResult(tuple(sorted(final, key=itemgetter(0))),

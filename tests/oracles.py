@@ -36,9 +36,11 @@ enumerated gene rows; ioe.enumerated must give the same rows in the same
 order.  sample_exit_genome draws what the package's
 sample_exit_bits and repair_exit_bits drew, in one function.  The
 regrouping helpers at the end give the matrix API (rank_rows,
-nondominated_rows, ParetoArchive.merge_batch, Front) the lists of
+nondominated_rows, ooe.merge_visits, Front) the lists of
 ObjectiveVectors the tests are written in; they convert and regroup, and
-rank nothing themselves.
+rank nothing themselves.  ObjectiveVector and ArchiveEntry, the objects
+the outer archive held before it became a dict of visits, are the tests'
+data format.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,10 +81,7 @@ from nestevo.genome import (
 from nestevo.ioe import OBJECTIVE_DIRECTIONS, DynamicScore
 from nestevo.metrics import Front, _hv2d, _hv3d
 from nestevo.moea import (
-    ArchiveEntry,
     Direction,
-    ObjectiveVector,
-    ParetoArchive,
     _crowding_by_front,
     _dominance,
     _normalize,
@@ -94,6 +93,7 @@ from nestevo.ooe import (
     GenerationRecord,
     OoeResult,
     OoeState,
+    merge_visits,
 )
 from nestevo.rows import (
     FRONT_CSV_COLUMNS,
@@ -113,6 +113,34 @@ from nestevo.rows import archive_text as row_archive_text
 
 # ---------------------------------------------------------------------------
 # Object twins
+
+
+@dataclass(frozen=True)
+class ObjectiveVector:
+    """Fixed-length real vector, each coordinate tagged Maximize or Minimize."""
+
+    values: tuple[float, ...]
+    directions: tuple[Direction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.values) != len(self.directions):
+            raise ValueError(
+                f"objective vector has {len(self.values)} values but "
+                f"{len(self.directions)} directions"
+            )
+        for v in self.values:
+            if not math.isfinite(v):
+                raise ValueError(f"objective value {v!r} is not finite")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+@dataclass(frozen=True)
+class ArchiveEntry:
+    key: Any
+    payload: Any
+    vector: ObjectiveVector
 
 
 def normalized(v: ObjectiveVector) -> tuple[float, ...]:
@@ -247,11 +275,12 @@ def object_ratio_of_dominance(a: ObjectFront, b: ObjectFront) -> float:
             / len(a.points))
 
 
-def add(archive: ParetoArchive, key, payload, vector: ObjectiveVector) -> bool:
-    """Merge one candidate under a key of its own; True iff it entered the
-    archive."""
-    merge(archive, [(key, payload, vector)])
-    return any(e.key == key for e in archive.entries)
+def add(visits: dict, key, payload, vector: ObjectiveVector
+        ) -> tuple[dict, bool]:
+    """Merge one candidate under a key of its own: the merged visits, and
+    True iff it entered them."""
+    merged = merge(visits, [(key, payload, vector)])
+    return merged, key in merged
 
 
 def dissimilarity(profile: ExitProfile, positions: Sequence[int], i: int) -> float:
@@ -319,8 +348,8 @@ def hv3d(points: list[tuple[float, float, float]],
     return hv
 
 
-def is_mutually_nondominated(archive: ParetoArchive) -> bool:
-    vs = [e.vector for e in archive.entries]
+def is_mutually_nondominated(visits: dict) -> bool:
+    vs = [e.vector for e in entries(visits)]
     return not any(
         dominates(a, b) for i, a in enumerate(vs) for j, b in enumerate(vs) if i != j
     )
@@ -834,13 +863,21 @@ def _columns(pop: Sequence[ObjectiveVector]):
             pop[0].directions if pop else ())
 
 
-def merge(archive: ParetoArchive, items) -> None:
-    """ParetoArchive.merge_batch over (key, payload, ObjectiveVector) items."""
-    width = len(items[0][2]) if items else len(archive.directions)
-    archive.merge_batch([key for key, _, _ in items],
-                        [payload for _, payload, _ in items],
-                        np.array([v.values for _, _, v in items],
-                                 dtype=float).reshape(len(items), width))
+def merge(visits: dict, items) -> dict:
+    """ooe.merge_visits of the live `visits` and (key, payload,
+    ObjectiveVector) items over COMBINED_DIRECTIONS, each a visit numbered
+    by its key whose rows are its payload."""
+    assert all(v.directions == COMBINED_DIRECTIONS for _, _, v in items)
+    return merge_visits(visits, {key: (v.values, payload)
+                                 for key, payload, v in items})
+
+
+def entries(visits: dict) -> list[ArchiveEntry]:
+    """Visits as entries: each visit's number, rows and combined
+    objectives."""
+    return [ArchiveEntry(v, rows, ObjectiveVector(tuple(objectives),
+                                                  COMBINED_DIRECTIONS))
+            for v, (objectives, rows) in visits.items()]
 
 
 def fast_nondominated_sort(pop: Sequence[ObjectiveVector]) -> list[list[int]]:

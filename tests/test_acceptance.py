@@ -38,10 +38,11 @@ from nestevo.genome import (
 )
 from nestevo.ioe import IoeConfig, dynamic_fitness
 from nestevo.metrics import hypervolume, ratio_of_dominance
-from nestevo.moea import Direction, ObjectiveVector
+from nestevo.moea import Direction
 from nestevo.ooe import OoeConfig, run_ooe
 
 from oracles import (
+    ObjectiveVector,
     dissimilarity,
     dominates,
     exit_score,

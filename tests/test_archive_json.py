@@ -29,14 +29,15 @@ from nestevo.config import parse_config
 from nestevo.evaluator import StaticScore
 from nestevo.genome import BackboneGenome, BlockGenes, DvfsGenome, ExitGenome
 from nestevo.ioe import DynamicScore
-from nestevo.moea import ArchiveEntry, ObjectiveVector
 from nestevo.ooe import COMBINED_DIRECTIONS
 from nestevo.rows import (_blocks_str, archive_text as row_archive_text,
                           objectives_block, render_rows)
 
 import test_identity
 from oracles import (
+    ArchiveEntry,
     FinalSolution,
+    ObjectiveVector,
     archive_text,
     front_csv_text,
     front_solution_from_row,
@@ -260,7 +261,8 @@ def test_csv_rows_round_trip(tmp_path):
 def test_search_builds_no_object_per_row(tmp_path, monkeypatch):
     # The rows of a search travel as values and texts only: no archive
     # entry object is built, in the main process or (with one CPU)
-    # anywhere.  No solution object can be: FinalSolution is a test oracle.
+    # anywhere.  None can be: ArchiveEntry and FinalSolution are test
+    # oracles, and the outer archive is a dict of visits.
     built = []
     init = ArchiveEntry.__init__
 

@@ -1,44 +1,38 @@
-"""The incremental ParetoArchive merge against the union-mask algorithm it
-replaced (oracles.UnionMaskArchive), and the checks merge_batch makes on its
-matrix.  Every key is fresh, as the outer engine's visit numbers are: the
-archive does not compare keys."""
+"""The outer archive merge, ooe.merge_visits, against the union-mask
+algorithm of the archive it replaced (oracles.UnionMaskArchive), and the
+checks merge_visits makes on the visits' objectives.  Every visit number is
+fresh, as the outer engine's are: the merge does not compare them."""
 
+import copy
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestevo.moea import (
-    Direction,
+from nestevo.ooe import COMBINED_DIRECTIONS, merge_visits
+
+from oracles import (
     ObjectiveVector,
-    ParetoArchive,
+    UnionMaskArchive,
+    add,
+    entries,
+    is_mutually_nondominated,
+    merge,
 )
 
-from oracles import UnionMaskArchive, add, dominates, merge
 
-MAX = Direction.MAXIMIZE
-MIN = Direction.MINIMIZE
-DIRECTIONS = (MAX, MIN, MAX)
+def vec(*values):
+    return ObjectiveVector(tuple(float(v) for v in values), COMBINED_DIRECTIONS)
 
 
-def vec(*values, directions=DIRECTIONS):
-    return ObjectiveVector(tuple(float(v) for v in values), directions)
-
-
-def listing(entries):
-    return [(e.key, e.payload, e.vector) for e in entries]
-
-
-def mutually_nondominated(entries):
-    return not any(dominates(a.vector, b.vector)
-                   for a in entries for b in entries if a is not b)
+def listing(archive):
+    return [(e.key, e.payload, e.vector) for e in archive]
 
 
 # A 0..2 grid per axis: equal vectors abound.
-item = st.tuples(st.integers(0, 1_000), st.tuples(*(st.integers(0, 2),) * 3))
+item = st.tuples(st.integers(0, 1_000), st.tuples(*(st.integers(0, 2),) * 4))
 batches = st.lists(st.lists(item, max_size=12), max_size=8)
 
 
@@ -47,16 +41,24 @@ def keyed(items, keys):
     return [(next(keys), payload, vec(*values)) for payload, values in items]
 
 
+def merged_unchanged(visits, items):
+    """merge(visits, items), checking that it leaves `visits` as it was."""
+    before = copy.deepcopy(visits)
+    out = merge(visits, items)
+    assert visits == before
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(batches)
 def test_merge_batch_matches_union_mask(batch_list):
-    fast, oracle = ParetoArchive(DIRECTIONS), UnionMaskArchive()
+    fast, oracle = {}, UnionMaskArchive()
     keys = itertools.count()
     for batch in (keyed(b, keys) for b in batch_list):
-        merge(fast, batch)
+        fast = merged_unchanged(fast, batch)
         oracle.merge_batch(batch)
-        assert listing(fast.entries) == listing(oracle.entries)
-        assert mutually_nondominated(fast.entries)
+        assert listing(entries(fast)) == listing(oracle.entries)
+        assert is_mutually_nondominated(fast)
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,12 +67,12 @@ def test_merge_batch_random_cuts(items, data):
     items = keyed(items, itertools.count())
     cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=6)))
     bounds = [0] + cuts + [len(items)]
-    fast, oracle = ParetoArchive(DIRECTIONS), UnionMaskArchive()
+    fast, oracle = {}, UnionMaskArchive()
     for lo, hi in zip(bounds, bounds[1:]):
-        merge(fast, items[lo:hi])  # empty when two cuts coincide
+        fast = merged_unchanged(fast, items[lo:hi])  # empty when cuts coincide
         oracle.merge_batch(items[lo:hi])
-        assert listing(fast.entries) == listing(oracle.entries)
-        assert mutually_nondominated(fast.entries)
+        assert listing(entries(fast)) == listing(oracle.entries)
+        assert is_mutually_nondominated(fast)
 
 
 @settings(max_examples=300, deadline=None)
@@ -78,77 +80,75 @@ def test_merge_batch_random_cuts(items, data):
                           st.lists(item, max_size=6).map(lambda b: ("merge", b))),
                 max_size=20))
 def test_add_and_merge_batch_mixed(ops):
-    fast, oracle = ParetoArchive(DIRECTIONS), UnionMaskArchive()
+    fast, oracle = {}, UnionMaskArchive()
     keys = itertools.count()
     for op, arg in ops:
         if op == "add":
             arg, = keyed([arg], keys)
-            assert add(fast, *arg) == oracle.add(*arg)
+            fast, entered = add(fast, *arg)
+            assert entered == oracle.add(*arg)
         else:
             arg = keyed(arg, keys)
-            merge(fast, arg)
+            fast = merged_unchanged(fast, arg)
             oracle.merge_batch(arg)
-        assert listing(fast.entries) == listing(oracle.entries)
-        assert mutually_nondominated(fast.entries)
+        assert listing(entries(fast)) == listing(oracle.entries)
+        assert is_mutually_nondominated(fast)
 
 
 def test_mismatched_batch_shape_raises():
-    a = ParetoArchive(DIRECTIONS)
-    merge(a, [("x", None, vec(1, 1, 1))])
+    visits = merge({}, [(0, None, vec(1, 1, 1, 1))])
     with pytest.raises(ValueError):
-        merge(a, [("y", None, vec(1, 1, directions=(MAX, MAX)))])
+        merge_visits(visits, {1: ((1.0, 1.0), None)})
 
 
 def filled():
-    a = ParetoArchive(DIRECTIONS)
-    a.merge_batch(["x", "y"], ["px", "py"], np.array([[1.0, 2.0, 0.0],
-                                                      [0.0, 1.0, 1.0]]))
-    return a
+    return {0: ((1.0, 2.0, 0.0, 0.0), "p0"), 1: ((0.0, 1.0, 1.0, 1.0), "p1")}
 
 
-@pytest.mark.parametrize("keys, payloads, values", [
-    (["z"], ["pz"], np.zeros((1, 2))),                  # too few columns
-    (["z"], ["pz"], np.zeros((1, 4))),                  # too many columns
-    (["z"], ["pz"], np.zeros(3)),                       # not a matrix
-    (["z", "w"], ["pz", "pw"], np.zeros((1, 3))),       # too few rows
-    (["z"], ["pz"], np.zeros((2, 3))),                  # too many rows
-    (["z", "w"], ["pz"], np.zeros((2, 3))),             # too few payloads
-])
-def test_batch_shape_mismatch_raises(keys, payloads, values):
-    a = filled()
-    before = listing(a.entries)
-    with pytest.raises(ValueError):
-        a.merge_batch(keys, payloads, values)
-    assert listing(a.entries) == before
+@pytest.mark.parametrize("new", [
+    {2: ((0.0,) * 3, "p2")},
+    {2: ((0.0,) * 5, "p2")},
+    {2: (0.0, "p2")},                                  # a number, not a row
+    {2: ((), "p2")},                                   # no row
+    {2: (((0.0,) * 4, (0.0,) * 4), "p2")},             # two rows
+    {2: (0.0, 0.0, 0.0, 0.0)},                         # no rows with them
+    {2: ((0.0,) * 4, "p2"), 3: ((0.0,) * 3, "p3")},    # unequal widths
+    {2: ((0.0,) * 2, "p2"), 3: ((0.0,) * 2, "p3")},    # 4 numbers, 2 visits
+], ids=["too-few-columns", "too-many-columns", "not-a-matrix", "too-few-rows",
+        "too-many-rows", "no-payload", "ragged", "rows-that-sum-up"])
+def test_batch_shape_mismatch_raises(new):
+    visits = filled()
+    for live, added in ((visits, new), ({}, new), (new, {})):
+        with pytest.raises(ValueError):
+            merge_visits(live, added)
+    assert visits == filled()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_value_raises(bad):
-    a = filled()
-    before = listing(a.entries)
+    visits = filled()
     with pytest.raises(ValueError, match="not finite"):
-        a.merge_batch(["z"], ["p"], np.array([[0.5, bad, 0.5]]))
-    assert listing(a.entries) == before
+        merge_visits(visits, {2: ((0.5, bad, 0.5, 0.5), "p2")})
+    assert visits == filled()
 
 
 def test_empty_batch_changes_nothing():
-    a = ParetoArchive(DIRECTIONS)
-    a.merge_batch([], [], np.zeros((0, 3)))
-    assert len(a) == 0 and a.entries == ()
-    a = filled()
-    before = listing(a.entries)
-    a.merge_batch([], [], np.zeros((0, 3)))
-    assert listing(a.entries) == before
+    assert merge_visits({}, {}) == {}
+    visits = filled()
+    out = merge_visits(visits, {})
+    assert list(out.items()) == list(filled().items())
+    assert out is not visits
 
 
 def test_entries_give_back_the_raw_floats():
-    # A MINIMIZE column is negated inside the archive; the entries must
-    # still carry -0.0, 0.0 and every other float exactly as given.
-    raw = [(-0.0, -0.0, 5e-324), (1.0, 0.1 + 0.2, -0.0), (1e308, 1e300, 0.0)]
-    a = ParetoArchive((MAX, MIN, MIN))
-    a.merge_batch(["a", "b", "c"], [None] * 3, np.array(raw))
-    assert [e.key for e in a.entries] == ["a", "b", "c"]
-    got = [e.vector.values for e in a.entries]
-    assert [tuple(map(repr, v)) for v in got] == \
-        [tuple(map(repr, v)) for v in raw]
-    assert all(e.vector.directions == (MAX, MIN, MIN) for e in a.entries)
+    # A MINIMIZE column is negated inside the filter; the visits must still
+    # carry -0.0, 0.0 and every other float exactly as given, as the very
+    # objects given.
+    raw = [(-0.0, -0.0, 5e-324, 0.0), (1.0, 0.1 + 0.2, -0.0, -1.0),
+           (1e308, 1e300, 0.0, -1e308)]
+    new = {v: (objectives, f"p{v}") for v, objectives in enumerate(raw)}
+    out = merge_visits({}, new)
+    assert list(out) == [0, 1, 2]
+    assert all(out[v] is new[v] for v in out)
+    assert [tuple(map(repr, out[v][0])) for v in out] == \
+        [tuple(map(repr, objectives)) for objectives in raw]

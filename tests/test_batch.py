@@ -46,9 +46,10 @@ from nestevo.ioe import (
     enumerated,
     ioe_objective_matrix,
 )
-from nestevo.moea import Direction, ObjectiveVector
+from nestevo.moea import Direction
 
 from oracles import (
+    ObjectiveVector,
     ScalarDynamicEvaluator,
     all_pairs_nondominated,
     candidate_genes,

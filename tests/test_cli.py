@@ -232,6 +232,50 @@ class TestConfigLoading:
         assert f"Error: invalid config: {message}" in res.output
         assert not (tmp_path / "out").exists()
 
+    # A value the evaluator cannot turn into finite workloads and prices
+    # used to end in a traceback: a depth of 10^30 in an OverflowError of
+    # layer_workloads (search, ablate-dissim) or a MemoryError (enumerate),
+    # a compute frequency of 1e308 in one of f_c**3 (every command).
+    @pytest.mark.parametrize("space, message", [
+        ({"depth": [6, 10**30]}, "space.depth: space.n_block x "
+         f"max(space.depth) = {10**30} layers, more than 10000"),
+        ({"depth": [6, 10**8]}, "space.depth: space.n_block x "
+         f"max(space.depth) = {10**8} layers, more than 10000"),
+        ({"n_block": 2, "depth": [6, 5001]}, "space.depth: space.n_block x "
+         "max(space.depth) = 10002 layers, more than 10000"),
+        ({"devices": [{"name": "toy-dev", "compute_freq_ghz": [0.5, 1.0e308],
+                       "default_compute_idx": 1}]},
+         "space.devices[0] ('toy-dev'): compute_freq_ghz prices to a "
+         "throughput or power that is not finite"),
+        ({"devices": [{"name": "toy-dev", "compute_freq_ghz": [0.5, 1.0],
+                       "emc_freq_ghz": [0.4, 1.0e308],
+                       "default_compute_idx": 1, "default_emc_idx": 0}]},
+         "space.devices[0] ('toy-dev'): emc_freq_ghz prices to a "
+         "throughput or power that is not finite"),
+        ({"devices": [{"name": "toy-dev", "compute_freq_ghz": [0.5, 1.0]},
+                      {"name": "far", "compute_freq_ghz": [1.0e200]}]},
+         "space.devices[1] ('far'): compute_freq_ghz prices to a "
+         "throughput or power that is not finite"),
+    ], ids=["depth-1e30", "depth-1e8", "layers", "compute-1e308",
+            "emc-1e308", "other-device"])
+    @pytest.mark.parametrize("command", [["search"], ["enumerate"],
+                                         ["ablate-dissim", "--gammas", "0"]])
+    def test_value_that_cannot_be_priced_refused_at_parse(
+            self, tmp_path, runner, space, message, command):
+        path = write_toy_config(tmp_path, space=space)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == message
+        res = runner.invoke(main, [*command, "--config", str(path)])
+        assert res.exit_code == 1
+        assert res.output == f"Error: invalid config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_deepest_space_within_the_bound_parses(self, tmp_path):
+        path = write_toy_config(tmp_path, space={"n_block": 2,
+                                                 "depth": [6, 5000]})
+        assert load_config(str(path)).space.depth_domain == (6, 5000)
+
     @pytest.mark.parametrize("devices, message", [
         ([{"compute_freq_ghz": [0.5, 1.0]}],
          "space.devices[0] has no 'name'"),

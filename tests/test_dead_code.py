@@ -6,7 +6,7 @@ belongs in tests/oracles.py, and an oracle that no test uses is removed.
 
 A reference is an identifier read from the syntax tree: a name, an
 attribute, an imported name, or a word of a string that is not a docstring
-(perfbench patches its probes by strings such as "ParetoArchive.merge_batch").
+(perfbench patches its probes by strings such as "Front.__init__").
 The package's __init__.py only re-exports names, so its imports are not
 references.  Click commands are reached through their group.
 """

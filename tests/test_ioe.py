@@ -45,9 +45,10 @@ from nestevo.ioe import (
     uniforms,
 )
 from nestevo.metrics import Front, hypervolume
-from nestevo.moea import Direction, ObjectiveVector
+from nestevo.moea import Direction
 
 from oracles import (
+    ObjectiveVector,
     UnionMaskArchive,
     dissimilarity,
     dominates,

@@ -14,9 +14,10 @@ from nestevo.metrics import (
     hypervolume_mc,
     ratio_of_dominance,
 )
-from nestevo.moea import Direction, ObjectiveVector
+from nestevo.moea import Direction
 from oracles import (
     ObjectFront,
+    ObjectiveVector,
     dominates,
     front_points,
     hv3d,

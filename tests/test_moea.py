@@ -13,19 +13,20 @@ from nestevo.genome import VariationParams
 from nestevo.ioe import _breed, uniforms
 from nestevo.moea import (
     Direction,
-    ObjectiveVector,
-    ParetoArchive,
     initial_population,
     nondominated_rows,
     select,
 )
+from nestevo.ooe import COMBINED_DIRECTIONS
 
 from oracles import (
+    ObjectiveVector,
     RankedPopulation,
     add,
     all_pairs_nondominated,
     crowding_distance,
     dominates,
+    entries,
     fast_nondominated_sort,
     is_mutually_nondominated,
     merge,
@@ -451,32 +452,37 @@ class TestRankPopulation:
         assert best_of(pop, len(pop))[:2] == [0, 2]
 
 
+def combined(*values):
+    """A combined-objectives vector (merge_visits' columns)."""
+    return vec(*values, directions=COMBINED_DIRECTIONS)
+
+
 class TestParetoArchive:
+    """The outer archive, ooe.merge_visits (the dict of visits that replaced
+    moea.ParetoArchive), and the front filter it cuts with."""
+
+    # Every visit below is (a, 0, 0, b): only the two MAXIMIZE columns vary.
     def test_keeps_nondominated_only(self):
-        a = ParetoArchive((MAX, MAX))
-        add(a, "x", "x", vec(1, 1))
-        add(a, "y", "y", vec(0, 0))  # dominated, rejected
-        assert len(a) == 1
-        add(a, "z", "z", vec(2, 2))  # displaces x
-        assert [e.key for e in a.entries] == ["z"]
+        a, entered = add({}, 0, "x", combined(1, 0, 0, 1))
+        a, entered = add(a, 1, "y", combined(0, 0, 0, 0))
+        assert not entered and len(a) == 1  # dominated, rejected
+        a, entered = add(a, 2, "z", combined(2, 0, 0, 2))  # displaces x
+        assert entered and [e.key for e in entries(a)] == [2]
 
     def test_equal_vectors_both_kept(self):
-        a = ParetoArchive((MAX, MAX))
-        add(a, "x", "x", vec(1, 1))
-        add(a, "y", "y", vec(1, 1))
+        a, _ = add({}, 0, "x", combined(1, 0, 0, 1))
+        a, _ = add(a, 1, "y", combined(1, 0, 0, 1))
         assert len(a) == 2
 
     def test_merge_batch_equals_sequential_adds(self):
         rng = random.Random(31)
-        items = [(i, i, vec(*(rng.randint(0, 5) for _ in range(3))))
+        items = [(i, i, combined(*(rng.randint(0, 5) for _ in range(4))))
                  for i in range(200)]
-        sequential = ParetoArchive((MAX,) * 3)
+        sequential = {}
         for key, payload, v in items:
-            add(sequential, key, payload, v)
-        batched = ParetoArchive((MAX,) * 3)
-        merge(batched, items[:97])
-        merge(batched, items[97:])
-        assert {e.key for e in batched.entries} == {e.key for e in sequential.entries}
+            sequential, _ = add(sequential, key, payload, v)
+        batched = merge(merge({}, items[:97]), items[97:])
+        assert set(batched) == set(sequential)
         assert is_mutually_nondominated(batched)
 
     def test_nondominated_mask_matches_oracle(self):

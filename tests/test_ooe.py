@@ -23,7 +23,7 @@ from nestevo.genome import (
     n_inner_candidates,
 )
 from nestevo.ioe import DynamicScores, IoeConfig, dynamic_fitness
-from nestevo.moea import Direction, ObjectiveVector
+from nestevo.moea import Direction
 from nestevo.ooe import (
     STATIC_DIRECTIONS,
     OoeConfig,
@@ -35,6 +35,7 @@ from nestevo.ooe import (
 )
 
 from oracles import (
+    ObjectiveVector,
     enumerate_dvfs,
     enumerate_exit_genomes,
     ioe_objectives,

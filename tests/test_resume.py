@@ -3,9 +3,11 @@ generation, or killed, and run again writes the bytes of an uninterrupted
 run, replaying checkpoints 1..k rebuilds generation k's archive row for row,
 and a rerun refuses checkpoints it cannot continue from."""
 
+import copy
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -208,6 +210,32 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     # The run exercises evictions and several new visits per generation.
     assert any(state.evicted for state, _ in states)
     assert all(len(state.added) > 1 for state, _ in states)
+
+
+def test_states_handed_out_are_never_changed(monkeypatch):
+    # Each generation makes a new archive dict and edits none: the state a
+    # generation hands to on_generation, and the state a resumed run starts
+    # from, keep their visits, in order, while later generations evict some.
+    monkeypatch.setattr(ooe, "_cpus", lambda: 1)
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC)
+    args = (cfg.space, cfg.device_spec(), build_backend(cfg), cfg.hw,
+            cfg.surrogate, cfg.ooe, cfg.variation)
+
+    def fields(state):
+        return list(state.visits.items()), state.added, state.evicted
+
+    handed = []
+    whole = ooe.run_ooe(*args, on_generation=lambda state: handed.append(
+        (state, copy.deepcopy(fields(state)))))
+    for state, taken in handed:
+        assert fields(state) == taken
+    start = handed[0][0]
+    assert any(set(start.visits) & set(state.evicted)
+               for state, _ in handed[1:])
+    taken = copy.deepcopy(fields(start))
+    resumed = ooe.run_ooe(*args, start=start)
+    assert fields(start) == taken
+    assert resumed.rows == whole.rows
 
 
 def test_resume_over_visits_that_ceded_keys(tmp_path, monkeypatch):
@@ -579,6 +607,27 @@ class TestResumeRefusals:
                 f"objectives {objectives!r}, not 4 numbers") in res.output
         assert not (out / "archive.json").exists()
 
+    # The replay's merge refuses them; the replay used to take them, and the
+    # resumed run ended in a traceback from the archive merge.
+    @pytest.mark.parametrize("value, why", [
+        (float("nan"), "objective value nan is not finite"),
+        (float("-inf"), "objective value -inf is not finite"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["nan", "-inf", "huge-int"])
+    def test_objectives_that_are_not_finite(self, tmp_path, runner, value,
+                                            why):
+        cfg, out = toy_run(tmp_path, runner)
+        (out / "archive.json").unlink()
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        doc["visits"][0][2][1] = value
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert f"cannot resume: {path}: {why}" in res.output
+        assert "Traceback" not in res.output
+        assert not (out / "archive.json").exists()
+
     def test_visit_count_below_its_visits(self, tmp_path, runner):
         # New visits are numbered from the count: with a count that is too
         # low they would take the numbers of live visits.
@@ -622,6 +671,61 @@ class TestResumeRefusals:
         assert res.exit_code == 1
         assert "cannot resume: " in res.output
         assert "evicts visit 1000000, which is not live" in res.output
+        assert not (out / "archive.json").exists()
+
+    @staticmethod
+    def small_default_run(tmp_path, runner):
+        """The small-default search, run to its end with the CLI: its config
+        path and output directory, archive.json and front.csv removed."""
+        out = tmp_path / "out"
+        config = tmp_path / "small.yaml"
+        config.write_text(yaml.safe_dump(dict(test_identity.SMALL_DEFAULT_DOC,
+                                              output_dir=str(out))),
+                          encoding="utf-8")
+        res = runner.invoke(main, ["search", "--config", str(config)])
+        assert res.exit_code == 0, res.output
+        (out / "archive.json").unlink()
+        (out / "front.csv").unlink()
+        return config, out
+
+    def test_added_visit_that_dominates_another(self, tmp_path, runner):
+        # The evictions follow from the objectives: a visit raised until it
+        # dominates another one added beside it would have evicted it, and
+        # the replay used to take both.
+        config, out = self.small_default_run(tmp_path, runner)
+        path = out / "checkpoint_gen_001.json"
+        doc = json.loads(path.read_text())
+        (_, _, first, _), (other, _, second, _) = doc["visits"][:2]
+        better = (max, min, min, max)  # per COMBINED_DIRECTIONS
+        doc["visits"][0][2] = [pick(a, b) for pick, a, b
+                               in zip(better, first, second)]
+        doc["visits"][0][2][0] = max(first[0], second[0]) + 0.01
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(config)])
+        assert res.exit_code == 1
+        assert re.search(
+            rf"cannot resume: {re.escape(str(path))} evicts visits \[\], but "
+            rf"the merge of its visits' objectives drops \[{other}[,\]]",
+            res.output), res.output
+        assert "Traceback" not in res.output
+        assert not (out / "archive.json").exists()
+
+    def test_evicted_visit_that_no_added_one_dominates(self, tmp_path,
+                                                       runner):
+        config, out = self.small_default_run(tmp_path, runner)
+        path = out / "checkpoint_gen_002.json"
+        doc = json.loads(path.read_text())
+        first = json.loads((out / "checkpoint_gen_001.json").read_text())
+        kept = [v for v, _, _, _ in first["visits"]
+                if v not in doc["evicted"]]
+        assert kept
+        doc["evicted"].append(kept[0])
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        res = runner.invoke(main, ["search", "--config", str(config)])
+        assert res.exit_code == 1
+        assert (f"cannot resume: {path} evicts visits {doc['evicted']}, but "
+                "the merge of its visits' objectives drops ") in res.output
+        assert "Traceback" not in res.output
         assert not (out / "archive.json").exists()
 
     def test_bad_rng_state(self, tmp_path, runner):
