@@ -23,6 +23,10 @@ toy space and for a space whose backbones hold several thousand candidates
 each, recorded before the exhaustive front came to be filtered block by
 block.
 
+The JSON outputs are pinned by their content too: the sha256 of the
+parsed document spelled compactly with sorted keys (content_digests).  A
+change to the layout of the JSON files alone re-pins only their bytes.
+
 A speed-up must keep these digests; a change that alters results on purpose
 re-pins them and says why.  The benchmark's own output checks
 (perfbench/workloads.py) must find no problem in any of these outputs.
@@ -122,10 +126,36 @@ PINNED = {
     },
 }
 
+# The content of each pinned JSON output, whatever its layout.
+CONTENT_PINNED = {
+    "toy": {"archive.json":
+            "9025e63320a90d39f5d24c3dc7545c766a528199702998b21faf40849fb67de6"},
+    "small-default": {
+        "archive.json":
+            "a223785b526cd94677e803a298c2eb14beb7c83a0f9ea59837ed2b516ca393c7"},
+    "scalar": {"archive.json":
+               "b3c824b9c73786e55db1134634744357fcad5c01f2fed51e636e4ff5f4f60cff"},
+    "ablate-table": {
+        "ablation.json":
+            "d70d059733786aeffe9f29962525e54d2b98fd28afcf474e05130fdf1a13e905"},
+}
+
 
 def digests(out_dir: Path, names=("archive.json", "front.csv")) -> dict:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in names}
+
+
+def content_digests(out_dir: Path, names=("archive.json",)) -> dict:
+    """The sha256 of each JSON file's document, spelled compactly with
+    sorted keys: the same for any layout of the same content."""
+    out = {}
+    for name in names:
+        with open(out_dir / name, encoding="utf-8") as fh:
+            text = json.dumps(json.load(fh), sort_keys=True,
+                              separators=(",", ":"))
+        out[name] = hashlib.sha256(text.encode()).hexdigest()
+    return out
 
 
 def write_table(path: Path, device_name: str) -> None:
@@ -161,6 +191,7 @@ def assert_search_checks_pass(cfg, out_dir: Path) -> None:
 def test_toy_digests(tmp_path):
     cfg = load_config(str(CONFIGS / "toy.yaml"), out_override=str(tmp_path))
     run_search(cfg)
+    assert content_digests(tmp_path) == CONTENT_PINNED["toy"]
     assert digests(tmp_path) == PINNED["toy"]
     assert_search_checks_pass(cfg, tmp_path)
 
@@ -177,6 +208,7 @@ def test_small_default_digests(tmp_path, monkeypatch):
     monkeypatch.setattr(ooe, "exit_profile", recording_profile)
     cfg = parse_config(SMALL_DEFAULT_DOC, out_override=str(tmp_path))
     run_search(cfg)
+    assert content_digests(tmp_path) == CONTENT_PINNED["small-default"]
     assert digests(tmp_path) == PINNED["small-default"]
     assert_search_checks_pass(cfg, tmp_path)
 
@@ -243,6 +275,7 @@ def test_scalar_objective_digests(tmp_path):
     cfg = parse_config(SCALAR_DOC, out_override=str(tmp_path))
     assert cfg.ooe.ioe.objective_mode == "scalar"
     run_search(cfg)
+    assert content_digests(tmp_path) == CONTENT_PINNED["scalar"]
     assert digests(tmp_path) == PINNED["scalar"]
 
 
@@ -257,6 +290,8 @@ def test_ablate_table_digests(tmp_path):
                                     "--gammas", ABLATE_GAMMAS])
     assert res.exit_code == 0, res.output
     out = tmp_path / "out"
+    assert content_digests(out, ("ablation.json",)) == \
+        CONTENT_PINNED["ablate-table"]
     assert digests(out, ("ablation.json",)) == PINNED["ablate-table"]
     report = json.loads((out / "ablation.json").read_text())
     assert [arm["gamma"] for arm in report["arms"]] == [0.0, 0.5, 1.0, 2.0]
