@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
@@ -17,7 +18,8 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .evaluator import HardwareModelParams, SurrogateParams, SyntheticHardwareModel
+from .evaluator import (HardwareModelParams, SurrogateParams,
+                        SyntheticHardwareModel, layer_workloads, running_sums)
 from .genome import (BackboneGenome, BlockGenes, DeviceSpec, SearchSpaceSpec,
                      VariationParams, require_counts)
 from .ioe import IoeConfig
@@ -145,7 +147,35 @@ def _parse_space(node: dict) -> SearchSpaceSpec:
     if (layers := space.n_block * max(space.depth_domain)) > 10_000:
         raise ConfigError("space.depth: space.n_block x max(space.depth) = "
                           f"{layers} layers, more than 10000")
+    # Workloads grow with every domain's values, so the largest backbone
+    # bounds them all.  The domains are raised in turn from a neutral value
+    # (one layer's flops and bytes a product of 1s), and the key named is
+    # the one whose maximum first makes them not finite.
+    raised = replace(space, resolution_domain=(32,), width_domain=(1,),
+                     kernel_domain=(1,), expand_domain=(1,))
+    for key in ("resolution", "width", "kernel", "expand"):
+        attr = domains[key]
+        raised = replace(raised, **{attr: getattr(space, attr)})
+        if not _finite_workloads(raised):
+            raise ConfigError(f"space.{key}: the largest backbone, every gene "
+                              "at its domain's maximum, has layer workloads "
+                              "that are not finite")
     return space
+
+
+def _finite_workloads(space: SearchSpaceSpec) -> bool:
+    """Whether the largest backbone of `space`, every gene at its domain's
+    maximum, has finite layer workloads and totals."""
+    res, *top = (d.index(max(d)) for d in (
+        space.resolution_domain, space.depth_domain, space.width_domain,
+        space.kernel_domain, space.expand_domain))
+    b = BackboneGenome(res, (BlockGenes(*top),) * space.n_block)
+    try:
+        flops, bytes_ = layer_workloads(b, space)
+    except OverflowError:  # an int product too large for a float
+        return False
+    return (math.isfinite(running_sums(flops)[-1])
+            and math.isfinite(running_sums(bytes_)[-1]))
 
 
 def _finite_prices(device: DeviceSpec, hw: HardwareModelParams) -> bool:

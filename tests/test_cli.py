@@ -235,7 +235,9 @@ class TestConfigLoading:
     # A value the evaluator cannot turn into finite workloads and prices
     # used to end in a traceback: a depth of 10^30 in an OverflowError of
     # layer_workloads (search, ablate-dissim) or a MemoryError (enumerate),
-    # a compute frequency of 1e308 in one of f_c**3 (every command).
+    # a compute frequency of 1e308 in one of f_c**3 (every command), and a
+    # huge resolution, width, kernel or expand value in an OverflowError of
+    # layer_workloads (every command).
     @pytest.mark.parametrize("space, message", [
         ({"depth": [6, 10**30]}, "space.depth: space.n_block x "
          f"max(space.depth) = {10**30} layers, more than 10000"),
@@ -256,8 +258,16 @@ class TestConfigLoading:
                       {"name": "far", "compute_freq_ghz": [1.0e200]}]},
          "space.devices[1] ('far'): compute_freq_ghz prices to a "
          "throughput or power that is not finite"),
+        *(({key: [values[0], big]}, f"space.{key}: the largest backbone, "
+           "every gene at its domain's maximum, has layer workloads that are "
+           "not finite")
+          for key, values, big in [("resolution", [32], 10**200),
+                                   ("width", [16], 10**400),
+                                   ("kernel", [3], 10**400),
+                                   ("expand", [1], 10**400)]),
     ], ids=["depth-1e30", "depth-1e8", "layers", "compute-1e308",
-            "emc-1e308", "other-device"])
+            "emc-1e308", "other-device", "resolution-1e200", "width-1e400",
+            "kernel-1e400", "expand-1e400"])
     @pytest.mark.parametrize("command", [["search"], ["enumerate"],
                                          ["ablate-dissim", "--gammas", "0"]])
     def test_value_that_cannot_be_priced_refused_at_parse(
@@ -270,6 +280,15 @@ class TestConfigLoading:
         assert res.exit_code == 1
         assert res.output == f"Error: invalid config: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("space", [
+        {"width": [16, 10**300]}, {"resolution": [32, 10**150]},
+        {"kernel": [3, 10**150]}, {"expand": [1, 10**300]}])
+    def test_huge_value_with_finite_workloads_runs(self, tmp_path, runner,
+                                                   space):
+        path = write_toy_config(tmp_path, space=space)
+        res = runner.invoke(main, ["search", "--config", str(path)])
+        assert res.exit_code == 0, res.output
 
     def test_deepest_space_within_the_bound_parses(self, tmp_path):
         path = write_toy_config(tmp_path, space={"n_block": 2,
