@@ -1,14 +1,17 @@
 """Archive persistence: a JSON document with config digest, per-generation
 records, and the final solution set; a flat plot-ready CSV of the front;
 and one checkpoint per generation that holds what the generation changed,
-its rows as their genes only, and the state to resume from.  All writes are
-atomic (temp file + rename), and the writers stream row texts into the file
-one by one, so no document is ever held whole in memory: a row's
-archive.json text (nestevo.rows.archive_text) is made from its line only as
-it is written.  Checkpoints 1..k are replayed into the search state after
-generation k by replay_checkpoints, which evaluates each visit's stored
-genes again and renders its rows anew (ooe.visit_rows): a row is fixed by
-its backbone, its genes and the config, which the config digest guards.
+its rows as their genes only, and the state to resume from.  Every JSON
+file holds one record per line (save_json): an archive.json row, a
+checkpoint's gene string, visit or evicted visit, each compact on its own
+line.  All writes are atomic (temp file + rename), and the writers stream
+row texts into the file one by one, so no document is ever held whole in
+memory: a row's archive.json text (nestevo.rows.archive_text) is made from
+its line only as it is written.  Checkpoints 1..k are replayed into the
+search state after generation k by replay_checkpoints, which evaluates each
+visit's stored genes again and renders its rows anew (ooe.visit_rows): a
+row is fixed by its backbone, its genes and the config, which the config
+digest guards.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import re
 from dataclasses import asdict, fields
 from itertools import chain, islice, pairwise
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,32 +73,72 @@ def archive_header(result: OoeResult, digest: str, seed: int) -> dict:
     }
 
 
-# Stands in for the "final" list while the rest of a document is encoded.
-_FINAL_MARK = "\x00final\x00"
+# A value on one line: no spaces, keys sorted, ASCII only, floats by their
+# repr; the spelling of config.config_digest.
+_compact = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
-def _json_pieces(doc: dict, final: Iterable[str] | None) -> Iterable[str]:
-    """The text save_json writes, in pieces that never join two rows."""
-    if final is None:
-        yield json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        head, tail = json.dumps(dict(doc, final=_FINAL_MARK), indent=2,
-                                sort_keys=True).split(json.dumps(_FINAL_MARK), 1)
-        yield head + "["
-        i = -1
-        for i, text in enumerate(final):
-            yield ",\n    " if i else "\n    "
-            yield text
-        yield ("\n  ]" if i >= 0 else "]") + tail
+def _spread(value) -> bool:
+    """Whether a value below the top level is written one item per line: a
+    list whose items include an object, or an object or list that holds
+    such a list."""
+    if isinstance(value, dict):
+        return any(map(_spread, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(isinstance(v, dict) or _spread(v) for v in value)
+    return False
+
+
+def _lines(open_: str, items: Iterable[Iterable[str]], close: str,
+           indent: str) -> Iterator[str]:
+    """A container one item per line, each item given as its text pieces."""
+    inner = "\n" + indent + "  "
+    yield open_
+    sep = inner
+    for item in items:
+        yield sep
+        yield from item
+        sep = "," + inner
+    yield close if sep == inner else "\n" + indent + close
+
+
+def _pieces(value, indent: str = "", level: int = 0) -> Iterable[str]:
+    """The text of `value`, at `level` 0 the document, in pieces that never
+    join two items of a list: the document one key per line, a top-level
+    list or one that _spread picks one item per line, any other value on
+    one line (_compact).  An iterator stands for a list whose items it
+    yields as their JSON texts."""
+    inner = indent + "  "
+    if isinstance(value, Iterator):
+        return _lines("[", ((text,) for text in value), "]", indent)
+    if isinstance(value, dict) and (level == 0 or _spread(value)):
+        return _lines("{", (chain((_compact(k), ": "),
+                                  _pieces(value[k], inner, level + 1))
+                            for k in sorted(value)), "}", indent)
+    if isinstance(value, (list, tuple)) and (level <= 1 or _spread(value)):
+        return _lines("[", (_pieces(v, inner, level + 1) for v in value), "]",
+                      indent)
+    return (_compact(value),)
+
+
+def json_text(doc: dict, final: Iterable[str] | None = None) -> Iterator[str]:
+    """The text of the document, in pieces, keys sorted, one record per
+    line: its keys one per line; a top-level list, or one whose items
+    include objects, one item per line, and an object that holds such a
+    list one key per line; any other value on one line, as
+    json.dumps(value, separators=(",", ":"), sort_keys=True) spells it.
+    With `final`, the JSON texts of the items of the document's "final"
+    list, such as the archive.json texts of rows (rows.archive_text), each
+    drawn from `final` as it is written."""
+    if final is not None:
+        doc = dict(doc, final=iter(final))
+    yield from _pieces(doc)
     yield "\n"
 
 
 def save_json(path: str, doc: dict, final: Iterable[str] | None = None) -> None:
-    """Write json.dumps(doc, indent=2, sort_keys=True).  With `final`, the
-    JSON texts of the items of the document's "final" list, such as the
-    archive.json texts of rows (rows.archive_text), those items are written
-    one by one, each as it is drawn from `final`."""
-    atomic_write(path, _json_pieces(doc, final))
+    """Write json_text(doc, final) to `path`."""
+    atomic_write(path, json_text(doc, final))
 
 
 def _genes_text(key: tuple) -> str:

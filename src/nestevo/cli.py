@@ -13,7 +13,6 @@ All commands are deterministic given (config, seed).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import asdict
@@ -252,7 +251,7 @@ def _report(doc: dict, path: str | None) -> None:
     """Print a report document as save_json writes it, encoding it once:
     with `path`, the text written there."""
     if path is None:
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo("".join(ar.json_text(doc)), nl=False)
         return
     ar.save_json(path, doc)
     with open(path, encoding="utf-8") as fh:

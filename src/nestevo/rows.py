@@ -5,7 +5,8 @@ generation): its fields in _FIELDS order, and the visit's combined
 objectives.  render_rows spells each row once, as its front.csv line, and
 that line is the only form a row takes until the outputs are written:
 archive_text spells the row's archive.json text from it, with the visit's
-objectives_block, while archive.json is being written.  A checkpoint stores
+objectives_block, while archive.json is being written: one compact JSON
+object, which archive.json holds on a line of its own.  A checkpoint stores
 only a row's genes, from which the replay renders the line anew.  No
 command builds a solution object or reads a line back, so _FIELDS and
 render_rows are the one schema of an archived solution (the tests read rows
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -144,50 +146,18 @@ def render_rows(rows: Sequence[Sequence]) -> list[Row]:
     return list(zip(keys, lines))
 
 
-# A row sits one level below "final": its keys are indented by 6 spaces and
-# the items of its sections by 8.
-_ROW_INDENT = "\n      "
-_ITEM_INDENT = "\n        "
-
-
-def _json_block(open_: str, items: list[str], close: str) -> str:
-    """A section of a row, one item per line as json.dumps indents it."""
-    if not items:
-        return open_ + close
-    return (open_ + _ITEM_INDENT + ("," + _ITEM_INDENT).join(items)
-            + _ROW_INDENT + close)
-
-
-def _key(name: str) -> str:
-    return encode_basestring_ascii(name).replace("%", "%%") + ": "
-
-
 def _compile_row() -> tuple[str, tuple[int, ...]]:
-    """The %-template of an archive.json row as json.dumps(row, indent=2,
-    sort_keys=True) writes it one level below "final": one slot per field
+    """The %-template of an archive.json row as json.dumps(row,
+    separators=(",", ":"), sort_keys=True) writes it: one slot per field
     and one for the visit's objectives, and per slot in template order the
-    field's place in _FIELDS (len(_FIELDS): the objectives)."""
-    # Per key of a row: None for the objectives, a field's place for a
-    # top-level field, a section's (name, place) pairs.
-    slots: dict[str, int | list | None] = {"objectives": None}
+    field's place in _FIELDS (len(_FIELDS): the objectives).  It is that
+    spelling of the row whose values are their places."""
+    row: dict = {"objectives": len(_FIELDS)}
     for i, (_, section, name, _) in enumerate(_FIELDS):
-        if section is None:
-            slots[name] = i
-        else:
-            slots.setdefault(section, []).append((name, i))
-    parts, order = [], []
-    for key in sorted(slots):
-        slot = slots[key]
-        if isinstance(slot, list):
-            slot.sort()
-            order.extend(i for _, i in slot)
-            parts.append(_key(key) + _json_block(
-                "{", [_key(name) + "%s" for name, _ in slot], "}"))
-        else:
-            order.append(len(_FIELDS) if slot is None else slot)
-            parts.append(_key(key) + "%s")
-    row = "{" + _ROW_INDENT + ("," + _ROW_INDENT).join(parts) + "\n    }"
-    return row, tuple(order)
+        (row if section is None else row.setdefault(section, {}))[name] = i
+    text = json.dumps(row, separators=(",", ":"), sort_keys=True)
+    return (re.sub(r":\d+", ":%s", text.replace("%", "%%")),
+            tuple(map(int, re.findall(r":(\d+)", text))))
 
 
 _ROW, _ROW_ORDER = _compile_row()
@@ -202,16 +172,16 @@ _JSON_OF_CELL = {"": "null", "nan": "NaN", "inf": "Infinity",
 
 def objectives_block(objectives: Sequence[float]) -> str:
     """The "objectives" value of the archive.json rows of a visit whose
-    combined objectives are `objectives`, as json.dumps(doc, indent=2)
-    writes it in a row."""
-    return json.dumps(list(objectives), indent=2).replace("\n", _ROW_INDENT)
+    combined objectives are `objectives`, as a row spells it: one JSON list
+    on one line."""
+    return json.dumps(list(objectives), separators=(",", ":"))
 
 
 def archive_text(line: str, objectives: str) -> str:
     """The archive.json text of the row whose front.csv line (with its line
     break) is `line` and whose visit's objectives_block is `objectives`: the
-    row as json.dumps(doc, indent=2, sort_keys=True) writes it one level
-    below "final"."""
+    row as json.dumps(row, separators=(",", ":"), sort_keys=True) writes
+    it, on its own line of archive.json."""
     cells = (next(csv.reader([line[:-1]])) if '"' in line
              else line[:-1].split(","))
     cells = [encode_basestring_ascii(cell) if quoted

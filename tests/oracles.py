@@ -26,9 +26,10 @@ renders rows from nestevo.rows' field table and only writes them.
 read_lines, which reads front.csv lines back into fields, and
 VISIT_FIELDS left it when checkpoints began to store a row's genes in
 place of its line.  row_text
-spells a row's archive.json text from its values, as the workers did before
-rows travelled as front.csv lines only; rows.archive_text must spell the
-same text from the line.  The
+spells a row's archive.json text from its values, one json.dumps of the
+row; rows.archive_text must spell the same text from the line.  layout_text
+lays out a whole document as save_json writes it, from json.dumps calls
+only (archive_text: a document whose "final" list holds rows).  The
 object enumerators and samplers (enumerate_exit_genomes, enumerate_dvfs,
 sample_dvfs, sample_exit_genome, with candidate_genes to flatten a pair)
 are the genome-object code both engines ran before they sampled and
@@ -51,6 +52,7 @@ import itertools
 import json
 import math
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
@@ -98,13 +100,10 @@ from nestevo.ooe import (
 from nestevo.rows import (
     FRONT_CSV_COLUMNS,
     _FIELDS,
-    _ROW,
-    _ROW_ORDER,
     FinalRow,
     Row,
     _blocks_from_str,
     _blocks_str,
-    _json_block,
     objectives_block,
     render_rows,
 )
@@ -508,20 +507,80 @@ def solution_values(sol) -> tuple:
             dy.mean_dissimilarity, dy.n_exits, dy.mean_exit_score)
 
 
-def solution_to_dict(sol, vector: ObjectiveVector) -> dict:
-    """One archive.json row as a dict."""
-    doc: dict = {"objectives": list(vector.values)}
-    for (_, section, name, _), value in zip(_FIELDS, solution_values(sol)):
+def row_dict(values: Sequence, objectives: Sequence[float]) -> dict:
+    """One archive.json row as a dict, from its fields in _FIELDS order and
+    its visit's objectives."""
+    doc: dict = {"objectives": list(objectives)}
+    for (_, section, name, _), value in zip(_FIELDS, values):
         (doc if section is None else doc.setdefault(section, {}))[name] = value
     return doc
 
 
+def solution_to_dict(sol, vector: ObjectiveVector) -> dict:
+    """One archive.json row as a dict."""
+    return row_dict(solution_values(sol), vector.values)
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _holds_object_list(value) -> bool:
+    """Whether a list in `value`, or `value` itself, has an object among
+    its items."""
+    if isinstance(value, dict):
+        return any(map(_holds_object_list, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(isinstance(v, dict) or _holds_object_list(v)
+                   for v in value)
+    return False
+
+
+def layout_text(doc: dict) -> str:
+    """The text save_json writes for `doc`, from json.dumps calls only:
+    the document's skeleton (the document, its top-level lists, and the
+    lists and objects that hold a list with objects among its items) as
+    json.dumps(indent=2, sort_keys=True) lays it out, one item per line,
+    with every other value, the leaves of the skeleton, spelled on its line
+    by json.dumps(value, separators=(",", ":"), sort_keys=True)."""
+    leaves: list[str] = []
+
+    def skeleton(value, level: int):
+        if isinstance(value, dict) and (level == 0
+                                        or _holds_object_list(value)):
+            return {k: skeleton(v, level + 1) for k, v in value.items()}
+        if isinstance(value, (list, tuple)) and (
+                level <= 1 or _holds_object_list(value)):
+            return [skeleton(v, level + 1) for v in value]
+        leaves.append(_compact(value))
+        return f"\x00leaf {len(leaves) - 1}\x00"
+
+    text = json.dumps(skeleton(doc, 0), indent=2, sort_keys=True)
+    return re.sub(r'"\\u0000leaf (\d+)\\u0000"',
+                  lambda m: leaves[int(m[1])], text) + "\n"
+
+
+def lists_by_line(text: str, key: str) -> list[list]:
+    """Every list that a JSON text holds under `key` and writes one item per
+    line, in text order, each item read from its own line."""
+    lines = text.splitlines()
+    found = []
+    for i, line in enumerate(lines):
+        if line.strip() == json.dumps(key) + ": [":
+            end = next(j for j in range(i + 1, len(lines))
+                       if lines[j].strip() in ("]", "],"))
+            found.append([json.loads(item.strip().removesuffix(","))
+                          for item in lines[i + 1:end]])
+    return found
+
+
 def archive_text(doc: dict, entries) -> str:
     """The text of an archive document (or checkpoint) whose "final" list
-    holds `entries` sorted by key: one json.dumps of the whole document."""
-    full = dict(doc, final=[solution_to_dict(e.payload, e.vector)
-                            for e in sorted(entries, key=lambda e: e.key)])
-    return json.dumps(full, indent=2, sort_keys=True) + "\n"
+    holds `entries` sorted by key, as layout_text lays it out: one row per
+    line."""
+    return layout_text(dict(doc, final=[
+        solution_to_dict(e.payload, e.vector)
+        for e in sorted(entries, key=lambda e: e.key)]))
 
 
 def front_lines(solutions) -> list[str]:
@@ -657,12 +716,8 @@ def state_rows(state: OoeState) -> Iterator[FinalRow]:
 
 def row_text(values: Sequence, objectives: Sequence[float]) -> str:
     """The archive.json text of a row from its fields in _FIELDS order and
-    its visit's objectives, each value spelled by json.dumps into the row
-    template: the render the workers made before rows travelled as
-    front.csv lines only."""
-    slots = [json.dumps(v) for v in values]
-    slots.append(_json_block("[", [json.dumps(v) for v in objectives], "]"))
-    return _ROW % tuple(slots[i] for i in _ROW_ORDER)
+    its visit's objectives: one json.dumps of the row's dict, on one line."""
+    return _compact(row_dict(values, objectives))
 
 
 def row_values(doc: dict) -> tuple:

@@ -1,11 +1,12 @@
 """Archive rows rendered from their values as front.csv lines
 (rows.render_rows), spelled from those lines as archive.json texts
 (rows.archive_text), and joined into archive.json and front.csv, against
-the oracles in tests/oracles.py (one json.dumps of the whole document, one
-csv.DictWriter row per solution, the row template filled by json.dumps of
-each value): the bytes must be the same.  A row's front.csv line reads
-back (oracles.read_lines) to the same row.  The search itself builds no
-solution object per row, and holds no row's JSON text."""
+the oracles in tests/oracles.py (the document laid out by layout_text from
+json.dumps calls, one csv.DictWriter row per solution, one json.dumps of
+each row): the bytes must be the same.  Every document save_json writes
+holds one record per line, as layout_text lays it out.  A row's front.csv
+line reads back (oracles.read_lines) to the same row.  The search itself
+builds no solution object per row, and holds no row's JSON text."""
 
 import json
 import math
@@ -41,6 +42,8 @@ from oracles import (
     archive_text,
     front_csv_text,
     front_solution_from_row,
+    layout_text,
+    lists_by_line,
     read_entries,
     read_lines,
     row_text,
@@ -120,8 +123,68 @@ def test_archive_document_matches_json_dumps(tmp_path):
         archive_text(doc, entries[:1])
     assert saved_text(tmp_path, doc, texts(entries)) == \
         archive_text(doc, entries)
-    assert saved_text(tmp_path, doc, None) == \
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert saved_text(tmp_path, doc, None) == layout_text(doc)
+
+
+def test_layout_puts_each_record_on_one_line(tmp_path):
+    # The document one key per line; a top-level list, or one whose items
+    # include objects, one item per line, and an object that holds such a
+    # list one key per line; any other value compact on its own line.
+    doc = {"b": [{"x": 1.5}, 2], "a": {"k": [1, [2]], "s": "é\""},
+           "c": [[{"y": None}]], "d": [], "e": {"rows": [{"z": 1}], "n": 2},
+           "f": {}}
+    assert saved_text(tmp_path, doc, None) == (
+        '{\n'
+        '  "a": {"k":[1,[2]],"s":"\\u00e9\\""},\n'
+        '  "b": [\n'
+        '    {"x":1.5},\n'
+        '    2\n'
+        '  ],\n'
+        '  "c": [\n'
+        '    [\n'
+        '      {"y":null}\n'
+        '    ]\n'
+        '  ],\n'
+        '  "d": [],\n'
+        '  "e": {\n'
+        '    "n": 2,\n'
+        '    "rows": [\n'
+        '      {"z":1}\n'
+        '    ]\n'
+        '  },\n'
+        '  "f": {}\n'
+        '}\n') == layout_text(doc)
+
+
+def test_search_outputs_hold_one_record_per_line(tmp_path):
+    # Each archive.json row, and each gene string, visit and evicted visit
+    # of a checkpoint, sits on its own line; the resume state on one line;
+    # and line 2 of every file is the config digest's.
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
+                       out_override=str(tmp_path))
+    run_search(cfg)
+    text = (tmp_path / "archive.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    for key in ("final", "generations"):
+        assert lists_by_line(text, key) == [doc[key]]
+    paths = sorted(tmp_path.glob("checkpoint_gen_*.json"))
+    assert len(paths) == cfg.ooe.generations
+    evicted = 0
+    for path in [tmp_path / "archive.json", *paths]:
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text.splitlines()[1] == \
+            f'  "config_digest": "{doc["config_digest"]}",'
+        if path.name == "archive.json":
+            continue
+        for key in ("final", "visits", "evicted"):
+            assert lists_by_line(text, key) == \
+                ([doc[key]] if doc[key] else []), (path.name, key)
+        evicted += len(doc["evicted"])
+        resume = json.dumps(doc["resume"], separators=(",", ":"),
+                            sort_keys=True)
+        assert f'  "resume": {resume},' in text.splitlines()
+    assert evicted
 
 
 def test_failed_write_leaves_the_earlier_file_and_no_temp_file(tmp_path):
@@ -158,11 +221,11 @@ def test_archive_document_is_written_without_a_copy(tmp_path):
 
 
 def test_archive_document_is_written_from_lines_without_a_copy(tmp_path):
-    # As the search writes it: 20,000 rows held as front.csv lines (8 MB),
-    # whose archive.json texts (19 MB) exist one at a time, as written.
+    # As the search writes it: 20,000 rows held as front.csv lines (10 MB),
+    # whose archive.json texts (17 MB) exist one at a time, as written.
     visits = [ODD_ROWS[:2], ODD_ROWS[2:]]
     padded = [[replace(e.payload, dvfs=replace(e.payload.dvfs,
-                                               device="x" * 300 + str(i)))
+                                               device="x" * 420 + str(i)))
                for e in visit] for i, visit in enumerate(visits)]
     rows = [(line, objectives_block(visit[0].vector.values))
             for visit, sols in zip(visits, padded)
@@ -180,7 +243,7 @@ def test_archive_document_is_written_from_lines_without_a_copy(tmp_path):
     assert path.stat().st_size >= 16e6
     final = json.loads(path.read_text(encoding="utf-8"))["final"]
     assert len(final) == 20_000
-    assert final[-1]["dvfs"]["device"] == "x" * 300 + "1"
+    assert final[-1]["dvfs"]["device"] == "x" * 420 + "1"
 
 
 def test_front_csv_is_written_without_a_copy(tmp_path):
@@ -479,3 +542,38 @@ def test_rows_travel_without_their_json_text(tmp_path):
     assert {block for _, _, block in result.rows} == \
         {objectives_block(objectives) for objectives, _ in live}
     assert len({id(block) for _, _, block in result.rows}) == len(live)
+
+
+# JSON values as a document may hold them: big ints, floats with odd
+# spellings or none finite, None, and strings with quotes, escapes,
+# control and non-ASCII characters.
+json_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\n\r\t\x00\x1f\x7f é≈\U0001d11e'),
+    st.characters()), max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False), odd_float.map(float), json_strings)
+json_values = st.recursive(
+    json_scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=24)
+# Items of a "final" list given as their texts: scalars and flat objects.
+final_items = st.lists(st.one_of(
+    json_scalars, st.dictionaries(json_strings, json_scalars, max_size=3)),
+    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(json_strings, json_values, max_size=6),
+       st.one_of(st.none(), final_items))
+def test_saved_text_reads_back_and_matches_the_layout_oracle(doc, final):
+    texts = None if final is None else (
+        json.dumps(item, separators=(",", ":"), sort_keys=True)
+        for item in final)
+    with tempfile.TemporaryDirectory() as tmp:
+        text = saved_text(Path(tmp), doc, texts)
+    full = doc if final is None else dict(doc, final=final)
+    assert json.loads(text) == full
+    assert text == layout_text(full)
+    assert text.isascii()

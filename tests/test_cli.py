@@ -14,6 +14,8 @@ from nestevo.rows import archive_text, render_rows
 from oracles import (
     archive_doc_result,
     front_solution_from_row,
+    layout_text,
+    lists_by_line,
     load_json,
     solution_values,
 )
@@ -780,7 +782,7 @@ class TestMetricsCommand:
         res = runner.invoke(main, ["metrics", path, path, "--reference", "0,1"])
         assert res.exit_code == 0, res.output
         report = json.loads(res.output)
-        assert res.output == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert res.output == layout_text(report)
         assert report["hv_a"] == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("cell, reference, value", [
@@ -874,6 +876,20 @@ class TestAblateCommand:
         for arm in doc["arms"]:
             assert arm["archive_size"] >= 1
             assert arm["exit_fraction_spread"] >= 0.0
+
+    def test_each_archive_entry_and_rod_pair_on_one_line(self, tmp_path,
+                                                         runner):
+        cfg = write_toy_config(tmp_path)
+        res = runner.invoke(main, ["ablate-dissim", "--config", str(cfg),
+                                   "--gammas", "0,0.5,1"])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "out" / "ablation.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == layout_text(doc)
+        assert lists_by_line(text, "archive") == \
+            [arm["archive"] for arm in doc["arms"]]
+        assert lists_by_line(text, "rod") == [doc["rod"]]
+        assert len(doc["rod"]) == 6
 
     @pytest.mark.parametrize("gammas", ["0,x", "-1", "nan", "inf"])
     def test_malformed_gammas(self, tmp_path, runner, gammas):

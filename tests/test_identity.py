@@ -26,6 +26,11 @@ block.
 The JSON outputs are pinned by their content too: the sha256 of the
 parsed document spelled compactly with sorted keys (content_digests).  A
 change to the layout of the JSON files alone re-pins only their bytes.
+The byte digests of every JSON output were re-pinned once when save_json
+began to write one record per line (an archive.json row, an ablation
+archive entry, a checkpoint's gene string on its own compact line) in
+place of json.dumps(indent=2): the content digests held, and so did every
+front.csv and truth_front.csv.
 
 A speed-up must keep these digests; a change that alters results on purpose
 re-pins them and says why.  The benchmark's own output checks
@@ -96,25 +101,25 @@ TABLE_BUCKETS = tuple(10.0 ** (6 + k / 8) for k in range(17))
 PINNED = {
     "toy": {
         "archive.json":
-            "e710d7eb696e7701b96a17217f9a8323507889c9eb37acfb6de675710c74ae8f",
+            "e781c49948fd02ae83e6741ea8c8dde8573126dcc531445e75d9143390b0f84b",
         "front.csv":
             "3258efa1d983b94f62cbed312f5bcdc8d65a3a7e8c4521eb5c36ba7a2d125ecd",
     },
     "small-default": {
         "archive.json":
-            "141500dc3f4299fb30f844956ad49cacfdde764fea041603b0ab15990e10818f",
+            "cce781daea8dc0928286c411bf070eb8b6ccc98fd7501ca7432b615f5442ca08",
         "front.csv":
             "5072781a2477b1cbe4d5dfe59976ed4380ce799c75f7835551e3a5b740317876",
     },
     "scalar": {
         "archive.json":
-            "b967478fe59fd64288c41766c64e3faad50b172261f32d4548a08e69bae2d81b",
+            "d64f7e84bcba03b0ca65ca7108ed7455a5d021c4126e60c679652fdbfc5827e2",
         "front.csv":
             "928f3292f97eed6aea6686458a401f72b39515403f10c0d3cb67db313a3a59a8",
     },
     "ablate-table": {
         "ablation.json":
-            "92ca9c76df4ef2fc68162f995ad424e8314150378dabeebca5ac0d60daea31c5",
+            "03ddb705110caef3553da2ceb0a3dca17c533d7563e55e1dcf56f259ccd0e972",
     },
     "enumerate-toy": {
         "truth_front.csv":

@@ -27,8 +27,8 @@ from nestevo.cli import build_backend, main, run_search
 from nestevo.config import load_config, parse_config
 
 import test_identity
-from oracles import (VISIT_FIELDS, archive_text, final_rows, read_entries,
-                     read_lines, state_rows)
+from oracles import (VISIT_FIELDS, archive_text, final_rows, layout_text,
+                     read_entries, read_lines, state_rows)
 from test_cli import TOY_DOC, write_toy_config
 
 
@@ -132,6 +132,42 @@ def test_device_name_that_csv_quotes_resumes_exactly(tmp_path):
         assert files(out) == expected, k
 
 
+def test_checkpoints_in_the_indented_layout_resume(tmp_path):
+    # Checkpoints written as json.dumps(doc, indent=2, sort_keys=True) laid
+    # them out before save_json wrote one record per line.  The replay
+    # parses them, and the integrity check reads the digest from line 2 of
+    # either layout: a rerun over checkpoints 1..k in the old layout writes
+    # the uninterrupted run's archive.json, front.csv and later checkpoints.
+    full = tmp_path / "full"
+    cfg = parse_config(test_identity.SMALL_DEFAULT_DOC,
+                       out_override=str(full))
+    run_search(cfg)
+    expected = files(full)
+    digest = json.loads((full / "archive.json").read_text())["config_digest"]
+    generations = cfg.ooe.generations
+    for k in range(1, generations + 1):
+        out = tmp_path / f"indented_{k}"
+        out.mkdir()
+        for g in range(1, k + 1):
+            name = f"checkpoint_gen_{g:03d}.json"
+            assert cli_mod._config_digest_of(str(full / name)) == digest
+            doc = json.loads((full / name).read_text())
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert text != (full / name).read_text()
+            (out / name).write_text(text)
+            assert cli_mod._config_digest_of(str(out / name)) == digest
+        run_search(parse_config(test_identity.SMALL_DEFAULT_DOC,
+                                out_override=str(out)))
+        rewritten = {f"checkpoint_gen_{g:03d}.json" for g in range(1, k + 1)}
+        assert {n: d for n, d in files(out).items() if n not in rewritten} \
+            == {n: d for n, d in expected.items() if n not in rewritten}, k
+    # An archive.json in the indented layout names its digest too.
+    doc = json.loads((full / "archive.json").read_text())
+    indented = tmp_path / "archive.json"
+    indented.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert cli_mod._config_digest_of(str(indented)) == digest
+
+
 def test_checkpoints_hold_at_most_half_the_archive_bytes(tmp_path):
     # Each new row is stored once, as its genes, beside one list of
     # objectives and one backbone key per visit: with the resume state, at
@@ -147,7 +183,7 @@ def test_checkpoints_hold_at_most_half_the_archive_bytes(tmp_path):
 
 def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
     # The oracle is the full-archive "final" list the checkpoints held before
-    # they became deltas: one json.dumps of the live run's entries.  Each
+    # they became deltas: the live run's entries laid out by layout_text.  Each
     # checkpoint is checked against its own oracle document: the added
     # visits' rows as the genes of their solution objects, and per visit its
     # objectives and backbone key.
@@ -176,8 +212,8 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
              for g in range(1, cfg.ooe.generations + 1)]
     assert len(states) == len(paths)
     for k, (state, archive) in enumerate(states, 1):
-        # Each checkpoint is one json.dumps of its document, whose rows are
-        # the genes of the visits the generation added.
+        # Each checkpoint is its document as layout_text lays it out, whose
+        # rows are the genes of the visits the generation added.
         text = Path(paths[k - 1]).read_text(encoding="utf-8")
         added = [read_entries(final_rows(*state.visits[v]))
                  for v in state.added]
@@ -189,7 +225,7 @@ def test_replay_rebuilds_each_generation_row_for_row(tmp_path):
             visits=[[v, len(entries), list(entries[0].vector.values),
                      list(entries[0].payload.backbone.key())]
                     for v, entries in zip(state.added, added)])
-        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert text == layout_text(doc)
         replayed = ar.replay_checkpoints(paths[:k], cfg, build_backend(cfg))
         assert archive_text({}, read_entries(state_rows(replayed))) == archive
         assert list(replayed.visits) == list(state.visits)
